@@ -1,10 +1,14 @@
 """Criteria computations on lookup-table functions.
 
-Everything here is an exhaustive scan over the 2^n inputs:
-
-* differential spectrum: one difference-distribution row per nonzero a
-  (2^n counters live at a time, never the full 2^n x 2^n matrix), with
-  the per-row histograms aggregated into the omega_i counts;
+* differential spectrum: when the table equals a power map x^e outside
+  the subfield GF(2^k), as every constructed f does, one DDT row of x^e
+  gives every row (power maps are homogeneous) and only the pairs
+  through GF(2^k) are counted again, O(2^n 2^k) work in all.  Any
+  other table gets the exhaustive scan: one difference-distribution row
+  per nonzero a (2^n counters live at a time, never the full 2^n x 2^n
+  matrix), with the per-row histograms aggregated into the omega_i
+  counts.  The scan is also the oracle the structured kernel is tested
+  against;
 * Walsh spectrum: per component v, the sign table of Tr(v f(x)) is run
   through a fast transform over u; the u axis of the transform output
   is related to the definition's u by the nondegenerate bilinear form
@@ -14,7 +18,7 @@ Everything here is an exhaustive scan over the 2^n inputs:
   support of the transform;
 * permutation status: bijectivity scan.
 
-Rows and components partition cleanly, so the heavy scans accept a
+Rows and components partition cleanly, so the exhaustive scans accept a
 workers count and fan out over processes; counters merge by summation
 and results do not depend on the worker count.
 """
@@ -51,6 +55,7 @@ __all__ = [
 
 _WALSH_TABLE_MAX_N = 12
 _V_BLOCK = 256
+_A_BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +68,11 @@ class DdtRow:
 
 @dataclass(frozen=True)
 class DiffSpectrum:
+    """omega_i counts and their maximum; kernel names the scan that produced them."""
+
     spectrum: dict
     delta: int
+    kernel: str = field(default="exhaustive", compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,23 +102,76 @@ def _spectrum_chunk(args) -> np.ndarray:
     return omega
 
 
+def _structured_omega(f: LutFunction) -> np.ndarray | None:
+    """omega via power-map homogeneity, or None unless f is x^e off GF(2^k).
+
+    For P = x^e every DDT row is a relabelled copy of row 1:
+    delta_P(a, b) = delta_P(1, b a^(-e)).  Row a of f differs from row a
+    of P only through the pairs {s, s + a} with s in S = GF(2^k), so the
+    histogram of row 1 times (2^n - 1) is corrected by moving one counter
+    per (a, b) those pairs touch.  Rows are taken in blocks of _A_BLOCK
+    so the correction arrays stay small.
+    """
+    ctx = f.ctx
+    q = ctx.order
+    q1 = q - 1
+    tab = f.table
+    v = int(tab[ctx.generator])  # the generator lies outside GF(2^k)
+    if not 0 < v < q:
+        return None
+    e = int(ctx.log[v]) or q1  # e in [1, q-1] keeps P(0) = 0
+    p = gf2n.vec_pow_all(ctx, e)
+    if not np.all((tab == p) | ctx.subfield_mask):
+        return None
+
+    pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
+    row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
+    omega = np.bincount(row1, minlength=q + 1) * q1
+    sub = np.array(ctx.subfield_elems, dtype=np.int64)
+    for lo in range(1, q, _A_BLOCK):
+        a = np.arange(lo, min(lo + _A_BLOCK, q), dtype=np.int64)[:, None]
+        x = sub ^ a
+        before = ((a << ctx.n) | (p[sub] ^ p[x])).ravel()
+        after = ((a << ctx.n) | (tab[sub] ^ tab[x])).ravel()
+        keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
+        net = np.bincount(inv[len(before):], minlength=len(keys))
+        net -= np.bincount(inv[: len(before)], minlength=len(keys))
+        ra, b = keys >> ctx.n, keys & q1
+        # a pair {s, s + a} stands for its two inputs, unless a lies in S:
+        # then s and s + a both run over S and each input is listed once
+        net *= np.where(ctx.subfield_mask[ra], 1, 2)
+        old = row1[np.where(b, ctx.exp[(ctx.log[b] - e * ctx.log[ra]) % q1], 0)]
+        np.add.at(omega, old, -1)
+        np.add.at(omega, old + net, 1)
+    return omega
+
+
 def differential_spectrum(f: LutFunction, workers: int = 1) -> DiffSpectrum:
-    """omega_i counts over all (a, b) pairs with a != 0, plus the maximum."""
+    """omega_i counts over all (a, b) pairs with a != 0, plus the maximum.
+
+    Tables equal to a power map outside GF(2^k) take the structured
+    kernel in-process; any other table is scanned row by row, over
+    workers processes when workers > 1.
+    """
     q = f.ctx.order
-    if workers > 1:
-        bounds = np.linspace(1, q, workers * 4 + 1, dtype=int)
-        jobs = [
-            (f.table, q, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            omega = sum(pool.map(_spectrum_chunk, jobs))
-    else:
-        omega = _spectrum_chunk((f.table, q, 1, q))
+    omega = _structured_omega(f)
+    kernel = "structured"
+    if omega is None:
+        kernel = "exhaustive"
+        if workers > 1:
+            bounds = np.linspace(1, q, workers * 4 + 1, dtype=int)
+            jobs = [
+                (f.table, q, int(lo), int(hi))
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+                if lo < hi
+            ]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                omega = sum(pool.map(_spectrum_chunk, jobs))
+        else:
+            omega = _spectrum_chunk((f.table, q, 1, q))
     delta = int(np.nonzero(omega[1:])[0].max()) + 1
     spectrum = {i: int(omega[i]) for i in range(0, delta + 1, 2)}
-    return DiffSpectrum(spectrum, delta)
+    return DiffSpectrum(spectrum, delta, kernel)
 
 
 # ---------------------------------------------------------------------------

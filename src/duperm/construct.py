@@ -259,9 +259,12 @@ def read_lut(path, ctx: gf2n.FieldCtx) -> LutFunction:
     if n != ctx.n:
         raise ValueError(f"table is over GF(2^{n}), context is GF(2^{ctx.n})")
     body = blob[len(LUT_MAGIC) + 1 :]
-    if len(body) != (1 << n) * 8:
-        raise ValueError("truncated lookup-table file")
-    table = np.frombuffer(body, dtype="<u8").astype(np.int64)
-    if table.max(initial=0) >= (1 << n):
+    size = (1 << n) * 8
+    if len(body) < size:
+        raise ValueError(f"truncated lookup-table file: {len(body)} of {size} table bytes")
+    if len(body) > size:
+        raise ValueError(f"oversized lookup-table file: {len(body) - size} bytes past the table")
+    raw = np.frombuffer(body, dtype="<u8")
+    if raw.max(initial=0) >= (1 << n):
         raise ValueError("table entry outside the field")
-    return LutFunction(ctx, table)
+    return LutFunction(ctx, raw.astype(np.int64))

@@ -86,6 +86,18 @@ def _powmod(a: int, e: int, m: int) -> int:
     return r
 
 
+def _vec_mulmod(arr: np.ndarray, c: int, m: int) -> np.ndarray:
+    """Elementwise _mulmod(a, c, m) over an int64 array of reduced polynomials."""
+    r = np.zeros_like(arr)
+    for i in range(c.bit_length()):
+        if (c >> i) & 1:
+            r ^= arr << i
+    dm = m.bit_length() - 1
+    for j in range(dm + c.bit_length() - 2, dm - 1, -1):
+        r ^= ((r >> j) & 1) * (m << (j - dm))
+    return r
+
+
 def _poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _pmod(a, b)
@@ -217,20 +229,19 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
     gen = _find_generator(modulus, n)
     q = 1 << n
 
-    expl = [0] * (q - 1)
-    cur = 1
-    for i in range(q - 1):
-        expl[i] = cur
-        cur = _mulmod(cur, gen, modulus)
-    if cur != 1:
+    # block doubling: exp[h:2h] = exp[:h] * gen^h
+    exp = np.ones(q - 1, dtype=np.int64)
+    h = 1
+    while h < q - 1:
+        step = min(h, q - 1 - h)
+        exp[h : h + step] = _vec_mulmod(exp[:step], _powmod(gen, h, modulus), modulus)
+        h *= 2
+    if _mulmod(int(exp[-1]), gen, modulus) != 1:
         raise ValueError("generator order check failed")
-    logl = [0] * q
-    for i, v in enumerate(expl):
-        logl[v] = i
-
-    exp = np.array(expl, dtype=np.int64)
     log = np.zeros(q, dtype=np.int64)
     log[exp] = np.arange(q - 1, dtype=np.int64)
+    expl = exp.tolist()
+    logl = log.tolist()
 
     # frobenius and trace tables, vectorised over the whole field
     def _vec_frob(arr: np.ndarray, j: int) -> np.ndarray:

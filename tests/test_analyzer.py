@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duperm import gf2n
 from duperm.analyzer import (
+    DiffSpectrum,
     algebraic_degree,
     analyze,
     ddt_row,
@@ -22,8 +25,10 @@ from duperm.construct import (
     LutFunction,
     build_f,
     build_g,
+    dobbertin_exponent,
     parse_affine_expr,
     power_function,
+    random_affine_perm,
 )
 
 
@@ -160,10 +165,83 @@ def test_spectrum_identities(f5, f10):
 
 
 def test_spectrum_workers_deterministic(f10):
-    f = make_f(f10, 2, 2, "x+b")
-    single = differential_spectrum(f, workers=1)
-    multi = differential_spectrum(f, workers=2)
-    assert single == multi
+    rng = np.random.default_rng(5)
+    for f in (make_f(f10, 2, 2, "x+b"), LutFunction(f10, rng.permutation(1024))):
+        single = differential_spectrum(f, workers=1)
+        multi = differential_spectrum(f, workers=2)
+        assert single == multi
+        assert single.kernel == multi.kernel
+
+
+# ---------------------------------------------------------------------------
+# structured kernel against the exhaustive oracle
+# ---------------------------------------------------------------------------
+
+def ddt_row_spectrum(f):
+    """The spectrum rebuilt from the public ddt_row over every a != 0."""
+    q = f.ctx.order
+    omega = np.zeros(q + 1, dtype=np.int64)
+    for a in range(1, q):
+        omega += np.bincount(ddt_row(f, a).counts, minlength=q + 1)
+    delta = int(np.nonzero(omega[1:])[0].max()) + 1
+    return DiffSpectrum({i: int(omega[i]) for i in range(0, delta + 1, 2)}, delta)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    m=st.integers(1, 6),
+    seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+)
+def test_structured_spectrum_matches_ddt_rows(f5, f10, k, m, seeds):
+    ctx = f5 if k == 1 else f10
+    L1, L2 = (random_affine_perm(ctx, k, seed) for seed in seeds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = build_g(ctx, k, m, L1, L2)
+    f = build_f(ctx, k, g)
+    ds = differential_spectrum(f)
+    assert ds.kernel == "structured"
+    assert ds == ddt_row_spectrum(f)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32))
+def test_random_permutations_take_exhaustive_path(f5, f10, seed):
+    rng = np.random.default_rng(seed)
+    small = LutFunction(f5, rng.permutation(32))
+    ds = differential_spectrum(small)
+    assert ds.kernel == "exhaustive"
+    naive = naive_spectrum(small)
+    assert ds.spectrum == {i: naive.get(i, 0) for i in range(0, ds.delta + 1, 2)}
+    assert differential_spectrum(LutFunction(f10, rng.permutation(1024))).kernel == "exhaustive"
+
+
+def test_power_map_with_one_entry_changed_falls_back(f10):
+    d = dobbertin_exponent(2)
+    outside = np.nonzero(~f10.subfield_mask)[0]
+    for x in (f10.generator, int(outside[0]), int(outside[-1])):
+        table = power_function(f10, d).table.copy()
+        table[x] ^= 1
+        f = LutFunction(f10, table)
+        ds = differential_spectrum(f)
+        assert ds.kernel == "exhaustive"
+        assert ds == ddt_row_spectrum(f)
+
+
+# Full n = 15 spectra, captured once from the row-by-row exhaustive scan.
+N15_SPECTRA = {
+    (2, "x^4"): ({0: 536952808, 2: 536657968, 4: 98280}, 4),
+    (2, "x"): ({0: 536854528, 2: 536854528}, 2),  # f = x^4679
+    (1, "x+1"): ({0: 536936449, 2: 536690700, 4: 81900, 6: 0, 8: 7}, 8),
+}
+
+
+@pytest.mark.parametrize("m, l1", sorted(N15_SPECTRA))
+def test_structured_spectrum_pinned_n15(f15, m, l1):
+    ds = differential_spectrum(make_f(f15, 3, m, l1))
+    assert ds.kernel == "structured"
+    assert (ds.spectrum, ds.delta) == N15_SPECTRA[m, l1]
 
 
 # ---------------------------------------------------------------------------

@@ -202,10 +202,12 @@ def test_reproduce_tables_mismatch_names_row_and_column(tmp_path):
     assert "table1 row L1=x+1 column spectrum" in err
 
 
-def test_row5_and_t2r2_match_reference(tmp_path):
-    # the rows whose published spectrum/NL the pinned construction does
-    # reproduce exactly
-    assert COMPUTED_TABLE1["b^2*x^2"][0] == TABLE1_EXPECTED[4][1]
-    assert COMPUTED_TABLE1["b^2*x^2"][2] == TABLE1_EXPECTED[4][3]
-    assert COMPUTED_TABLE2["b*x^2+b"][0] == TABLE2_EXPECTED[1][1]
-    assert COMPUTED_TABLE2["b*x^2+b"][2] == TABLE2_EXPECTED[1][3]
+def test_row5_and_t2r2_match_reference():
+    # the rows whose published spectrum and NL the pinned construction
+    # reproduces exactly, computed through the CLI
+    for m, (l1, spectrum, _, nl) in ((2, TABLE1_EXPECTED[4]), (1, TABLE2_EXPECTED[1])):
+        code, out, _ = run_cli(["analyze", "--k", "2", "--m", str(m), "--l1", l1])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["spectrum"] == {str(i): w for i, w in zip((0, 2, 4), spectrum)}
+        assert payload["nl"] == nl

@@ -256,5 +256,23 @@ def test_lut_errors(tmp_path, f5, f10):
         read_lut(good, f5)  # wrong field degree
     truncated = tmp_path / "short.lut"
     truncated.write_bytes(good.read_bytes()[:-8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated"):
         read_lut(truncated, f10)
+
+
+def test_lut_oversized_file(tmp_path, f10):
+    path = tmp_path / "long.lut"
+    write_lut(power_function(f10, 3), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match="oversized"):
+        read_lut(path, f10)
+
+
+def test_lut_entry_beyond_int64(tmp_path, f5):
+    # 2^64 - 1 would wrap to -1 in a signed table and pass an upper-bound check
+    table = power_function(f5, 3).table.astype("<u8")
+    table[3] = 2**64 - 1
+    path = tmp_path / "wide.lut"
+    path.write_bytes(construct.LUT_MAGIC + bytes([5]) + table.tobytes())
+    with pytest.raises(ValueError, match="outside the field"):
+        read_lut(path, f5)

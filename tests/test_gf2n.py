@@ -106,6 +106,32 @@ def test_generator_order(k):
         assert ref_pow(ctx, ctx.generator, q1 // p) != 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tables_match_scalar_chain(k):
+    ctx = gf2n.mk_field(k)
+    q = ctx.order
+    exp = [1]
+    for _ in range(q - 2):
+        exp.append(ref_mul(ctx, exp[-1], ctx.generator))
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    assert ctx.exp.tolist() == exp and ctx._expl == exp
+    assert ctx.log.tolist() == log and ctx._logl == log
+    # the trace is linear: Tr(x) is the parity of x masked by the basis traces
+    tmask = 0
+    for i in range(ctx.n):
+        acc, cur = 0, 1 << i
+        for _ in range(ctx.n):
+            acc ^= cur
+            cur = ref_mul(ctx, cur, cur)
+        assert acc in (0, 1)
+        tmask |= acc << i
+    assert ctx.trace_bits.tolist() == [bin(x & tmask).count("1") & 1 for x in range(q)]
+    frob_k = [0] + [exp[(log[x] << k) % (q - 1)] for x in range(1, q)]
+    assert ctx.subfield_mask.tolist() == [frob_k[x] == x for x in range(q)]
+
+
 def test_mk_field_errors():
     with pytest.raises(ValueError):
         gf2n.mk_field(0)
