@@ -24,6 +24,7 @@ from .construct import (
     build_f,
     build_g,
     dobbertin_exponent,
+    instance,
     parse_affine_expr,
     power_function,
     random_affine_perm,

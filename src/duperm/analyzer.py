@@ -4,23 +4,25 @@
   the subfield GF(2^k), as every constructed f does, one DDT row of x^e
   gives every row (power maps are homogeneous) and only the pairs
   through GF(2^k) are counted again, O(2^n 2^k) work in all.  Any
-  other table gets the exhaustive scan: one difference-distribution row
-  per nonzero a (2^n counters live at a time, never the full 2^n x 2^n
-  matrix), with the per-row histograms aggregated into the omega_i
-  counts.  The scan is also the oracle the structured kernel is tested
-  against;
+  other table gets the exhaustive scan, omega_counts: one
+  difference-distribution row per nonzero a (2^n counters live at a
+  time, never the full 2^n x 2^n matrix), with the per-row histograms
+  aggregated into the omega_i counts.  The scan is also the oracle the
+  structured kernel is tested against;
 * Walsh spectrum: per component v, the sign table of Tr(v f(x)) is run
   through a fast transform over u; the u axis of the transform output
   is related to the definition's u by the nondegenerate bilinear form
   Tr(ux), a fixed bit-linear reindexing that does not change maxima;
 * algebraic degree: subset-XOR (Moebius) transform of the whole table,
   all output coordinates in parallel, degree = max bit count over the
-  support of the transform;
+  support of the transform (anf_degree, along the last axis of any
+  stack of tables);
 * permutation status: bijectivity scan.
 
-Rows and components partition cleanly, so the exhaustive scans accept a
-workers count and fan out over processes; counters merge by summation
-and results do not depend on the worker count.
+omega_counts and anf_degree take plain integer arrays of length 2^j,
+so they also run on maps of GF(2^k) written in subfield coordinates.
+Walsh components partition cleanly, so walsh_max_abs accepts a workers
+count and fans out over processes; the result does not depend on it.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ __all__ = [
     "CriteriaReport",
     "ddt_row",
     "differential_spectrum",
+    "omega_counts",
     "walsh_spectrum",
     "walsh_max_abs",
     "nonlinearity",
     "algebraic_degree",
+    "anf_degree",
     "is_permutation",
     "nl_lower_bound",
     "fingerprint",
@@ -91,12 +95,17 @@ def ddt_row(f: LutFunction, a: int) -> DdtRow:
     return DdtRow(a, row)
 
 
-def _spectrum_chunk(args) -> np.ndarray:
-    tab, q, a_lo, a_hi = args
+def omega_counts(table: np.ndarray) -> np.ndarray:
+    """omega[i] = #{(a, b), a != 0 : #{x : t(x + a) + t(x) = b} = i}.
+
+    t is an integer table of length 2^j with values below 2^j; the scan
+    goes row by row over every nonzero a.
+    """
+    q = len(table)
     idx = np.arange(q)
     omega = np.zeros(q + 1, dtype=np.int64)
-    for a in range(a_lo, a_hi):
-        row = np.bincount(tab[idx ^ a] ^ tab, minlength=q)
+    for a in range(1, q):
+        row = np.bincount(table[idx ^ a] ^ table, minlength=q)
         hist = np.bincount(row)
         omega[: len(hist)] += hist
     return omega
@@ -146,29 +155,16 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
     return omega
 
 
-def differential_spectrum(f: LutFunction, workers: int = 1) -> DiffSpectrum:
+def differential_spectrum(f: LutFunction) -> DiffSpectrum:
     """omega_i counts over all (a, b) pairs with a != 0, plus the maximum.
 
     Tables equal to a power map outside GF(2^k) take the structured
-    kernel in-process; any other table is scanned row by row, over
-    workers processes when workers > 1.
+    kernel; any other table is scanned row by row by omega_counts.
     """
-    q = f.ctx.order
     omega = _structured_omega(f)
     kernel = "structured"
     if omega is None:
-        kernel = "exhaustive"
-        if workers > 1:
-            bounds = np.linspace(1, q, workers * 4 + 1, dtype=int)
-            jobs = [
-                (f.table, q, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if lo < hi
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                omega = sum(pool.map(_spectrum_chunk, jobs))
-        else:
-            omega = _spectrum_chunk((f.table, q, 1, q))
+        omega, kernel = omega_counts(f.table), "exhaustive"
     delta = int(np.nonzero(omega[1:])[0].max()) + 1
     spectrum = {i: int(omega[i]) for i in range(0, delta + 1, 2)}
     return DiffSpectrum(spectrum, delta, kernel)
@@ -265,19 +261,27 @@ def nonlinearity(f: LutFunction, workers: int = 1) -> int:
 # Algebraic degree and permutation status
 # ---------------------------------------------------------------------------
 
-def algebraic_degree(f: LutFunction) -> int:
-    """Max monomial degree of the algebraic normal form, all coordinates at once."""
-    q = f.ctx.order
-    anf = f.table.astype(np.int64).copy()
+def anf_degree(tables: np.ndarray) -> np.ndarray:
+    """Algebraic degree of each integer table along the last axis (length 2^j).
+
+    The Moebius transform gives the algebraic normal form, every output
+    coordinate at once; the degree is the largest bit count of a
+    monomial index with a nonzero coefficient, 0 for the zero map.
+    """
+    anf = tables.astype(np.int64)
+    q = anf.shape[-1]
     h = 1
     while h < q:
-        view = anf.reshape(q // (2 * h), 2, h)
-        view[:, 1, :] ^= view[:, 0, :]
+        view = anf.reshape(anf.shape[:-1] + (q // (2 * h), 2, h))
+        view[..., 1, :] ^= view[..., 0, :]
         h *= 2
-    support = np.nonzero(anf)[0]
-    if len(support) == 0:
-        return 0
-    return int(np.bitwise_count(support.astype(np.uint64)).max())
+    weights = np.bitwise_count(np.arange(q, dtype=np.uint64))
+    return np.where(anf != 0, weights, 0).max(axis=-1)
+
+
+def algebraic_degree(f: LutFunction) -> int:
+    """Max monomial degree of the algebraic normal form, all coordinates at once."""
+    return int(anf_degree(f.table))
 
 
 def is_permutation(f: LutFunction) -> bool:
@@ -312,7 +316,7 @@ def fingerprint(f: LutFunction, workers: int = 1) -> tuple:
     Differing fingerprints witness inequivalence under coordinate
     changes that preserve the graph; equal fingerprints prove nothing.
     """
-    ds = differential_spectrum(f, workers)
+    ds = differential_spectrum(f)
     nl = nonlinearity(f, workers)
     deg = algebraic_degree(f)
     return (
@@ -386,7 +390,7 @@ def analyze(
     runtime: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    ds = differential_spectrum(f, workers)
+    ds = differential_spectrum(f)
     runtime["spectrum"] = (time.perf_counter() - t0) * 1e3
 
     nl = wmax = None

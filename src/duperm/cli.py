@@ -9,9 +9,10 @@ Subcommands:
   reproduce-tables  rebuild the reference rows and compare exactly
 
 Exit codes: 0 success / all pass, 1 claim or table mismatch, 2 usage
-error.  The default worker count comes from DUPERM_WORKERS and is
-overridden by --workers.  JSON output is byte-stable for a fixed seed;
-runtime timings are emitted only with --timings.
+error.  --workers sets the process count of the Walsh scan; its default
+comes from DUPERM_WORKERS, and either must be a positive integer.  JSON
+output is byte-stable for a fixed seed; runtime timings are emitted
+only with --timings.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import hashlib
 import json
 import os
 import sys
-import warnings
 
 from . import analyzer, gf2n, prover
-from .construct import build_f, build_g, parse_affine_expr, write_lut
+from .construct import instance, write_lut
 
 # Expected reference rows: (L1 expression, (w0, w2, w4), degree, nl).
 # k = 2, L2 = x, canonical subfield generator; lb = 380 for every row.
@@ -43,21 +43,21 @@ TABLE2_EXPECTED = (
 _CSV_HEADER = ("L1", "spectrum", "deg", "NL", "LB")
 
 
-def _default_workers() -> int:
+def _positive_int(text: str) -> int:
     try:
-        return max(1, int(os.environ.get("DUPERM_WORKERS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer (--workers or DUPERM_WORKERS), got {text!r}"
+        )
+    return value
 
 
 def _build_function(args):
     ctx = gf2n.mk_field(args.k)
-    L1 = parse_affine_expr(ctx, args.l1)
-    L2 = parse_affine_expr(ctx, args.l2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = build_g(ctx, args.k, args.m, L1, L2)
-    return ctx, build_f(ctx, args.k, g)
+    return ctx, instance(ctx, args.m, args.l1, args.l2)
 
 
 def _construction_label(args) -> str:
@@ -150,13 +150,8 @@ def cmd_replay_proof(args) -> int:
 
 def _table_rows(m: int, expected, ctx, workers: int):
     rows = []
-    L2 = parse_affine_expr(ctx, "x")
     for l1_expr, spectrum, degree, nl in expected:
-        L1 = parse_affine_expr(ctx, l1_expr)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g = build_g(ctx, 2, m, L1, L2)
-        f = build_f(ctx, 2, g)
+        f = instance(ctx, m, l1_expr)
         report = analyzer.analyze(f, k=2, construction=l1_expr, workers=workers)
         rows.append((l1_expr, report, (spectrum, degree, nl)))
     return rows
@@ -214,7 +209,12 @@ def _parser() -> argparse.ArgumentParser:
         description="Construct and analyse low differential-uniformity S-boxes over GF(2^(5k))",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=None, help="parallel worker count")
+    common.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=os.environ.get("DUPERM_WORKERS", "1"),
+        help="worker processes for the Walsh scan (default: DUPERM_WORKERS or 1)",
+    )
     common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -260,8 +260,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.workers is None:
-        args.workers = _default_workers()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

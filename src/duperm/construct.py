@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,7 @@ __all__ = [
     "parse_affine_expr",
     "build_g",
     "build_f",
+    "instance",
     "closed_form_eval",
     "write_lut",
     "read_lut",
@@ -60,6 +60,10 @@ class LutFunction:
     def __post_init__(self):
         if len(self.table) != self.ctx.order:
             raise ValueError("table length must be 2^n")
+        if not np.issubdtype(self.table.dtype, np.integer):
+            raise ValueError(f"table must hold integers, not {self.table.dtype}")
+        if self.table.min() < 0 or self.table.max() >= self.ctx.order:
+            raise ValueError("table entry outside the field")
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
@@ -194,19 +198,14 @@ def build_g(
 ) -> LutFunction:
     """g = L1 o x^(2^m - 1) o L2 on the subfield, zero elsewhere.
 
-    gcd(k, m) != 1 breaks the permutation guarantee for the inner power
-    map; the construction still proceeds (with a warning) because the
-    non-bijective instances are analysed too.
+    For gcd(k, m) != 1 the inner power map, and so g, is not a subfield
+    permutation.  Those instances are built and analysed all the same;
+    the permutation scan of the analyzer reports the property.
     """
     if k != ctx.k:
         raise ValueError("k does not match the field context")
     if m < 1:
         raise ValueError("m must be positive")
-    if math.gcd(k, m) != 1:
-        warnings.warn(
-            f"gcd(k={k}, m={m}) != 1: inner power map is not a subfield permutation",
-            stacklevel=2,
-        )
     e = (1 << m) - 1
     table = np.zeros(ctx.order, dtype=np.int64)
     for a in gf2n.subfield_elements(ctx):
@@ -240,6 +239,16 @@ def build_f(ctx: gf2n.FieldCtx, k: int, g: LutFunction) -> LutFunction:
     return LutFunction(ctx, table)
 
 
+def instance(ctx: gf2n.FieldCtx, m: int, l1: str, l2: str = "x") -> LutFunction:
+    """f for g = L1 o x^(2^m - 1) o L2 on GF(2^k), x^d elsewhere.
+
+    L1 and L2 are affine expressions as parse_affine_expr reads them.
+    """
+    L1 = parse_affine_expr(ctx, l1)
+    L2 = parse_affine_expr(ctx, l2)
+    return build_f(ctx, ctx.k, build_g(ctx, ctx.k, m, L1, L2))
+
+
 # ---------------------------------------------------------------------------
 # Binary lookup-table format
 # ---------------------------------------------------------------------------
@@ -264,7 +273,5 @@ def read_lut(path, ctx: gf2n.FieldCtx) -> LutFunction:
         raise ValueError(f"truncated lookup-table file: {len(body)} of {size} table bytes")
     if len(body) > size:
         raise ValueError(f"oversized lookup-table file: {len(body) - size} bytes past the table")
-    raw = np.frombuffer(body, dtype="<u8")
-    if raw.max(initial=0) >= (1 << n):
-        raise ValueError("table entry outside the field")
-    return LutFunction(ctx, raw.astype(np.int64))
+    # 2^63 and above wrap to negative values, which LutFunction rejects
+    return LutFunction(ctx, np.frombuffer(body, dtype="<u8").astype(np.int64))

@@ -7,12 +7,9 @@ The default universe is the six variables used by the elimination
 chain that drives the prover: x > y > z > u > v > b, which is also the
 graded-lexicographic order used for division and printing.
 
-Resultants come in two flavours: resultant_uni for univariate
-polynomials with field coefficients (Sylvester determinant evaluated
-by Gaussian elimination) and resultant_wrt for bivariate-style
-elimination of one variable from two MultiPolys (Sylvester determinant
-with polynomial entries, expanded by memoised cofactors; every
-in-scope matrix has order at most 6).
+resultant_wrt eliminates one variable from two MultiPolys: a Sylvester
+determinant with polynomial entries, expanded by memoised cofactors
+(every in-scope matrix has order at most 6).
 """
 
 from __future__ import annotations
@@ -24,14 +21,9 @@ from . import gf2n
 __all__ = [
     "VARS",
     "MultiPoly",
-    "UniPolyOverField",
     "ExactDivisionError",
-    "mp_add",
-    "mp_mul",
-    "mp_eval",
     "exact_divide",
     "resultant_wrt",
-    "resultant_uni",
 ]
 
 VARS = ("x", "y", "z", "u", "v", "b")
@@ -198,18 +190,6 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def mp_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p + q
-
-
-def mp_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def mp_eval(p: MultiPoly, assignment: dict, ctx: gf2n.FieldCtx) -> int:
-    return p.evaluate(assignment, ctx)
-
-
 def _glex_key(t: tuple) -> tuple:
     return (sum(t), t)
 
@@ -293,86 +273,3 @@ def resultant_wrt(F: MultiPoly, G: MultiPoly, name: str) -> MultiPoly:
     res = _det_poly(rows)
     assert res.degree_in(name) <= 0
     return res
-
-
-class UniPolyOverField:
-    """Univariate polynomial with coefficients in a FieldCtx, ascending order."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: gf2n.FieldCtx, coeffs: Iterable[int]):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = gf2n.mul(self.ctx, acc, x) ^ c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPolyOverField)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniPolyOverField({self.coeffs})"
-
-
-def _det_field(ctx: gf2n.FieldCtx, mat: list) -> int:
-    """Determinant over the field by Gaussian elimination (char 2, no signs)."""
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-        pv = mat[col][col]
-        det = gf2n.mul(ctx, det, pv)
-        pv_inv = gf2n.inv(ctx, pv)
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                factor = gf2n.mul(ctx, mat[r][col], pv_inv)
-                for c in range(col, n):
-                    mat[r][c] ^= gf2n.mul(ctx, factor, mat[col][c])
-    return det
-
-
-def resultant_uni(f: UniPolyOverField, g: UniPolyOverField) -> int:
-    """Sylvester resultant of two univariate polynomials over the same field."""
-    if f.ctx is not g.ctx:
-        raise ValueError("polynomials over different field contexts")
-    n, m = f.degree, g.degree
-    if n < 1 and m < 1:
-        raise ValueError("at least one polynomial must have positive degree")
-    if n < 0 or m < 0:
-        return 0
-    if n == 0:
-        return gf2n.pow(f.ctx, f.coeffs[0], m)
-    if m == 0:
-        return gf2n.pow(f.ctx, g.coeffs[0], n)
-    fd = list(reversed(f.coeffs))
-    gd = list(reversed(g.coeffs))
-    order = n + m
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + fd + [0] * (m - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gd + [0] * (n - 1 - i))
-    assert all(len(r) == order for r in rows)
-    return _det_field(f.ctx, rows)

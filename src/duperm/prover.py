@@ -15,10 +15,9 @@ forms.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 import time
-import warnings
 from dataclasses import dataclass
 from fnmatch import fnmatch
 
@@ -27,10 +26,10 @@ import numpy as np
 from . import analyzer, gf2n
 from .construct import (
     AffinePerm,
-    affine_eval,
     build_f,
     build_g,
     dobbertin_exponent,
+    instance,
     parse_affine_expr,
 )
 from .polysym import MultiPoly, exact_divide, resultant_wrt
@@ -251,47 +250,35 @@ def coset_intersection_check(k: int, trials: int = 64, seed: int = 0) -> ClaimRe
 # Uniformity, degree and nonlinearity claims
 # ---------------------------------------------------------------------------
 
-def _subfield_delta(ctx: gf2n.FieldCtx, table) -> int:
-    """Brute-force differential uniformity of a map on the subfield."""
-    sub = gf2n.subfield_elements(ctx)
-    best = 0
-    for a in sub:
-        if a == 0:
-            continue
-        counts: dict[int, int] = {}
-        for c in sub:
-            out = int(table[c ^ a]) ^ int(table[c])
-            counts[out] = counts.get(out, 0) + 1
-        best = max(best, max(counts.values()))
-    return best
+def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
+    """Subfield elements as their indices in the sorted subfield.
+
+    The sorted subfield is a linear coordinate system,
+    sub[i ^ j] == sub[i] ^ sub[j]: every nonzero subfield element leads
+    with a pivot bit of the echelon basis, so the order is that of the
+    coordinate vectors.  A map of GF(2^k) written in these coordinates is
+    a 2^k-entry table the analyzer kernels take as they are.
+    """
+    return np.searchsorted(np.array(ctx.subfield_elems), values)
 
 
-def _is_subfield_perm(ctx: gf2n.FieldCtx, table) -> bool:
-    sub = gf2n.subfield_elements(ctx)
-    return len({int(table[c]) for c in sub}) == len(sub)
-
-
-def theorem1_check(k: int, m: int, l1: str, l2: str = "x", workers: int = 1) -> ClaimResult:
+def theorem1_check(k: int, m: int, l1: str, l2: str = "x") -> ClaimResult:
     """delta_f stays within the bound set by delta_g, and f permutes for odd k."""
     t0 = time.perf_counter()
     claim_id = f"theorem1.check.k{k}.m{m}.{l1.replace(' ', '')}"
     if k % 2 == 0:
         return _result(claim_id, SKIPPED, {"note": "statement requires odd k"}, t0)
     ctx = gf2n.mk_field(k)
-    L1 = parse_affine_expr(ctx, l1)
-    L2 = parse_affine_expr(ctx, l2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = build_g(ctx, k, m, L1, L2)
-    if not _is_subfield_perm(ctx, g.table):
+    f = instance(ctx, m, l1, l2)
+    g = _subfield_coords(ctx, f.table[list(ctx.subfield_elems)])  # g = f on GF(2^k)
+    if len(np.unique(g)) < len(g):
         return _result(claim_id, SKIPPED, {"note": "g is not a subfield permutation"}, t0)
-    delta_g = _subfield_delta(ctx, g.table)
+    delta_g = int(np.nonzero(analyzer.omega_counts(g)[1:])[0].max()) + 1
     if delta_g > 6:
         return _result(claim_id, SKIPPED, {"note": f"delta_g = {delta_g} outside statement"}, t0)
     bound = 4 if delta_g <= 4 else 6
-    f = build_f(ctx, k, g)
     perm = analyzer.is_permutation(f)
-    ds = analyzer.differential_spectrum(f, workers)
+    ds = analyzer.differential_spectrum(f)
     witness = {
         "delta_g": delta_g,
         "delta_f": ds.delta,
@@ -303,10 +290,11 @@ def theorem1_check(k: int, m: int, l1: str, l2: str = "x", workers: int = 1) -> 
     return _result(claim_id, status, witness, t0)
 
 
-def remark2_degrees(workers: int = 1) -> list:
+def remark2_degrees() -> list:
     """Algebraic degrees of the identity-map instances for k in {1, 3}."""
     results = []
     for k, expected in ((1, 4), (3, 14)):
+        ctx = gf2n.mk_field(k)
         ms = sorted({k - 1, (k + 1) // 2, 2})
         for m in ms:
             t0 = time.perf_counter()
@@ -321,13 +309,7 @@ def remark2_degrees(workers: int = 1) -> list:
                     )
                 )
                 continue
-            ctx = gf2n.mk_field(k)
-            ident = parse_affine_expr(ctx, "x")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                g = build_g(ctx, k, m, ident, ident)
-            f = build_f(ctx, k, g)
-            degree = analyzer.algebraic_degree(f)
+            degree = analyzer.algebraic_degree(instance(ctx, m, "x"))
             witness = {"expected": expected, "computed": degree}
             results.append(
                 _result(claim_id, PASS if degree == expected else FAIL, witness, t0)
@@ -345,68 +327,50 @@ def prop2_bound_check(f, k: int, label: str, workers: int = 1) -> ClaimResult:
     return _result(claim_id, PASS if nl >= bound else FAIL, witness, t0)
 
 
-def prop1_hypothesis_search(max_examples: int = 3, workers: int = 1) -> ClaimResult:
+def prop1_hypothesis_search(max_examples: int = 3) -> ClaimResult:
     """Search k = 3 affine maps L1 with deg(g + x^3) = 2 and measure deg(f).
 
-    Reporting claim: it never asserts existence, it lists what it found.
+    Every (linear part, constant) candidate is one row of a table in
+    subfield coordinates, rows in itertools.product order.  Reporting
+    claim: it never asserts existence, it lists what it found.
     """
     t0 = time.perf_counter()
     claim_id = "prop1.hypothesis.k3"
     k = 3
     ctx = gf2n.mk_field(k)
-    sub = gf2n.subfield_elements(ctx)
-    beta = ctx.subfield_generator
-    basis = [gf2n.pow(ctx, beta, i) for i in range(k)]
-    coord = {}
-    for bits in range(1 << k):
-        e = 0
-        for i in range(k):
-            if (bits >> i) & 1:
-                e ^= basis[i]
-        coord[e] = bits
-
-    def sub_degree(func: dict) -> int:
-        anf = [0] * (1 << k)
-        for e, val in func.items():
-            anf[coord[e]] = val
-        h = 1
-        while h < len(anf):
-            for i in range(0, len(anf), 2 * h):
-                for j in range(i + h, i + 2 * h):
-                    anf[j] ^= anf[j - h]
-            h *= 2
-        return max(
-            (bin(s).count("1") for s, c in enumerate(anf) if c),
-            default=0,
+    sub = ctx.subfield_elems
+    q = len(sub)
+    # terms[i][c] is y -> c * y^(2^i); coordinates are linear, so terms add by XOR
+    terms = [
+        _subfield_coords(
+            ctx, [[gf2n.mul(ctx, c, gf2n.frobenius(ctx, y, i)) for y in sub] for c in sub]
         )
-
-    cube = {c: gf2n.pow(ctx, c, 3) for c in sub}
-    satisfying = []
-    for coeffs in itertools.product(sub, repeat=k):
-        for const in sub:
-            try:
-                L1 = AffinePerm(ctx, k, coeffs, const)
-            except ValueError:
-                continue
-            diff = {c: affine_eval(L1, cube[c]) ^ cube[c] for c in sub}
-            if any(diff.values()) and sub_degree(diff) == 2:
-                satisfying.append(L1)
+        for i in range(k)
+    ]
+    linear = functools.reduce(lambda acc, t: (acc[:, None] ^ t[None]).reshape(-1, q), terms)
+    bijective = (np.sort(linear, axis=1) == np.arange(q)).all(axis=1)
+    cube = _subfield_coords(ctx, [gf2n.pow(ctx, c, 3) for c in sub])
+    # deg(L1(y) + y) on the cubes; a constant term moves no degree above 0,
+    # so a kept linear part is kept with each of its q constants
+    degree2 = analyzer.anf_degree(linear[:, cube] ^ cube) == 2
+    satisfying = np.flatnonzero(np.repeat(bijective & degree2, q))
 
     examples = []
     ident = parse_affine_expr(ctx, "x")
-    for L1 in satisfying[:max_examples]:
-        g = build_g(ctx, k, 2, L1, ident)
-        f = build_f(ctx, k, g)
+    for index in satisfying[:max_examples]:
+        *coeffs, const = np.unravel_index(index, (q,) * (k + 1))
+        L1 = AffinePerm(ctx, k, tuple(sub[c] for c in coeffs), sub[const])
+        f = build_f(ctx, k, build_g(ctx, k, 2, L1, ident))
         examples.append(
             {
-                "coeffs": [int(c) for c in L1.linear_coeffs],
-                "constant": int(L1.constant),
+                "coeffs": list(L1.linear_coeffs),
+                "constant": L1.constant,
                 "deg_f": analyzer.algebraic_degree(f),
             }
         )
     witness = {
         "satisfying_l1_count": len(satisfying),
-        "found": bool(satisfying),
+        "found": bool(len(satisfying)),
         "examples": examples,
     }
     return _result(claim_id, PASS, witness, t0)
@@ -429,11 +393,7 @@ _REMARK2_IDS = (
 
 
 def _prop2_instance(k: int, m: int, l1: str, workers: int):
-    ctx = gf2n.mk_field(k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = build_g(ctx, k, m, parse_affine_expr(ctx, l1), parse_affine_expr(ctx, "x"))
-    f = build_f(ctx, k, g)
+    f = instance(gf2n.mk_field(k), m, l1)
     return prop2_bound_check(f, k, f"m{m}.{l1}", workers)
 
 
@@ -448,18 +408,18 @@ def _registry(seed: int, trials: int, walsh: bool, workers: int) -> list:
         (("theorem1.coset.k3",), lambda: [coset_intersection_check(3, trials, seed)]),
         (
             ("theorem1.check.k1.m1.x+1",),
-            lambda: [theorem1_check(1, 1, "x+1", workers=workers)],
+            lambda: [theorem1_check(1, 1, "x+1")],
         ),
         (
             ("theorem1.check.k1.m1.x",),
-            lambda: [theorem1_check(1, 1, "x", workers=workers)],
+            lambda: [theorem1_check(1, 1, "x")],
         ),
         (
             ("theorem1.check.k3.m2.x",),
-            lambda: [theorem1_check(3, 2, "x", workers=workers)],
+            lambda: [theorem1_check(3, 2, "x")],
         ),
-        (_REMARK2_IDS, lambda: remark2_degrees(workers)),
-        (("prop1.hypothesis.k3",), lambda: [prop1_hypothesis_search(workers=workers)]),
+        (_REMARK2_IDS, remark2_degrees),
+        (("prop1.hypothesis.k3",), lambda: [prop1_hypothesis_search()]),
         (
             ("prop2.bound.k1.m1.x+1",),
             lambda: [_prop2_instance(1, 1, "x+1", workers)],

@@ -9,7 +9,6 @@ import functools
 import os
 import random
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +23,7 @@ from duperm.analyzer import (
     nonlinearity,
     walsh_spectrum,
 )
-from duperm.construct import (
-    build_f,
-    build_g,
-    parse_affine_expr,
-    power_function,
-)
+from duperm.construct import instance, parse_affine_expr, power_function
 
 TABLE1 = (
     ("x+1", (523776, 523776, 0), 8, 472),
@@ -79,13 +73,6 @@ def checked(name):
         return run
 
     return wrap
-
-
-def build_instance(ctx, k, m, l1, l2="x"):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = build_g(ctx, k, m, parse_affine_expr(ctx, l1), parse_affine_expr(ctx, l2))
-    return build_f(ctx, k, g)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +143,7 @@ def check_published_rows(ctx, m, rows, refuted):
     assert nl_lower_bound(2) == 380  # the LB column of every row
     found = {}
     for l1, want_spec, want_deg, want_nl in rows:
-        f = build_instance(ctx, 2, m, l1)
+        f = instance(ctx, m, l1)
         omega, deg, nl = oracle_spectrum(f), oracle_degree(f), oracle_nl(f)
         computed = differential_spectrum(f).spectrum
         assert {i: w for i, w in computed.items() if w} == omega, l1
@@ -206,10 +193,10 @@ def test_dobbertin_apn(f5, f10):
 @checked("Piecewise modification at k=1: g=x+1 gives delta 4 permutation, g=x gives delta 2")
 def test_theorem1_k1(f5):
     t0 = time.perf_counter()
-    modified = build_instance(f5, 1, 1, "x+1")
+    modified = instance(f5, 1, "x+1")
     assert differential_spectrum(modified).delta == 4
     assert is_permutation(modified)
-    degenerate = build_instance(f5, 1, 1, "x")
+    degenerate = instance(f5, 1, "x")
     assert differential_spectrum(degenerate).delta == 2
     assert time.perf_counter() - t0 < 1.0
 
@@ -222,7 +209,7 @@ def test_theorem1_k3(f15):
     first = prover.prop1_hypothesis_search(max_examples=1).witness["examples"][0]
     assert first["coeffs"] == [int(c) for c in L1.linear_coeffs]
     assert first["constant"] == L1.constant
-    f = build_instance(f15, 3, 2, "x^4")
+    f = instance(f15, 2, "x^4")
     assert is_permutation(f)
     t0 = time.perf_counter()
     ds = differential_spectrum(f)
@@ -232,7 +219,7 @@ def test_theorem1_k3(f15):
 
     # With L1 = L2 = x, g = x^3 agrees with x^d on GF(8) (d = 4679 = 3 mod 7),
     # so f is the power map itself, of degree wt(4679) = 6.
-    identity = build_instance(f15, 3, 2, "x")
+    identity = instance(f15, 2, "x")
     assert is_permutation(identity)
     assert np.array_equal(identity.table, power_function(f15, 4679).table)
     assert algebraic_degree(identity) == 6
@@ -244,7 +231,7 @@ def test_theorem1_k3(f15):
 )
 @checked("k=3 (n=15) nonlinearity above the parity-branch bound")
 def test_theorem1_k3_walsh(f15):
-    f = build_instance(f15, 3, 2, "x")
+    f = instance(f15, 2, "x")
     t0 = time.perf_counter()
     workers = max(1, int(os.environ.get("DUPERM_WORKERS", "1")))
     nl = nonlinearity(f, workers=workers)
@@ -330,8 +317,8 @@ def naive_degree(f):
 @checked("Property suite: Parseval, DDT sums, spectrum identities, balancedness")
 def test_property_suite(f5, f10):
     rng = random.Random(101)
-    perm5 = build_instance(f5, 1, 1, "x+1")
-    case10 = build_instance(f10, 2, 2, "x+b")
+    perm5 = instance(f5, 1, "x+1")
+    case10 = instance(f10, 2, "x+b")
     perm10 = power_function(f10, 5)
 
     # Parseval, exhaustive at n=5
@@ -366,7 +353,7 @@ def test_property_suite(f5, f10):
 
 @checked("Oracle equivalence at n=5: Walsh, DDT and degree against naive scans")
 def test_naive_oracle_equivalence(f5):
-    f = build_instance(f5, 1, 1, "x+1")
+    f = instance(f5, 1, "x+1")
 
     ws = walsh_spectrum(f)
     naive_max = 0

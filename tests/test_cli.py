@@ -73,15 +73,21 @@ def test_analyze_walsh_off():
     assert json.loads(out)["nl"] is None
 
 
-def test_usage_errors():
+def test_usage_errors(monkeypatch):
     code, _, err = run_cli(["analyze", "--k", "1", "--l1", "not-an-expr"])
     assert code == 2
     assert "error" in err
     code, _, err = run_cli(["analyze", "--k", "5"])  # over the memory budget
     assert code == 2
     assert "budget" in err
+    for argv in (["no-such-command"], ["analyze", "--k", "1", "--workers", "-3"],
+                 ["verify", "--workers", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+    monkeypatch.setenv("DUPERM_WORKERS", "abc")
     with pytest.raises(SystemExit) as exc:
-        run_cli(["no-such-command"])
+        run_cli(["analyze", "--k", "1"])
     assert exc.value.code == 2
 
 
@@ -94,6 +100,23 @@ def test_construct_digest_deterministic(tmp_path):
     code2, out2, _ = run_cli(["construct", "--k", "1", "--m", "1", "--l1", "x+1"])
     assert json.loads(out2)["sha256"] == digest
     assert path.exists()
+
+
+# sha256 of the little-endian table as `duperm construct` prints it, pinned
+# so that no change to the construction path can alter a table unnoticed
+CONSTRUCT_DIGESTS = {
+    ("1", "1", "x+1", "x"): "ab56bbbae024f5aaba102e67a4dc42917d0e9b3fb8297adc215c9d7560f4bf20",
+    ("2", "2", "b^2*x^2", "x"): "39e35b2f4a5898abd97875337e86fa2ffa0837ddbfb26819378a97263c41702d",
+    ("2", "3", "b*x^2+b", "b^2*x"): "eae3d230cada89aab875e8da6abd8421ada3b86b8113a0706cae300342dc0620",
+    ("3", "2", "x^4", "x"): "50480e3b7c6c0c1f544091173ab36ee6d63efbc98ecd16732c866f0a151da56c",
+}
+
+
+@pytest.mark.parametrize("k, m, l1, l2", sorted(CONSTRUCT_DIGESTS))
+def test_construct_digest_pinned(k, m, l1, l2):
+    code, out, _ = run_cli(["construct", "--k", k, "--m", m, "--l1", l1, "--l2", l2])
+    assert code == 0
+    assert json.loads(out)["sha256"] == CONSTRUCT_DIGESTS[k, m, l1, l2]
 
 
 def test_export_lut_roundtrip(tmp_path):

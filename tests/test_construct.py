@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from duperm import construct, gf2n
 from duperm.construct import (
     AffinePerm,
+    LutFunction,
     affine_eval,
     build_f,
     build_g,
@@ -148,8 +148,7 @@ def test_build_g_m1_is_affine_composition(f10):
 def test_build_g_direct_composition(f10):
     L1 = parse_affine_expr(f10, "x+1")
     L2 = parse_affine_expr(f10, "x")
-    with pytest.warns(UserWarning):
-        g = build_g(f10, 2, 2, L1, L2)  # gcd(2, 2) != 1
+    g = build_g(f10, 2, 2, L1, L2)  # gcd(2, 2) != 1
     for a in gf2n.subfield_elements(f10):
         assert int(g.table[a]) == gf2n.pow(f10, a, 3) ^ 1
 
@@ -173,20 +172,14 @@ def test_build_g_permutation_iff_gcd(f10, f15):
         ident = parse_affine_expr(ctx, "x")
         sub = gf2n.subfield_elements(ctx)
         for m in range(1, k + 1):
-            if math.gcd(m, k) == 1:
-                g = build_g(ctx, k, m, ident, ident)
-                assert len({int(g.table[c]) for c in sub}) == len(sub)
-            else:
-                with pytest.warns(UserWarning):
-                    g = build_g(ctx, k, m, ident, ident)
-                assert len({int(g.table[c]) for c in sub}) < len(sub)
+            g = build_g(ctx, k, m, ident, ident)
+            bijective = len({int(g.table[c]) for c in sub}) == len(sub)
+            assert bijective == (math.gcd(m, k) == 1)
 
 
 def test_build_f_restriction_and_outside(f10):
     L1 = parse_affine_expr(f10, "x+b")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = build_g(f10, 2, 2, L1, parse_affine_expr(f10, "x"))
+    g = build_g(f10, 2, 2, L1, parse_affine_expr(f10, "x"))
     f = build_f(f10, 2, g)
     d = dobbertin_exponent(2)
     for a in range(f10.order):
@@ -202,9 +195,7 @@ def test_build_f_closed_form_agrees_exhaustively(f5, f10):
     f = build_f(f5, 1, g)
     for x in range(32):
         assert int(f.table[x]) == closed_form_eval(f5, 1, g, x)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g10 = build_g(f10, 2, 2, parse_affine_expr(f10, "x+b"), parse_affine_expr(f10, "x"))
+    g10 = build_g(f10, 2, 2, parse_affine_expr(f10, "x+b"), parse_affine_expr(f10, "x"))
     f10_fun = build_f(f10, 2, g10)
     for x in range(f10.order):
         assert int(f10_fun.table[x]) == closed_form_eval(f10, 2, g10, x)
@@ -226,6 +217,15 @@ def test_build_f_is_permutation_for_odd_k(k, m):
     seen = np.zeros(ctx.order, dtype=bool)
     seen[f.table] = True
     assert seen.all()
+
+
+def test_lut_function_rejects_tables_outside_the_field(f5):
+    # a -1 entry would index the last slot of a numpy scan and pass unseen
+    for table in (np.arange(32) - 1, np.arange(32) + 1):
+        with pytest.raises(ValueError, match="outside the field"):
+            LutFunction(f5, table)
+    with pytest.raises(ValueError, match="integers"):
+        LutFunction(f5, np.arange(32, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,7 @@ import pytest
 
 from duperm import gf2n
 from duperm.construct import dobbertin_exponent
-from duperm.polysym import (
-    ExactDivisionError,
-    MultiPoly,
-    UniPolyOverField,
-    exact_divide,
-    mp_add,
-    mp_eval,
-    mp_mul,
-    resultant_uni,
-    resultant_wrt,
-)
+from duperm.polysym import ExactDivisionError, MultiPoly, exact_divide, resultant_wrt
 
 X, Y, Z, U, V, B = (MultiPoly.var(n) for n in "xyzuvb")
 ONE = MultiPoly.one()
@@ -26,12 +16,12 @@ ONE = MultiPoly.one()
 
 def test_add_characteristic_two():
     p = X * Y + B + ONE
-    assert not mp_add(p, p)
-    assert mp_add(p, MultiPoly.zero()) == p
+    assert not p + p
+    assert p + MultiPoly.zero() == p
 
 
 def test_mul_freshman_dream():
-    assert mp_mul(X + ONE, X + ONE) == X ** 2 + ONE
+    assert (X + ONE) * (X + ONE) == X ** 2 + ONE
 
 
 def test_pow():
@@ -44,7 +34,7 @@ def test_pow():
 def test_mixed_universes_rejected():
     other = MultiPoly.var("x", variables=("x", "y"))
     with pytest.raises(ValueError):
-        mp_add(X, other)
+        X + other
 
 
 def test_rendering_graded_lex():
@@ -69,11 +59,11 @@ def test_degree_and_coefficient():
 
 def test_eval_missing_variable(f5):
     with pytest.raises(ValueError):
-        mp_eval(X + Y, {"x": 1}, f5)
+        (X + Y).evaluate({"x": 1}, f5)
 
 
 def test_eval_simple(f5):
-    val = mp_eval(X * Y + ONE, {"x": 2, "y": 3}, f5)
+    val = (X * Y + ONE).evaluate({"x": 2, "y": 3}, f5)
     assert val == gf2n.mul(f5, 2, 3) ^ 1
 
 
@@ -95,7 +85,7 @@ def test_eval_conjugate_tuple_satisfies_first_equation(f10):
             conj.append(gf2n.frobenius(f10, conj[-1], f10.k))
         assign = dict(zip("xyzuv", conj))
         assign["b"] = b0
-        assert mp_eval(eq_a, assign, f10) == 0
+        assert eq_a.evaluate(assign, f10) == 0
 
 
 def test_eval_subfield_solution_tuple(f5):
@@ -115,7 +105,7 @@ def test_eval_subfield_solution_tuple(f5):
         assign = {v: x0 for v in "xyzuv"}
         assign["b"] = b0
         for eq in eqs:
-            assert mp_eval(eq, assign, f5) == 0
+            assert eq.evaluate(assign, f5) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -164,89 +154,6 @@ def test_exact_divide_random_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# univariate resultants over a field
-# ---------------------------------------------------------------------------
-
-def poly_mul_coeffs(ctx, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] ^= gf2n.mul(ctx, ca, cb)
-    return out
-
-
-def poly_mod_coeffs(ctx, a, m):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = gf2n.inv(ctx, m[-1])
-    while len(a) - 1 >= dm and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < dm:
-            break
-        factor = gf2n.mul(ctx, a[-1], inv_lead)
-        shift = len(a) - 1 - dm
-        for i, cm in enumerate(m):
-            a[shift + i] ^= gf2n.mul(ctx, factor, cm)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def poly_gcd_degree(ctx, a, b):
-    """Euclidean oracle: degree of gcd of two coefficient lists."""
-    a, b = list(a), list(b)
-    while any(b):
-        a, b = b, poly_mod_coeffs(ctx, a, b)
-    while a and a[-1] == 0:
-        a.pop()
-    return len(a) - 1
-
-
-def test_resultant_uni_examples(f5):
-    f = UniPolyOverField(f5, [1, 1])  # x + 1
-    g = UniPolyOverField(f5, [0, 1])  # x
-    assert resultant_uni(f, g) == 1
-    f2 = UniPolyOverField(f5, [0, 1, 1])  # x^2 + x
-    assert resultant_uni(f2, f) == 0  # common root 1
-    with pytest.raises(ValueError):
-        resultant_uni(UniPolyOverField(f5, [1]), UniPolyOverField(f5, [1]))
-
-
-def test_resultant_uni_planted_common_factor(f5):
-    rng = random.Random(17)
-    for _ in range(50):
-        common = [rng.randrange(32), 1]
-        a = poly_mul_coeffs(f5, common, [rng.randrange(32), rng.randrange(1, 32)])
-        b = poly_mul_coeffs(f5, common, [rng.randrange(32), rng.randrange(1, 32)])
-        assert resultant_uni(UniPolyOverField(f5, a), UniPolyOverField(f5, b)) == 0
-
-
-def test_resultant_uni_gcd_equivalence(f5):
-    rng = random.Random(23)
-    for _ in range(200):
-        a = [rng.randrange(32) for _ in range(rng.randrange(2, 5))] + [rng.randrange(1, 32)]
-        b = [rng.randrange(32) for _ in range(rng.randrange(2, 5))] + [rng.randrange(1, 32)]
-        fa = UniPolyOverField(f5, a)
-        fb = UniPolyOverField(f5, b)
-        res = resultant_uni(fa, fb)
-        gcd_deg = poly_gcd_degree(f5, fa.coeffs, fb.coeffs)
-        assert (res == 0) == (gcd_deg >= 1)
-
-
-def test_resultant_uni_root_product_formula(f5):
-    # f = (x + r1)(x + r2), Res(f, g) = g(r1) g(r2) for monic f
-    rng = random.Random(31)
-    for _ in range(50):
-        r1, r2 = rng.randrange(32), rng.randrange(32)
-        f = UniPolyOverField(f5, poly_mul_coeffs(f5, [r1, 1], [r2, 1]))
-        g = UniPolyOverField(f5, [rng.randrange(32), rng.randrange(32), rng.randrange(1, 32)])
-        expected = gf2n.mul(f5, g.evaluate(r1), g.evaluate(r2))
-        assert resultant_uni(f, g) == expected
-
-
-# ---------------------------------------------------------------------------
 # multivariate resultants
 # ---------------------------------------------------------------------------
 
@@ -279,8 +186,8 @@ def test_resultant_common_zero_property(f5):
     for x0 in range(32):
         for y0 in range(32):
             assign = {"x": x0, "y": y0}
-            if mp_eval(F, assign, f5) == 0 and mp_eval(G, assign, f5) == 0:
-                assert mp_eval(res, {"x": x0}, f5) == 0
+            if F.evaluate(assign, f5) == 0 and G.evaluate(assign, f5) == 0:
+                assert res.evaluate({"x": x0}, f5) == 0
 
 
 def rand_poly_xyb(rng, max_deg_y):
@@ -294,6 +201,43 @@ def rand_poly_xyb(rng, max_deg_y):
     return MultiPoly(terms)
 
 
+def sylvester_resultant(ctx, f, g):
+    """Resultant of two univariate polynomials over the field, coefficients ascending.
+
+    The Sylvester determinant by Gaussian elimination; no signs in
+    characteristic 2.
+    """
+    n, m = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + g[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    det = 1
+    for col in range(n + m):
+        pivot = next((r for r in range(col, n + m) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        det = gf2n.mul(ctx, det, rows[col][col])
+        inv = gf2n.inv(ctx, rows[col][col])
+        for r in range(col + 1, n + m):
+            factor = gf2n.mul(ctx, rows[r][col], inv)
+            rows[r] = [a ^ gf2n.mul(ctx, factor, b) for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def test_sylvester_resultant_oracle(f5):
+    assert sylvester_resultant(f5, [1, 1], [0, 1]) == 1  # x + 1 and x
+    assert sylvester_resultant(f5, [0, 1, 1], [1, 1]) == 0  # common root 1
+    # f = (x + r1)(x + r2) is monic, so Res(f, g) = g(r1) g(r2)
+    rng = random.Random(31)
+    for _ in range(20):
+        r1, r2 = rng.randrange(32), rng.randrange(32)
+        g = [rng.randrange(32), rng.randrange(32), rng.randrange(1, 32)]
+        f = [gf2n.mul(f5, r1, r2), r1 ^ r2, 1]
+        values = [g[0] ^ gf2n.mul(f5, g[1], r) ^ gf2n.mul(f5, g[2], gf2n.mul(f5, r, r))
+                  for r in (r1, r2)]
+        assert sylvester_resultant(f5, f, g) == gf2n.mul(f5, *values)
+
+
 def test_resultant_specialization_soundness(f5):
     rng = random.Random(41)
     done = 0
@@ -304,15 +248,9 @@ def test_resultant_specialization_soundness(f5):
             continue
         res = resultant_wrt(F, G, "y")
         assign = {"x": rng.randrange(32), "b": rng.randrange(32)}
-        fl = mp_eval(F.coefficient("y", F.degree_in("y")), assign, f5)
-        gl = mp_eval(G.coefficient("y", G.degree_in("y")), assign, f5)
-        if fl == 0 or gl == 0:
+        fu = [F.coefficient("y", i).evaluate(assign, f5) for i in range(F.degree_in("y") + 1)]
+        gu = [G.coefficient("y", i).evaluate(assign, f5) for i in range(G.degree_in("y") + 1)]
+        if fu[-1] == 0 or gu[-1] == 0:
             continue
-        fu = UniPolyOverField(
-            f5, [mp_eval(F.coefficient("y", i), assign, f5) for i in range(F.degree_in("y") + 1)]
-        )
-        gu = UniPolyOverField(
-            f5, [mp_eval(G.coefficient("y", i), assign, f5) for i in range(G.degree_in("y") + 1)]
-        )
-        assert mp_eval(res, assign, f5) == resultant_uni(fu, gu)
+        assert res.evaluate(assign, f5) == sylvester_resultant(f5, fu, gu)
         done += 1

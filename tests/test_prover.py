@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from duperm import prover
+from duperm import analyzer, gf2n, prover
+from duperm.construct import build_f, build_g, random_affine_perm
 from duperm.prover import (
     claim_ids,
     coset_intersection_check,
@@ -114,11 +118,88 @@ def test_remark2_degrees():
 
 
 def test_prop1_hypothesis_search_reports_examples():
-    r = prop1_hypothesis_search(max_examples=2)
+    r = prop1_hypothesis_search()
     assert r.status == "pass"
     assert r.witness["found"] is True
     assert r.witness["satisfying_l1_count"] == 1336
-    assert all(ex["deg_f"] == 14 for ex in r.witness["examples"])
+    # L1 = x^4, x^4 + 1 and x^4 + 892, in itertools.product order
+    assert r.witness["examples"] == [
+        {"coeffs": [0, 0, 1], "constant": c, "deg_f": 14} for c in (0, 1, 892)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# subfield checks on the analyzer kernels, against pure-Python oracles
+# ---------------------------------------------------------------------------
+
+def subfield_delta(ctx, table):
+    """Brute-force differential uniformity of a map on the subfield."""
+    sub = gf2n.subfield_elements(ctx)
+    best = 0
+    for a in sub:
+        if a == 0:
+            continue
+        counts = {}
+        for c in sub:
+            out = int(table[c ^ a]) ^ int(table[c])
+            counts[out] = counts.get(out, 0) + 1
+        best = max(best, max(counts.values()))
+    return best
+
+
+def sub_degree(ctx, func):
+    """ANF degree of a map {subfield element: value}, in the basis b^0, ..., b^(k-1)."""
+    k = ctx.k
+    basis = [gf2n.pow(ctx, ctx.subfield_generator, i) for i in range(k)]
+    coord = {}
+    for bits in range(1 << k):
+        e = 0
+        for i in range(k):
+            if (bits >> i) & 1:
+                e ^= basis[i]
+        coord[e] = bits
+    anf = [0] * (1 << k)
+    for e, val in func.items():
+        anf[coord[e]] = val
+    h = 1
+    while h < len(anf):
+        for i in range(0, len(anf), 2 * h):
+            for j in range(i + h, i + 2 * h):
+                anf[j] ^= anf[j - h]
+        h *= 2
+    return max((bin(s).count("1") for s, c in enumerate(anf) if c), default=0)
+
+
+def test_sorted_subfield_coordinates_are_linear(f5, f10, f15):
+    for ctx in (f5, f10, f15):
+        sub = np.array(ctx.subfield_elems)
+        i = np.arange(len(sub))
+        assert (sub[i[:, None] ^ i[None, :]] == sub[:, None] ^ sub[None, :]).all()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.sampled_from([1, 2, 3]),
+    m=st.integers(1, 6),
+    seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+)
+def test_subfield_kernels_match_oracles(f5, f10, f15, k, m, seeds):
+    ctx = (f5, f10, f15)[k - 1]
+    L1, L2 = (random_affine_perm(ctx, k, seed) for seed in seeds)
+    f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
+    sub = ctx.subfield_elems
+    g = prover._subfield_coords(ctx, f.table[list(sub)])
+
+    bijective = len({int(f.table[c]) for c in sub}) == len(sub)
+    assert (len(np.unique(g)) == len(g)) == bijective
+    omega = analyzer.omega_counts(g)
+    assert int(np.nonzero(omega[1:])[0].max()) + 1 == subfield_delta(ctx, f.table)
+    assert analyzer.anf_degree(g) == sub_degree(ctx, {c: int(f.table[c]) for c in sub})
+    # g + x^3, the map whose degree prop1.hypothesis.k3 selects on
+    cubes = [gf2n.pow(ctx, c, 3) for c in sub]
+    plus_cube = {c: int(f.table[c]) ^ y for c, y in zip(sub, cubes)}
+    cube_coords = prover._subfield_coords(ctx, cubes)
+    assert analyzer.anf_degree(g ^ cube_coords) == sub_degree(ctx, plus_cube)
 
 
 def test_failing_claim_requires_witness():
