@@ -12,7 +12,6 @@ from .analyzer import (
     algebraic_degree,
     analyze,
     differential_spectrum,
-    fingerprint,
     is_permutation,
     nl_lower_bound,
     nonlinearity,

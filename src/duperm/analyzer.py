@@ -9,10 +9,18 @@
   time, never the full 2^n x 2^n matrix), with the per-row histograms
   aggregated into the omega_i counts.  The scan is also the oracle the
   structured kernel is tested against;
-* Walsh spectrum: per component v, the sign table of Tr(v f(x)) is run
-  through a fast transform over u; the u axis of the transform output
-  is related to the definition's u by the nondegenerate bilinear form
-  Tr(ux), a fixed bit-linear reindexing that does not change maxima;
+* Walsh spectrum: the exhaustive scan runs the sign table of
+  Tr(v f(x)) of each component v through a fast transform over u; the
+  u axis of the transform output is related to the definition's u by
+  the nondegenerate bilinear form Tr(ux), a fixed bit-linear reindexing
+  (_psi_table).  When the table equals x^e outside GF(2^k), the
+  structured kernel needs only gcd(e, 2^n - 1) transforms of x^e, one
+  per coset class of the e-th powers, plus an exact correction over the
+  points of GF(2^k) where f and x^e differ, evaluated on the few orbits
+  of (u, v) that can still hold the maximum.  A cost guard hands the
+  table to the exhaustive scan, which stays the kernel's oracle,
+  whenever the structured work (transforms plus orbits times differing
+  points) would reach the 2^n - 1 transforms of that scan;
 * algebraic degree: subset-XOR (Moebius) transform of the whole table,
   all output coordinates in parallel, degree = max bit count over the
   support of the transform (anf_degree, along the last axis of any
@@ -22,7 +30,9 @@
 omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates.
 Walsh components partition cleanly, so walsh_max_abs accepts a workers
-count and fans out over processes; the result does not depend on it.
+count and fans the exhaustive fallback out over processes; the
+structured kernel runs in-process, and the result does not depend on
+the count.
 """
 
 from __future__ import annotations
@@ -53,7 +63,6 @@ __all__ = [
     "anf_degree",
     "is_permutation",
     "nl_lower_bound",
-    "fingerprint",
     "analyze",
 ]
 
@@ -111,6 +120,25 @@ def omega_counts(table: np.ndarray) -> np.ndarray:
     return omega
 
 
+def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray] | None:
+    """(e, table of x^e) when f equals the power map x^e outside GF(2^k), else None.
+
+    The generator lies outside GF(2^k), so e = log f(generator); e = 0 is
+    taken as 2^n - 1 so that x^e maps 0 to 0.  One O(2^n) comparison then
+    confirms or refutes the guess.
+    """
+    ctx = f.ctx
+    tab = f.table
+    v = int(tab[ctx.generator])
+    if v == 0:
+        return None
+    e = int(ctx.log[v]) or ctx.order - 1
+    p = gf2n.vec_pow_all(ctx, e)
+    if not np.all((tab == p) | ctx.subfield_mask):
+        return None
+    return e, p
+
+
 def _structured_omega(f: LutFunction) -> np.ndarray | None:
     """omega via power-map homogeneity, or None unless f is x^e off GF(2^k).
 
@@ -121,17 +149,14 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
     per (a, b) those pairs touch.  Rows are taken in blocks of _A_BLOCK
     so the correction arrays stay small.
     """
+    power = _power_off_subfield(f)
+    if power is None:
+        return None
+    e, p = power
     ctx = f.ctx
     q = ctx.order
     q1 = q - 1
     tab = f.table
-    v = int(tab[ctx.generator])  # the generator lies outside GF(2^k)
-    if not 0 < v < q:
-        return None
-    e = int(ctx.log[v]) or q1  # e in [1, q-1] keeps P(0) = 0
-    p = gf2n.vec_pow_all(ctx, e)
-    if not np.all((tab == p) | ctx.subfield_mask):
-        return None
 
     pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
     row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
@@ -209,8 +234,100 @@ def _walsh_chunk(args) -> int:
     return best
 
 
+def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
+    """Bit-linear reindexing with Tr(u x) = <psi(u), x> in the standard basis."""
+    q = ctx.order
+    idx = np.arange(q)
+    psi = np.zeros(q, dtype=np.int64)
+    for i in range(ctx.n):
+        psi |= ctx.trace_bits[gf2n.vec_mul_scalar(ctx, idx, 1 << i)].astype(np.int64) << i
+    return psi
+
+
+def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """W[i, u] = sum_x (-1)^(Tr(u x) + Tr(vs[i] tab[x])), u in field coordinates."""
+    block = _sign_block(ctx, tab, vs)
+    _fwht_lastaxis(block)
+    return block[:, _psi_table(ctx)]
+
+
+def _orbit_walsh(
+    f: LutFunction, e: int, d: np.ndarray, j: int, w: int, wp_jw: int
+) -> np.ndarray:
+    """W_f(w c, gamma^j c^e) for c = gamma^i, i = 0 .. 2^n - 2.
+
+    f equals x^e except on the points d; wp_jw = W_P(w, gamma^j) for P = x^e.
+    """
+    ctx = f.ctx
+    q1 = ctx.order - 1
+    log = ctx.log
+    sgn = 1 - 2 * ctx.trace_bits[ctx.exp].astype(np.int64)  # (-1)^Tr(gamma^t)
+    logc = np.arange(q1)
+    elogc = e * logc % q1  # v = gamma^(j + elogc), u = gamma^(log w + logc)
+    walsh = np.full(q1, wp_jw, dtype=np.int64)
+    for s, fs in zip(d.tolist(), f.table[d].tolist()):
+        # ((-1)^Tr(v f(s)) - (-1)^Tr(v s^e)) (-1)^Tr(u s)
+        term = sgn[(elogc + j + log[fs]) % q1] if fs else 1
+        term = term - (sgn[(elogc + j + e * log[s]) % q1] if s else 1)
+        walsh += term * (sgn[(logc + log[w] + log[s]) % q1] if w and s else 1)
+    return walsh
+
+
+def _structured_walsh(f: LutFunction) -> int | None:
+    """max |W_f| from the transforms of a power map, or None to fall back.
+
+    f must equal P = x^e outside S = GF(2^k); with g = gcd(e, 2^n - 1) and
+    gamma the generator, every nonzero v is gamma^j c^e with j < g, and
+    W_P(u, gamma^j c^e) = W_P(u / c, gamma^j).  So g transforms give
+    wp[j, w] = W_P(w, gamma^j), and on the orbit {(w c, gamma^j c^e)}
+    W_f = wp[j, w] + C, where C sums over the points D of S at which f
+    and P differ, so |C| <= 2 |D|.  A maximising pair must lie on an
+    orbit with |wp| >= max |wp| - 4 |D|; those orbits are evaluated
+    exactly over all c, largest |wp| first, until none left can win.
+    The kernel is refused (None) when it would transform or evaluate as
+    many rows as the exhaustive scan: g + (orbits kept) |D| >= 2^n - 1.
+    """
+    power = _power_off_subfield(f)
+    if power is None:
+        return None
+    e, p = power
+    ctx = f.ctx
+    q1 = ctx.order - 1
+    g = math.gcd(e, q1)
+    if g >= q1:
+        return None
+    wp = _walsh_rows(ctx, p, ctx.exp[:g]).ravel()
+    mag = np.abs(wp)
+    top = int(mag.max())
+    sub = np.flatnonzero(ctx.subfield_mask)
+    d = sub[f.table[sub] != p[sub]]
+    if not len(d):
+        return top
+    cmax = 2 * len(d)
+    orbits = np.flatnonzero(mag >= top - 2 * cmax)
+    if g + len(orbits) * len(d) >= q1:
+        return None
+    orbits = orbits[np.argsort(-mag[orbits], kind="stable")]
+
+    best = 0
+    for t in orbits:
+        if mag[t] + cmax <= best:
+            break
+        j, w = divmod(int(t), ctx.order)
+        best = max(best, int(np.abs(_orbit_walsh(f, e, d, j, w, int(wp[t]))).max()))
+    return best
+
+
 def walsh_max_abs(f: LutFunction, workers: int = 1) -> int:
-    """max |W(u, v)| over all u and nonzero v, without storing the table."""
+    """max |W(u, v)| over all u and nonzero v, without storing the table.
+
+    Tables equal to a power map outside GF(2^k) take the structured
+    kernel when its cost guard admits them; any other table is scanned
+    component by component, over workers processes when workers > 1.
+    """
+    best = _structured_walsh(f)
+    if best is not None:
+        return best
     q = f.ctx.order
     if workers > 1:
         bounds = np.linspace(1, q, workers * 2 + 1, dtype=int)
@@ -222,16 +339,6 @@ def walsh_max_abs(f: LutFunction, workers: int = 1) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return max(pool.map(_walsh_chunk, jobs))
     return _walsh_chunk((f.ctx, f.table, 1, q))
-
-
-def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
-    """Bit-linear reindexing with Tr(u x) = <psi(u), x> in the standard basis."""
-    q = ctx.order
-    idx = np.arange(q)
-    psi = np.zeros(q, dtype=np.int64)
-    for i in range(ctx.n):
-        psi |= ctx.trace_bits[gf2n.vec_mul_scalar(ctx, idx, 1 << i)].astype(np.int64) << i
-    return psi
 
 
 def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
@@ -246,10 +353,7 @@ def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
         raise ValueError(
             f"full Walsh table refused for n = {ctx.n} > {_WALSH_TABLE_MAX_N}"
         )
-    q = ctx.order
-    block = _sign_block(ctx, f.table, np.arange(1, q))
-    _fwht_lastaxis(block)
-    table = block[:, _psi_table(ctx)]
+    table = _walsh_rows(ctx, f.table, np.arange(1, ctx.order))
     return WalshSpectrum(int(np.abs(table).max()), table)
 
 
@@ -308,22 +412,6 @@ def nl_lower_bound(k: int) -> int:
         big = math.isqrt(math.isqrt(1 << (3 * n - 2)))
         small = 1 << (k // 2)
     return (1 << (n - 1)) - big - small - (1 << (k - 1))
-
-
-def fingerprint(f: LutFunction, workers: int = 1) -> tuple:
-    """Invariant tuple (spectrum, nl, degree-if-nonaffine).
-
-    Differing fingerprints witness inequivalence under coordinate
-    changes that preserve the graph; equal fingerprints prove nothing.
-    """
-    ds = differential_spectrum(f)
-    nl = nonlinearity(f, workers)
-    deg = algebraic_degree(f)
-    return (
-        tuple(sorted(ds.spectrum.items())),
-        nl,
-        deg if deg > 1 else None,
-    )
 
 
 # ---------------------------------------------------------------------------

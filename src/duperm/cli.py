@@ -9,7 +9,8 @@ Subcommands:
   reproduce-tables  rebuild the reference rows and compare exactly
 
 Exit codes: 0 success / all pass, 1 claim or table mismatch, 2 usage
-error.  --workers sets the process count of the Walsh scan; its default
+error.  --workers sets the process count of the exhaustive Walsh scan,
+the fallback for tables the structured kernel declines; its default
 comes from DUPERM_WORKERS, and either must be a positive integer.  JSON
 output is byte-stable for a fixed seed; runtime timings are emitted
 only with --timings.
@@ -213,7 +214,8 @@ def _parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=os.environ.get("DUPERM_WORKERS", "1"),
-        help="worker processes for the Walsh scan (default: DUPERM_WORKERS or 1)",
+        help="worker processes for the exhaustive Walsh scan, the fallback of the "
+        "structured kernel (default: DUPERM_WORKERS or 1)",
     )
     common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)

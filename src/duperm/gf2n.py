@@ -243,7 +243,7 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
     expl = exp.tolist()
     logl = log.tolist()
 
-    # frobenius and trace tables, vectorised over the whole field
+    # frobenius passes, vectorised over the whole field
     def _vec_frob(arr: np.ndarray, j: int) -> np.ndarray:
         out = np.zeros_like(arr)
         nz = arr != 0
@@ -251,19 +251,27 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
         return out
 
     idx = np.arange(q, dtype=np.int64)
-    acc = np.zeros(q, dtype=np.int64)
-    curv = idx.copy()
-    for _ in range(n):
-        acc ^= curv
-        curv = _vec_frob(curv, 1)
+    frob_k = _vec_frob(idx, k)
+    subfield_mask = frob_k == idx
+    curv = frob_k
+    for _ in range(4):
+        curv = _vec_frob(curv, k)
     if not np.array_equal(curv, idx):
         raise ValueError("Frobenius orbit check failed")
-    if not set(np.unique(acc)) <= {0, 1}:
-        raise ValueError("trace values left the prime field")
-    trace_bits = acc.astype(np.uint8)
 
-    subfield_mask = _vec_frob(idx, k) == idx
-    subfield_mask[0] = True
+    # the trace is GF(2)-linear: Tr(x) is the parity of x & mask, where
+    # bit i of mask is the trace of the basis element x^i
+    basis = 1 << np.arange(n, dtype=np.int64)
+    basis_tr = np.zeros(n, dtype=np.int64)
+    curv = basis
+    for _ in range(n):
+        basis_tr ^= curv
+        curv = _vec_frob(curv, 1)
+    if not set(basis_tr.tolist()) <= {0, 1}:
+        raise ValueError("trace values left the prime field")
+    mask = int((basis_tr << np.arange(n)).sum())
+    trace_bits = (np.bitwise_count(idx & mask) & 1).astype(np.uint8)
+
     sub_elems = tuple(int(v) for v in idx[subfield_mask])
     if len(sub_elems) != 1 << k:
         raise ValueError("subfield size check failed")

@@ -14,12 +14,14 @@ from duperm.analyzer import (
     anf_degree,
     ddt_row,
     differential_spectrum,
-    fingerprint,
     is_permutation,
     nl_lower_bound,
     nonlinearity,
     walsh_max_abs,
     walsh_spectrum,
+    _orbit_walsh,
+    _structured_walsh,
+    _walsh_rows,
 )
 from duperm.construct import (
     LutFunction,
@@ -292,6 +294,126 @@ def test_nl_consistency(f10):
 
 
 # ---------------------------------------------------------------------------
+# structured Walsh kernel against the exhaustive oracle
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    m=st.integers(1, 6),
+    seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+)
+def test_structured_walsh_matches_table(f5, f10, k, m, seeds):
+    ctx = f5 if k == 1 else f10
+    L1, L2 = (random_affine_perm(ctx, k, seed) for seed in seeds)
+    f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
+    oracle = walsh_spectrum(f).max_abs
+    structured = _structured_walsh(f)
+    if k == 2:
+        assert structured is not None
+    assert structured in (None, oracle)
+    assert walsh_max_abs(f) == oracle
+
+
+@pytest.mark.parametrize("e", [339, 33])
+def test_power_walsh_scaling_identity(f10, e):
+    # W_P(w c, gamma^j c^e) = W_P(w, gamma^j): g rows give the whole table
+    g = np.gcd(e, 1023)
+    p = power_function(f10, e)
+    table = walsh_spectrum(p).table
+    rows = _walsh_rows(f10, p.table, f10.exp[:g])
+    assert np.array_equal(rows, table[f10.exp[:g] - 1])
+    w = np.arange(1024)
+    for c in (2, 77, 1000):
+        for j in range(g):
+            v = gf2n.mul(f10, int(f10.exp[j]), gf2n.pow(f10, c, e))
+            assert np.array_equal(table[v - 1, gf2n.vec_mul_scalar(f10, w, c)], rows[j])
+
+
+def test_orbit_walsh_matches_table(f10):
+    # every pair (w c, gamma^j c^e) of an orbit, against the full table; D
+    # holds 0 (with f(0) = 5) and 1 (with f(1) = 0) and one more point
+    e = 339
+    p = power_function(f10, e).table
+    sub = np.flatnonzero(f10.subfield_mask)
+    table = p.copy()
+    table[sub] = (5, 0, 1000, p[sub[3]])
+    f = LutFunction(f10, table)
+    d = sub[:3]
+    rows = _walsh_rows(f10, p, f10.exp[:3])
+    full = walsh_spectrum(f).table
+    logc = np.arange(1023)
+    for j in range(3):
+        v = f10.exp[(j + e * logc) % 1023]
+        for w in (0, 1, 5, 700):
+            u = gf2n.vec_mul_scalar(f10, f10.exp, w)
+            assert np.array_equal(_orbit_walsh(f, e, d, j, w, rows[j, w]), full[v - 1, u])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    # exponents whose kept orbits pass the cost guard for any |D| <= 4;
+    # on x and 92, 449, 757 (g = 1, max |W_P| = 80) the maximum of f moves
+    # if the transform is not reindexed or the correction bound is too tight
+    e=st.sampled_from([339, 1, 7, 11, 31, 33, 92, 93, 99, 341, 449, 757, 1021]),
+    seed=st.integers(0, 2**32),
+    anywhere=st.booleans(),
+)
+def test_structured_walsh_arbitrary_subfield_values(f10, e, seed, anywhere):
+    # x^e off GF(4) and any values on it, inside GF(4) or anywhere in the field
+    rng = np.random.default_rng(seed)
+    table = power_function(f10, e).table.copy()
+    sub = np.flatnonzero(f10.subfield_mask)
+    table[sub] = rng.integers(0, 1024, 4) if anywhere else rng.choice(sub, 4)
+    f = LutFunction(f10, table)
+    assert _structured_walsh(f) == walsh_spectrum(f).max_abs
+
+
+@pytest.mark.parametrize("e", [5, 3, 11, 31, 33, 93, 341])
+def test_structured_walsh_plain_powers(f10, e):
+    # one exponent per gcd(e, 1023) in {1, 3, 11, 31, 33, 93, 341}
+    f = power_function(f10, e)
+    assert _structured_walsh(f) == walsh_spectrum(f).max_abs
+
+
+def _with_subfield_changed(ctx, e):
+    """x^e with every point s of GF(2^k) sent to s^e + 1."""
+    table = power_function(ctx, e).table.copy()
+    table[ctx.subfield_mask] ^= 1
+    return LutFunction(ctx, table)
+
+
+def test_walsh_fallbacks_match_table(f10):
+    one_changed = power_function(f10, dobbertin_exponent(2)).table.copy()
+    one_changed[f10.generator] ^= 1
+    cases = (
+        LutFunction(f10, one_changed),  # not a power map off GF(4)
+        _with_subfield_changed(f10, 3),  # Gold: 256 orbits kept, 4 points each
+        power_function(f10, 1023),  # gcd(e, 1023) = 1023 transforms
+    )
+    for f in cases:
+        assert _structured_walsh(f) is None
+        assert walsh_max_abs(f) == walsh_spectrum(f).max_abs
+
+
+def test_walsh_guard_refuses_plateaued_n15(f15):
+    # Gold x^3 is plateaued: half of all w keep |W| = 256, and 16384 orbits
+    # times 8 points is more than the 32767 transforms of the exhaustive scan
+    assert _structured_walsh(_with_subfield_changed(f15, 3)) is None
+
+
+# max |W_f| at n = 15, captured once from the exhaustive per-component scan
+N15_WALSH = {(2, "x^4"): 584, (1, "x+1"): 580, (2, "x"): 576}
+
+
+@pytest.mark.parametrize("m, l1", sorted(N15_WALSH))
+def test_structured_walsh_pinned_n15(f15, m, l1):
+    f = instance(f15, m, l1)
+    assert _structured_walsh(f) == N15_WALSH[m, l1]
+    assert walsh_max_abs(f) == N15_WALSH[m, l1]
+
+
+# ---------------------------------------------------------------------------
 # algebraic degree
 # ---------------------------------------------------------------------------
 
@@ -324,7 +446,7 @@ def test_degree_of_permutation_at_most_n_minus_1(f5):
 
 
 # ---------------------------------------------------------------------------
-# bounds and fingerprints
+# bounds and invariants
 # ---------------------------------------------------------------------------
 
 def test_nl_lower_bound_values():
@@ -337,19 +459,14 @@ def test_nl_lower_bound_values():
         nl_lower_bound(0)
 
 
-def test_fingerprint_distinguishes_and_matches(f10):
-    fa = instance(f10, 2, "x+b")
-    fb = instance(f10, 2, "b^2*x^2+b")
-    assert fingerprint(fa) != fingerprint(fb)
-    assert fingerprint(fa) == fingerprint(fa)
-
-
 def test_fingerprint_invariant_under_affine_composition(f10):
+    """Spectrum, nonlinearity and degree survive x -> f(c x + e)."""
     f = instance(f10, 2, "x+b")
     c, e = 77, 513
     table = np.array([int(f.table[gf2n.mul(f10, c, x) ^ e]) for x in range(1024)])
     composed = LutFunction(f10, table)
-    assert fingerprint(composed) == fingerprint(f)
+    for criterion in (differential_spectrum, nonlinearity, algebraic_degree):
+        assert criterion(composed) == criterion(f)
 
 
 # ---------------------------------------------------------------------------
