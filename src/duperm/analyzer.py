@@ -29,10 +29,7 @@
 
 omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates.
-Walsh components partition cleanly, so walsh_max_abs accepts a workers
-count and fans the exhaustive fallback out over processes; the
-structured kernel runs in-process, and the result does not depend on
-the count.
+Everything runs in one process.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,24 +219,25 @@ def _sign_block(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarr
     return 1 - 2 * ctx.trace_bits[prod].astype(np.int32)
 
 
-def _walsh_chunk(args) -> int:
-    ctx, tab, v_lo, v_hi = args
-    best = 0
-    for lo in range(v_lo, v_hi, _V_BLOCK):
-        vs = np.arange(lo, min(lo + _V_BLOCK, v_hi))
-        block = _sign_block(ctx, tab, vs)
-        _fwht_lastaxis(block)
-        best = max(best, int(np.abs(block).max()))
-    return best
-
-
 def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
-    """Bit-linear reindexing with Tr(u x) = <psi(u), x> in the standard basis."""
-    q = ctx.order
-    idx = np.arange(q)
-    psi = np.zeros(q, dtype=np.int64)
-    for i in range(ctx.n):
-        psi |= ctx.trace_bits[gf2n.vec_mul_scalar(ctx, idx, 1 << i)].astype(np.int64) << i
+    """Bit-linear reindexing with Tr(u x) = <psi(u), x> in the standard basis.
+
+    Bit i of psi(u) is Tr(u x^i), which is GF(2)-linear in u: the parity
+    of u & M_i, where bit j of M_i is Tr(x^(i+j)).  So n parity passes
+    build the table, as mk_field builds trace_bits.
+    """
+    n = ctx.n
+    powers = [1]  # x^t for t <= 2n - 2, reduced by the modulus
+    for _ in range(2 * n - 2):
+        t = powers[-1] << 1
+        powers.append(t ^ ctx.modulus if t >> n else t)
+    tr = ctx.trace_bits[powers].astype(np.int64)
+    bits = np.arange(n)
+    idx = np.arange(ctx.order, dtype=np.int64)
+    psi = np.zeros(ctx.order, dtype=np.int64)
+    for i in range(n):
+        mask = int((tr[i : i + n] << bits).sum())
+        psi |= (np.bitwise_count(idx & mask) & 1).astype(np.int64) << i
     return psi
 
 
@@ -318,27 +315,23 @@ def _structured_walsh(f: LutFunction) -> int | None:
     return best
 
 
-def walsh_max_abs(f: LutFunction, workers: int = 1) -> int:
+def walsh_max_abs(f: LutFunction) -> int:
     """max |W(u, v)| over all u and nonzero v, without storing the table.
 
     Tables equal to a power map outside GF(2^k) take the structured
     kernel when its cost guard admits them; any other table is scanned
-    component by component, over workers processes when workers > 1.
+    in blocks of _V_BLOCK components.
     """
     best = _structured_walsh(f)
     if best is not None:
         return best
-    q = f.ctx.order
-    if workers > 1:
-        bounds = np.linspace(1, q, workers * 2 + 1, dtype=int)
-        jobs = [
-            (f.ctx, f.table, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return max(pool.map(_walsh_chunk, jobs))
-    return _walsh_chunk((f.ctx, f.table, 1, q))
+    ctx = f.ctx
+    best = 0
+    for lo in range(1, ctx.order, _V_BLOCK):
+        block = _sign_block(ctx, f.table, np.arange(lo, min(lo + _V_BLOCK, ctx.order)))
+        _fwht_lastaxis(block)
+        best = max(best, int(np.abs(block).max()))
+    return best
 
 
 def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
@@ -346,7 +339,9 @@ def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
 
     Materialising the table is quadratic in the field size and is
     refused above n = 12; use walsh_max_abs / nonlinearity for the
-    large fields.
+    large fields.  It stays in the package as the tests' reference for
+    both paths of walsh_max_abs, the structured kernel and the
+    exhaustive scan, and it shares _walsh_rows with the kernel.
     """
     ctx = f.ctx
     if ctx.n > _WALSH_TABLE_MAX_N:
@@ -357,8 +352,8 @@ def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
     return WalshSpectrum(int(np.abs(table).max()), table)
 
 
-def nonlinearity(f: LutFunction, workers: int = 1) -> int:
-    return (f.ctx.order >> 1) - walsh_max_abs(f, workers) // 2
+def nonlinearity(f: LutFunction) -> int:
+    return (f.ctx.order >> 1) - walsh_max_abs(f) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +469,11 @@ def analyze(
     walsh: bool = True,
     workers: int = 1,
 ) -> CriteriaReport:
-    """Compute every criterion on f, timing each one."""
+    """Compute every criterion on f, timing each one.
+
+    workers is read by nothing: it is accepted only because
+    perfbench/workloads.py still passes workers=1.
+    """
     runtime: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -484,7 +483,7 @@ def analyze(
     nl = wmax = None
     if walsh:
         t0 = time.perf_counter()
-        wmax = walsh_max_abs(f, workers)
+        wmax = walsh_max_abs(f)
         nl = (f.ctx.order >> 1) - wmax // 2
         runtime["walsh"] = (time.perf_counter() - t0) * 1e3
 

@@ -9,11 +9,8 @@ Subcommands:
   reproduce-tables  rebuild the reference rows and compare exactly
 
 Exit codes: 0 success / all pass, 1 claim or table mismatch, 2 usage
-error.  --workers sets the process count of the exhaustive Walsh scan,
-the fallback for tables the structured kernel declines; its default
-comes from DUPERM_WORKERS, and either must be a positive integer.  JSON
-output is byte-stable for a fixed seed; runtime timings are emitted
-only with --timings.
+error.  JSON output is byte-stable for a fixed seed; runtime timings are
+emitted only with --timings.
 """
 
 from __future__ import annotations
@@ -44,18 +41,6 @@ TABLE2_EXPECTED = (
 _CSV_HEADER = ("L1", "spectrum", "deg", "NL", "LB")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer (--workers or DUPERM_WORKERS), got {text!r}"
-        )
-    return value
-
-
 def _build_function(args):
     ctx = gf2n.mk_field(args.k)
     return ctx, instance(ctx, args.m, args.l1, args.l2)
@@ -81,7 +66,6 @@ def cmd_analyze(args) -> int:
         k=args.k,
         construction=_construction_label(args),
         walsh=walsh,
-        workers=args.workers,
     )
     if args.format == "csv":
         lines = [",".join(_CSV_HEADER)]
@@ -120,7 +104,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         trials=args.trials,
         walsh=args.walsh == "on",
-        workers=args.workers,
     )
     transcript = "".join(json.dumps(r.to_json_dict()) + "\n" for r in results)
     _emit(transcript, args.out)
@@ -149,11 +132,11 @@ def cmd_replay_proof(args) -> int:
     return 0 if ok else 1
 
 
-def _table_rows(m: int, expected, ctx, workers: int):
+def _table_rows(m: int, expected, ctx):
     rows = []
     for l1_expr, spectrum, degree, nl in expected:
         f = instance(ctx, m, l1_expr)
-        report = analyzer.analyze(f, k=2, construction=l1_expr, workers=workers)
+        report = analyzer.analyze(f, k=2, construction=l1_expr)
         rows.append((l1_expr, report, (spectrum, degree, nl)))
     return rows
 
@@ -165,7 +148,7 @@ def cmd_reproduce_tables(args) -> int:
         ("table1", 2, TABLE1_EXPECTED),
         ("table2", 1, TABLE2_EXPECTED),
     ):
-        rows = _table_rows(m, expected, ctx, args.workers)
+        rows = _table_rows(m, expected, ctx)
         path = os.path.join(args.out or ".", table_name + ".csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -209,21 +192,9 @@ def _parser() -> argparse.ArgumentParser:
         prog="duperm",
         description="Construct and analyse low differential-uniformity S-boxes over GF(2^(5k))",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=os.environ.get("DUPERM_WORKERS", "1"),
-        help="worker processes for the exhaustive Walsh scan, the fallback of the "
-        "structured kernel (default: DUPERM_WORKERS or 1)",
-    )
-    common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("analyze", help="criteria report for one constructed function")
+    p = sub.add_parser("analyze", help="criteria report for one constructed function")
     _add_function_args(p)
     p.add_argument("--walsh", choices=("auto", "on", "off"), default="auto")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -231,30 +202,35 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
-    p = add_parser("construct", help="build a function and print its digest")
+    p = sub.add_parser("construct", help="build a function and print its digest")
     _add_function_args(p)
     p.add_argument("--out", help="also write the binary lookup table here")
     p.set_defaults(func=cmd_construct)
 
-    p = add_parser("export-lut", help="write the binary lookup table")
+    p = sub.add_parser("export-lut", help="write the binary lookup table")
     _add_function_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_lut)
 
-    p = add_parser("verify", help="run claim checks")
+    p = sub.add_parser("verify", help="run claim checks")
     p.add_argument("--claims", default="*", help="glob over claim ids, e.g. 'lemma1.*'")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--walsh", choices=("on", "off"), default="off",
                    help="include the large-field nonlinearity claim")
     p.add_argument("--out", help="transcript path (default stdout)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="ignored; accepted only because perfbench/workloads.py passes it")
     p.set_defaults(func=cmd_verify)
 
-    p = add_parser("replay-proof", help="symbolic elimination replay only")
+    p = sub.add_parser("replay-proof", help="symbolic elimination replay only")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_replay_proof)
 
-    p = add_parser("reproduce-tables", help="rebuild reference rows and compare")
+    p = sub.add_parser("reproduce-tables", help="rebuild reference rows and compare")
     p.add_argument("--out", help="directory for table1.csv / table2.csv (default .)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="ignored; accepted only because perfbench/workloads.py passes it")
     p.set_defaults(func=cmd_reproduce_tables)
 
     return parser

@@ -19,7 +19,6 @@ Tables are immutable once built and serialise to a binary format
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -30,9 +29,7 @@ from . import gf2n
 __all__ = [
     "LutFunction",
     "AffinePerm",
-    "DobbertinInfo",
     "dobbertin_exponent",
-    "dobbertin_diagnostics",
     "power_function",
     "affine_eval",
     "random_affine_perm",
@@ -55,7 +52,6 @@ class LutFunction:
 
     ctx: gf2n.FieldCtx
     table: np.ndarray = field(repr=False)
-    subfield_only: bool = False
 
     def __post_init__(self):
         if len(self.table) != self.ctx.order:
@@ -169,21 +165,6 @@ def dobbertin_exponent(k: int) -> int:
     return sum(1 << (j * k) for j in _DOB_TERMS) - 1
 
 
-@dataclass(frozen=True)
-class DobbertinInfo:
-    d: int
-    residue_mod_subfield: int
-    gcd_with_group_order: int
-
-
-def dobbertin_diagnostics(k: int) -> DobbertinInfo:
-    """d together with d mod (2^k - 1) and gcd(d, 2^(5k) - 1)."""
-    d = dobbertin_exponent(k)
-    sub_order = (1 << k) - 1
-    residue = d % sub_order if sub_order > 1 else 0
-    return DobbertinInfo(d, residue, math.gcd(d, (1 << (5 * k)) - 1))
-
-
 def power_function(ctx: gf2n.FieldCtx, d: int) -> LutFunction:
     """The power map x^d as a full table; 0^0 = 1 only when d = 0."""
     return LutFunction(ctx, gf2n.vec_pow_all(ctx, d))
@@ -210,7 +191,7 @@ def build_g(
     table = np.zeros(ctx.order, dtype=np.int64)
     for a in gf2n.subfield_elements(ctx):
         table[a] = affine_eval(L1, gf2n.pow(ctx, affine_eval(L2, a), e))
-    return LutFunction(ctx, table, subfield_only=True)
+    return LutFunction(ctx, table)
 
 
 def closed_form_eval(ctx: gf2n.FieldCtx, k: int, g: LutFunction, x: int) -> int:

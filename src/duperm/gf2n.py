@@ -8,8 +8,7 @@ identities, and every element doubles as its own lookup-table index.
 A FieldCtx bundles the irreducible modulus, a verified multiplicative
 generator, discrete log / antilog tables, the absolute-trace table and
 the subfield membership mask.  Contexts are immutable after
-construction and every function here is pure, so a context can be
-shared freely across worker processes.
+construction and every function here is pure.
 
 Modulus convention: for each degree n the constructor picks the
 irreducible polynomial of lowest weight first and lowest integer value
@@ -29,17 +28,13 @@ __all__ = [
     "FieldCtx",
     "FieldSizeError",
     "mk_field",
-    "add",
     "mul",
     "inv",
     "pow",
     "frobenius",
-    "trace_abs",
-    "trace_rel",
     "in_subfield",
     "subfield_elements",
     "subfield_coset_rep",
-    "vec_mul_scalar",
     "vec_pow_all",
     "is_irreducible",
     "lowest_irreducible",
@@ -300,10 +295,6 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
 # Scalar operations
 # ---------------------------------------------------------------------------
 
-def add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def mul(ctx: FieldCtx, a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
@@ -338,22 +329,6 @@ def frobenius(ctx: FieldCtx, a: int, j: int) -> int:
     return ctx._expl[(ctx._logl[a] << j) % q1]
 
 
-def trace_abs(ctx: FieldCtx, a: int) -> int:
-    return int(ctx.trace_bits[a])
-
-
-def trace_rel(ctx: FieldCtx, a: int, sub_deg: int) -> int:
-    """Relative trace onto GF(2^sub_deg); sub_deg must divide n."""
-    if sub_deg < 1 or ctx.n % sub_deg:
-        raise ValueError(f"{sub_deg} does not divide n = {ctx.n}")
-    acc = 0
-    cur = a
-    for _ in range(ctx.n // sub_deg):
-        acc ^= cur
-        cur = frobenius(ctx, cur, sub_deg) if sub_deg < ctx.n else cur
-    return acc
-
-
 def in_subfield(ctx: FieldCtx, a: int) -> bool:
     return bool(ctx.subfield_mask[a])
 
@@ -373,17 +348,6 @@ def subfield_coset_rep(ctx: FieldCtx, a: int) -> int:
 # ---------------------------------------------------------------------------
 # Vectorised helpers for the exhaustive-scan modules
 # ---------------------------------------------------------------------------
-
-def vec_mul_scalar(ctx: FieldCtx, arr: np.ndarray, c: int) -> np.ndarray:
-    """Elementwise field product of an int array with the scalar c."""
-    if c == 0:
-        return np.zeros_like(arr)
-    q1 = ctx.order - 1
-    out = np.zeros_like(arr)
-    nz = arr != 0
-    out[nz] = ctx.exp[(ctx.log[arr[nz]] + ctx._logl[c]) % q1]
-    return out
-
 
 def vec_pow_all(ctx: FieldCtx, e: int) -> np.ndarray:
     """Table of i^e for every field element i (0^0 = 1, else 0^e = 0)."""

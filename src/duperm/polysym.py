@@ -124,9 +124,6 @@ class MultiPoly:
         i = self.variables.index(name)
         return max((t[i] for t in self.terms), default=-1)
 
-    def total_degree(self) -> int:
-        return max((sum(t) for t in self.terms), default=-1)
-
     def coefficient(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name^power, as a polynomial with that variable cleared."""
         i = self.variables.index(name)

@@ -317,11 +317,11 @@ def remark2_degrees() -> list:
     return results
 
 
-def prop2_bound_check(f, k: int, label: str, workers: int = 1) -> ClaimResult:
+def prop2_bound_check(f, k: int, label: str) -> ClaimResult:
     """nl(f) must clear the parity-branch lower bound."""
     t0 = time.perf_counter()
     claim_id = f"prop2.bound.k{k}.{label.replace(' ', '')}"
-    nl = analyzer.nonlinearity(f, workers)
+    nl = analyzer.nonlinearity(f)
     bound = analyzer.nl_lower_bound(k)
     witness = {"nl": nl, "bound": bound}
     return _result(claim_id, PASS if nl >= bound else FAIL, witness, t0)
@@ -392,12 +392,12 @@ _REMARK2_IDS = (
 )
 
 
-def _prop2_instance(k: int, m: int, l1: str, workers: int):
+def _prop2_instance(k: int, m: int, l1: str):
     f = instance(gf2n.mk_field(k), m, l1)
-    return prop2_bound_check(f, k, f"m{m}.{l1}", workers)
+    return prop2_bound_check(f, k, f"m{m}.{l1}")
 
 
-def _registry(seed: int, trials: int, walsh: bool, workers: int) -> list:
+def _registry(seed: int, trials: int, walsh: bool) -> list:
     entries = [
         (("lemma1.exhaustive.k1",), lambda: [lemma1_exhaustive(1)]),
         (("lemma1.exhaustive.k2",), lambda: [lemma1_exhaustive(2)]),
@@ -422,23 +422,23 @@ def _registry(seed: int, trials: int, walsh: bool, workers: int) -> list:
         (("prop1.hypothesis.k3",), lambda: [prop1_hypothesis_search()]),
         (
             ("prop2.bound.k1.m1.x+1",),
-            lambda: [_prop2_instance(1, 1, "x+1", workers)],
+            lambda: [_prop2_instance(1, 1, "x+1")],
         ),
         (
             ("prop2.bound.k2.m2.b^2*x^2",),
-            lambda: [_prop2_instance(2, 2, "b^2*x^2", workers)],
+            lambda: [_prop2_instance(2, 2, "b^2*x^2")],
         ),
     ]
     if walsh:
         entries.append(
-            (("prop2.bound.k3.m2.x",), lambda: [_prop2_instance(3, 2, "x", workers)])
+            (("prop2.bound.k3.m2.x",), lambda: [_prop2_instance(3, 2, "x")])
         )
     return entries
 
 
 def claim_ids(walsh: bool = False) -> list:
     out = []
-    for ids, _ in _registry(0, 64, walsh, 1):
+    for ids, _ in _registry(0, 64, walsh):
         out.extend(ids)
     return sorted(out)
 
@@ -448,11 +448,10 @@ def run_claims(
     seed: int = 0,
     trials: int = 64,
     walsh: bool = False,
-    workers: int = 1,
 ) -> list:
     """Run every registered claim whose id matches the glob pattern."""
     results = []
-    for ids, producer in _registry(seed, trials, walsh, workers):
+    for ids, producer in _registry(seed, trials, walsh):
         if any(fnmatch(cid, pattern) for cid in ids):
             results.extend(r for r in producer() if fnmatch(r.claim_id, pattern))
     return sorted(results, key=lambda r: r.claim_id)

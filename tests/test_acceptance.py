@@ -273,7 +273,7 @@ def naive_walsh_entry(f, u, v):
     ctx = f.ctx
     acc = 0
     for x in range(ctx.order):
-        bit = gf2n.trace_abs(ctx, gf2n.mul(ctx, u, x) ^ gf2n.mul(ctx, v, int(f.table[x])))
+        bit = ctx.trace_bits[gf2n.mul(ctx, u, x) ^ gf2n.mul(ctx, v, int(f.table[x]))]
         acc += -1 if bit else 1
     return acc
 

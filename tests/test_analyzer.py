@@ -20,6 +20,7 @@ from duperm.analyzer import (
     walsh_max_abs,
     walsh_spectrum,
     _orbit_walsh,
+    _psi_table,
     _structured_walsh,
     _walsh_rows,
 )
@@ -60,7 +61,7 @@ def naive_walsh(f, u, v):
     ctx = f.ctx
     acc = 0
     for x in range(ctx.order):
-        e = gf2n.trace_abs(ctx, gf2n.mul(ctx, u, x) ^ gf2n.mul(ctx, v, int(f.table[x])))
+        e = ctx.trace_bits[gf2n.mul(ctx, u, x) ^ gf2n.mul(ctx, v, int(f.table[x]))]
         acc += -1 if e else 1
     return acc
 
@@ -157,13 +158,6 @@ def test_spectrum_identities(f5, f10):
         assert sum(i * w for i, w in ds.spectrum.items()) == (q - 1) * q
         assert all(i % 2 == 0 for i in ds.spectrum)
         assert ds.delta == max(i for i, w in ds.spectrum.items() if w and i)
-
-
-def test_spectrum_workers_deterministic(f10):
-    # workers fans out only the Walsh scan
-    rng = np.random.default_rng(5)
-    for f in (instance(f10, 2, "x+b"), LutFunction(f10, rng.permutation(1024))):
-        assert nonlinearity(f, workers=2) == nonlinearity(f, workers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +274,6 @@ def test_permutation_balancedness(f5, f10):
 def test_walsh_streaming_matches_table(f10):
     f = instance(f10, 2, "x+1")
     assert walsh_max_abs(f) == walsh_spectrum(f).max_abs
-    assert walsh_max_abs(f, workers=2) == walsh_spectrum(f).max_abs
 
 
 def test_walsh_table_guard(f15):
@@ -315,6 +308,24 @@ def test_structured_walsh_matches_table(f5, f10, k, m, seeds):
     assert walsh_max_abs(f) == oracle
 
 
+def test_psi_table_matches_basis_products(f5, f10, f15):
+    # the n-multiply construction: bit i of psi(u) is Tr(u x^i), one
+    # full-field product per basis element x^i
+    for ctx in (f5, f10, f15):
+        u = np.arange(1, ctx.order)
+        psi = np.zeros(ctx.order, dtype=np.int64)
+        for i in range(ctx.n):
+            prod = ctx.exp[(ctx.log[u] + ctx.log[1 << i]) % (ctx.order - 1)]
+            psi[1:] |= ctx.trace_bits[prod].astype(np.int64) << i
+        assert np.array_equal(_psi_table(ctx), psi)
+    # and the defining identity Tr(u x) = <psi(u), x>
+    psi = _psi_table(f10)
+    rng = random.Random(7)
+    for _ in range(200):
+        u, x = rng.randrange(1024), rng.randrange(1024)
+        assert f10.trace_bits[gf2n.mul(f10, u, x)] == int(psi[u] & x).bit_count() & 1
+
+
 @pytest.mark.parametrize("e", [339, 33])
 def test_power_walsh_scaling_identity(f10, e):
     # W_P(w c, gamma^j c^e) = W_P(w, gamma^j): g rows give the whole table
@@ -323,11 +334,11 @@ def test_power_walsh_scaling_identity(f10, e):
     table = walsh_spectrum(p).table
     rows = _walsh_rows(f10, p.table, f10.exp[:g])
     assert np.array_equal(rows, table[f10.exp[:g] - 1])
-    w = np.arange(1024)
     for c in (2, 77, 1000):
+        wc = [gf2n.mul(f10, w, c) for w in range(1024)]
         for j in range(g):
             v = gf2n.mul(f10, int(f10.exp[j]), gf2n.pow(f10, c, e))
-            assert np.array_equal(table[v - 1, gf2n.vec_mul_scalar(f10, w, c)], rows[j])
+            assert np.array_equal(table[v - 1, wc], rows[j])
 
 
 def test_orbit_walsh_matches_table(f10):
@@ -346,7 +357,7 @@ def test_orbit_walsh_matches_table(f10):
     for j in range(3):
         v = f10.exp[(j + e * logc) % 1023]
         for w in (0, 1, 5, 700):
-            u = gf2n.vec_mul_scalar(f10, f10.exp, w)
+            u = [gf2n.mul(f10, int(c), w) for c in f10.exp]
             assert np.array_equal(_orbit_walsh(f, e, d, j, w, rows[j, w]), full[v - 1, u])
 
 
@@ -386,10 +397,18 @@ def _with_subfield_changed(ctx, e):
 def test_walsh_fallbacks_match_table(f10):
     one_changed = power_function(f10, dobbertin_exponent(2)).table.copy()
     one_changed[f10.generator] ^= 1
+    # Tr(1000 f(x)) = 0 for every x: the maximum, 1024, lies only in the
+    # last block of components the exhaustive scan visits
+    last_block = np.random.default_rng(6).integers(0, 1024, 1024)
+    t = next(y for y in range(1024) if f10.trace_bits[gf2n.mul(f10, 1000, y)])
+    odd = f10.trace_bits[[gf2n.mul(f10, 1000, int(y)) for y in last_block]] == 1
+    last_block[odd] ^= t
     cases = (
         LutFunction(f10, one_changed),  # not a power map off GF(4)
         _with_subfield_changed(f10, 3),  # Gold: 256 orbits kept, 4 points each
         power_function(f10, 1023),  # gcd(e, 1023) = 1023 transforms
+        LutFunction(f10, np.random.default_rng(5).permutation(1024)),
+        LutFunction(f10, last_block),
     )
     for f in cases:
         assert _structured_walsh(f) is None

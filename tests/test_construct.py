@@ -11,7 +11,6 @@ from duperm.construct import (
     build_f,
     build_g,
     closed_form_eval,
-    dobbertin_diagnostics,
     dobbertin_exponent,
     parse_affine_expr,
     power_function,
@@ -43,13 +42,14 @@ def test_dobbertin_exponent_values():
 
 
 def test_dobbertin_diagnostics():
-    d3 = dobbertin_diagnostics(3)
-    assert d3.residue_mod_subfield == 3
-    assert d3.gcd_with_group_order == math.gcd(4679, (1 << 15) - 1) == 1
-    d2 = dobbertin_diagnostics(2)
-    assert d2.residue_mod_subfield == 3 % 3 == 0
-    d1 = dobbertin_diagnostics(1)
-    assert math.gcd(d1.d, 31) == d1.gcd_with_group_order == 1
+    # d mod (2^k - 1) and gcd(d, 2^(5k) - 1)
+    d3 = dobbertin_exponent(3)
+    assert d3 % 7 == 3
+    assert math.gcd(d3, (1 << 15) - 1) == math.gcd(4679, (1 << 15) - 1) == 1
+    d2 = dobbertin_exponent(2)
+    assert d2 % 3 == 3 % 3 == 0
+    d1 = dobbertin_exponent(1)
+    assert math.gcd(d1, 31) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_build_g_m1_is_affine_composition(f10):
     g = build_g(f10, 2, 1, L1, L2)
     for a in gf2n.subfield_elements(f10):
         assert int(g.table[a]) == affine_eval(L1, affine_eval(L2, a))
-    assert g.subfield_only
+    assert not g.table[~f10.subfield_mask].any()
 
 
 def test_build_g_direct_composition(f10):
