@@ -79,16 +79,16 @@ class AffinePerm:
         if len(self.linear_coeffs) != self.k:
             raise ValueError(f"need exactly {self.k} linear coefficients")
         for c in (*self.linear_coeffs, self.constant):
-            if not gf2n.in_subfield(self.ctx, c):
+            if not self.ctx.subfield_mask[c]:
                 raise ValueError(f"coefficient {c} lies outside GF(2^{self.k})")
-        sub = gf2n.subfield_elements(self.ctx)
+        sub = self.ctx.subfield_elems
         image = {affine_eval(self, a) for a in sub}
         if len(image) != len(sub):
             raise ValueError("affine map is not a bijection of the subfield")
 
 
 def affine_eval(L: AffinePerm, a: int) -> int:
-    if not gf2n.in_subfield(L.ctx, a):
+    if not L.ctx.subfield_mask[a]:
         raise ValueError(f"{a} is not a subfield element")
     acc = L.constant
     for i, c in enumerate(L.linear_coeffs):
@@ -100,7 +100,7 @@ def affine_eval(L: AffinePerm, a: int) -> int:
 def random_affine_perm(ctx: gf2n.FieldCtx, k: int, seed: int) -> AffinePerm:
     """Seed-deterministic affine permutation of GF(2^k)."""
     rng = random.Random(seed)
-    sub = gf2n.subfield_elements(ctx)
+    sub = ctx.subfield_elems
     for _ in range(4096):
         coeffs = tuple(rng.choice(sub) for _ in range(k))
         constant = rng.choice(sub)
@@ -189,7 +189,7 @@ def build_g(
         raise ValueError("m must be positive")
     e = (1 << m) - 1
     table = np.zeros(ctx.order, dtype=np.int64)
-    for a in gf2n.subfield_elements(ctx):
+    for a in ctx.subfield_elems:
         table[a] = affine_eval(L1, gf2n.pow(ctx, affine_eval(L2, a), e))
     return LutFunction(ctx, table)
 
@@ -245,6 +245,8 @@ def read_lut(path, ctx: gf2n.FieldCtx) -> LutFunction:
         blob = fh.read()
     if blob[: len(LUT_MAGIC)] != LUT_MAGIC:
         raise ValueError("bad magic; not a lookup-table file")
+    if len(blob) == len(LUT_MAGIC):
+        raise ValueError("truncated lookup-table file: no field degree byte")
     n = blob[len(LUT_MAGIC)]
     if n != ctx.n:
         raise ValueError(f"table is over GF(2^{n}), context is GF(2^{ctx.n})")

@@ -8,7 +8,14 @@ identities, and every element doubles as its own lookup-table index.
 A FieldCtx bundles the irreducible modulus, a verified multiplicative
 generator, discrete log / antilog tables, the absolute-trace table and
 the subfield membership mask.  Contexts are immutable after
-construction and every function here is pure.
+construction and every function here is pure.  Each table is held
+once, as a numpy array; the scalar operations index it with .item, so
+they return Python ints.
+
+The subfield is found without Frobenius passes over the field:
+GF(2^k)* is the unique subgroup of order 2^k - 1 of the cyclic group
+GF(2^n)*, so GF(2^k) is 0 together with every ((2^n - 1)/(2^k - 1))-th
+entry of exp, and its generator beta is the first of them after 1.
 
 Modulus convention: for each degree n the constructor picks the
 irreducible polynomial of lowest weight first and lowest integer value
@@ -32,8 +39,6 @@ __all__ = [
     "inv",
     "pow",
     "frobenius",
-    "in_subfield",
-    "subfield_elements",
     "subfield_coset_rep",
     "vec_pow_all",
     "is_irreducible",
@@ -165,8 +170,8 @@ class FieldCtx:
 
     exp/log are discrete log tables for the stored generator; trace_bits
     holds the absolute trace of every element; subfield_mask flags the
-    2^k elements fixed by the k-fold Frobenius map.  log[0] is a
-    sentinel 0 and must never be read for the zero element.
+    2^k elements of GF(2^k) and subfield_elems lists them in order.
+    log[0] is a sentinel 0 and must never be read for the zero element.
     """
 
     n: int
@@ -179,8 +184,6 @@ class FieldCtx:
     trace_bits: np.ndarray = field(repr=False)
     subfield_mask: np.ndarray = field(repr=False)
     subfield_elems: tuple = field(repr=False)
-    _expl: list = field(repr=False)
-    _logl: list = field(repr=False)
     _coset_basis: tuple = field(repr=False)
 
     @property
@@ -235,24 +238,17 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
         raise ValueError("generator order check failed")
     log = np.zeros(q, dtype=np.int64)
     log[exp] = np.arange(q - 1, dtype=np.int64)
-    expl = exp.tolist()
-    logl = log.tolist()
+    idx = np.arange(q, dtype=np.int64)
+    # 2^n = 1 mod 2^n - 1, so x^(2^n) = x for every x exactly when exp and
+    # log are inverse bijections on the nonzero elements
+    if not np.array_equal(exp[log[1:]], idx[1:]):
+        raise ValueError("exp/log bijection check failed")
 
-    # frobenius passes, vectorised over the whole field
     def _vec_frob(arr: np.ndarray, j: int) -> np.ndarray:
         out = np.zeros_like(arr)
         nz = arr != 0
         out[nz] = exp[(log[arr[nz]] << j) % (q - 1)]
         return out
-
-    idx = np.arange(q, dtype=np.int64)
-    frob_k = _vec_frob(idx, k)
-    subfield_mask = frob_k == idx
-    curv = frob_k
-    for _ in range(4):
-        curv = _vec_frob(curv, k)
-    if not np.array_equal(curv, idx):
-        raise ValueError("Frobenius orbit check failed")
 
     # the trace is GF(2)-linear: Tr(x) is the parity of x & mask, where
     # bit i of mask is the trace of the basis element x^i
@@ -267,11 +263,16 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
     mask = int((basis_tr << np.arange(n)).sum())
     trace_bits = (np.bitwise_count(idx & mask) & 1).astype(np.uint8)
 
-    sub_elems = tuple(int(v) for v in idx[subfield_mask])
+    # GF(2^k)* is the subgroup of order 2^k - 1 of GF(2^n)*
+    stride = (q - 1) // ((1 << k) - 1)
+    subfield_mask = np.zeros(q, dtype=bool)
+    subfield_mask[0] = True
+    subfield_mask[exp[::stride]] = True
+    sub_elems = tuple(np.flatnonzero(subfield_mask).tolist())
     if len(sub_elems) != 1 << k:
         raise ValueError("subfield size check failed")
 
-    beta = expl[((q - 1) // ((1 << k) - 1)) % (q - 1)]
+    beta = exp.item(stride % (q - 1))
     coset_basis = _rref_basis([e for e in sub_elems if e])
 
     return FieldCtx(
@@ -285,28 +286,27 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
         trace_bits=trace_bits,
         subfield_mask=subfield_mask,
         subfield_elems=sub_elems,
-        _expl=expl,
-        _logl=logl,
         _coset_basis=coset_basis,
     )
 
 
 # ---------------------------------------------------------------------------
-# Scalar operations
+# Scalar operations.  exp has one entry per exponent mod 2^n - 1, so
+# len(exp) is the order of GF(2^n)*.
 # ---------------------------------------------------------------------------
 
 def mul(ctx: FieldCtx, a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
-    q1 = ctx.order - 1
-    return ctx._expl[(ctx._logl[a] + ctx._logl[b]) % q1]
+    exp = ctx.exp
+    return exp.item((ctx.log.item(a) + ctx.log.item(b)) % len(exp))
 
 
 def inv(ctx: FieldCtx, a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse")
-    q1 = ctx.order - 1
-    return ctx._expl[(q1 - ctx._logl[a]) % q1]
+    exp = ctx.exp
+    return exp.item(-ctx.log.item(a) % len(exp))
 
 
 def pow(ctx: FieldCtx, a: int, e: int) -> int:
@@ -315,8 +315,8 @@ def pow(ctx: FieldCtx, a: int, e: int) -> int:
         raise ValueError("exponent must be non-negative")
     if a == 0:
         return 1 if e == 0 else 0
-    q1 = ctx.order - 1
-    return ctx._expl[(ctx._logl[a] * (e % q1)) % q1]
+    exp = ctx.exp
+    return exp.item(ctx.log.item(a) * e % len(exp))
 
 
 def frobenius(ctx: FieldCtx, a: int, j: int) -> int:
@@ -325,16 +325,8 @@ def frobenius(ctx: FieldCtx, a: int, j: int) -> int:
         raise ValueError(f"frobenius power {j} outside [0, {ctx.n})")
     if a == 0:
         return 0
-    q1 = ctx.order - 1
-    return ctx._expl[(ctx._logl[a] << j) % q1]
-
-
-def in_subfield(ctx: FieldCtx, a: int) -> bool:
-    return bool(ctx.subfield_mask[a])
-
-
-def subfield_elements(ctx: FieldCtx) -> tuple:
-    return ctx.subfield_elems
+    exp = ctx.exp
+    return exp.item((ctx.log.item(a) << j) % len(exp))
 
 
 def subfield_coset_rep(ctx: FieldCtx, a: int) -> int:

@@ -218,13 +218,15 @@ def coset_intersection_check(k: int, trials: int = 64, seed: int = 0) -> ClaimRe
 
     Exhaustive over a for k <= 2, seed-deterministic sample otherwise.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     t0 = time.perf_counter()
     claim_id = f"theorem1.coset.k{k}"
     ctx = gf2n.mk_field(k)
     d = dobbertin_exponent(k)
     powd = gf2n.vec_pow_all(ctx, d)
     sub = np.array(ctx.subfield_elems)
-    outside = [a for a in range(ctx.order) if not ctx.subfield_mask[a]]
+    outside = np.flatnonzero(~ctx.subfield_mask).tolist()
     if k > 2:
         rng = random.Random(seed)
         outside = rng.sample(outside, min(trials, len(outside)))

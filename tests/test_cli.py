@@ -2,9 +2,13 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import duperm
 from duperm import gf2n
 from duperm.analyzer import analyze
 from duperm.cli import TABLE1_EXPECTED, TABLE2_EXPECTED, main
@@ -79,6 +83,9 @@ def test_usage_errors():
     code, _, err = run_cli(["analyze", "--k", "5"])  # over the memory budget
     assert code == 2
     assert "budget" in err
+    code, _, err = run_cli(["verify", "--trials", "0"])  # a coset check of no a
+    assert code == 2
+    assert "trials" in err
     # --workers is accepted only by verify and reproduce-tables, --seed only by verify
     for argv in (["no-such-command"], ["analyze", "--k", "1", "--workers", "2"],
                  ["analyze", "--k", "1", "--seed", "0"]):
@@ -170,28 +177,26 @@ def test_verify_all_lemma_claims_pass():
     assert all(r["status"] == "pass" for r in records)
 
 
-def test_module_entry_point():
-    import subprocess
-    import sys
+def _run_python(args):
+    """Run a child interpreter that imports the same duperm as this process."""
+    src = os.path.dirname(os.path.dirname(duperm.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "duperm.cli", "analyze", "--k", "1", "--l1", "x+1"],
-        capture_output=True,
-        text=True,
-    )
+
+def test_module_entry_point():
+    proc = _run_python(["-m", "duperm.cli", "analyze", "--k", "1", "--l1", "x+1"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["delta"] == 4
 
 
 def test_import_loads_no_process_pool():
-    import subprocess
-    import sys
-
     probe = (
         "import sys, duperm, duperm.cli\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = _run_python(["-c", probe])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -115,8 +117,8 @@ def test_tables_match_scalar_chain(k):
     log = [0] * q
     for i, v in enumerate(exp):
         log[v] = i
-    assert ctx.exp.tolist() == exp and ctx._expl == exp
-    assert ctx.log.tolist() == log and ctx._logl == log
+    assert ctx.exp.tolist() == exp
+    assert ctx.log.tolist() == log
     # the trace is linear: Tr(x) is the parity of x masked by the basis traces
     tmask = 0
     for i in range(ctx.n):
@@ -129,6 +131,40 @@ def test_tables_match_scalar_chain(k):
     assert ctx.trace_bits.tolist() == [bin(x & tmask).count("1") & 1 for x in range(q)]
     frob_k = [0] + [exp[(log[x] << k) % (q - 1)] for x in range(1, q)]
     assert ctx.subfield_mask.tolist() == [frob_k[x] == x for x in range(q)]
+
+
+def test_tables_pinned_k4():
+    # no scalar-chain oracle is affordable at n = 20, so digests pin the tables
+    ctx = gf2n.mk_field(4)
+    digests = {
+        name: hashlib.sha256(getattr(ctx, name).tobytes()).hexdigest()
+        for name in ("exp", "log", "trace_bits", "subfield_mask")
+    }
+    assert digests == {
+        "exp": "d9bbf13f33c1e260b790f9f421b476acf69614250c250c8fc849abd27eb5c2fb",
+        "log": "b8ab97f94ba2e52bf4421952df49ebd6cb8dbc6b4e2a28843e9d1d4d4b446af4",
+        "trace_bits": "c8b1e1bf96a7ea2fb5e1af6465c57c4e5a9ce67a7f723c9fcf0992bcd0540261",
+        "subfield_mask": "aec622f38b45c79430df902334214abc5a96405dee9e740af954e5bf3c55f7e1",
+    }
+    assert (ctx.modulus, ctx.generator, ctx.subfield_generator) == (1048585, 2, 241642)
+    assert ctx.subfield_elems == (
+        0, 1, 241642, 241643, 265666, 265667, 500264, 500265,
+        544808, 544809, 786370, 786371, 810474, 810475, 1044992, 1044993,
+    )
+
+
+def test_mk_field_holds_each_table_once():
+    tracemalloc.start()
+    try:
+        ctx = gf2n.mk_field(3)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = sum(
+        getattr(ctx, name).nbytes for name in ("exp", "log", "trace_bits", "subfield_mask")
+    )
+    assert abs(live - tables) <= 64 * 1024
+    assert peak < 2.5 * tables
 
 
 def test_mk_field_errors():
@@ -171,6 +207,13 @@ def test_inv_exhaustive(k):
     ctx = gf2n.mk_field(k)
     for a in range(1, ctx.order):
         assert gf2n.mul(ctx, a, gf2n.inv(ctx, a)) == 1
+
+
+def test_scalar_ops_return_int(f10):
+    a, b = 5, 1000
+    for value in (gf2n.mul(f10, a, b), gf2n.inv(f10, a), gf2n.pow(f10, a, 7),
+                  gf2n.frobenius(f10, a, 3)):
+        assert type(value) is int
 
 
 def test_inv_zero_raises(f5):
@@ -256,18 +299,17 @@ def test_trace_rel_lands_in_subfield_exhaustive_n10(f10):
         t = 0
         for i in range(5):
             t ^= gf2n.frobenius(f10, a, i * f10.k)
-        assert gf2n.in_subfield(f10, t)
+        assert f10.subfield_mask[t]
 
 
 def test_subfield_membership(f5, f10, f15):
-    assert gf2n.in_subfield(f5, 0) and gf2n.in_subfield(f5, 1)
+    assert f5.subfield_mask[0] and f5.subfield_mask[1]
     for ctx in (f5, f10, f15):
-        count = sum(1 for a in range(ctx.order) if gf2n.in_subfield(ctx, a))
-        assert count == 1 << ctx.k
-        assert gf2n.in_subfield(ctx, ctx.subfield_generator)
-        assert set(gf2n.subfield_elements(ctx)) == {
-            a for a in range(ctx.order) if gf2n.in_subfield(ctx, a)
-        }
+        assert int(ctx.subfield_mask.sum()) == 1 << ctx.k
+        assert ctx.subfield_mask[ctx.subfield_generator]
+        assert ctx.subfield_elems == tuple(
+            a for a in range(ctx.order) if ctx.subfield_mask[a]
+        )
 
 
 def test_subfield_generator(f5, f10):
@@ -280,7 +322,7 @@ def test_subfield_generator(f5, f10):
 
 
 def test_coset_representatives(f10):
-    sub = gf2n.subfield_elements(f10)
+    sub = f10.subfield_elems
     rng = random.Random(11)
     for _ in range(200):
         a = rng.randrange(f10.order)

@@ -100,7 +100,7 @@ def test_eval_subfield_solution_tuple(f5):
     for _ in range(4):
         eqs.append(eqs[-1].substitute_variables(shift))
     d = dobbertin_exponent(f5.k)
-    for x0 in gf2n.subfield_elements(f5):
+    for x0 in f5.subfield_elems:
         b0 = gf2n.pow(f5, x0 ^ 1, d) ^ gf2n.pow(f5, x0, d)
         assign = {v: x0 for v in "xyzuv"}
         assign["b"] = b0
