@@ -30,6 +30,17 @@
 omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates.
 Everything runs in one process.
+
+Every constructed f over one field is x^d off GF(2^k), so the
+structured kernels keep what depends on the field and x^e alone in the
+context's memo (gf2n.FieldCtx.memo), and the instances over a field pay
+for it once: the table of x^e, row 1 of its DDT and that row's
+histogram, psi, the trace signs of the powers of the generator, and
+the transform orbits of x^e that any f over the field could keep.  The
+memo keeps one exponent, so it holds O(g 2^n) values at most,
+g = gcd(e, 2^n - 1), however many instances pass through.  What depends
+on f stays per call, and a cold context gives the same reports as a
+warm one.
 """
 
 from __future__ import annotations
@@ -142,8 +153,10 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
     delta_P(a, b) = delta_P(1, b a^(-e)).  Row a of f differs from row a
     of P only through the pairs {s, s + a} with s in S = GF(2^k), so the
     histogram of row 1 times (2^n - 1) is corrected by moving one counter
-    per (a, b) those pairs touch.  Rows are taken in blocks of _A_BLOCK
-    so the correction arrays stay small.
+    per (a, b) those pairs touch.  Row 1 and its histogram depend on e
+    alone and are kept in the context's memo.  Rows are taken in blocks
+    of _A_BLOCK so the correction arrays stay small; their O(2^(n+k))
+    entries are never memoised.
     """
     power = _power_off_subfield(f)
     if power is None:
@@ -154,9 +167,13 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
     q1 = q - 1
     tab = f.table
 
-    pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
-    row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
-    omega = np.bincount(row1, minlength=q + 1) * q1
+    def ddt_row1() -> tuple:
+        pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
+        row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
+        return row1, np.bincount(row1, minlength=q + 1) * q1
+
+    row1, omega_p = ctx.memo("ddt_row1", ddt_row1, e)
+    omega = omega_p.copy()
     sub = np.array(ctx.subfield_elems, dtype=np.int64)
     for lo in range(1, q, _A_BLOCK):
         a = np.arange(lo, min(lo + _A_BLOCK, q), dtype=np.int64)[:, None]
@@ -224,21 +241,26 @@ def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
 
     Bit i of psi(u) is Tr(u x^i), which is GF(2)-linear in u: the parity
     of u & M_i, where bit j of M_i is Tr(x^(i+j)).  So n parity passes
-    build the table, as mk_field builds trace_bits.
+    build the table, as mk_field builds trace_bits.  It depends on the
+    field alone and is kept in the context's memo.
     """
-    n = ctx.n
-    powers = [1]  # x^t for t <= 2n - 2, reduced by the modulus
-    for _ in range(2 * n - 2):
-        t = powers[-1] << 1
-        powers.append(t ^ ctx.modulus if t >> n else t)
-    tr = ctx.trace_bits[powers].astype(np.int64)
-    bits = np.arange(n)
-    idx = np.arange(ctx.order, dtype=np.int64)
-    psi = np.zeros(ctx.order, dtype=np.int64)
-    for i in range(n):
-        mask = int((tr[i : i + n] << bits).sum())
-        psi |= (np.bitwise_count(idx & mask) & 1).astype(np.int64) << i
-    return psi
+
+    def build() -> np.ndarray:
+        n = ctx.n
+        powers = [1]  # x^t for t <= 2n - 2, reduced by the modulus
+        for _ in range(2 * n - 2):
+            t = powers[-1] << 1
+            powers.append(t ^ ctx.modulus if t >> n else t)
+        tr = ctx.trace_bits[powers].astype(np.int64)
+        bits = np.arange(n)
+        idx = np.arange(ctx.order, dtype=np.int64)
+        psi = np.zeros(ctx.order, dtype=np.int64)
+        for i in range(n):
+            mask = int((tr[i : i + n] << bits).sum())
+            psi |= (np.bitwise_count(idx & mask) & 1).astype(np.int64) << i
+        return psi
+
+    return ctx.memo("psi", build)
 
 
 def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -258,7 +280,8 @@ def _orbit_walsh(
     ctx = f.ctx
     q1 = ctx.order - 1
     log = ctx.log
-    sgn = 1 - 2 * ctx.trace_bits[ctx.exp].astype(np.int64)  # (-1)^Tr(gamma^t)
+    # (-1)^Tr(gamma^t)
+    sgn = ctx.memo("trace_signs", lambda: 1 - 2 * ctx.trace_bits[ctx.exp].astype(np.int64))
     logc = np.arange(q1)
     elogc = e * logc % q1  # v = gamma^(j + elogc), u = gamma^(log w + logc)
     walsh = np.full(q1, wp_jw, dtype=np.int64)
@@ -283,6 +306,10 @@ def _structured_walsh(f: LutFunction) -> int | None:
     exactly over all c, largest |wp| first, until none left can win.
     The kernel is refused (None) when it would transform or evaluate as
     many rows as the exhaustive scan: g + (orbits kept) |D| >= 2^n - 1.
+    The transforms depend on e alone: the context's memo keeps the
+    orbits any f over the field could keep, in descending order of |wp|,
+    so the guard counts them with one binary search and each context
+    pays for the transforms of an exponent once, kernel refused or not.
     """
     power = _power_off_subfield(f)
     if power is None:
@@ -293,25 +320,33 @@ def _structured_walsh(f: LutFunction) -> int | None:
     g = math.gcd(e, q1)
     if g >= q1:
         return None
-    wp = _walsh_rows(ctx, p, ctx.exp[:g]).ravel()
-    mag = np.abs(wp)
-    top = int(mag.max())
+
+    def candidates() -> tuple:
+        # |D| <= 2^k, so no f over this field keeps an orbit below
+        # max |wp| - 4 * 2^k
+        wp = _walsh_rows(ctx, p, ctx.exp[:g]).ravel()
+        mag = np.abs(wp)
+        keep = np.flatnonzero(mag >= mag.max() - 4 * len(ctx.subfield_elems))
+        order = keep[np.argsort(-mag[keep], kind="stable")]
+        return order, wp[order], -mag[order]
+
+    orbits, wp, neg_mag = ctx.memo("walsh_orbits", candidates, e)
+    top = -int(neg_mag[0])
     sub = np.flatnonzero(ctx.subfield_mask)
     d = sub[f.table[sub] != p[sub]]
     if not len(d):
         return top
     cmax = 2 * len(d)
-    orbits = np.flatnonzero(mag >= top - 2 * cmax)
-    if g + len(orbits) * len(d) >= q1:
+    kept = int(np.searchsorted(neg_mag, 2 * cmax - top, side="right"))
+    if g + kept * len(d) >= q1:
         return None
-    orbits = orbits[np.argsort(-mag[orbits], kind="stable")]
 
     best = 0
-    for t in orbits:
-        if mag[t] + cmax <= best:
+    for i in range(kept):
+        if cmax - int(neg_mag[i]) <= best:
             break
-        j, w = divmod(int(t), ctx.order)
-        best = max(best, int(np.abs(_orbit_walsh(f, e, d, j, w, int(wp[t]))).max()))
+        j, w = divmod(int(orbits[i]), ctx.order)
+        best = max(best, int(np.abs(_orbit_walsh(f, e, d, j, w, int(wp[i]))).max()))
     return best
 
 

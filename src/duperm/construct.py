@@ -194,12 +194,28 @@ def build_g(
     return LutFunction(ctx, table)
 
 
-def closed_form_eval(ctx: gf2n.FieldCtx, k: int, g: LutFunction, x: int) -> int:
-    """f(x) = g(x) + (g(x) + x^d)(x + x^(2^k))^(2^n - 1), evaluated directly."""
-    d = dobbertin_exponent(k)
-    indicator = gf2n.pow(ctx, x ^ gf2n.frobenius(ctx, x, k), ctx.order - 1)
-    gap = int(g.table[x]) ^ gf2n.pow(ctx, x, d)
-    return int(g.table[x]) ^ gf2n.mul(ctx, gap, indicator)
+def closed_form_eval(ctx: gf2n.FieldCtx, k: int, g: LutFunction, x):
+    """f(x) = g(x) + (g(x) + x^d)(x + x^(2^k))^(2^n - 1), evaluated directly.
+
+    x is one element or an integer array of them; the result has the same
+    form.  x^d and the indicator are computed here from the exp/log
+    tables, not read from vec_pow_all, so build_f's check compares two
+    independent paths.
+    """
+    exp, log = ctx.exp, ctx.log
+    q1 = ctx.order - 1
+
+    def power(a, e):  # a^e elementwise for e > 0
+        return np.where(a != 0, exp[log[a] * e % q1], 0)
+
+    def mul(a, b):
+        return np.where((a != 0) & (b != 0), exp[(log[a] + log[b]) % q1], 0)
+
+    x = np.asarray(x, dtype=np.int64)
+    indicator = power(x ^ power(x, 1 << k), q1)
+    gx = g.table[x]
+    out = gx ^ mul(gx ^ power(x, dobbertin_exponent(k)), indicator)
+    return int(out) if out.ndim == 0 else out
 
 
 def build_f(ctx: gf2n.FieldCtx, k: int, g: LutFunction) -> LutFunction:
@@ -213,10 +229,10 @@ def build_f(ctx: gf2n.FieldCtx, k: int, g: LutFunction) -> LutFunction:
     d = dobbertin_exponent(k)
     table = np.where(ctx.subfield_mask, g.table, gf2n.vec_pow_all(ctx, d))
     rng = random.Random(0x5B0C)
-    for _ in range(64):
-        x = rng.randrange(ctx.order)
-        if int(table[x]) != closed_form_eval(ctx, k, g, x):
-            raise RuntimeError(f"piecewise and closed-form paths disagree at {x}")
+    xs = np.array([rng.randrange(ctx.order) for _ in range(64)], dtype=np.int64)
+    bad = xs[table[xs] != closed_form_eval(ctx, k, g, xs)]
+    if len(bad):
+        raise RuntimeError(f"piecewise and closed-form paths disagree at {bad[0]}")
     return LutFunction(ctx, table)
 
 

@@ -7,10 +7,15 @@ identities, and every element doubles as its own lookup-table index.
 
 A FieldCtx bundles the irreducible modulus, a verified multiplicative
 generator, discrete log / antilog tables, the absolute-trace table and
-the subfield membership mask.  Contexts are immutable after
-construction and every function here is pure.  Each table is held
-once, as a numpy array; the scalar operations index it with .item, so
-they return Python ints.
+the subfield membership mask.  Contexts and their tables are immutable
+after construction and every function here is pure.  Each table is
+held once, as a numpy array; the scalar operations index it with
+.item, so they return Python ints.
+
+Each context also carries a memo (FieldCtx.memo) of read-only tables
+derived from the field and at most one power map x^e; vec_pow_all and
+the analyzer's kernels keep their tables there.  It is a cache that
+never changes a result.
 
 The subfield is found without Frobenius passes over the field:
 GF(2^k)* is the unique subgroup of order 2^k - 1 of the cyclic group
@@ -172,6 +177,8 @@ class FieldCtx:
     holds the absolute trace of every element; subfield_mask flags the
     2^k elements of GF(2^k) and subfield_elems lists them in order.
     log[0] is a sentinel 0 and must never be read for the zero element.
+    The tables are never written after mk_field returns; _memo holds
+    the entries of memo, a cache that never changes a result.
     """
 
     n: int
@@ -185,10 +192,34 @@ class FieldCtx:
     subfield_mask: np.ndarray = field(repr=False)
     subfield_elems: tuple = field(repr=False)
     _coset_basis: tuple = field(repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
         return 1 << self.n
+
+    def memo(self, key: str, build, e: int | None = None):
+        """build(), computed once per context and stored read-only under key.
+
+        Every entry is a function of the field alone (e None) or of the
+        field and the power map x^e, so the memo changes when a result is
+        computed, never the result.  It keeps one exponent: an entry for
+        an exponent other than the stored one first drops every entry of
+        the old exponent.  So it holds a fixed set of tables however many
+        instances or exponents pass through the context, and it is freed
+        with the context.  build returns an array or a tuple of arrays.
+        """
+        memo = self._memo
+        if e is not None:
+            if memo.get("e") != e:
+                memo["e"], memo["power"] = e, {}
+            memo = memo["power"]
+        if key not in memo:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            memo[key] = value
+        return memo[key]
 
 
 def _rref_basis(vectors: list[int]) -> tuple:
@@ -329,11 +360,13 @@ def frobenius(ctx: FieldCtx, a: int, j: int) -> int:
     return exp.item((ctx.log.item(a) << j) % len(exp))
 
 
-def subfield_coset_rep(ctx: FieldCtx, a: int) -> int:
-    """Canonical representative of the additive coset a + GF(2^k)."""
+def subfield_coset_rep(ctx: FieldCtx, a):
+    """Canonical representative of the additive coset a + GF(2^k).
+
+    a is one element or an integer array of them, reduced elementwise.
+    """
     for pivot, vec in ctx._coset_basis:
-        if (a >> pivot) & 1:
-            a ^= vec
+        a = a ^ ((a >> pivot) & 1) * vec
     return a
 
 
@@ -342,13 +375,21 @@ def subfield_coset_rep(ctx: FieldCtx, a: int) -> int:
 # ---------------------------------------------------------------------------
 
 def vec_pow_all(ctx: FieldCtx, e: int) -> np.ndarray:
-    """Table of i^e for every field element i (0^0 = 1, else 0^e = 0)."""
+    """Table of i^e for every field element i (0^0 = 1, else 0^e = 0).
+
+    The table is read-only and kept in ctx's memo, so repeated calls with
+    one exponent build it once.
+    """
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    q = ctx.order
-    if e == 0:
-        return np.ones(q, dtype=np.int64)
-    q1 = q - 1
-    out = np.zeros(q, dtype=np.int64)
-    out[1:] = ctx.exp[(ctx.log[1:] * (e % q1)) % q1]
-    return out
+
+    def build() -> np.ndarray:
+        q = ctx.order
+        if e == 0:
+            return np.ones(q, dtype=np.int64)
+        q1 = q - 1
+        out = np.zeros(q, dtype=np.int64)
+        out[1:] = ctx.exp[(ctx.log[1:] * (e % q1)) % q1]
+        return out
+
+    return ctx.memo("pow", build, e)

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -432,6 +434,27 @@ def test_structured_walsh_pinned_n15(f15, m, l1):
     assert walsh_max_abs(f) == N15_WALSH[m, l1]
 
 
+# kernel of walsh_max_abs on the acceptance instances (L2 = x): max |W_f|
+# from the structured kernel, or None where its cost guard declines
+ACCEPTANCE_WALSH_KERNEL = {
+    (1, 1, "x+1"): None,
+    (1, 1, "x"): 12,
+    (2, 2, "x+1"): 84,
+    (2, 2, "x+b"): 88,
+    (2, 2, "b*x+b"): 84,
+    (2, 2, "b^2*x^2+b"): 82,
+    (2, 2, "b^2*x^2"): 86,
+    (2, 1, "x+b"): 86,
+    (2, 1, "b*x^2+b"): 86,
+}
+
+
+def test_structured_walsh_kernel_choice_pinned(f5, f10):
+    for (k, m, l1), want in ACCEPTANCE_WALSH_KERNEL.items():
+        f = instance(f5 if k == 1 else f10, m, l1)
+        assert _structured_walsh(f) == want, (k, m, l1)
+
+
 # ---------------------------------------------------------------------------
 # algebraic degree
 # ---------------------------------------------------------------------------
@@ -514,3 +537,72 @@ def test_analyze_without_walsh(f5):
     rep = analyze(power_function(f5, 29), k=1, walsh=False)
     assert rep.nl is None and rep.walsh_max_abs is None
     assert json.loads(rep.to_json())["nl"] is None
+
+
+# ---------------------------------------------------------------------------
+# per-context memo
+# ---------------------------------------------------------------------------
+
+def _sweep_forms():
+    """Every affine form c*x^(2^i) + e of GF(4) with c nonzero, as perfbench draws them."""
+    coeffs = ("1", "b", "b^2")
+    terms = [("" if c == "1" else c + "*") + ("x" if i == 0 else "x^2")
+             for c in coeffs for i in (0, 1)]
+    return terms + [f"{t}+{c}" for t in terms for c in coeffs]
+
+
+SWEEP_INSTANCES = [
+    (m, l1, _sweep_forms()[(5 * i + m) % 24])
+    for m in (1, 2, 3)
+    for i, l1 in enumerate(_sweep_forms())
+]
+
+
+def _report(ctx, inst):
+    m, l1, l2 = inst
+    return analyze(instance(ctx, m, l1, l2), k=2).to_json()
+
+
+def test_memo_never_changes_a_report():
+    # cold: a fresh context per instance; warm: one context in order, then in
+    # reverse, with the plain power map x^7 in between so that the memo's
+    # exponent is replaced before every instance
+    cold = {inst: _report(gf2n.mk_field(2), inst) for inst in SWEEP_INSTANCES}
+    ctx = gf2n.mk_field(2)
+    x7 = analyze(power_function(ctx, 7), k=2).to_json()
+    for order in (SWEEP_INSTANCES, SWEEP_INSTANCES[::-1]):
+        warm = {}
+        for inst in order:
+            warm[inst] = _report(ctx, inst)
+            assert analyze(power_function(ctx, 7), k=2).to_json() == x7
+            assert ctx._memo["e"] == 7
+        assert warm == cold
+
+
+def _memo_arrays(ctx):
+    entries = [v for key, v in ctx._memo.items() if key not in ("e", "power")]
+    entries += ctx._memo["power"].values()
+    return [a for v in entries for a in (v if isinstance(v, tuple) else (v,))]
+
+
+def test_memo_arrays_are_read_only():
+    ctx = gf2n.mk_field(2)
+    f = instance(ctx, 2, "x+b")
+    analyze(f, k=2)
+    arrays = _memo_arrays(ctx)
+    assert len(arrays) >= 7  # x^d, DDT row 1 and its histogram, psi, signs, orbits
+    assert any(a is gf2n.vec_pow_all(ctx, dobbertin_exponent(2)) for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+def test_memo_lives_and_dies_with_its_context():
+    ctx = gf2n.mk_field(1)
+    f = instance(ctx, 1, "x+1")
+    analyze(f, k=1)
+    assert ctx._memo
+    ref = weakref.ref(ctx)
+    del ctx, f
+    gc.collect()
+    assert ref() is None

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -199,6 +200,29 @@ def test_build_f_closed_form_agrees_exhaustively(f5, f10):
     f10_fun = build_f(f10, 2, g10)
     for x in range(f10.order):
         assert int(f10_fun.table[x]) == closed_form_eval(f10, 2, g10, x)
+    # the array form, as build_f calls it, and the int form agree
+    assert type(closed_form_eval(f10, 2, g10, 5)) is int
+    assert np.array_equal(closed_form_eval(f10, 2, g10, np.arange(f10.order)), f10_fun.table)
+
+
+def test_build_f_closed_form_catches_a_wrong_power_table(f10, monkeypatch):
+    # build_f samples 64 points with random.Random(0x5B0C); corrupt x^d at the
+    # first one outside GF(4) and the closed form, which computes x^d itself,
+    # must name that point
+    rng = random.Random(0x5B0C)
+    x = next(x for x in (rng.randrange(f10.order) for _ in range(64))
+             if not f10.subfield_mask[x])
+    original = gf2n.vec_pow_all
+
+    def corrupted(ctx, e):
+        table = original(ctx, e).copy()
+        table[x] ^= 1
+        return table
+
+    monkeypatch.setattr(gf2n, "vec_pow_all", corrupted)
+    g = build_g(f10, 2, 2, parse_affine_expr(f10, "x+b"), parse_affine_expr(f10, "x"))
+    with pytest.raises(RuntimeError, match=rf"disagree at {x}$"):
+        build_f(f10, 2, g)
 
 
 def test_build_f_identity_g_gives_power_map(f5):

@@ -3,6 +3,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from duperm import gf2n
@@ -329,8 +330,10 @@ def test_coset_representatives(f10):
         r = gf2n.subfield_coset_rep(f10, a)
         for s in sub:
             assert gf2n.subfield_coset_rep(f10, a ^ s) == r
-    reps = {gf2n.subfield_coset_rep(f10, a) for a in range(f10.order)}
-    assert len(reps) == f10.order >> f10.k
+    reps = [gf2n.subfield_coset_rep(f10, a) for a in range(f10.order)]
+    assert len(set(reps)) == f10.order >> f10.k
+    # an array is reduced elementwise, to the same representatives
+    assert np.array_equal(gf2n.subfield_coset_rep(f10, np.arange(f10.order)), reps)
 
 
 # ---------------------------------------------------------------------------
