@@ -3,8 +3,9 @@
 * differential spectrum: when the table equals a power map x^e outside
   the subfield GF(2^k), as every constructed f does, one DDT row of x^e
   gives every row (power maps are homogeneous) and only the pairs
-  through GF(2^k) are counted again, O(2^n 2^k) work in all.  Any
-  other table gets the exhaustive scan, omega_counts: one
+  through the points D of GF(2^k) where f and x^e differ are counted
+  again, O(2^n |D|) work; for x^e itself, one pass over empty blocks.
+  Any other table gets the exhaustive scan, omega_counts: one
   difference-distribution row per nonzero a (2^n counters live at a
   time, never the full 2^n x 2^n matrix), with the per-row histograms
   aggregated into the omega_i counts.  The scan is also the oracle the
@@ -56,7 +57,6 @@ from . import gf2n
 from .construct import LutFunction
 
 __all__ = [
-    "DdtRow",
     "DiffSpectrum",
     "WalshSpectrum",
     "CriteriaReport",
@@ -78,14 +78,6 @@ _V_BLOCK = 256
 _A_BLOCK = 512
 
 
-@dataclass(frozen=True, eq=False)
-class DdtRow:
-    """Difference-distribution counts for one nonzero input difference."""
-
-    a: int
-    counts: np.ndarray = field(repr=False)
-
-
 @dataclass(frozen=True)
 class DiffSpectrum:
     """omega_i counts and their maximum; kernel names the scan that produced them."""
@@ -101,14 +93,13 @@ class WalshSpectrum:
     table: np.ndarray = field(repr=False, default=None)
 
 
-def ddt_row(f: LutFunction, a: int) -> DdtRow:
+def ddt_row(f: LutFunction, a: int) -> np.ndarray:
     """counts[b] = #{x : f(x + a) + f(x) = b}."""
     if a == 0:
         raise ValueError("input difference a must be nonzero")
     q = f.ctx.order
     tab = f.table
-    row = np.bincount(tab[np.arange(q) ^ a] ^ tab, minlength=q)
-    return DdtRow(a, row)
+    return np.bincount(tab[np.arange(q) ^ a] ^ tab, minlength=q)
 
 
 def omega_counts(table: np.ndarray) -> np.ndarray:
@@ -127,12 +118,14 @@ def omega_counts(table: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray] | None:
-    """(e, table of x^e) when f equals the power map x^e outside GF(2^k), else None.
+def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(e, table of x^e, D) when f equals the power map x^e outside GF(2^k), else None.
 
-    The generator lies outside GF(2^k), so e = log f(generator); e = 0 is
-    taken as 2^n - 1 so that x^e maps 0 to 0.  One O(2^n) comparison then
-    confirms or refutes the guess.
+    D lists, in ascending order, the points of GF(2^k) where f and x^e
+    differ; both structured kernels correct over D alone.  The generator
+    lies outside GF(2^k), so e = log f(generator); e = 0 is taken as
+    2^n - 1 so that x^e maps 0 to 0.  One O(2^n) comparison then confirms
+    or refutes the guess.
     """
     ctx = f.ctx
     tab = f.table
@@ -141,9 +134,10 @@ def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray] | None:
         return None
     e = int(ctx.log[v]) or ctx.order - 1
     p = gf2n.vec_pow_all(ctx, e)
-    if not np.all((tab == p) | ctx.subfield_mask):
+    d = np.flatnonzero(tab != p)
+    if not ctx.subfield_mask[d].all():
         return None
-    return e, p
+    return e, p, d
 
 
 def _structured_omega(f: LutFunction) -> np.ndarray | None:
@@ -151,17 +145,18 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
 
     For P = x^e every DDT row is a relabelled copy of row 1:
     delta_P(a, b) = delta_P(1, b a^(-e)).  Row a of f differs from row a
-    of P only through the pairs {s, s + a} with s in S = GF(2^k), so the
-    histogram of row 1 times (2^n - 1) is corrected by moving one counter
-    per (a, b) those pairs touch.  Row 1 and its histogram depend on e
-    alone and are kept in the context's memo.  Rows are taken in blocks
-    of _A_BLOCK so the correction arrays stay small; their O(2^(n+k))
-    entries are never memoised.
+    of P only through the pairs {s, s + a} with s in D, the points where
+    f and P differ, so the histogram of row 1 times (2^n - 1) is
+    corrected by moving one counter per (a, b) those pairs touch.  Row 1
+    and its histogram depend on e alone and are kept in the context's
+    memo.  Rows are taken in blocks of _A_BLOCK so the correction arrays
+    stay small, O(_A_BLOCK |D|); for a plain power map (D empty) the
+    correction is one pass over empty blocks.
     """
     power = _power_off_subfield(f)
     if power is None:
         return None
-    e, p = power
+    e, p, d = power
     ctx = f.ctx
     q = ctx.order
     q1 = q - 1
@@ -174,19 +169,19 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
 
     row1, omega_p = ctx.memo("ddt_row1", ddt_row1, e)
     omega = omega_p.copy()
-    sub = np.array(ctx.subfield_elems, dtype=np.int64)
+    in_d = np.zeros(q, dtype=bool)
+    in_d[d] = True
     for lo in range(1, q, _A_BLOCK):
         a = np.arange(lo, min(lo + _A_BLOCK, q), dtype=np.int64)[:, None]
-        x = sub ^ a
-        before = ((a << ctx.n) | (p[sub] ^ p[x])).ravel()
-        after = ((a << ctx.n) | (tab[sub] ^ tab[x])).ravel()
+        x = d ^ a
+        # a pair {s, s + a} stands for its two inputs; one with both ends
+        # in D is listed from each end, and each listing counts once
+        w = np.where(in_d[x], 1, 2).ravel()
+        before = ((a << ctx.n) | (p[d] ^ p[x])).ravel()
+        after = ((a << ctx.n) | (tab[d] ^ tab[x])).ravel()
         keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
-        net = np.bincount(inv[len(before):], minlength=len(keys))
-        net -= np.bincount(inv[: len(before)], minlength=len(keys))
+        net = np.bincount(inv, np.concatenate([-w, w]), minlength=len(keys)).astype(np.int64)
         ra, b = keys >> ctx.n, keys & q1
-        # a pair {s, s + a} stands for its two inputs, unless a lies in S:
-        # then s and s + a both run over S and each input is listed once
-        net *= np.where(ctx.subfield_mask[ra], 1, 2)
         old = row1[np.where(b, ctx.exp[(ctx.log[b] - e * ctx.log[ra]) % q1], 0)]
         np.add.at(omega, old, -1)
         np.add.at(omega, old + net, 1)
@@ -225,17 +220,6 @@ def _fwht_lastaxis(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sign_block(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Sign matrix (-1)^Tr(v f(x)) for a block of components v."""
-    q = ctx.order
-    q1 = q - 1
-    logs_f = ctx.log[tab]
-    prod = np.zeros((len(vs), q), dtype=np.int64)
-    nz = tab != 0
-    prod[:, nz] = ctx.exp[(logs_f[nz][None, :] + ctx.log[vs][:, None]) % q1]
-    return 1 - 2 * ctx.trace_bits[prod].astype(np.int32)
-
-
 def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
     """Bit-linear reindexing with Tr(u x) = <psi(u), x> in the standard basis.
 
@@ -263,11 +247,20 @@ def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
     return ctx.memo("psi", build)
 
 
-def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """W[i, u] = sum_x (-1)^(Tr(u x) + Tr(vs[i] tab[x])), u in field coordinates."""
-    block = _sign_block(ctx, tab, vs)
-    _fwht_lastaxis(block)
-    return block[:, _psi_table(ctx)]
+def _walsh_blocks(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray):
+    """Transforms of the signs (-1)^Tr(v tab[x]), v in vs, _V_BLOCK rows at a time.
+
+    Row i of a block is sum_x (-1)^(Tr(vs[i] tab[x]) + <t, x>) over t; the
+    definition's u sits at t = psi(u), so block[:, _psi_table(ctx)] is in
+    field coordinates.  A scan holds a block or two, never all its rows.
+    """
+    nz = tab != 0
+    logs_f = ctx.log[tab[nz]]
+    for lo in range(0, len(vs), _V_BLOCK):
+        v = vs[lo : lo + _V_BLOCK]
+        prod = np.zeros((len(v), ctx.order), dtype=np.int64)
+        prod[:, nz] = ctx.exp[(logs_f + ctx.log[v][:, None]) % (ctx.order - 1)]
+        yield _fwht_lastaxis(1 - 2 * ctx.trace_bits[prod].astype(np.int32))
 
 
 def _orbit_walsh(
@@ -303,9 +296,10 @@ def _structured_walsh(f: LutFunction) -> int | None:
     W_f = wp[j, w] + C, where C sums over the points D of S at which f
     and P differ, so |C| <= 2 |D|.  A maximising pair must lie on an
     orbit with |wp| >= max |wp| - 4 |D|; those orbits are evaluated
-    exactly over all c, largest |wp| first, until none left can win.
-    The kernel is refused (None) when it would transform or evaluate as
-    many rows as the exhaustive scan: g + (orbits kept) |D| >= 2^n - 1.
+    exactly over all c, largest |wp| first, until none left can win (with
+    D empty, after the first).  The kernel is refused (None) when it
+    would transform or evaluate as many rows as the exhaustive scan:
+    g + (orbits kept) |D| >= 2^n - 1.
     The transforms depend on e alone: the context's memo keeps the
     orbits any f over the field could keep, in descending order of |wp|,
     so the guard counts them with one binary search and each context
@@ -314,7 +308,7 @@ def _structured_walsh(f: LutFunction) -> int | None:
     power = _power_off_subfield(f)
     if power is None:
         return None
-    e, p = power
+    e, p, d = power
     ctx = f.ctx
     q1 = ctx.order - 1
     g = math.gcd(e, q1)
@@ -323,19 +317,26 @@ def _structured_walsh(f: LutFunction) -> int | None:
 
     def candidates() -> tuple:
         # |D| <= 2^k, so no f over this field keeps an orbit below
-        # max |wp| - 4 * 2^k
-        wp = _walsh_rows(ctx, p, ctx.exp[:g]).ravel()
+        # max |wp| - 4 * 2^k; each block is filtered against the running
+        # maximum, and what it kept against the final one
+        psi = _psi_table(ctx)
+        slack = 4 << ctx.k
+        top, lo, found = 0, 0, []
+        for block in _walsh_blocks(ctx, p, ctx.exp[:g]):
+            wp = block[:, psi].ravel()
+            mag = np.abs(wp)
+            top = max(top, int(mag.max()))
+            keep = np.flatnonzero(mag >= top - slack)
+            found.append((keep + lo * ctx.order, wp[keep]))
+            lo += len(block)
+        flat, wp = (np.concatenate(c) for c in zip(*found))
         mag = np.abs(wp)
-        keep = np.flatnonzero(mag >= mag.max() - 4 * len(ctx.subfield_elems))
+        keep = np.flatnonzero(mag >= top - slack)
         order = keep[np.argsort(-mag[keep], kind="stable")]
-        return order, wp[order], -mag[order]
+        return flat[order], wp[order], -mag[order]
 
     orbits, wp, neg_mag = ctx.memo("walsh_orbits", candidates, e)
     top = -int(neg_mag[0])
-    sub = np.flatnonzero(ctx.subfield_mask)
-    d = sub[f.table[sub] != p[sub]]
-    if not len(d):
-        return top
     cmax = 2 * len(d)
     kept = int(np.searchsorted(neg_mag, 2 * cmax - top, side="right"))
     if g + kept * len(d) >= q1:
@@ -361,12 +362,8 @@ def walsh_max_abs(f: LutFunction) -> int:
     if best is not None:
         return best
     ctx = f.ctx
-    best = 0
-    for lo in range(1, ctx.order, _V_BLOCK):
-        block = _sign_block(ctx, f.table, np.arange(lo, min(lo + _V_BLOCK, ctx.order)))
-        _fwht_lastaxis(block)
-        best = max(best, int(np.abs(block).max()))
-    return best
+    blocks = _walsh_blocks(ctx, f.table, np.arange(1, ctx.order))
+    return max(int(np.abs(block).max()) for block in blocks)
 
 
 def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
@@ -376,14 +373,16 @@ def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
     refused above n = 12; use walsh_max_abs / nonlinearity for the
     large fields.  It stays in the package as the tests' reference for
     both paths of walsh_max_abs, the structured kernel and the
-    exhaustive scan, and it shares _walsh_rows with the kernel.
+    exhaustive scan, and it shares _walsh_blocks with both.
     """
     ctx = f.ctx
     if ctx.n > _WALSH_TABLE_MAX_N:
         raise ValueError(
             f"full Walsh table refused for n = {ctx.n} > {_WALSH_TABLE_MAX_N}"
         )
-    table = _walsh_rows(ctx, f.table, np.arange(1, ctx.order))
+    psi = _psi_table(ctx)
+    blocks = _walsh_blocks(ctx, f.table, np.arange(1, ctx.order))
+    table = np.concatenate([block[:, psi] for block in blocks])
     return WalshSpectrum(int(np.abs(table).max()), table)
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duperm import gf2n
+from duperm import analyzer, gf2n
 from duperm.analyzer import (
     DiffSpectrum,
     algebraic_degree,
@@ -19,12 +20,15 @@ from duperm.analyzer import (
     is_permutation,
     nl_lower_bound,
     nonlinearity,
+    omega_counts,
     walsh_max_abs,
     walsh_spectrum,
     _orbit_walsh,
+    _power_off_subfield,
     _psi_table,
+    _structured_omega,
     _structured_walsh,
-    _walsh_rows,
+    _walsh_blocks,
 )
 from duperm.construct import (
     LutFunction,
@@ -57,6 +61,11 @@ def naive_spectrum(f):
         for b in range(q):
             omega[counts[b]] = omega.get(counts[b], 0) + 1
     return omega
+
+
+def walsh_rows(ctx, tab, vs):
+    """Rows W[i, u] = W(u, vs[i]) of tab, u in field coordinates."""
+    return np.concatenate([b[:, _psi_table(ctx)] for b in _walsh_blocks(ctx, tab, vs)])
 
 
 def naive_walsh(f, u, v):
@@ -101,8 +110,8 @@ def test_ddt_row_identity(f5):
     f = power_function(f5, 1)
     for a in (1, 7, 31):
         row = ddt_row(f, a)
-        assert row.counts[a] == 32
-        assert row.counts.sum() == 32
+        assert row[a] == 32
+        assert row.sum() == 32
 
 
 def test_ddt_row_zero_rejected(f5):
@@ -114,7 +123,7 @@ def test_ddt_rows_even_and_sum(f10):
     f = power_function(f10, 339)
     rng = random.Random(1)
     for a in [rng.randrange(1, 1024) for _ in range(64)]:
-        row = ddt_row(f, a).counts
+        row = ddt_row(f, a)
         assert row.sum() == 1024
         assert not (row % 2).any()
 
@@ -122,7 +131,7 @@ def test_ddt_rows_even_and_sum(f10):
 def test_ddt_row_matches_naive_exhaustive_n5(f5):
     f = instance(f5, 1, "x+1")
     for a in range(1, 32):
-        assert ddt_row(f, a).counts.tolist() == naive_ddt_counts(f, a)
+        assert ddt_row(f, a).tolist() == naive_ddt_counts(f, a)
 
 
 def test_spectrum_matches_naive_n5(f5):
@@ -171,7 +180,7 @@ def ddt_row_spectrum(f):
     q = f.ctx.order
     omega = np.zeros(q + 1, dtype=np.int64)
     for a in range(1, q):
-        omega += np.bincount(ddt_row(f, a).counts, minlength=q + 1)
+        omega += np.bincount(ddt_row(f, a), minlength=q + 1)
     delta = int(np.nonzero(omega[1:])[0].max()) + 1
     return DiffSpectrum({i: int(omega[i]) for i in range(0, delta + 1, 2)}, delta)
 
@@ -213,6 +222,34 @@ def test_power_map_with_one_entry_changed_falls_back(f10):
         ds = differential_spectrum(f)
         assert ds.kernel == "exhaustive"
         assert ds == ddt_row_spectrum(f)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    ke=st.sampled_from(
+        [(1, e) for e in (29, 1, 3, 5, 7, 11, 15, 31)]
+        + [(2, e) for e in (339, 1, 3, 7, 11, 31, 33, 93, 341, 1021, 1023)]
+    ),
+    seed=st.integers(0, 2**32),
+    size=st.integers(0, 4),
+    anywhere=st.booleans(),
+)
+def test_structured_spectrum_arbitrary_subfield_values(f5, f10, ke, seed, size, anywhere):
+    # x^e off GF(2^k) and any values on a set D of |D| = 0 .. 2^k points of
+    # it, drawn from inside GF(2^k) or from anywhere in the field
+    k, e = ke
+    ctx = f5 if k == 1 else f10
+    rng = np.random.default_rng(seed)
+    table = power_function(ctx, e).table.copy()
+    sub = np.flatnonzero(ctx.subfield_mask)
+    d = np.sort(rng.choice(sub, min(size, len(sub)), replace=False))
+    pool = np.arange(ctx.order) if anywhere else sub
+    for s in d:
+        table[s] = rng.choice(pool[pool != table[s]])
+    f = LutFunction(ctx, table)
+    assert _power_off_subfield(f)[2].tolist() == d.tolist()
+    assert differential_spectrum(f).kernel == "structured"
+    assert np.array_equal(_structured_omega(f), omega_counts(table))
 
 
 # Full n = 15 spectra, captured once from the row-by-row exhaustive scan.
@@ -334,7 +371,7 @@ def test_power_walsh_scaling_identity(f10, e):
     g = np.gcd(e, 1023)
     p = power_function(f10, e)
     table = walsh_spectrum(p).table
-    rows = _walsh_rows(f10, p.table, f10.exp[:g])
+    rows = walsh_rows(f10, p.table, f10.exp[:g])
     assert np.array_equal(rows, table[f10.exp[:g] - 1])
     for c in (2, 77, 1000):
         wc = [gf2n.mul(f10, w, c) for w in range(1024)]
@@ -353,7 +390,7 @@ def test_orbit_walsh_matches_table(f10):
     table[sub] = (5, 0, 1000, p[sub[3]])
     f = LutFunction(f10, table)
     d = sub[:3]
-    rows = _walsh_rows(f10, p, f10.exp[:3])
+    rows = walsh_rows(f10, p, f10.exp[:3])
     full = walsh_spectrum(f).table
     logc = np.arange(1023)
     for j in range(3):
@@ -382,11 +419,33 @@ def test_structured_walsh_arbitrary_subfield_values(f10, e, seed, anywhere):
     assert _structured_walsh(f) == walsh_spectrum(f).max_abs
 
 
-@pytest.mark.parametrize("e", [5, 3, 11, 31, 33, 93, 341])
+# one exponent per gcd(e, 1023) in {1, 3, 11, 31, 33, 93, 341}
+PLAIN_POWERS = [5, 3, 11, 31, 33, 93, 341]
+
+
+@pytest.mark.parametrize("e", PLAIN_POWERS)
 def test_structured_walsh_plain_powers(f10, e):
-    # one exponent per gcd(e, 1023) in {1, 3, 11, 31, 33, 93, 341}
     f = power_function(f10, e)
     assert _structured_walsh(f) == walsh_spectrum(f).max_abs
+
+
+def test_structured_walsh_streams_small_blocks(monkeypatch):
+    # the candidate orbits are kept against a running maximum, 16 components
+    # at a time, so the g = 341 transforms of x^341 are never all live
+    monkeypatch.setattr(analyzer, "_V_BLOCK", 16)
+    ctx = gf2n.mk_field(2)
+    for e in PLAIN_POWERS:
+        f = power_function(ctx, e)
+        oracle = walsh_spectrum(f).max_abs
+        tracemalloc.start()
+        try:
+            got = _structured_walsh(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == oracle, e
+        if e == 341:
+            assert peak < 341 * 1024 * 8
 
 
 def _with_subfield_changed(ctx, e):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duperm
 from duperm import gf2n
@@ -92,6 +94,18 @@ def test_usage_errors():
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(text=st.text(alphabet="xb^+*0123456789 -", max_size=16))
+def test_analyze_l1_fuzz(text):
+    # a bad --l1 is a usage error (exit 2), never a traceback
+    try:
+        code, _, err = run_cli(["analyze", "--k", "1", "--l1", text])
+    except SystemExit as exc:  # argparse refuses a value that looks like an option
+        code, err = exc.code, ""
+    assert code in (0, 2)
+    assert "Traceback" not in err
 
 
 def test_inert_workers_spellings_accepted(f5, tmp_path):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duperm import construct, gf2n
 from duperm.construct import (
@@ -125,6 +127,21 @@ def test_parse_affine_expr(f10):
     for bad in ("x^3", "x^4", "q+1", "", "x+"):
         with pytest.raises(ValueError):
             parse_affine_expr(f10, bad)
+
+
+# the characters of the affine-expression grammar, plus space and minus
+AFFINE_ALPHABET = "xb^+*0123456789 -"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.text(alphabet=AFFINE_ALPHABET, max_size=16))
+def test_parse_affine_expr_fuzz(f10, text):
+    # any text parses to an affine permutation or is refused by ValueError
+    try:
+        L = parse_affine_expr(f10, text)
+    except ValueError:
+        return
+    assert isinstance(L, AffinePerm)
 
 
 def test_table_l1_matches_canonical_beta(f10):
