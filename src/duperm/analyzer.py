@@ -75,7 +75,7 @@ __all__ = [
 
 _WALSH_TABLE_MAX_N = 12
 _V_BLOCK = 256
-_A_BLOCK = 512
+_A_LISTINGS = 8192  # pairs {s, s + a} one block of spectrum rows lists at most
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,8 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
     f and P differ, so the histogram of row 1 times (2^n - 1) is
     corrected by moving one counter per (a, b) those pairs touch.  Row 1
     and its histogram depend on e alone and are kept in the context's
-    memo.  Rows are taken in blocks of _A_BLOCK so the correction arrays
-    stay small, O(_A_BLOCK |D|); for a plain power map (D empty) the
-    correction is one pass over empty blocks.
+    memo.  Rows come in blocks of about _A_LISTINGS / |D|, so correction
+    arrays stay near _A_LISTINGS entries; D empty is one block of all rows.
     """
     power = _power_off_subfield(f)
     if power is None:
@@ -171,8 +170,10 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
     omega = omega_p.copy()
     in_d = np.zeros(q, dtype=bool)
     in_d[d] = True
-    for lo in range(1, q, _A_BLOCK):
-        a = np.arange(lo, min(lo + _A_BLOCK, q), dtype=np.int64)[:, None]
+    blocks = max(1, -(-len(d) * q1 // _A_LISTINGS))
+    rows = -(-q1 // blocks)
+    for lo in range(1, q, rows):
+        a = np.arange(lo, min(lo + rows, q), dtype=np.int64)[:, None]
         x = d ^ a
         # a pair {s, s + a} stands for its two inputs; one with both ends
         # in D is listed from each end, and each listing counts once

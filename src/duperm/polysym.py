@@ -1,11 +1,19 @@
 """Sparse multivariate polynomials over GF(2) with resultants and exact division.
 
-A MultiPoly is a set of monomials (exponent tuples) over a fixed tuple
-of variable names; every coefficient is 1, so addition is symmetric
-difference of term sets and the zero polynomial is the empty set.
-The default universe is the six variables used by the elimination
-chain that drives the prover: x > y > z > u > v > b, which is also the
-graded-lexicographic order used for division and printing.
+A MultiPoly is a set of monomials over a fixed tuple of variable names;
+every coefficient is 1, so addition is symmetric difference of term
+sets and the zero polynomial is the empty set.  The default universe is
+the six variables used by the elimination chain that drives the prover:
+x > y > z > u > v > b.
+
+A monomial is one int of one-byte fields, the total degree on top and
+then the exponents in universe order: x^2*y*b is the bytes 4 2 1 0 0 0 1.
+Ints compare by total degree first and then by the exponents in order,
+which is graded-lex order, so sorting needs no key, and a product of
+monomials is an int addition.  The top bit of every byte stays clear: a
+total degree past _MAX_DEGREE raises OverflowError before any field
+could carry into its neighbour, and exact_divide tests divisibility
+with one subtraction against those clear bits.
 
 resultant_wrt eliminates one variable from two MultiPolys: a Sylvester
 determinant with polynomial entries, expanded by memoised cofactors
@@ -28,21 +36,40 @@ __all__ = [
 
 VARS = ("x", "y", "z", "u", "v", "b")
 
+_MAX_DEGREE = 127  # largest total degree: each byte field keeps its top bit clear
+
 
 class ExactDivisionError(ValueError):
     """Division left a nonzero remainder, refuting a factorisation claim."""
+
+
+def _check_degree(total: int) -> None:
+    if total > _MAX_DEGREE:
+        raise OverflowError(f"total degree {total} exceeds {_MAX_DEGREE}")
+
+
+def _pack(exponents: tuple) -> int:
+    if min(exponents, default=0) < 0:
+        raise ValueError(f"negative exponent in {exponents}")
+    _check_degree(sum(exponents))
+    return int.from_bytes(bytes((sum(exponents), *exponents)), "big")
+
+
+def _unpack(m: int, nvars: int) -> bytes:
+    """The exponents of a monomial, one byte each."""
+    return m.to_bytes(nvars + 1, "big")[1:]
 
 
 class MultiPoly:
     __slots__ = ("variables", "terms")
 
     def __init__(self, terms: Iterable[tuple] = (), variables: tuple = VARS):
-        acc: set[tuple] = set()
+        acc: set[int] = set()
         for t in terms:
             t = tuple(t)
             if len(t) != len(variables):
                 raise ValueError("exponent tuple does not match variable universe")
-            acc.symmetric_difference_update({t})
+            acc ^= {_pack(t)}
         self.variables = tuple(variables)
         self.terms = frozenset(acc)
 
@@ -59,9 +86,7 @@ class MultiPoly:
     @classmethod
     def var(cls, name: str, variables: tuple = VARS) -> "MultiPoly":
         i = variables.index(name)
-        e = [0] * len(variables)
-        e[i] = 1
-        return cls((tuple(e),), variables)
+        return cls((tuple(int(j == i) for j in range(len(variables))),), variables)
 
     @classmethod
     def _raw(cls, variables: tuple, terms: frozenset) -> "MultiPoly":
@@ -82,14 +107,12 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        acc: set[tuple] = set()
-        for s in self.terms:
-            for t in other.terms:
-                st = tuple(a + b for a, b in zip(s, t))
-                if st in acc:
-                    acc.remove(st)
-                else:
-                    acc.add(st)
+        acc: set[int] = set()
+        if self.terms and other.terms:
+            top = 8 * len(self.variables)
+            _check_degree((max(self.terms) >> top) + (max(other.terms) >> top))
+            for s in self.terms:
+                acc ^= {s + t for t in other.terms}
         return MultiPoly._raw(self.variables, frozenset(acc))
 
     def __pow__(self, e: int) -> "MultiPoly":
@@ -100,8 +123,9 @@ class MultiPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -119,49 +143,40 @@ class MultiPoly:
 
     # -- structure queries ----------------------------------------------
 
+    def _shift(self, name: str) -> int:  # bit offset of a variable's byte
+        return 8 * (len(self.variables) - 1 - self.variables.index(name))
+
     def degree_in(self, name: str) -> int:
         """Largest exponent of name; -1 for the zero polynomial."""
-        i = self.variables.index(name)
-        return max((t[i] for t in self.terms), default=-1)
+        sh = self._shift(name)
+        return max(((m >> sh) & 255 for m in self.terms), default=-1)
 
     def coefficient(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name^power, as a polynomial with that variable cleared."""
-        i = self.variables.index(name)
-        acc = set()
-        for t in self.terms:
-            if t[i] == power:
-                acc.add(t[:i] + (0,) + t[i + 1 :])
-        return MultiPoly._raw(self.variables, frozenset(acc))
-
-    def used_variables(self) -> tuple:
-        idx = set()
-        for t in self.terms:
-            for i, e in enumerate(t):
-                if e:
-                    idx.add(i)
-        return tuple(self.variables[i] for i in sorted(idx))
+        sh = self._shift(name)
+        drop = (power << sh) + (power << 8 * len(self.variables))
+        terms = frozenset(m - drop for m in self.terms if (m >> sh) & 255 == power)
+        return MultiPoly._raw(self.variables, terms)
 
     def substitute_variables(self, mapping: dict) -> "MultiPoly":
         """Rename variables per mapping (a permutation of the universe)."""
         perm = [self.variables.index(mapping.get(v, v)) for v in self.variables]
-        acc = set()
-        for t in self.terms:
-            new = [0] * len(t)
-            for src, dst in enumerate(perm):
-                new[dst] += t[src]
-            tt = tuple(new)
-            if tt in acc:
-                acc.remove(tt)
-            else:
-                acc.add(tt)
-        return MultiPoly._raw(self.variables, frozenset(acc))
+        out = []
+        for m in self.terms:
+            new = [0] * len(perm)
+            for dst, e in zip(perm, _unpack(m, len(perm))):
+                new[dst] += e
+            out.append(new)
+        return MultiPoly(out, self.variables)
 
     def evaluate(self, assignment: dict, ctx: gf2n.FieldCtx) -> int:
-        missing = [v for v in self.used_variables() if v not in assignment]
+        exps = [_unpack(m, len(self.variables)) for m in self.terms]
+        used = {v for t in exps for v, e in zip(self.variables, t) if e}
+        missing = [v for v in self.variables if v in used and v not in assignment]
         if missing:
             raise ValueError(f"assignment missing variables: {missing}")
         acc = 0
-        for t in self.terms:
+        for t in exps:
             prod = 1
             for name, e in zip(self.variables, t):
                 if e:
@@ -172,23 +187,17 @@ class MultiPoly:
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
-        for t in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
+        for m in sorted(self.terms, reverse=True):
             factors = [
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.variables, t)
+                for name, e in zip(self.variables, _unpack(m, len(self.variables)))
                 if e
             ]
-            parts.append("*".join(factors) if factors else "1")
-        return " + ".join(parts)
+            parts.append("*".join(factors) or "1")
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
-
-
-def _glex_key(t: tuple) -> tuple:
-    return (sum(t), t)
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -196,23 +205,21 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     p._check(q)
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    lead_q = max(q.terms, key=_glex_key)
+    nvars = len(p.variables)
+    # a - b keeps every clear top bit of a | guard iff no byte of b exceeds a's
+    guard = int.from_bytes(b"\x80" * (nvars + 1), "big")
+    lead_q = max(q.terms)
     rem = set(p.terms)
-    quot: set[tuple] = set()
+    quot: set[int] = set()
     while rem:
-        lead_r = max(rem, key=_glex_key)
-        t = tuple(a - b for a, b in zip(lead_r, lead_q))
-        if any(e < 0 for e in t):
+        lead_r = max(rem)
+        if (lead_r | guard) - lead_q & guard != guard:
             raise ExactDivisionError(
-                f"non-exact division, remainder leading term {lead_r}"
+                f"non-exact division, remainder leading term {tuple(_unpack(lead_r, nvars))}"
             )
-        quot.symmetric_difference_update({t})
-        for s in q.terms:
-            st = tuple(a + b for a, b in zip(t, s))
-            if st in rem:
-                rem.remove(st)
-            else:
-                rem.add(st)
+        t = lead_r - lead_q
+        quot.add(t)
+        rem ^= {t + s for s in q.terms}
     return MultiPoly._raw(p.variables, frozenset(quot))
 
 

@@ -6,6 +6,11 @@ claim always carries a counterexample or a computed-vs-expected pair;
 a passing symbolic step carries the transcript of the polynomials it
 compared.  Claims are deterministic given (claim_id, seed).
 
+Every claim takes the field context it runs on.  run_claims builds each
+field once per call, before the timer of the first claim on it starts
+(so elapsed_ms excludes mk_field), and the claims on one field share its
+memo; no context outlives the call.
+
 The no-solution lemma for (x+1)^d + x^d = b over the subfield
 complement is verified through two independent channels: an exhaustive
 scan of the field, and a symbolic replay of the resultant elimination
@@ -78,12 +83,11 @@ def _result(claim_id: str, status: str, witness, t0: float) -> ClaimResult:
 # Exhaustive channel
 # ---------------------------------------------------------------------------
 
-def lemma1_exhaustive(k: int) -> ClaimResult:
+def lemma1_exhaustive(ctx: gf2n.FieldCtx) -> ClaimResult:
     """Scan GF(2^n) \\ GF(2^k) for solutions of (x+1)^d + x^d = b, b in GF(2^k)*."""
     t0 = time.perf_counter()
-    claim_id = f"lemma1.exhaustive.k{k}"
-    ctx = gf2n.mk_field(k)
-    d = dobbertin_exponent(k)
+    claim_id = f"lemma1.exhaustive.k{ctx.k}"
+    d = dobbertin_exponent(ctx.k)
     powd = gf2n.vec_pow_all(ctx, d)
     lhs = powd[np.arange(ctx.order) ^ 1] ^ powd
     outside = ~ctx.subfield_mask
@@ -213,7 +217,7 @@ def lemma1_replay() -> list:
 # Coset intersection bound from the uniformity proof
 # ---------------------------------------------------------------------------
 
-def coset_intersection_check(k: int, trials: int = 64, seed: int = 0) -> ClaimResult:
+def coset_intersection_check(ctx: gf2n.FieldCtx, trials: int = 64, seed: int = 0) -> ClaimResult:
     """|(a + GF(2^k))^d meet (b + GF(2^k))| <= 1 for a outside the subfield.
 
     Exhaustive over a for k <= 2, seed-deterministic sample otherwise.
@@ -223,8 +227,8 @@ def coset_intersection_check(k: int, trials: int = 64, seed: int = 0) -> ClaimRe
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     t0 = time.perf_counter()
+    k = ctx.k
     claim_id = f"theorem1.coset.k{k}"
-    ctx = gf2n.mk_field(k)
     d = dobbertin_exponent(k)
     powd = gf2n.vec_pow_all(ctx, d)
     sub = np.array(ctx.subfield_elems)
@@ -265,13 +269,12 @@ def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
     return np.searchsorted(np.array(ctx.subfield_elems), values)
 
 
-def theorem1_check(k: int, m: int, l1: str, l2: str = "x") -> ClaimResult:
+def theorem1_check(ctx: gf2n.FieldCtx, m: int, l1: str, l2: str = "x") -> ClaimResult:
     """delta_f stays within the bound set by delta_g, and f permutes for odd k."""
     t0 = time.perf_counter()
-    claim_id = f"theorem1.check.k{k}.m{m}.{l1.replace(' ', '')}"
-    if k % 2 == 0:
+    claim_id = f"theorem1.check.k{ctx.k}.m{m}.{l1.replace(' ', '')}"
+    if ctx.k % 2 == 0:
         return _result(claim_id, SKIPPED, {"note": "statement requires odd k"}, t0)
-    ctx = gf2n.mk_field(k)
     f = instance(ctx, m, l1, l2)
     g = _subfield_coords(ctx, f.table[list(ctx.subfield_elems)])  # g = f on GF(2^k)
     if len(np.unique(g)) < len(g):
@@ -293,11 +296,11 @@ def theorem1_check(k: int, m: int, l1: str, l2: str = "x") -> ClaimResult:
     return _result(claim_id, status, witness, t0)
 
 
-def remark2_degrees() -> list:
-    """Algebraic degrees of the identity-map instances for k in {1, 3}."""
+def remark2_degrees(ctx1: gf2n.FieldCtx, ctx3: gf2n.FieldCtx) -> list:
+    """Algebraic degrees of the identity-map instances on the k = 1 and k = 3 fields."""
     results = []
-    for k, expected in ((1, 4), (3, 14)):
-        ctx = gf2n.mk_field(k)
+    for ctx, expected in ((ctx1, 4), (ctx3, 14)):
+        k = ctx.k
         ms = sorted({k - 1, (k + 1) // 2, 2})
         for m in ms:
             t0 = time.perf_counter()
@@ -330,17 +333,16 @@ def prop2_bound_check(f, k: int, label: str) -> ClaimResult:
     return _result(claim_id, PASS if nl >= bound else FAIL, witness, t0)
 
 
-def prop1_hypothesis_search(max_examples: int = 3) -> ClaimResult:
-    """Search k = 3 affine maps L1 with deg(g + x^3) = 2 and measure deg(f).
+def prop1_hypothesis_search(ctx: gf2n.FieldCtx, max_examples: int = 3) -> ClaimResult:
+    """Search affine maps L1 of GF(2^k) with deg(g + x^3) = 2 and measure deg(f).
 
     Every (linear part, constant) candidate is one row of a table in
     subfield coordinates, rows in itertools.product order.  Reporting
     claim: it never asserts existence, it lists what it found.
     """
     t0 = time.perf_counter()
-    claim_id = "prop1.hypothesis.k3"
-    k = 3
-    ctx = gf2n.mk_field(k)
+    k = ctx.k
+    claim_id = f"prop1.hypothesis.k{k}"
     sub = ctx.subfield_elems
     q = len(sub)
     # terms[i][c] is y -> c * y^(2^i); coordinates are linear, so terms add by XOR
@@ -395,55 +397,35 @@ _REMARK2_IDS = (
 )
 
 
-def _prop2_instance(k: int, m: int, l1: str):
-    f = instance(gf2n.mk_field(k), m, l1)
-    return prop2_bound_check(f, k, f"m{m}.{l1}")
+def _prop2_instance(ctx: gf2n.FieldCtx, m: int, l1: str):
+    return prop2_bound_check(instance(ctx, m, l1), ctx.k, f"m{m}.{l1}")
 
 
-def _registry(seed: int, trials: int, walsh: bool) -> list:
+def _registry(field, seed: int, trials: int, walsh: bool) -> list:
+    """(claim ids, producer) pairs; field(k) gives the context of GF(2^(5k))."""
     entries = [
-        (("lemma1.exhaustive.k1",), lambda: [lemma1_exhaustive(1)]),
-        (("lemma1.exhaustive.k2",), lambda: [lemma1_exhaustive(2)]),
-        (("lemma1.exhaustive.k3",), lambda: [lemma1_exhaustive(3)]),
+        (("lemma1.exhaustive.k1",), lambda: [lemma1_exhaustive(field(1))]),
+        (("lemma1.exhaustive.k2",), lambda: [lemma1_exhaustive(field(2))]),
+        (("lemma1.exhaustive.k3",), lambda: [lemma1_exhaustive(field(3))]),
         (_REPLAY_IDS, lemma1_replay),
-        (("theorem1.coset.k1",), lambda: [coset_intersection_check(1, trials, seed)]),
-        (("theorem1.coset.k2",), lambda: [coset_intersection_check(2, trials, seed)]),
-        (("theorem1.coset.k3",), lambda: [coset_intersection_check(3, trials, seed)]),
-        (
-            ("theorem1.check.k1.m1.x+1",),
-            lambda: [theorem1_check(1, 1, "x+1")],
-        ),
-        (
-            ("theorem1.check.k1.m1.x",),
-            lambda: [theorem1_check(1, 1, "x")],
-        ),
-        (
-            ("theorem1.check.k3.m2.x",),
-            lambda: [theorem1_check(3, 2, "x")],
-        ),
-        (_REMARK2_IDS, remark2_degrees),
-        (("prop1.hypothesis.k3",), lambda: [prop1_hypothesis_search()]),
-        (
-            ("prop2.bound.k1.m1.x+1",),
-            lambda: [_prop2_instance(1, 1, "x+1")],
-        ),
-        (
-            ("prop2.bound.k2.m2.b^2*x^2",),
-            lambda: [_prop2_instance(2, 2, "b^2*x^2")],
-        ),
+        (("theorem1.coset.k1",), lambda: [coset_intersection_check(field(1), trials, seed)]),
+        (("theorem1.coset.k2",), lambda: [coset_intersection_check(field(2), trials, seed)]),
+        (("theorem1.coset.k3",), lambda: [coset_intersection_check(field(3), trials, seed)]),
+        (("theorem1.check.k1.m1.x+1",), lambda: [theorem1_check(field(1), 1, "x+1")]),
+        (("theorem1.check.k1.m1.x",), lambda: [theorem1_check(field(1), 1, "x")]),
+        (("theorem1.check.k3.m2.x",), lambda: [theorem1_check(field(3), 2, "x")]),
+        (_REMARK2_IDS, lambda: remark2_degrees(field(1), field(3))),
+        (("prop1.hypothesis.k3",), lambda: [prop1_hypothesis_search(field(3))]),
+        (("prop2.bound.k1.m1.x+1",), lambda: [_prop2_instance(field(1), 1, "x+1")]),
+        (("prop2.bound.k2.m2.b^2*x^2",), lambda: [_prop2_instance(field(2), 2, "b^2*x^2")]),
     ]
     if walsh:
-        entries.append(
-            (("prop2.bound.k3.m2.x",), lambda: [_prop2_instance(3, 2, "x")])
-        )
+        entries.append((("prop2.bound.k3.m2.x",), lambda: [_prop2_instance(field(3), 2, "x")]))
     return entries
 
 
 def claim_ids(walsh: bool = False) -> list:
-    out = []
-    for ids, _ in _registry(0, 64, walsh):
-        out.extend(ids)
-    return sorted(out)
+    return sorted(cid for ids, _ in _registry(None, 0, 64, walsh) for cid in ids)
 
 
 def run_claims(
@@ -452,9 +434,19 @@ def run_claims(
     trials: int = 64,
     walsh: bool = False,
 ) -> list:
-    """Run every registered claim whose id matches the glob pattern."""
+    """Run every registered claim whose id matches the glob pattern.
+
+    Each field is built on first use, into a mapping local to this call.
+    """
+    fields: dict = {}
+
+    def field(k: int) -> gf2n.FieldCtx:
+        if k not in fields:
+            fields[k] = gf2n.mk_field(k)
+        return fields[k]
+
     results = []
-    for ids, producer in _registry(seed, trials, walsh):
+    for ids, producer in _registry(field, seed, trials, walsh):
         if any(fnmatch(cid, pattern) for cid in ids):
             results.extend(r for r in producer() if fnmatch(r.claim_id, pattern))
     return sorted(results, key=lambda r: r.claim_id)

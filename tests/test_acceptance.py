@@ -204,7 +204,7 @@ def test_theorem1_k3(f15):
     # Degree 14 needs deg(g + x^3) = 2 on the subfield; x^4 is the first
     # outer map the prop1.hypothesis.k3 claim finds with that property.
     L1 = parse_affine_expr(f15, "x^4")
-    first = prover.prop1_hypothesis_search(max_examples=1).witness["examples"][0]
+    first = prover.prop1_hypothesis_search(f15, max_examples=1).witness["examples"][0]
     assert first["coeffs"] == [int(c) for c in L1.linear_coeffs]
     assert first["constant"] == L1.constant
     f = instance(f15, 2, "x^4")
@@ -236,8 +236,8 @@ def test_theorem1_k3_walsh(f15):
 @checked("No-solution scan: zero solutions for every b in GF(2^k)* at k in {1,2,3}")
 def test_lemma1_exhaustive(f5, f10, f15):
     t0 = time.perf_counter()
-    for k, candidates, n_b in ((1, 30, 1), (2, 1020, 3), (3, 32760, 7)):
-        r = prover.lemma1_exhaustive(k)
+    for ctx, candidates, n_b in ((f5, 30, 1), (f10, 1020, 3), (f15, 32760, 7)):
+        r = prover.lemma1_exhaustive(ctx)
         assert r.status == "pass"
         assert r.witness["candidates"] == candidates
         assert len(r.witness["solutions_per_b"]) == n_b
@@ -257,8 +257,8 @@ def test_lemma1_replay():
 
 @checked("Coset intersection bound: max 1 exhaustively at k in {1,2}")
 def test_coset_intersection(f5, f10):
-    for k, count in ((1, 30), (2, 1020)):
-        r = prover.coset_intersection_check(k)
+    for ctx, count in ((f5, 30), (f10, 1020)):
+        r = prover.coset_intersection_check(ctx)
         assert r.status == "pass"
         assert r.witness["a_checked"] == count
         assert r.witness["max_intersection"] == 1

@@ -224,21 +224,15 @@ def test_power_map_with_one_entry_changed_falls_back(f10):
         assert ds == ddt_row_spectrum(f)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    ke=st.sampled_from(
-        [(1, e) for e in (29, 1, 3, 5, 7, 11, 15, 31)]
-        + [(2, e) for e in (339, 1, 3, 7, 11, 31, 33, 93, 341, 1021, 1023)]
-    ),
-    seed=st.integers(0, 2**32),
-    size=st.integers(0, 4),
-    anywhere=st.booleans(),
-)
-def test_structured_spectrum_arbitrary_subfield_values(f5, f10, ke, seed, size, anywhere):
-    # x^e off GF(2^k) and any values on a set D of |D| = 0 .. 2^k points of
-    # it, drawn from inside GF(2^k) or from anywhere in the field
-    k, e = ke
-    ctx = f5 if k == 1 else f10
+# (k, e): exponents of x^e on GF(2^(5k)), the plain maps and the Dobbertin one
+SUBFIELD_EXPONENTS = [(1, e) for e in (29, 1, 3, 5, 7, 11, 15, 31)] + [
+    (2, e) for e in (339, 1, 3, 7, 11, 31, 33, 93, 341, 1021, 1023)
+]
+
+
+def power_off_subfield(ctx, e, seed, size, anywhere):
+    """x^e off GF(2^k) and any values on a set D of |D| = size points of it,
+    drawn from inside GF(2^k) or from anywhere in the field."""
     rng = np.random.default_rng(seed)
     table = power_function(ctx, e).table.copy()
     sub = np.flatnonzero(ctx.subfield_mask)
@@ -246,10 +240,33 @@ def test_structured_spectrum_arbitrary_subfield_values(f5, f10, ke, seed, size, 
     pool = np.arange(ctx.order) if anywhere else sub
     for s in d:
         table[s] = rng.choice(pool[pool != table[s]])
-    f = LutFunction(ctx, table)
+    return LutFunction(ctx, table), d
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    ke=st.sampled_from(SUBFIELD_EXPONENTS),
+    seed=st.integers(0, 2**32),
+    size=st.integers(0, 4),
+    anywhere=st.booleans(),
+)
+def test_structured_spectrum_arbitrary_subfield_values(f5, f10, ke, seed, size, anywhere):
+    k, e = ke
+    f, d = power_off_subfield(f5 if k == 1 else f10, e, seed, size, anywhere)
     assert _power_off_subfield(f)[2].tolist() == d.tolist()
     assert differential_spectrum(f).kernel == "structured"
-    assert np.array_equal(_structured_omega(f), omega_counts(table))
+    assert np.array_equal(_structured_omega(f), omega_counts(f.table))
+
+
+def test_structured_spectrum_blocks_smaller_than_one_row(f5, f10, monkeypatch):
+    # a listing budget below |D| leaves one row a per block; an empty D
+    # still takes a single block over all rows
+    monkeypatch.setattr(analyzer, "_A_LISTINGS", 1)
+    for i, (k, e) in enumerate(SUBFIELD_EXPONENTS):
+        ctx = f5 if k == 1 else f10
+        for size in (0, 2, 1 << k):
+            f, _ = power_off_subfield(ctx, e, i, size, anywhere=bool(i % 2))
+            assert np.array_equal(_structured_omega(f), omega_counts(f.table)), (k, e, size)
 
 
 # Full n = 15 spectra, captured once from the row-by-row exhaustive scan.

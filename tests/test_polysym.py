@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from duperm import gf2n
+from duperm import gf2n, polysym
 from duperm.construct import dobbertin_exponent
-from duperm.polysym import ExactDivisionError, MultiPoly, exact_divide, resultant_wrt
+from duperm.polysym import VARS, ExactDivisionError, MultiPoly, exact_divide, resultant_wrt
 
 X, Y, Z, U, V, B = (MultiPoly.var(n) for n in "xyzuvb")
 ONE = MultiPoly.one()
@@ -51,6 +53,79 @@ def test_degree_and_coefficient():
     assert MultiPoly.zero().degree_in("x") == -1
     assert p.coefficient("x", 1) == Y
     assert p.coefficient("x", 0) == B
+
+
+# ---------------------------------------------------------------------------
+# against a set-of-exponent-tuples oracle
+# ---------------------------------------------------------------------------
+
+def oracle_mul(p: frozenset, q: frozenset) -> frozenset:
+    acc = set()
+    for s in p:
+        for t in q:
+            acc ^= {tuple(a + b for a, b in zip(s, t))}
+    return frozenset(acc)
+
+
+def oracle_pow(p: frozenset, e: int) -> frozenset:
+    out = frozenset({(0,) * len(VARS)})
+    for _ in range(e):
+        out = oracle_mul(out, p)
+    return out
+
+
+def oracle_str(p: frozenset) -> str:
+    """Terms in descending graded-lex order: total degree, then x > y > ... > b."""
+    parts = []
+    for t in sorted(p, key=lambda t: (sum(t), t), reverse=True):
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(VARS, t) if e]
+        parts.append("*".join(factors) or "1")
+    return " + ".join(parts) or "0"
+
+
+polys = st.frozensets(
+    st.tuples(*[st.integers(0, 3)] * len(VARS)), max_size=6
+)
+
+
+def agrees(got: MultiPoly, want: frozenset) -> bool:
+    return got == MultiPoly(want) and str(got) == oracle_str(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=polys, q=polys, e=st.integers(0, 4))
+def test_ring_matches_tuple_oracle(p, q, e):
+    P, Q = MultiPoly(p), MultiPoly(q)
+    assert agrees(P, p)
+    assert agrees(P + Q, p ^ q)
+    assert agrees(P * Q, oracle_mul(p, q))
+    assert agrees(P ** e, oracle_pow(p, e))
+    for i, name in enumerate(VARS):
+        assert P.degree_in(name) == max((t[i] for t in p), default=-1)
+        cleared = {t[:i] + (0,) + t[i + 1 :] for t in p if t[i] == 1}
+        assert agrees(P.coefficient(name, 1), frozenset(cleared))
+    if q:
+        assert exact_divide(P * Q, Q) == P
+
+
+def test_degree_past_the_field_width_raises():
+    limit = polysym._MAX_DEGREE
+    assert str(X ** limit) == f"x^{limit}"
+    assert str(X ** (limit - 1) * B) == f"x^{limit - 1}*b"
+    for build in (
+        lambda: X ** (limit + 1),
+        lambda: X ** limit * X,
+        lambda: X ** (limit // 2 + 1) * Y ** (limit // 2 + 1),
+        lambda: MultiPoly([(limit + 1, 0, 0, 0, 0, 0)]),
+        lambda: MultiPoly([(1, 0, 0, 0, 0, limit)]),
+        # one field past a full byte would carry into its neighbour
+        lambda: MultiPoly([(0, 300, 0, 0, 0, 0)]),
+        lambda: MultiPoly([(0, 200, 0, 0, 0, 0)]) * MultiPoly([(0, 100, 0, 0, 0, 0)]),
+    ):
+        with pytest.raises(OverflowError):
+            build()
+    with pytest.raises(ValueError):
+        MultiPoly([(-1, 0, 0, 0, 0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +206,10 @@ def test_exact_divide_published_cofactor():
 def test_exact_divide_nonexact_raises():
     with pytest.raises(ExactDivisionError):
         exact_divide(X ** 2 + X + ONE, X + ONE)
+    # the remainder's leading term is larger, but not a multiple
+    for p, q in ((Y ** 2, X), (X * B, Y), (X ** 3 * Z, X * Y), (Y * Z, Z ** 2)):
+        with pytest.raises(ExactDivisionError):
+            exact_divide(p, q)
     with pytest.raises(ZeroDivisionError):
         exact_divide(X, MultiPoly.zero())
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -6,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duperm import analyzer, gf2n, prover
-from duperm.construct import build_f, build_g, random_affine_perm
+from duperm.construct import build_f, build_g, instance, random_affine_perm
 from duperm.prover import (
     claim_ids,
     coset_intersection_check,
     lemma1_exhaustive,
     lemma1_replay,
     prop1_hypothesis_search,
+    prop2_bound_check,
     remark2_degrees,
     run_claims,
     theorem1_check,
@@ -30,12 +33,12 @@ REPLAY_IDS = {
 }
 
 
-def test_lemma1_exhaustive_small_k():
-    r1 = lemma1_exhaustive(1)
+def test_lemma1_exhaustive_small_k(f5, f10):
+    r1 = lemma1_exhaustive(f5)
     assert r1.status == "pass"
     assert r1.witness["candidates"] == 30
     assert set(r1.witness["solutions_per_b"].values()) == {0}
-    r2 = lemma1_exhaustive(2)
+    r2 = lemma1_exhaustive(f10)
     assert r2.status == "pass"
     assert r2.witness["candidates"] == 1020
     assert len(r2.witness["solutions_per_b"]) == 3
@@ -69,43 +72,43 @@ def test_replay_shared_factor_in_second_round():
         assert exact_divide(res, shared ** 2) * shared ** 2 == res
 
 
-def test_coset_intersection_exhaustive():
-    r1 = coset_intersection_check(1)
+def test_coset_intersection_exhaustive(f5, f10):
+    r1 = coset_intersection_check(f5)
     assert r1.status == "pass"
     assert r1.witness == {"a_checked": 30, "max_intersection": 1, "exhaustive": True}
-    r2 = coset_intersection_check(2)
+    r2 = coset_intersection_check(f10)
     assert r2.status == "pass"
     assert r2.witness["a_checked"] == 1020
 
 
-def test_coset_intersection_sampled_deterministic():
-    a = coset_intersection_check(3, trials=32, seed=9)
-    b = coset_intersection_check(3, trials=32, seed=9)
+def test_coset_intersection_sampled_deterministic(f15):
+    a = coset_intersection_check(f15, trials=32, seed=9)
+    b = coset_intersection_check(f15, trials=32, seed=9)
     assert a.status == "pass" and not a.witness["exhaustive"]
     assert a.witness == b.witness
 
 
-def test_theorem1_check_k1():
-    modified = theorem1_check(1, 1, "x+1")
+def test_theorem1_check_k1(f5):
+    modified = theorem1_check(f5, 1, "x+1")
     assert modified.status == "pass"
     assert modified.witness["delta_g"] == 2
     assert modified.witness["delta_f"] == 4
     assert modified.witness["permutation"] is True
     assert modified.witness["attained"] is True
 
-    degenerate = theorem1_check(1, 1, "x")
+    degenerate = theorem1_check(f5, 1, "x")
     assert degenerate.status == "pass"
     assert degenerate.witness["delta_f"] == 2
     assert degenerate.witness["attained"] is False
 
 
-def test_theorem1_check_even_k_skipped():
-    r = theorem1_check(2, 1, "x+1")
+def test_theorem1_check_even_k_skipped(f10):
+    r = theorem1_check(f10, 1, "x+1")
     assert r.status == "skipped"
 
 
-def test_remark2_degrees():
-    results = {r.claim_id: r for r in remark2_degrees()}
+def test_remark2_degrees(f5, f15):
+    results = {r.claim_id: r for r in remark2_degrees(f5, f15)}
     assert results["prop1.remark2.k1.m0"].status == "skipped"
     assert results["prop1.remark2.k1.m1"].status == "pass"
     assert results["prop1.remark2.k1.m1"].witness["computed"] == 4
@@ -117,8 +120,8 @@ def test_remark2_degrees():
     assert k3.witness == {"expected": 14, "computed": 6}
 
 
-def test_prop1_hypothesis_search_reports_examples():
-    r = prop1_hypothesis_search()
+def test_prop1_hypothesis_search_reports_examples(f15):
+    r = prop1_hypothesis_search(f15)
     assert r.status == "pass"
     assert r.witness["found"] is True
     assert r.witness["satisfying_l1_count"] == 1336
@@ -207,8 +210,8 @@ def test_failing_claim_requires_witness():
         prover._result("x", "fail", None, 0.0)
 
 
-def test_claim_json_roundtrip():
-    r = lemma1_exhaustive(1)
+def test_claim_json_roundtrip(f5):
+    r = lemma1_exhaustive(f5)
     payload = json.loads(json.dumps(r.to_json_dict()))
     assert payload["claim_id"] == "lemma1.exhaustive.k1"
     assert payload["status"] == "pass"
@@ -242,3 +245,47 @@ def test_prop2_bound_claims_small_k():
     assert len(results) == 1
     assert results[0].status == "pass"
     assert results[0].witness["bound"] == 380
+
+
+# ---------------------------------------------------------------------------
+# one field context per k per claim run
+# ---------------------------------------------------------------------------
+
+def without_times(results):
+    return [{k: v for k, v in r.to_json_dict().items() if k != "elapsed_ms"} for r in results]
+
+
+def test_run_claims_builds_each_field_once_and_keeps_none(monkeypatch):
+    mk_field = gf2n.mk_field
+    built = []
+
+    def counting(k, *args, **kwargs):
+        ctx = mk_field(k, *args, **kwargs)
+        built.append((k, weakref.ref(ctx)))
+        return ctx
+
+    monkeypatch.setattr(gf2n, "mk_field", counting)
+    results = run_claims("*")
+    assert sorted(k for k, _ in built) == [1, 2, 3]
+    assert [r.claim_id for r in results] == claim_ids()
+    del results
+    gc.collect()
+    assert [k for k, ref in built if ref() is not None] == []
+
+
+def test_run_claims_matches_claims_on_fresh_fields():
+    field = gf2n.mk_field
+    alone = [lemma1_exhaustive(field(k)) for k in (1, 2, 3)]
+    alone += lemma1_replay()
+    alone += [coset_intersection_check(field(k)) for k in (1, 2, 3)]
+    alone += [
+        theorem1_check(field(1), 1, "x+1"),
+        theorem1_check(field(1), 1, "x"),
+        theorem1_check(field(3), 2, "x"),
+        prop1_hypothesis_search(field(3)),
+        prop2_bound_check(instance(field(1), 1, "x+1"), 1, "m1.x+1"),
+        prop2_bound_check(instance(field(2), 2, "b^2*x^2"), 2, "m2.b^2*x^2"),
+    ]
+    alone += remark2_degrees(field(1), field(3))
+    alone.sort(key=lambda r: r.claim_id)
+    assert without_times(run_claims("*")) == without_times(alone)
