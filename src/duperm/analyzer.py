@@ -1,47 +1,42 @@
 """Criteria computations on lookup-table functions.
 
-* differential spectrum: when the table equals a power map x^e outside
-  the subfield GF(2^k), as every constructed f does, one DDT row of x^e
-  gives every row (power maps are homogeneous) and only the pairs
-  through the points D of GF(2^k) where f and x^e differ are counted
-  again, O(2^n |D|) work; for x^e itself, one pass over empty blocks.
-  Any other table gets the exhaustive scan, omega_counts: one
-  difference-distribution row per nonzero a (2^n counters live at a
-  time, never the full 2^n x 2^n matrix), with the per-row histograms
-  aggregated into the omega_i counts.  The scan is also the oracle the
+* differential spectrum: when the table equals a power map P = x^e
+  outside the subfield GF(2^k), as every constructed f does, row 1 of
+  the DDT of P gives every row (power maps are homogeneous), and only
+  the pairs through the points D of GF(2^k) where f and P differ move
+  a cell.  Rows outside GF(2^k) move by histograms memoised per
+  exponent (generic rows), except the few where two of those pairs
+  share a cell (collision rows, solved for in O(|D|^2)); those and the
+  2^k - 1 rows of GF(2^k)* are listed cell by cell (exact rows).  Any
+  other table gets the exhaustive scan, omega_counts, one DDT row per
+  nonzero a (never the 2^n x 2^n matrix); it is also the oracle the
   structured kernel is tested against;
 * Walsh spectrum: the exhaustive scan runs the sign table of
-  Tr(v f(x)) of each component v through a fast transform over u; the
-  u axis of the transform output is related to the definition's u by
-  the nondegenerate bilinear form Tr(ux), a fixed bit-linear reindexing
-  (_psi_table).  When the table equals x^e outside GF(2^k), the
-  structured kernel needs only gcd(e, 2^n - 1) transforms of x^e, one
-  per coset class of the e-th powers, plus an exact correction over the
-  points of GF(2^k) where f and x^e differ, evaluated on the few orbits
-  of (u, v) that can still hold the maximum.  A cost guard hands the
-  table to the exhaustive scan, which stays the kernel's oracle,
-  whenever the structured work (transforms plus orbits times differing
-  points) would reach the 2^n - 1 transforms of that scan;
+  Tr(v f(x)) of each component v through a fast transform over u,
+  reindexed to the definition's u by the bit-linear map _psi_table.
+  For x^e off GF(2^k) the structured kernel needs gcd(e, 2^n - 1)
+  transforms of x^e plus an exact correction over D on the few orbits
+  of (u, v) that can still hold the maximum; each orbit sums slices of
+  memoised int8 sign sequences, one base sequence per residue of the
+  exponent mod gcd(e, 2^n - 1).  A cost guard hands the table to the
+  exhaustive scan, the kernel's oracle, whenever the structured work
+  would reach the 2^n - 1 transforms of that scan;
 * algebraic degree: subset-XOR (Moebius) transform of the whole table,
-  all output coordinates in parallel, degree = max bit count over the
-  support of the transform (anf_degree, along the last axis of any
-  stack of tables);
+  all output coordinates in parallel (anf_degree, along the last axis
+  of any stack of tables);
 * permutation status: bijectivity scan.
 
 omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates.
 Everything runs in one process.
 
-Every constructed f over one field is x^d off GF(2^k), so the
-structured kernels keep what depends on the field and x^e alone in the
-context's memo (gf2n.FieldCtx.memo), and the instances over a field pay
-for it once: the table of x^e, row 1 of its DDT and that row's
-histogram, psi, the trace signs of the powers of the generator, and
-the transform orbits of x^e that any f over the field could keep.  The
-memo keeps one exponent, so it holds O(g 2^n) values at most,
-g = gcd(e, 2^n - 1), however many instances pass through.  What depends
-on f stays per call, and a cold context gives the same reports as a
-warm one.
+The structured kernels keep what depends on the field and x^e alone in
+the context's memo (gf2n.FieldCtx.memo), so the instances over a field
+pay for it once: x^e, DDT row 1 with its histogram and inverse, the
+generic histograms (trimmed, one per value r = f(s)/s^e met), psi, the
+sign sequences and the transform orbits any f over the field could
+keep.  What depends on f stays per call, and a cold context gives the
+same reports as a warm one.
 """
 
 from __future__ import annotations
@@ -75,7 +70,6 @@ __all__ = [
 
 _WALSH_TABLE_MAX_N = 12
 _V_BLOCK = 256
-_A_LISTINGS = 8192  # pairs {s, s + a} one block of spectrum rows lists at most
 
 
 @dataclass(frozen=True)
@@ -140,52 +134,107 @@ def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray, np.ndarray] | 
     return e, p, d
 
 
+def _collision_rows(ctx, e: int, p: np.ndarray, tab: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Rows a outside GF(2^k) in which two listings of s != s' in D share a cell.
+
+    Cells P(s) + P(s + a) or f(s) + P(s + a) agree when, with y = s + a
+    and alpha = s + s', P(y) + P(y + alpha) is P(s) + P(s'), f(s) + f(s')
+    or f(s) + P(s'): then y = alpha z, where z solves
+    P(z) + P(z + 1) = beta / alpha^e in the memoised inverse of DDT row 1.
+    """
+    if len(d) < 2:
+        return d[:0]
+    log, exp, q1 = ctx.log, ctx.exp, ctx.order - 1
+
+    def row1_inverse() -> tuple:
+        t = p[0::2] ^ p[1::2]  # z even; z + 1 lands on the same value
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(t, minlength=ctx.order))])
+        return 2 * np.argsort(t, kind="stable"), bounds
+
+    order, bounds = ctx.memo("row1_inverse", row1_inverse, e)
+    i = np.flatnonzero(~np.eye(len(d), dtype=bool))
+    s, s2 = d[i // len(d)], d[i % len(d)]
+    alpha = s ^ s2
+    beta = np.stack([p[s] ^ p[s2], tab[s] ^ tab[s2], tab[s] ^ p[s2]])
+    b = np.where(beta != 0, exp[(log[beta] - e * log[alpha]) % q1], 0).ravel()
+    cnt = bounds[b + 1] - bounds[b]
+    at = np.repeat(np.arange(len(b)), cnt)
+    z = order[(bounds[b] - np.cumsum(cnt) + cnt)[at] + np.arange(len(at))]
+    z, at = np.concatenate([z, z + 1]), np.concatenate([at, at]) % len(s)
+    a = np.where(z != 0, exp[(log[z] + log[alpha[at]]) % q1], 0) ^ s[at]
+    return np.flatnonzero((np.bincount(a, minlength=ctx.order) > 0) & ~ctx.subfield_mask)
+
+
 def _structured_omega(f: LutFunction) -> np.ndarray | None:
     """omega via power-map homogeneity, or None unless f is x^e off GF(2^k).
 
-    For P = x^e every DDT row is a relabelled copy of row 1:
-    delta_P(a, b) = delta_P(1, b a^(-e)).  Row a of f differs from row a
-    of P only through the pairs {s, s + a} with s in D, the points where
-    f and P differ, so the histogram of row 1 times (2^n - 1) is
-    corrected by moving one counter per (a, b) those pairs touch.  Row 1
-    and its histogram depend on e alone and are kept in the context's
-    memo.  Rows come in blocks of about _A_LISTINGS / |D|, so correction
-    arrays stay near _A_LISTINGS entries; D empty is one block of all rows.
+    For P = x^e, delta_P(a, b) = delta_P(1, b a^(-e)): omega starts as
+    2^n - 1 times the histogram of row 1, and each pair {s, s + a}, s in
+    D, moves its cell P(s) + P(s + a) down and f(s) + f(s + a) up.
+    * Generic rows, a outside GF(2^k): with a = s u (a = u for s = 0)
+      the old counts are row1[(r + P(u + 1)) / u^e], r = 1 before and
+      r = f(s) / s^e after (row1[(r + P(u)) / u^e], r = 0 and f(0), for
+      s = 0); memoised histograms over u move all those rows at once.
+    * Collision rows, where two listings share a cell, and the rows of
+      GF(2^k)*, where a pair can lie inside D, are listed cell by cell
+      (exact rows), the generic moves of the former taken back first.
     """
     power = _power_off_subfield(f)
     if power is None:
         return None
     e, p, d = power
-    ctx = f.ctx
-    q = ctx.order
-    q1 = q - 1
-    tab = f.table
+    ctx, tab, log = f.ctx, f.table, f.ctx.log
+    q, q1 = ctx.order, ctx.order - 1
 
     def ddt_row1() -> tuple:
         pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
         row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
         return row1, np.bincount(row1, minlength=q + 1) * q1
 
+    def relabel(b, elog):  # b / a^e for elog = e log a, 0 where b is 0
+        return np.where(b != 0, ctx.exp[(log[b] - elog) % q1], 0)
+
+    def outside() -> tuple:  # for w outside GF(2^k): e log w and P(w + 1)
+        w = np.flatnonzero(~ctx.subfield_mask)
+        return (e * log[w] % q1).astype(np.int32), p[w ^ 1].astype(np.int32)
+
+    def hist(r: int, shift: int) -> np.ndarray:
+        # w = 1 / u: counts row1[r P(w) + P(w + 1)], row1[r P(w) + 1] for s = 0
+        def build() -> np.ndarray:
+            elog, p1 = ctx.memo("outside", outside, e)
+            cell = np.roll(ctx.exp, -int(log[r]))[elog] if r else np.zeros_like(elog)
+            return np.bincount(row1[cell ^ (p1 if shift else 1)])
+
+        return ctx.memo(("hist", r, shift), build, e)
+
     row1, omega_p = ctx.memo("ddt_row1", ddt_row1, e)
     omega = omega_p.copy()
-    in_d = np.zeros(q, dtype=bool)
-    in_d[d] = True
-    blocks = max(1, -(-len(d) * q1 // _A_LISTINGS))
-    rows = -(-q1 // blocks)
-    for lo in range(1, q, rows):
-        a = np.arange(lo, min(lo + rows, q), dtype=np.int64)[:, None]
-        x = d ^ a
-        # a pair {s, s + a} stands for its two inputs; one with both ends
-        # in D is listed from each end, and each listing counts once
-        w = np.where(in_d[x], 1, 2).ravel()
-        before = ((a << ctx.n) | (p[d] ^ p[x])).ravel()
-        after = ((a << ctx.n) | (tab[d] ^ tab[x])).ravel()
-        keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
-        net = np.bincount(inv, np.concatenate([-w, w]), minlength=len(keys)).astype(np.int64)
-        ra, b = keys >> ctx.n, keys & q1
-        old = row1[np.where(b, ctx.exp[(ctx.log[b] - e * ctx.log[ra]) % q1], 0)]
-        np.add.at(omega, old, -1)
-        np.add.at(omega, old + net, 1)
+    for s, fs in zip(d.tolist(), tab[d].tolist()):
+        shift = int(s != 0)
+        r = int(relabel(fs, e * int(log[s]) % q1)) if s else fs
+        for h, w in ((hist(shift, shift), -2), (hist(r, shift), 2)):
+            # h[i] cells move from count i to i + w (a before cell counts >= 2)
+            omega[: len(h)] -= h
+            omega[max(w, 0) : len(h) + w] += h[max(-w, 0) :]
+
+    rows = np.concatenate([np.flatnonzero(ctx.subfield_mask)[1:],
+                           _collision_rows(ctx, e, p, tab, d)])[:, None]
+    x = d ^ rows
+    # a pair {s, s + a} stands for its two inputs; one with both ends
+    # in D is listed from each end, and each listing counts once
+    w = np.where(tab[x] != p[x], 1, 2).ravel()
+    before = ((rows << ctx.n) | (p[d] ^ p[x])).ravel()
+    after = ((rows << ctx.n) | (tab[d] ^ tab[x])).ravel()
+    keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
+    w = np.concatenate([-w, w])
+    net = np.bincount(inv, w, minlength=len(keys)).astype(np.int64)
+    ra = keys >> ctx.n
+    old = row1[relabel(keys & q1, e * log[ra] % q1)]
+    np.add.at(omega, old, -1)
+    np.add.at(omega, old + net, 1)
+    generic = ~ctx.subfield_mask[ra[inv]]
+    np.add.at(omega, old[inv][generic], 1)
+    np.add.at(omega, old[inv][generic] + w[generic], -1)
     return omega
 
 
@@ -264,47 +313,54 @@ def _walsh_blocks(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray):
         yield _fwht_lastaxis(1 - 2 * ctx.trace_bits[prod].astype(np.int32))
 
 
-def _orbit_walsh(
-    f: LutFunction, e: int, d: np.ndarray, j: int, w: int, wp_jw: int
-) -> np.ndarray:
+def _orbit_walsh(f: LutFunction, e: int, d: np.ndarray, j: int, w: int, wp_jw: int) -> np.ndarray:
     """W_f(w c, gamma^j c^e) for c = gamma^i, i = 0 .. 2^n - 2.
 
     f equals x^e except on the points d; wp_jw = W_P(w, gamma^j) for P = x^e.
+    Each term is a sign (-1)^Tr(gamma^(e i + t)) or (-1)^Tr(gamma^(i + t)).
+    With g = gcd(e, 2^n - 1), rho = t mod g and e t' = t - rho, the first
+    is entry i + t' of the base sequence (-1)^Tr(gamma^(e i + rho)); the
+    memo keeps each base sequence, built on first use of its rho, and the
+    trace signs in int8, long enough that every term is a slice.
     """
-    ctx = f.ctx
-    q1 = ctx.order - 1
-    log = ctx.log
-    # (-1)^Tr(gamma^t)
-    sgn = ctx.memo("trace_signs", lambda: 1 - 2 * ctx.trace_bits[ctx.exp].astype(np.int64))
-    logc = np.arange(q1)
-    elogc = e * logc % q1  # v = gamma^(j + elogc), u = gamma^(log w + logc)
+    ctx, log, q1 = f.ctx, f.ctx.log, f.ctx.order - 1
+    g = math.gcd(e, q1)
+    period = q1 // g
+    step = pow(e // g, -1, period)  # t' = step (t - rho) / g mod period
+    # (-1)^Tr(gamma^t), t = 0 .. 2 (2^n - 1) - 1
+    sgn = ctx.memo("trace_signs", lambda: np.tile(1 - 2 * ctx.trace_bits[ctx.exp].astype(np.int8), 2))
+
+    def term(t: int) -> np.ndarray:
+        rho = t % g
+        base = ctx.memo(("walsh_base", rho),
+                        lambda: np.tile(sgn[e * np.arange(period) % q1 + rho], g + 1), e)
+        lo = (t - rho) // g * step % period
+        return base[lo : lo + q1]
+
     walsh = np.full(q1, wp_jw, dtype=np.int64)
     for s, fs in zip(d.tolist(), f.table[d].tolist()):
         # ((-1)^Tr(v f(s)) - (-1)^Tr(v s^e)) (-1)^Tr(u s)
-        term = sgn[(elogc + j + log[fs]) % q1] if fs else 1
-        term = term - (sgn[(elogc + j + e * log[s]) % q1] if s else 1)
-        walsh += term * (sgn[(logc + log[w] + log[s]) % q1] if w and s else 1)
+        diff = (term(j + int(log[fs])) if fs else 1) - (term(j + e * int(log[s])) if s else 1)
+        if w and s:
+            t = int(log[w] + log[s]) % q1
+            diff = diff * sgn[t : t + q1]
+        walsh += diff
     return walsh
 
 
 def _structured_walsh(f: LutFunction) -> int | None:
     """max |W_f| from the transforms of a power map, or None to fall back.
 
-    f must equal P = x^e outside S = GF(2^k); with g = gcd(e, 2^n - 1) and
+    f must equal P = x^e outside GF(2^k); with g = gcd(e, 2^n - 1) and
     gamma the generator, every nonzero v is gamma^j c^e with j < g, and
     W_P(u, gamma^j c^e) = W_P(u / c, gamma^j).  So g transforms give
     wp[j, w] = W_P(w, gamma^j), and on the orbit {(w c, gamma^j c^e)}
-    W_f = wp[j, w] + C, where C sums over the points D of S at which f
-    and P differ, so |C| <= 2 |D|.  A maximising pair must lie on an
-    orbit with |wp| >= max |wp| - 4 |D|; those orbits are evaluated
-    exactly over all c, largest |wp| first, until none left can win (with
-    D empty, after the first).  The kernel is refused (None) when it
-    would transform or evaluate as many rows as the exhaustive scan:
-    g + (orbits kept) |D| >= 2^n - 1.
-    The transforms depend on e alone: the context's memo keeps the
-    orbits any f over the field could keep, in descending order of |wp|,
-    so the guard counts them with one binary search and each context
-    pays for the transforms of an exponent once, kernel refused or not.
+    W_f = wp[j, w] + C with |C| <= 2 |D|.  The orbits with
+    |wp| >= max |wp| - 4 |D| are evaluated exactly, largest |wp| first,
+    until none left can win; the kernel is refused (None) when
+    g + (orbits kept) |D| >= 2^n - 1, the rows of the exhaustive scan.
+    The memo keeps, per exponent, the orbits any f over the field could
+    keep, in descending order of |wp|, so the guard is one binary search.
     """
     power = _power_off_subfield(f)
     if power is None:
@@ -370,11 +426,9 @@ def walsh_max_abs(f: LutFunction) -> int:
 def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
     """Full table W[v-1, u] of the transform, plus its maximum magnitude.
 
-    Materialising the table is quadratic in the field size and is
-    refused above n = 12; use walsh_max_abs / nonlinearity for the
-    large fields.  It stays in the package as the tests' reference for
-    both paths of walsh_max_abs, the structured kernel and the
-    exhaustive scan, and it shares _walsh_blocks with both.
+    The table is quadratic in the field size and refused above n = 12;
+    use walsh_max_abs / nonlinearity for large fields.  It is the tests'
+    reference for both paths of walsh_max_abs.
     """
     ctx = f.ctx
     if ctx.n > _WALSH_TABLE_MAX_N:

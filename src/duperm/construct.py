@@ -222,14 +222,18 @@ def build_f(ctx: gf2n.FieldCtx, k: int, g: LutFunction) -> LutFunction:
     """Piecewise function: g on the subfield, x^d elsewhere.
 
     Cross-checks the table against the closed-form evaluation on 64
-    deterministic sample points.
+    deterministic sample points, drawn once per context (its memo).
     """
     if k != ctx.k:
         raise ValueError("k does not match the field context")
     d = dobbertin_exponent(k)
     table = np.where(ctx.subfield_mask, g.table, gf2n.vec_pow_all(ctx, d))
-    rng = random.Random(0x5B0C)
-    xs = np.array([rng.randrange(ctx.order) for _ in range(64)], dtype=np.int64)
+
+    def samples() -> np.ndarray:
+        rng = random.Random(0x5B0C)
+        return np.array([rng.randrange(ctx.order) for _ in range(64)], dtype=np.int64)
+
+    xs = ctx.memo("build_f_samples", samples)
     bad = xs[table[xs] != closed_form_eval(ctx, k, g, xs)]
     if len(bad):
         raise RuntimeError(f"piecewise and closed-form paths disagree at {bad[0]}")

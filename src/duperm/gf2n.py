@@ -13,8 +13,8 @@ held once, as a numpy array; the scalar operations index it with
 .item, so they return Python ints.
 
 Each context also carries a memo (FieldCtx.memo) of read-only tables
-derived from the field and at most one power map x^e; vec_pow_all and
-the analyzer's kernels keep their tables there.  It is a cache that
+derived from the field and at most one power map x^e; vec_pow_all,
+build_f and the analyzer's kernels keep their tables there.  It is a cache that
 never changes a result.
 
 The subfield is found without Frobenius passes over the field:
@@ -198,16 +198,18 @@ class FieldCtx:
     def order(self) -> int:
         return 1 << self.n
 
-    def memo(self, key: str, build, e: int | None = None):
+    def memo(self, key: str | tuple, build, e: int | None = None):
         """build(), computed once per context and stored read-only under key.
 
         Every entry is a function of the field alone (e None) or of the
         field and the power map x^e, so the memo changes when a result is
         computed, never the result.  It keeps one exponent: an entry for
         an exponent other than the stored one first drops every entry of
-        the old exponent.  So it holds a fixed set of tables however many
-        instances or exponents pass through the context, and it is freed
-        with the context.  build returns an array or a tuple of arrays.
+        the old exponent.  A tuple key names a parameter of build as
+        well, such as a field element or a residue mod gcd(e, 2^n - 1),
+        so the memo holds a bounded set of tables however many instances
+        or exponents pass through the context, and it is freed with the
+        context.  build returns an array or a tuple of arrays.
         """
         memo = self._memo
         if e is not None:

@@ -23,6 +23,7 @@ from duperm.analyzer import (
     omega_counts,
     walsh_max_abs,
     walsh_spectrum,
+    _collision_rows,
     _orbit_walsh,
     _power_off_subfield,
     _psi_table,
@@ -258,15 +259,47 @@ def test_structured_spectrum_arbitrary_subfield_values(f5, f10, ke, seed, size, 
     assert np.array_equal(_structured_omega(f), omega_counts(f.table))
 
 
-def test_structured_spectrum_blocks_smaller_than_one_row(f5, f10, monkeypatch):
-    # a listing budget below |D| leaves one row a per block; an empty D
-    # still takes a single block over all rows
-    monkeypatch.setattr(analyzer, "_A_LISTINGS", 1)
+def test_structured_spectrum_every_row_exact(f5, f10, monkeypatch):
+    # every row outside GF(2^k) taken for a collision row: the exact listing
+    # must take back each move the histograms made and recount all rows
+    monkeypatch.setattr(
+        analyzer, "_collision_rows", lambda ctx, *_: np.flatnonzero(~ctx.subfield_mask)
+    )
     for i, (k, e) in enumerate(SUBFIELD_EXPONENTS):
         ctx = f5 if k == 1 else f10
-        for size in (0, 2, 1 << k):
+        for size in (0, 1, 2, 1 << k):
             f, _ = power_off_subfield(ctx, e, i, size, anywhere=bool(i % 2))
             assert np.array_equal(_structured_omega(f), omega_counts(f.table)), (k, e, size)
+
+
+def listing_collisions(f, e):
+    """Rows a outside GF(2^k) where two of the cells P(s) + P(s + a) and
+    f(s) + P(s + a), P = x^e, s in D, agree; found by sorting each row's cells."""
+    ctx = f.ctx
+    p = power_function(ctx, e).table
+    d = np.flatnonzero(f.table != p)
+    a = np.flatnonzero(~ctx.subfield_mask)[:, None]
+    cells = np.sort(np.concatenate([p[d] ^ p[d ^ a], f.table[d] ^ p[d ^ a]], axis=1), axis=1)
+    return a[(cells[:, 1:] == cells[:, :-1]).any(axis=1), 0].tolist()
+
+
+def test_collision_rows_match_listings(f5, f10):
+    found = 0
+    for i, (k, e) in enumerate(SUBFIELD_EXPONENTS):
+        ctx = f5 if k == 1 else f10
+        for size in (2, 3, 1 << k):
+            for anywhere in (False, True):
+                f, d = power_off_subfield(ctx, e, i, size, anywhere)
+                rows = _collision_rows(ctx, e, power_function(ctx, e).table, f.table, d)
+                assert rows.tolist() == listing_collisions(f, e), (k, e, size, anywhere)
+                found += len(rows) > 0
+    assert found
+    # the Dobbertin map of GF(2^10) with the four points of GF(4) sent to
+    # values drawn from the whole field has 24 collision rows, which the
+    # structured spectrum must recount exactly
+    f, d = power_off_subfield(f10, 339, 8, 4, anywhere=True)
+    assert len(_collision_rows(f10, 339, power_function(f10, 339).table, f.table, d)) == 24
+    assert np.array_equal(_structured_omega(f), omega_counts(f.table))
 
 
 # Full n = 15 spectra, captured once from the row-by-row exhaustive scan.
@@ -277,11 +310,42 @@ N15_SPECTRA = {
 }
 
 
+def assert_spectrum_identities(ds, q):
+    assert sum(ds.spectrum.values()) == sum(i * w for i, w in ds.spectrum.items()) == (q - 1) * q
+
+
 @pytest.mark.parametrize("m, l1", sorted(N15_SPECTRA))
 def test_structured_spectrum_pinned_n15(f15, m, l1):
     ds = differential_spectrum(instance(f15, m, l1))
     assert ds.kernel == "structured"
     assert (ds.spectrum, ds.delta) == N15_SPECTRA[m, l1]
+    assert_spectrum_identities(ds, f15.order)
+
+
+# n = 20 (m, L1): |D|, spectrum, delta and max |W_f|, captured once from the
+# earlier kernels, which listed every row in blocks and summed each Walsh
+# orbit by modulo gathers, independently of the histograms and slices here
+N20_CRITERIA = {
+    (3, "x+1"): (16, {0: 549763683195, 2: 549738502410, 4: 8393595}, 4, 4364),
+    (1, "x"): (
+        14,
+        {0: 549762630645, 2: 549740607600, 4: 7340940, **dict.fromkeys(range(6, 16, 2), 0), 16: 15},
+        16,
+        4360,
+    ),
+}
+
+
+def test_structured_criteria_pinned_n20():
+    ctx = gf2n.mk_field(4)
+    for (m, l1), (size, spectrum, delta, wmax) in N20_CRITERIA.items():
+        f = instance(ctx, m, l1)
+        assert len(_power_off_subfield(f)[2]) == size
+        ds = differential_spectrum(f)
+        assert ds.kernel == "structured"
+        assert (ds.spectrum, ds.delta) == (spectrum, delta), (m, l1)
+        assert_spectrum_identities(ds, ctx.order)
+        assert _structured_walsh(f) == wmax, (m, l1)
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +717,11 @@ def test_memo_never_changes_a_report():
             assert analyze(power_function(ctx, 7), k=2).to_json() == x7
             assert ctx._memo["e"] == 7
         assert warm == cold
+    # one context through all of them keeps one exponent and each histogram
+    # the spectrum met, trimmed: under ten int64 tables of the field in all
+    ctx = gf2n.mk_field(2)
+    assert {inst: _report(ctx, inst) for inst in SWEEP_INSTANCES} == cold
+    assert sum(a.nbytes for a in _memo_arrays(ctx)) <= 10 * 8 * ctx.order
 
 
 def _memo_arrays(ctx):
