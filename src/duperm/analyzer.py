@@ -1,24 +1,20 @@
 """Criteria computations on lookup-table functions.
 
 * differential spectrum: when the table equals a power map P = x^e
-  outside the subfield GF(2^k), as every constructed f does, row 1 of
-  the DDT of P gives every row (power maps are homogeneous), and only
-  the pairs through the points D of GF(2^k) where f and P differ move
-  a cell.  Rows outside GF(2^k) move by histograms memoised per
-  exponent (generic rows), except the few where two of those pairs
-  share a cell (collision rows, solved for in O(|D|^2)); those and the
-  2^k - 1 rows of GF(2^k)* are listed cell by cell (exact rows).  Any
-  other table gets the exhaustive scan, omega_counts, one DDT row per
-  nonzero a (never the 2^n x 2^n matrix); it is also the oracle the
-  structured kernel is tested against;
+  outside the subfield GF(2^k), as every constructed f does, DDT row 1
+  of P gives every row, and only the pairs through the points D of
+  GF(2^k) where f and P differ move a cell: by memoised histograms in
+  the rows outside GF(2^k) (generic rows), cell by cell in the rows of
+  GF(2^k)* and where two pairs share a cell (exact rows).  Any other
+  table gets the exhaustive scan omega_counts, one DDT row per nonzero
+  a, which is also the structured kernel's test oracle;
 * Walsh spectrum: the exhaustive scan runs the sign table of
   Tr(v f(x)) of each component v through a fast transform over u,
   reindexed to the definition's u by the bit-linear map _psi_table.
   For x^e off GF(2^k) the structured kernel needs gcd(e, 2^n - 1)
   transforms of x^e plus an exact correction over D on the few orbits
-  of (u, v) that can still hold the maximum; each orbit sums slices of
-  memoised int8 sign sequences, one base sequence per residue of the
-  exponent mod gcd(e, 2^n - 1).  A cost guard hands the table to the
+  of (u, v) that can still hold the maximum, each a sum of slices of
+  memoised int8 sign sequences.  A cost guard hands the table to the
   exhaustive scan, the kernel's oracle, whenever the structured work
   would reach the 2^n - 1 transforms of that scan;
 * algebraic degree: subset-XOR (Moebius) transform of the whole table,
@@ -30,13 +26,11 @@ omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates.
 Everything runs in one process.
 
-The structured kernels keep what depends on the field and x^e alone in
-the context's memo (gf2n.FieldCtx.memo), so the instances over a field
-pay for it once: x^e, DDT row 1 with its histogram and inverse, the
-generic histograms (trimmed, one per value r = f(s)/s^e met), psi, the
-sign sequences and the transform orbits any f over the field could
-keep.  What depends on f stays per call, and a cold context gives the
-same reports as a warm one.
+What depends on the field and x^e alone is kept in the context's memo
+(gf2n.FieldCtx.memo): x^e, DDT row 1 with its histogram and inverse,
+the generic histograms (at most 2 * 2^n, one per value met), psi, the
+sign sequences and the orbits any f over the field could keep.  What
+depends on f stays per call; a cold context gives the same reports.
 """
 
 from __future__ import annotations
@@ -70,6 +64,7 @@ __all__ = [
 
 _WALSH_TABLE_MAX_N = 12
 _V_BLOCK = 256
+_EXACT_LISTINGS = 8192
 
 
 @dataclass(frozen=True)
@@ -116,13 +111,11 @@ def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray, np.ndarray] | 
     """(e, table of x^e, D) when f equals the power map x^e outside GF(2^k), else None.
 
     D lists, in ascending order, the points of GF(2^k) where f and x^e
-    differ; both structured kernels correct over D alone.  The generator
-    lies outside GF(2^k), so e = log f(generator); e = 0 is taken as
-    2^n - 1 so that x^e maps 0 to 0.  One O(2^n) comparison then confirms
-    or refutes the guess.
+    differ.  The generator lies outside GF(2^k), so e = log f(generator),
+    with e = 0 taken as 2^n - 1 so that x^e maps 0 to 0; one O(2^n)
+    comparison confirms or refutes the guess.
     """
-    ctx = f.ctx
-    tab = f.table
+    ctx, tab = f.ctx, f.table
     v = int(tab[ctx.generator])
     if v == 0:
         return None
@@ -134,32 +127,33 @@ def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray, np.ndarray] | 
     return e, p, d
 
 
-def _collision_rows(ctx, e: int, p: np.ndarray, tab: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _collision_rows(ctx, e: int, p, row1, tab, d: np.ndarray) -> np.ndarray | None:
     """Rows a outside GF(2^k) in which two listings of s != s' in D share a cell.
 
     Cells P(s) + P(s + a) or f(s) + P(s + a) agree when, with y = s + a
     and alpha = s + s', P(y) + P(y + alpha) is P(s) + P(s'), f(s) + f(s')
-    or f(s) + P(s'): then y = alpha z, where z solves
-    P(z) + P(z + 1) = beta / alpha^e in the memoised inverse of DDT row 1.
+    or f(s) + P(s'): then y = alpha z, and z solves P(z) + P(z + 1) =
+    beta / alpha^e, read off the memoised inverse of row1 (DDT row 1 of
+    P).  None when the even z outnumber _EXACT_LISTINGS, as for linear P.
     """
     if len(d) < 2:
         return d[:0]
     log, exp, q1 = ctx.log, ctx.exp, ctx.order - 1
-
-    def row1_inverse() -> tuple:
-        t = p[0::2] ^ p[1::2]  # z even; z + 1 lands on the same value
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(t, minlength=ctx.order))])
-        return 2 * np.argsort(t, kind="stable"), bounds
-
-    order, bounds = ctx.memo("row1_inverse", row1_inverse, e)
     i = np.flatnonzero(~np.eye(len(d), dtype=bool))
     s, s2 = d[i // len(d)], d[i % len(d)]
     alpha = s ^ s2
     beta = np.stack([p[s] ^ p[s2], tab[s] ^ tab[s2], tab[s] ^ p[s2]])
     b = np.where(beta != 0, exp[(log[beta] - e * log[alpha]) % q1], 0).ravel()
-    cnt = bounds[b + 1] - bounds[b]
+    cnt = row1[b] // 2  # even z; z + 1 is the other solution
+    if cnt.sum() > _EXACT_LISTINGS:
+        return None
+
+    def row1_inverse() -> tuple:  # even z by P(z) + P(z + 1), where each value starts
+        return 2 * np.argsort(p[0::2] ^ p[1::2], kind="stable"), np.cumsum(row1 // 2) - row1 // 2
+
+    order, start = ctx.memo("row1_inverse", row1_inverse, e)
     at = np.repeat(np.arange(len(b)), cnt)
-    z = order[(bounds[b] - np.cumsum(cnt) + cnt)[at] + np.arange(len(at))]
+    z = order[(start[b] - np.cumsum(cnt) + cnt)[at] + np.arange(len(at))]
     z, at = np.concatenate([z, z + 1]), np.concatenate([at, at]) % len(s)
     a = np.where(z != 0, exp[(log[z] + log[alpha[at]]) % q1], 0) ^ s[at]
     return np.flatnonzero((np.bincount(a, minlength=ctx.order) > 0) & ~ctx.subfield_mask)
@@ -175,9 +169,9 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
       the old counts are row1[(r + P(u + 1)) / u^e], r = 1 before and
       r = f(s) / s^e after (row1[(r + P(u)) / u^e], r = 0 and f(0), for
       s = 0); memoised histograms over u move all those rows at once.
-    * Collision rows, where two listings share a cell, and the rows of
-      GF(2^k)*, where a pair can lie inside D, are listed cell by cell
-      (exact rows), the generic moves of the former taken back first.
+    * Exact rows, GF(2^k)* and the collision rows where two listings
+      share a cell (their generic moves taken back), or every row when
+      _collision_rows gives up, are listed _EXACT_LISTINGS pairs at a time.
     """
     power = _power_off_subfield(f)
     if power is None:
@@ -208,33 +202,39 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
         return ctx.memo(("hist", r, shift), build, e)
 
     row1, omega_p = ctx.memo("ddt_row1", ddt_row1, e)
-    omega = omega_p.copy()
-    for s, fs in zip(d.tolist(), tab[d].tolist()):
-        shift = int(s != 0)
-        r = int(relabel(fs, e * int(log[s]) % q1)) if s else fs
-        for h, w in ((hist(shift, shift), -2), (hist(r, shift), 2)):
-            # h[i] cells move from count i to i + w (a before cell counts >= 2)
-            omega[: len(h)] -= h
-            omega[max(w, 0) : len(h) + w] += h[max(-w, 0) :]
+    omega, collide = omega_p.copy(), _collision_rows(ctx, e, p, row1, tab, d)
+    step = max(1, _EXACT_LISTINGS // max(len(d), 1))
+    if collide is None:
+        blocks = (np.arange(lo, min(lo + step, q))[:, None] for lo in range(1, q, step))
+    else:
+        rows = np.concatenate([np.flatnonzero(ctx.subfield_mask)[1:], collide])
+        blocks = (rows[lo : lo + step, None] for lo in range(0, len(rows), step))
+        for s, fs in zip(d.tolist(), tab[d].tolist()):
+            shift = int(s != 0)
+            r = int(relabel(fs, e * int(log[s]) % q1)) if s else fs
+            for h, w in ((hist(shift, shift), -2), (hist(r, shift), 2)):
+                # h[i] cells move from count i to i + w (a before cell counts >= 2)
+                omega[: len(h)] -= h
+                omega[max(w, 0) : len(h) + w] += h[max(-w, 0) :]
 
-    rows = np.concatenate([np.flatnonzero(ctx.subfield_mask)[1:],
-                           _collision_rows(ctx, e, p, tab, d)])[:, None]
-    x = d ^ rows
-    # a pair {s, s + a} stands for its two inputs; one with both ends
-    # in D is listed from each end, and each listing counts once
-    w = np.where(tab[x] != p[x], 1, 2).ravel()
-    before = ((rows << ctx.n) | (p[d] ^ p[x])).ravel()
-    after = ((rows << ctx.n) | (tab[d] ^ tab[x])).ravel()
-    keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
-    w = np.concatenate([-w, w])
-    net = np.bincount(inv, w, minlength=len(keys)).astype(np.int64)
-    ra = keys >> ctx.n
-    old = row1[relabel(keys & q1, e * log[ra] % q1)]
-    np.add.at(omega, old, -1)
-    np.add.at(omega, old + net, 1)
-    generic = ~ctx.subfield_mask[ra[inv]]
-    np.add.at(omega, old[inv][generic], 1)
-    np.add.at(omega, old[inv][generic] + w[generic], -1)
+    for a in blocks:
+        x = d ^ a
+        # a pair {s, s + a} stands for its two inputs; one with both ends
+        # in D is listed from each end, and each listing counts once
+        w = np.where(tab[x] != p[x], 1, 2).ravel()
+        before = ((a << ctx.n) | (p[d] ^ p[x])).ravel()
+        after = ((a << ctx.n) | (tab[d] ^ tab[x])).ravel()
+        keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
+        w = np.concatenate([-w, w])
+        net = np.bincount(inv, w, minlength=len(keys)).astype(np.int64)
+        ra = keys >> ctx.n
+        old = row1[relabel(keys & q1, e * log[ra] % q1)]
+        np.add.at(omega, old, -1)
+        np.add.at(omega, old + net, 1)
+        if collide is not None:  # take back the histogram move of each listing
+            generic = ~ctx.subfield_mask[ra[inv]]
+            np.add.at(omega, old[inv][generic], 1)
+            np.add.at(omega, old[inv][generic] + w[generic], -1)
     return omega
 
 
@@ -319,9 +319,9 @@ def _orbit_walsh(f: LutFunction, e: int, d: np.ndarray, j: int, w: int, wp_jw: i
     f equals x^e except on the points d; wp_jw = W_P(w, gamma^j) for P = x^e.
     Each term is a sign (-1)^Tr(gamma^(e i + t)) or (-1)^Tr(gamma^(i + t)).
     With g = gcd(e, 2^n - 1), rho = t mod g and e t' = t - rho, the first
-    is entry i + t' of the base sequence (-1)^Tr(gamma^(e i + rho)); the
-    memo keeps each base sequence, built on first use of its rho, and the
-    trace signs in int8, long enough that every term is a slice.
+    is entry i + t' of the base sequence (-1)^Tr(gamma^(e i + rho)), which
+    the memo keeps per rho, like the trace signs, in int8 and long enough
+    that every term is a slice.
     """
     ctx, log, q1 = f.ctx, f.ctx.log, f.ctx.order - 1
     g = math.gcd(e, q1)
@@ -366,8 +366,7 @@ def _structured_walsh(f: LutFunction) -> int | None:
     if power is None:
         return None
     e, p, d = power
-    ctx = f.ctx
-    q1 = ctx.order - 1
+    ctx, q1 = f.ctx, f.ctx.order - 1
     g = math.gcd(e, q1)
     if g >= q1:
         return None

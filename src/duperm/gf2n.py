@@ -205,11 +205,12 @@ class FieldCtx:
         field and the power map x^e, so the memo changes when a result is
         computed, never the result.  It keeps one exponent: an entry for
         an exponent other than the stored one first drops every entry of
-        the old exponent.  A tuple key names a parameter of build as
-        well, such as a field element or a residue mod gcd(e, 2^n - 1),
-        so the memo holds a bounded set of tables however many instances
-        or exponents pass through the context, and it is freed with the
-        context.  build returns an array or a tuple of arrays.
+        the old exponent.  A tuple key also names a parameter of build, a
+        field element or a residue mod gcd(e, 2^n - 1), and an exponent
+        keeps one entry per value met: at most 2 * 2^n spectrum histograms
+        (a field element and a flag), each at most (max DDT entry of x^e)
+        + 1 counts long.  It is freed with the context.  build returns an
+        array or a tuple of arrays.
         """
         memo = self._memo
         if e is not None:

@@ -261,15 +261,23 @@ def test_structured_spectrum_arbitrary_subfield_values(f5, f10, ke, seed, size, 
 
 def test_structured_spectrum_every_row_exact(f5, f10, monkeypatch):
     # every row outside GF(2^k) taken for a collision row: the exact listing
-    # must take back each move the histograms made and recount all rows
+    # must take back each move the histograms made and recount all rows,
+    # in blocks of 60 listings, the last one short
     monkeypatch.setattr(
         analyzer, "_collision_rows", lambda ctx, *_: np.flatnonzero(~ctx.subfield_mask)
     )
+    monkeypatch.setattr(analyzer, "_EXACT_LISTINGS", 60)
     for i, (k, e) in enumerate(SUBFIELD_EXPONENTS):
         ctx = f5 if k == 1 else f10
         for size in (0, 1, 2, 1 << k):
             f, _ = power_off_subfield(ctx, e, i, size, anywhere=bool(i % 2))
             assert np.array_equal(_structured_omega(f), omega_counts(f.table)), (k, e, size)
+
+
+def power_row1(ctx, e):
+    """The table of x^e and row 1 of its DDT."""
+    p = power_function(ctx, e)
+    return p.table, ddt_row(p, 1)
 
 
 def listing_collisions(f, e):
@@ -290,7 +298,7 @@ def test_collision_rows_match_listings(f5, f10):
         for size in (2, 3, 1 << k):
             for anywhere in (False, True):
                 f, d = power_off_subfield(ctx, e, i, size, anywhere)
-                rows = _collision_rows(ctx, e, power_function(ctx, e).table, f.table, d)
+                rows = _collision_rows(ctx, e, *power_row1(ctx, e), f.table, d)
                 assert rows.tolist() == listing_collisions(f, e), (k, e, size, anywhere)
                 found += len(rows) > 0
     assert found
@@ -298,8 +306,35 @@ def test_collision_rows_match_listings(f5, f10):
     # values drawn from the whole field has 24 collision rows, which the
     # structured spectrum must recount exactly
     f, d = power_off_subfield(f10, 339, 8, 4, anywhere=True)
-    assert len(_collision_rows(f10, 339, power_function(f10, 339).table, f.table, d)) == 24
+    assert len(_collision_rows(f10, 339, *power_row1(f10, 339), f.table, d)) == 24
     assert np.array_equal(_structured_omega(f), omega_counts(f.table))
+
+
+def test_structured_spectrum_huge_row1_entries_stay_bounded(f10, monkeypatch):
+    # x and x^(2^n - 1) have one DDT row 1 entry near 2^n, so with all of
+    # GF(2^k) changed every row collides: the collision search gives up
+    # before expanding its solutions and every row is listed in blocks
+    for ctx in (f10, gf2n.mk_field(3)):
+        for e in (1, ctx.order - 1):
+            f = _with_subfield_changed(ctx, e)
+            d = np.flatnonzero(ctx.subfield_mask)
+            assert _collision_rows(ctx, e, *power_row1(ctx, e), f.table, d) is None
+            if ctx.n == 10:
+                assert np.array_equal(_structured_omega(f), omega_counts(f.table)), e
+                with monkeypatch.context() as m:  # 15 rows a block, the last one short
+                    m.setattr(analyzer, "_EXACT_LISTINGS", 60)
+                    assert np.array_equal(_structured_omega(f), omega_counts(f.table)), e
+                continue
+            tracemalloc.start()
+            try:
+                ds = differential_spectrum(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ds.kernel == "structured"
+            assert_spectrum_identities(ds, ctx.order)
+            # the earlier kernel, which listed every row in blocks, peaked at 2.13 MB
+            assert peak < 2_130_000, (e, peak)
 
 
 # Full n = 15 spectra, captured once from the row-by-row exhaustive scan.
