@@ -15,7 +15,6 @@ from .analyzer import (
     is_permutation,
     nl_lower_bound,
     nonlinearity,
-    walsh_spectrum,
 )
 from .construct import (
     AffinePerm,
@@ -26,7 +25,6 @@ from .construct import (
     instance,
     parse_affine_expr,
     power_function,
-    random_affine_perm,
     read_lut,
     write_lut,
 )

@@ -8,9 +8,10 @@
   GF(2^k)* and where two pairs share a cell (exact rows).  Any other
   table gets the exhaustive scan omega_counts, one DDT row per nonzero
   a, which is also the structured kernel's test oracle;
-* Walsh spectrum: the exhaustive scan runs the sign table of
-  Tr(v f(x)) of each component v through a fast transform over u,
-  reindexed to the definition's u by the bit-linear map _psi_table.
+* Walsh maximum max |W(u, v)|, read by nonlinearity: the exhaustive
+  scan runs the sign table of Tr(v f(x)) of each component v through a
+  fast transform over u, a block of components at a time, reindexed to
+  the definition's u by the bit-linear map _psi_table.
   For x^e off GF(2^k) the structured kernel needs gcd(e, 2^n - 1)
   transforms of x^e plus an exact correction over D on the few orbits
   of (u, v) that can still hold the maximum, each a sum of slices of
@@ -47,12 +48,9 @@ from .construct import LutFunction
 
 __all__ = [
     "DiffSpectrum",
-    "WalshSpectrum",
     "CriteriaReport",
-    "ddt_row",
     "differential_spectrum",
     "omega_counts",
-    "walsh_spectrum",
     "walsh_max_abs",
     "nonlinearity",
     "algebraic_degree",
@@ -62,7 +60,6 @@ __all__ = [
     "analyze",
 ]
 
-_WALSH_TABLE_MAX_N = 12
 _V_BLOCK = 256
 _EXACT_LISTINGS = 8192
 
@@ -74,21 +71,6 @@ class DiffSpectrum:
     spectrum: dict
     delta: int
     kernel: str = field(default="exhaustive", compare=False)
-
-
-@dataclass(frozen=True, eq=False)
-class WalshSpectrum:
-    max_abs: int
-    table: np.ndarray = field(repr=False, default=None)
-
-
-def ddt_row(f: LutFunction, a: int) -> np.ndarray:
-    """counts[b] = #{x : f(x + a) + f(x) = b}."""
-    if a == 0:
-        raise ValueError("input difference a must be nonzero")
-    q = f.ctx.order
-    tab = f.table
-    return np.bincount(tab[np.arange(q) ^ a] ^ tab, minlength=q)
 
 
 def omega_counts(table: np.ndarray) -> np.ndarray:
@@ -422,24 +404,6 @@ def walsh_max_abs(f: LutFunction) -> int:
     return max(int(np.abs(block).max()) for block in blocks)
 
 
-def walsh_spectrum(f: LutFunction) -> WalshSpectrum:
-    """Full table W[v-1, u] of the transform, plus its maximum magnitude.
-
-    The table is quadratic in the field size and refused above n = 12;
-    use walsh_max_abs / nonlinearity for large fields.  It is the tests'
-    reference for both paths of walsh_max_abs.
-    """
-    ctx = f.ctx
-    if ctx.n > _WALSH_TABLE_MAX_N:
-        raise ValueError(
-            f"full Walsh table refused for n = {ctx.n} > {_WALSH_TABLE_MAX_N}"
-        )
-    psi = _psi_table(ctx)
-    blocks = _walsh_blocks(ctx, f.table, np.arange(1, ctx.order))
-    table = np.concatenate([block[:, psi] for block in blocks])
-    return WalshSpectrum(int(np.abs(table).max()), table)
-
-
 def nonlinearity(f: LutFunction) -> int:
     return (f.ctx.order >> 1) - walsh_max_abs(f) // 2
 
@@ -509,7 +473,6 @@ class CriteriaReport:
     spectrum: dict
     delta: int
     nl: int | None
-    walsh_max_abs: int | None
     degree: int
     is_permutation: bool
     lb: int | None
@@ -568,11 +531,10 @@ def analyze(
     ds = differential_spectrum(f)
     runtime["spectrum"] = (time.perf_counter() - t0) * 1e3
 
-    nl = wmax = None
+    nl = None
     if walsh:
         t0 = time.perf_counter()
-        wmax = walsh_max_abs(f)
-        nl = (f.ctx.order >> 1) - wmax // 2
+        nl = nonlinearity(f)
         runtime["walsh"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -590,7 +552,6 @@ def analyze(
         spectrum=ds.spectrum,
         delta=ds.delta,
         nl=nl,
-        walsh_max_abs=wmax,
         degree=degree,
         is_permutation=perm,
         lb=nl_lower_bound(k) if k is not None else None,

@@ -32,7 +32,6 @@ __all__ = [
     "dobbertin_exponent",
     "power_function",
     "affine_eval",
-    "random_affine_perm",
     "parse_affine_expr",
     "build_g",
     "build_f",
@@ -73,7 +72,6 @@ class AffinePerm:
     k: int
     linear_coeffs: tuple
     constant: int
-    label: str = ""
 
     def __post_init__(self):
         if len(self.linear_coeffs) != self.k:
@@ -95,20 +93,6 @@ def affine_eval(L: AffinePerm, a: int) -> int:
         if c:
             acc ^= gf2n.mul(L.ctx, c, gf2n.frobenius(L.ctx, a, i))
     return acc
-
-
-def random_affine_perm(ctx: gf2n.FieldCtx, k: int, seed: int) -> AffinePerm:
-    """Seed-deterministic affine permutation of GF(2^k)."""
-    rng = random.Random(seed)
-    sub = ctx.subfield_elems
-    for _ in range(4096):
-        coeffs = tuple(rng.choice(sub) for _ in range(k))
-        constant = rng.choice(sub)
-        try:
-            return AffinePerm(ctx, k, coeffs, constant, label=f"seed={seed}")
-        except ValueError:
-            continue
-    raise RuntimeError("could not draw a bijective affine map within budget")
 
 
 def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
@@ -153,7 +137,7 @@ def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
                 f"x exponent {exp} is not a power of two below 2^{k} in {text!r}"
             )
         coeffs[i] ^= coef
-    return AffinePerm(ctx, k, tuple(coeffs), constant, label=text)
+    return AffinePerm(ctx, k, tuple(coeffs), constant)
 
 
 _DOB_TERMS = (4, 3, 2, 1)

@@ -191,7 +191,6 @@ class FieldCtx:
     trace_bits: np.ndarray = field(repr=False)
     subfield_mask: np.ndarray = field(repr=False)
     subfield_elems: tuple = field(repr=False)
-    _coset_basis: tuple = field(repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -223,25 +222,6 @@ class FieldCtx:
                 arr.flags.writeable = False
             memo[key] = value
         return memo[key]
-
-
-def _rref_basis(vectors: list[int]) -> tuple:
-    """Reduced row-echelon basis of a span of GF(2) bit vectors, as (pivot, vec) pairs."""
-    basis: dict[int, int] = {}
-    for v in vectors:
-        cur = v
-        while cur:
-            p = cur.bit_length() - 1
-            if p in basis:
-                cur ^= basis[p]
-            else:
-                basis[p] = cur
-                break
-    for p in sorted(basis):
-        for p2 in basis:
-            if p2 != p and (basis[p2] >> p) & 1:
-                basis[p2] ^= basis[p]
-    return tuple(sorted(basis.items(), reverse=True))
 
 
 def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
@@ -307,7 +287,6 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
         raise ValueError("subfield size check failed")
 
     beta = exp.item(stride % (q - 1))
-    coset_basis = _rref_basis([e for e in sub_elems if e])
 
     return FieldCtx(
         n=n,
@@ -320,7 +299,6 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
         trace_bits=trace_bits,
         subfield_mask=subfield_mask,
         subfield_elems=sub_elems,
-        _coset_basis=coset_basis,
     )
 
 
@@ -364,13 +342,13 @@ def frobenius(ctx: FieldCtx, a: int, j: int) -> int:
 
 
 def subfield_coset_rep(ctx: FieldCtx, a):
-    """Canonical representative of the additive coset a + GF(2^k).
+    """Least element of the additive coset a + GF(2^k).
 
-    a is one element or an integer array of them, reduced elementwise.
+    a is one element or an integer array of them, reduced elementwise;
+    an int gets an int back.
     """
-    for pivot, vec in ctx._coset_basis:
-        a = a ^ ((a >> pivot) & 1) * vec
-    return a
+    rep = np.minimum.reduce([a ^ s for s in ctx.subfield_elems])
+    return int(rep) if isinstance(a, int) else rep
 
 
 # ---------------------------------------------------------------------------

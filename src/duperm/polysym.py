@@ -1,13 +1,12 @@
 """Sparse multivariate polynomials over GF(2) with resultants and exact division.
 
-A MultiPoly is a set of monomials over a fixed tuple of variable names;
+A MultiPoly is a set of monomials in the six variables VARS of the
+elimination chain that drives the prover, x > y > z > u > v > b;
 every coefficient is 1, so addition is symmetric difference of term
-sets and the zero polynomial is the empty set.  The default universe is
-the six variables used by the elimination chain that drives the prover:
-x > y > z > u > v > b.
+sets and the zero polynomial is the empty set.
 
 A monomial is one int of one-byte fields, the total degree on top and
-then the exponents in universe order: x^2*y*b is the bytes 4 2 1 0 0 0 1.
+then the exponents in VARS order: x^2*y*b is the bytes 4 2 1 0 0 0 1.
 Ints compare by total degree first and then by the exponents in order,
 which is graded-lex order, so sorting needs no key, and a product of
 monomials is an int addition.  The top bit of every byte stays clear: a
@@ -55,70 +54,62 @@ def _pack(exponents: tuple) -> int:
     return int.from_bytes(bytes((sum(exponents), *exponents)), "big")
 
 
-def _unpack(m: int, nvars: int) -> bytes:
+def _unpack(m: int) -> bytes:
     """The exponents of a monomial, one byte each."""
-    return m.to_bytes(nvars + 1, "big")[1:]
+    return m.to_bytes(len(VARS) + 1, "big")[1:]
 
 
 class MultiPoly:
-    __slots__ = ("variables", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[tuple] = (), variables: tuple = VARS):
+    def __init__(self, terms: Iterable[tuple] = ()):
         acc: set[int] = set()
         for t in terms:
             t = tuple(t)
-            if len(t) != len(variables):
+            if len(t) != len(VARS):
                 raise ValueError("exponent tuple does not match variable universe")
             acc ^= {_pack(t)}
-        self.variables = tuple(variables)
         self.terms = frozenset(acc)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: tuple = VARS) -> "MultiPoly":
-        return cls((), variables)
+    def zero(cls) -> "MultiPoly":
+        return cls()
 
     @classmethod
-    def one(cls, variables: tuple = VARS) -> "MultiPoly":
-        return cls(((0,) * len(variables),), variables)
+    def one(cls) -> "MultiPoly":
+        return cls(((0,) * len(VARS),))
 
     @classmethod
-    def var(cls, name: str, variables: tuple = VARS) -> "MultiPoly":
-        i = variables.index(name)
-        return cls((tuple(int(j == i) for j in range(len(variables))),), variables)
+    def var(cls, name: str) -> "MultiPoly":
+        i = VARS.index(name)
+        return cls((tuple(int(j == i) for j in range(len(VARS))),))
 
     @classmethod
-    def _raw(cls, variables: tuple, terms: frozenset) -> "MultiPoly":
+    def _raw(cls, terms: frozenset) -> "MultiPoly":
         out = cls.__new__(cls)
-        out.variables = variables
         out.terms = terms
         return out
 
     # -- ring structure ------------------------------------------------
 
-    def _check(self, other: "MultiPoly") -> None:
-        if self.variables != other.variables:
-            raise ValueError("mixed variable universes")
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        return MultiPoly._raw(self.variables, self.terms ^ other.terms)
+        return MultiPoly._raw(self.terms ^ other.terms)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
         acc: set[int] = set()
         if self.terms and other.terms:
-            top = 8 * len(self.variables)
+            top = 8 * len(VARS)
             _check_degree((max(self.terms) >> top) + (max(other.terms) >> top))
             for s in self.terms:
                 acc ^= {s + t for t in other.terms}
-        return MultiPoly._raw(self.variables, frozenset(acc))
+        return MultiPoly._raw(frozenset(acc))
 
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
             raise ValueError("negative power")
-        out = MultiPoly.one(self.variables)
+        out = MultiPoly.one()
         base = self
         while e:
             if e & 1:
@@ -129,14 +120,10 @@ class MultiPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
+        return isinstance(other, MultiPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.variables, self.terms))
+        return hash(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -144,7 +131,7 @@ class MultiPoly:
     # -- structure queries ----------------------------------------------
 
     def _shift(self, name: str) -> int:  # bit offset of a variable's byte
-        return 8 * (len(self.variables) - 1 - self.variables.index(name))
+        return 8 * (len(VARS) - 1 - VARS.index(name))
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of name; -1 for the zero polynomial."""
@@ -154,31 +141,31 @@ class MultiPoly:
     def coefficient(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name^power, as a polynomial with that variable cleared."""
         sh = self._shift(name)
-        drop = (power << sh) + (power << 8 * len(self.variables))
+        drop = (power << sh) + (power << 8 * len(VARS))
         terms = frozenset(m - drop for m in self.terms if (m >> sh) & 255 == power)
-        return MultiPoly._raw(self.variables, terms)
+        return MultiPoly._raw(terms)
 
     def substitute_variables(self, mapping: dict) -> "MultiPoly":
         """Rename variables per mapping (a permutation of the universe)."""
-        perm = [self.variables.index(mapping.get(v, v)) for v in self.variables]
+        perm = [VARS.index(mapping.get(v, v)) for v in VARS]
         out = []
         for m in self.terms:
             new = [0] * len(perm)
-            for dst, e in zip(perm, _unpack(m, len(perm))):
+            for dst, e in zip(perm, _unpack(m)):
                 new[dst] += e
             out.append(new)
-        return MultiPoly(out, self.variables)
+        return MultiPoly(out)
 
     def evaluate(self, assignment: dict, ctx: gf2n.FieldCtx) -> int:
-        exps = [_unpack(m, len(self.variables)) for m in self.terms]
-        used = {v for t in exps for v, e in zip(self.variables, t) if e}
-        missing = [v for v in self.variables if v in used and v not in assignment]
+        exps = [_unpack(m) for m in self.terms]
+        used = {v for t in exps for v, e in zip(VARS, t) if e}
+        missing = [v for v in VARS if v in used and v not in assignment]
         if missing:
             raise ValueError(f"assignment missing variables: {missing}")
         acc = 0
         for t in exps:
             prod = 1
-            for name, e in zip(self.variables, t):
+            for name, e in zip(VARS, t):
                 if e:
                     prod = gf2n.mul(ctx, prod, gf2n.pow(ctx, assignment[name], e))
             acc ^= prod
@@ -191,7 +178,7 @@ class MultiPoly:
         for m in sorted(self.terms, reverse=True):
             factors = [
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.variables, _unpack(m, len(self.variables)))
+                for name, e in zip(VARS, _unpack(m))
                 if e
             ]
             parts.append("*".join(factors) or "1")
@@ -202,12 +189,10 @@ class MultiPoly:
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """p / q when q divides p exactly; raises ExactDivisionError otherwise."""
-    p._check(q)
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    nvars = len(p.variables)
     # a - b keeps every clear top bit of a | guard iff no byte of b exceeds a's
-    guard = int.from_bytes(b"\x80" * (nvars + 1), "big")
+    guard = int.from_bytes(b"\x80" * (len(VARS) + 1), "big")
     lead_q = max(q.terms)
     rem = set(p.terms)
     quot: set[int] = set()
@@ -215,12 +200,12 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         lead_r = max(rem)
         if (lead_r | guard) - lead_q & guard != guard:
             raise ExactDivisionError(
-                f"non-exact division, remainder leading term {tuple(_unpack(lead_r, nvars))}"
+                f"non-exact division, remainder leading term {tuple(_unpack(lead_r))}"
             )
         t = lead_r - lead_q
         quot.add(t)
         rem ^= {t + s for s in q.terms}
-    return MultiPoly._raw(p.variables, frozenset(quot))
+    return MultiPoly._raw(frozenset(quot))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +215,8 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def _det_poly(matrix: list) -> MultiPoly:
     """Determinant of a square MultiPoly matrix by memoised cofactor expansion."""
     n = len(matrix)
-    variables = matrix[0][0].variables
-    one = MultiPoly.one(variables)
-    zero = MultiPoly.zero(variables)
+    one = MultiPoly.one()
+    zero = MultiPoly.zero()
     memo: dict[frozenset, MultiPoly] = {}
 
     def go(cols: frozenset) -> MultiPoly:
@@ -259,7 +243,6 @@ def resultant_wrt(F: MultiPoly, G: MultiPoly, name: str) -> MultiPoly:
     Both inputs must have positive degree in that variable; the result
     no longer involves it and vanishes at every common zero of F and G.
     """
-    F._check(G)
     dF = F.degree_in(name)
     dG = G.degree_in(name)
     if dF < 1 or dG < 1:
@@ -267,7 +250,7 @@ def resultant_wrt(F: MultiPoly, G: MultiPoly, name: str) -> MultiPoly:
     fc = [F.coefficient(name, dF - i) for i in range(dF + 1)]
     gc = [G.coefficient(name, dG - i) for i in range(dG + 1)]
     order = dF + dG
-    zero = MultiPoly.zero(F.variables)
+    zero = MultiPoly.zero()
     rows = []
     for i in range(dG):
         rows.append([zero] * i + fc + [zero] * (dG - 1 - i))

@@ -6,10 +6,12 @@ claim always carries a counterexample or a computed-vs-expected pair;
 a passing symbolic step carries the transcript of the polynomials it
 compared.  Claims are deterministic given (claim_id, seed).
 
-Every claim takes the field context it runs on.  run_claims builds each
-field once per call, before the timer of the first claim on it starts
-(so elapsed_ms excludes mk_field), and the claims on one field share its
-memo; no context outlives the call.
+Every claim takes the field context it runs on.  run_claims runs the
+whole claim set and then keeps the results whose id matches its glob,
+so each claim id is spelled only in the claim function that builds it.
+It builds each field once per call, before the timer of any claim
+starts (so elapsed_ms excludes mk_field), and the claims on one field
+share its memo; no context outlives the call.
 
 The no-solution lemma for (x+1)^d + x^d = b over the subfield
 complement is verified through two independent channels: an exhaustive
@@ -48,7 +50,6 @@ __all__ = [
     "remark2_degrees",
     "prop2_bound_check",
     "prop1_hypothesis_search",
-    "claim_ids",
     "run_claims",
 ]
 
@@ -382,50 +383,11 @@ def prop1_hypothesis_search(ctx: gf2n.FieldCtx, max_examples: int = 3) -> ClaimR
 
 
 # ---------------------------------------------------------------------------
-# Claim registry
+# The claim set
 # ---------------------------------------------------------------------------
-
-_REPLAY_IDS = tuple(
-    "lemma1.replay.step" + s
-    for s in ("1.2a", "1.2b", "1.2c", "1.2d", "1.3a", "1.3b", "1.3c", "1.5")
-)
-_REMARK2_IDS = (
-    "prop1.remark2.k1.m0",
-    "prop1.remark2.k1.m1",
-    "prop1.remark2.k1.m2",
-    "prop1.remark2.k3.m2",
-)
-
 
 def _prop2_instance(ctx: gf2n.FieldCtx, m: int, l1: str):
     return prop2_bound_check(instance(ctx, m, l1), ctx.k, f"m{m}.{l1}")
-
-
-def _registry(field, seed: int, trials: int, walsh: bool) -> list:
-    """(claim ids, producer) pairs; field(k) gives the context of GF(2^(5k))."""
-    entries = [
-        (("lemma1.exhaustive.k1",), lambda: [lemma1_exhaustive(field(1))]),
-        (("lemma1.exhaustive.k2",), lambda: [lemma1_exhaustive(field(2))]),
-        (("lemma1.exhaustive.k3",), lambda: [lemma1_exhaustive(field(3))]),
-        (_REPLAY_IDS, lemma1_replay),
-        (("theorem1.coset.k1",), lambda: [coset_intersection_check(field(1), trials, seed)]),
-        (("theorem1.coset.k2",), lambda: [coset_intersection_check(field(2), trials, seed)]),
-        (("theorem1.coset.k3",), lambda: [coset_intersection_check(field(3), trials, seed)]),
-        (("theorem1.check.k1.m1.x+1",), lambda: [theorem1_check(field(1), 1, "x+1")]),
-        (("theorem1.check.k1.m1.x",), lambda: [theorem1_check(field(1), 1, "x")]),
-        (("theorem1.check.k3.m2.x",), lambda: [theorem1_check(field(3), 2, "x")]),
-        (_REMARK2_IDS, lambda: remark2_degrees(field(1), field(3))),
-        (("prop1.hypothesis.k3",), lambda: [prop1_hypothesis_search(field(3))]),
-        (("prop2.bound.k1.m1.x+1",), lambda: [_prop2_instance(field(1), 1, "x+1")]),
-        (("prop2.bound.k2.m2.b^2*x^2",), lambda: [_prop2_instance(field(2), 2, "b^2*x^2")]),
-    ]
-    if walsh:
-        entries.append((("prop2.bound.k3.m2.x",), lambda: [_prop2_instance(field(3), 2, "x")]))
-    return entries
-
-
-def claim_ids(walsh: bool = False) -> list:
-    return sorted(cid for ids, _ in _registry(None, 0, 64, walsh) for cid in ids)
 
 
 def run_claims(
@@ -434,19 +396,26 @@ def run_claims(
     trials: int = 64,
     walsh: bool = False,
 ) -> list:
-    """Run every registered claim whose id matches the glob pattern.
+    """Run the whole claim set and keep the results whose id matches the glob pattern.
 
-    Each field is built on first use, into a mapping local to this call.
+    The three fields are built first, into variables local to this call.
     """
-    fields: dict = {}
-
-    def field(k: int) -> gf2n.FieldCtx:
-        if k not in fields:
-            fields[k] = gf2n.mk_field(k)
-        return fields[k]
-
-    results = []
-    for ids, producer in _registry(field, seed, trials, walsh):
-        if any(fnmatch(cid, pattern) for cid in ids):
-            results.extend(r for r in producer() if fnmatch(r.claim_id, pattern))
-    return sorted(results, key=lambda r: r.claim_id)
+    f1, f2, f3 = (gf2n.mk_field(k) for k in (1, 2, 3))
+    results = [lemma1_exhaustive(ctx) for ctx in (f1, f2, f3)]
+    results += lemma1_replay()
+    results += [coset_intersection_check(ctx, trials, seed) for ctx in (f1, f2, f3)]
+    results += [
+        theorem1_check(f1, 1, "x+1"),
+        theorem1_check(f1, 1, "x"),
+        theorem1_check(f3, 2, "x"),
+    ]
+    results += remark2_degrees(f1, f3)
+    results += [
+        prop1_hypothesis_search(f3),
+        _prop2_instance(f1, 1, "x+1"),
+        _prop2_instance(f2, 2, "b^2*x^2"),
+    ]
+    if walsh:
+        results.append(_prop2_instance(f3, 2, "x"))
+    kept = [r for r in results if fnmatch(r.claim_id, pattern)]
+    return sorted(kept, key=lambda r: r.claim_id)

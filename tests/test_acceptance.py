@@ -11,15 +11,14 @@ import time
 
 import numpy as np
 
+from conftest import ddt_row, walsh_table
 from duperm import gf2n, prover
 from duperm.analyzer import (
     algebraic_degree,
-    ddt_row,
     differential_spectrum,
     is_permutation,
     nl_lower_bound,
     nonlinearity,
-    walsh_spectrum,
 )
 from duperm.construct import instance, parse_affine_expr, power_function
 
@@ -316,12 +315,12 @@ def test_property_suite(f5, f10):
     perm10 = power_function(f10, 5)
 
     # Parseval, exhaustive at n=5
-    ws5 = walsh_spectrum(perm5)
-    assert ((ws5.table.astype(np.int64) ** 2).sum(axis=1) == 1 << 10).all()
+    ws5 = walsh_table(perm5)
+    assert ((ws5.astype(np.int64) ** 2).sum(axis=1) == 1 << 10).all()
     # Parseval, sampled at n=10
-    ws10 = walsh_spectrum(case10)
+    ws10 = walsh_table(case10)
     rows = [rng.randrange(1023) for _ in range(64)]
-    assert ((ws10.table[rows].astype(np.int64) ** 2).sum(axis=1) == 1 << 20).all()
+    assert ((ws10[rows].astype(np.int64) ** 2).sum(axis=1) == 1 << 20).all()
 
     # DDT row sums and evenness: exhaustive n=5, sampled n=10
     for a in range(1, 32):
@@ -339,24 +338,25 @@ def test_property_suite(f5, f10):
         assert sum(i * w for i, w in ds.spectrum.items()) == (q - 1) * q
 
     # permutation balancedness W(0, v) = 0
-    assert (ws5.table[:, 0] == 0).all()
-    wsp10 = walsh_spectrum(perm10)
+    assert (ws5[:, 0] == 0).all()
+    wsp10 = walsh_table(perm10)
     for v in [rng.randrange(1, 1024) for _ in range(64)]:
-        assert wsp10.table[v - 1, 0] == 0
+        assert wsp10[v - 1, 0] == 0
 
 
 @checked("Oracle equivalence at n=5: Walsh, DDT and degree against naive scans")
 def test_naive_oracle_equivalence(f5):
     f = instance(f5, 1, "x+1")
 
-    ws = walsh_spectrum(f)
+    ws = walsh_table(f)
     naive_max = 0
     for v in range(1, 32):
         for u in range(32):
             entry = naive_walsh_entry(f, u, v)
-            assert ws.table[v - 1, u] == entry
+            assert ws[v - 1, u] == entry
             naive_max = max(naive_max, abs(entry))
     assert oracle_nl(f) == 16 - naive_max // 2
+    assert nonlinearity(f) == 16 - naive_max // 2
 
     ds = differential_spectrum(f)
     naive = naive_delta_and_spectrum(f)

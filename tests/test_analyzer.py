@@ -9,27 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ddt_row, random_affine_perm, walsh_max, walsh_rows, walsh_table
 from duperm import analyzer, gf2n
 from duperm.analyzer import (
     DiffSpectrum,
     algebraic_degree,
     analyze,
     anf_degree,
-    ddt_row,
     differential_spectrum,
     is_permutation,
     nl_lower_bound,
     nonlinearity,
     omega_counts,
     walsh_max_abs,
-    walsh_spectrum,
     _collision_rows,
     _orbit_walsh,
     _power_off_subfield,
     _psi_table,
     _structured_omega,
     _structured_walsh,
-    _walsh_blocks,
 )
 from duperm.construct import (
     LutFunction,
@@ -38,7 +36,6 @@ from duperm.construct import (
     dobbertin_exponent,
     instance,
     power_function,
-    random_affine_perm,
 )
 
 
@@ -62,11 +59,6 @@ def naive_spectrum(f):
         for b in range(q):
             omega[counts[b]] = omega.get(counts[b], 0) + 1
     return omega
-
-
-def walsh_rows(ctx, tab, vs):
-    """Rows W[i, u] = W(u, vs[i]) of tab, u in field coordinates."""
-    return np.concatenate([b[:, _psi_table(ctx)] for b in _walsh_blocks(ctx, tab, vs)])
 
 
 def naive_walsh(f, u, v):
@@ -113,11 +105,6 @@ def test_ddt_row_identity(f5):
         row = ddt_row(f, a)
         assert row[a] == 32
         assert row.sum() == 32
-
-
-def test_ddt_row_zero_rejected(f5):
-    with pytest.raises(ValueError):
-        ddt_row(power_function(f5, 3), 0)
 
 
 def test_ddt_rows_even_and_sum(f10):
@@ -177,7 +164,7 @@ def test_spectrum_identities(f5, f10):
 # ---------------------------------------------------------------------------
 
 def ddt_row_spectrum(f):
-    """The spectrum rebuilt from the public ddt_row over every a != 0."""
+    """The spectrum rebuilt from the DDT rows of every a != 0."""
     q = f.ctx.order
     omega = np.zeros(q + 1, dtype=np.int64)
     for a in range(1, q):
@@ -389,10 +376,10 @@ def test_structured_criteria_pinned_n20():
 
 def test_walsh_table_matches_naive_exhaustive_n5(f5):
     f = instance(f5, 1, "x+1")
-    ws = walsh_spectrum(f)
+    ws = walsh_table(f)
     for v in range(1, 32):
         for u in range(32):
-            assert ws.table[v - 1, u] == naive_walsh(f, u, v)
+            assert ws[v - 1, u] == naive_walsh(f, u, v)
 
 
 def test_walsh_linear_function(f5):
@@ -400,40 +387,35 @@ def test_walsh_linear_function(f5):
 
 
 def test_parseval_exhaustive_n5(f5):
-    ws = walsh_spectrum(instance(f5, 1, "x+1"))
-    sums = (ws.table.astype(np.int64) ** 2).sum(axis=1)
+    ws = walsh_table(instance(f5, 1, "x+1"))
+    sums = (ws.astype(np.int64) ** 2).sum(axis=1)
     assert (sums == 1 << 10).all()
 
 
 def test_parseval_sampled_n10(f10):
-    ws = walsh_spectrum(power_function(f10, 339))
+    ws = walsh_table(power_function(f10, 339))
     rng = random.Random(2)
     rows = [rng.randrange(1023) for _ in range(64)]
-    sums = (ws.table[rows].astype(np.int64) ** 2).sum(axis=1)
+    sums = (ws[rows].astype(np.int64) ** 2).sum(axis=1)
     assert (sums == 1 << 20).all()
 
 
 def test_permutation_balancedness(f5, f10):
     fperm5 = instance(f5, 1, "x+1")
     assert is_permutation(fperm5)
-    ws = walsh_spectrum(fperm5)
-    assert (ws.table[:, 0] == 0).all()
+    ws = walsh_table(fperm5)
+    assert (ws[:, 0] == 0).all()
     fperm10 = power_function(f10, 5)  # gcd(5, 1023) = 1
     assert is_permutation(fperm10)
-    ws10 = walsh_spectrum(fperm10)
+    ws10 = walsh_table(fperm10)
     rng = random.Random(3)
     for v in [rng.randrange(1, 1024) for _ in range(64)]:
-        assert ws10.table[v - 1, 0] == 0
+        assert ws10[v - 1, 0] == 0
 
 
 def test_walsh_streaming_matches_table(f10):
     f = instance(f10, 2, "x+1")
-    assert walsh_max_abs(f) == walsh_spectrum(f).max_abs
-
-
-def test_walsh_table_guard(f15):
-    with pytest.raises(ValueError):
-        walsh_spectrum(power_function(f15, 3))
+    assert walsh_max_abs(f) == walsh_max(f)
 
 
 def test_nl_consistency(f10):
@@ -455,7 +437,7 @@ def test_structured_walsh_matches_table(f5, f10, k, m, seeds):
     ctx = f5 if k == 1 else f10
     L1, L2 = (random_affine_perm(ctx, k, seed) for seed in seeds)
     f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
-    oracle = walsh_spectrum(f).max_abs
+    oracle = walsh_max(f)
     structured = _structured_walsh(f)
     if k == 2:
         assert structured is not None
@@ -486,7 +468,7 @@ def test_power_walsh_scaling_identity(f10, e):
     # W_P(w c, gamma^j c^e) = W_P(w, gamma^j): g rows give the whole table
     g = np.gcd(e, 1023)
     p = power_function(f10, e)
-    table = walsh_spectrum(p).table
+    table = walsh_table(p)
     rows = walsh_rows(f10, p.table, f10.exp[:g])
     assert np.array_equal(rows, table[f10.exp[:g] - 1])
     for c in (2, 77, 1000):
@@ -507,7 +489,7 @@ def test_orbit_walsh_matches_table(f10):
     f = LutFunction(f10, table)
     d = sub[:3]
     rows = walsh_rows(f10, p, f10.exp[:3])
-    full = walsh_spectrum(f).table
+    full = walsh_table(f)
     logc = np.arange(1023)
     for j in range(3):
         v = f10.exp[(j + e * logc) % 1023]
@@ -532,7 +514,7 @@ def test_structured_walsh_arbitrary_subfield_values(f10, e, seed, anywhere):
     sub = np.flatnonzero(f10.subfield_mask)
     table[sub] = rng.integers(0, 1024, 4) if anywhere else rng.choice(sub, 4)
     f = LutFunction(f10, table)
-    assert _structured_walsh(f) == walsh_spectrum(f).max_abs
+    assert _structured_walsh(f) == walsh_max(f)
 
 
 # one exponent per gcd(e, 1023) in {1, 3, 11, 31, 33, 93, 341}
@@ -542,7 +524,7 @@ PLAIN_POWERS = [5, 3, 11, 31, 33, 93, 341]
 @pytest.mark.parametrize("e", PLAIN_POWERS)
 def test_structured_walsh_plain_powers(f10, e):
     f = power_function(f10, e)
-    assert _structured_walsh(f) == walsh_spectrum(f).max_abs
+    assert _structured_walsh(f) == walsh_max(f)
 
 
 def test_structured_walsh_streams_small_blocks(monkeypatch):
@@ -552,7 +534,7 @@ def test_structured_walsh_streams_small_blocks(monkeypatch):
     ctx = gf2n.mk_field(2)
     for e in PLAIN_POWERS:
         f = power_function(ctx, e)
-        oracle = walsh_spectrum(f).max_abs
+        oracle = walsh_max(f)
         tracemalloc.start()
         try:
             got = _structured_walsh(f)
@@ -589,7 +571,7 @@ def test_walsh_fallbacks_match_table(f10):
     )
     for f in cases:
         assert _structured_walsh(f) is None
-        assert walsh_max_abs(f) == walsh_spectrum(f).max_abs
+        assert walsh_max_abs(f) == walsh_max(f)
 
 
 def test_walsh_guard_refuses_plateaued_n15(f15):
@@ -695,7 +677,7 @@ def test_analyze_report(f5):
     rep = analyze(f, k=1, construction="k=1 x+1")
     assert rep.delta == 4
     assert rep.is_permutation
-    assert rep.nl == 16 - rep.walsh_max_abs // 2
+    assert rep.nl == 16 - walsh_max(f) // 2
     assert rep.lb == 6
     assert set(rep.runtime_ms) == {"spectrum", "walsh", "degree", "permutation"}
     payload = json.loads(rep.to_json())
@@ -710,7 +692,7 @@ def test_analyze_report(f5):
 
 def test_analyze_without_walsh(f5):
     rep = analyze(power_function(f5, 29), k=1, walsh=False)
-    assert rep.nl is None and rep.walsh_max_abs is None
+    assert rep.nl is None and "walsh" not in rep.runtime_ms
     assert json.loads(rep.to_json())["nl"] is None
 
 

@@ -322,18 +322,38 @@ def test_subfield_generator(f5, f10):
     assert gf2n.frobenius(f10, beta, f10.k) == beta
 
 
-def test_coset_representatives(f10):
+def echelon_rep(ctx, a):
+    """a with every pivot bit of a row-echelon basis of GF(2^k) cleared."""
+    basis = {}
+    for v in ctx.subfield_elems:
+        while v:
+            p = v.bit_length() - 1
+            if p not in basis:
+                basis[p] = v
+                break
+            v ^= basis[p]
+    for p in sorted(basis, reverse=True):
+        if a >> p & 1:
+            a ^= basis[p]
+    return a
+
+
+def test_coset_representatives(f10, f15):
     sub = f10.subfield_elems
     rng = random.Random(11)
     for _ in range(200):
         a = rng.randrange(f10.order)
         r = gf2n.subfield_coset_rep(f10, a)
+        assert type(r) is int and r == min(a ^ s for s in sub)
         for s in sub:
             assert gf2n.subfield_coset_rep(f10, a ^ s) == r
     reps = [gf2n.subfield_coset_rep(f10, a) for a in range(f10.order)]
     assert len(set(reps)) == f10.order >> f10.k
     # an array is reduced elementwise, to the same representatives
     assert np.array_equal(gf2n.subfield_coset_rep(f10, np.arange(f10.order)), reps)
+    # the least coset element is the one the echelon reduction gives
+    oracle = [echelon_rep(f15, a) for a in range(f15.order)]
+    assert np.array_equal(gf2n.subfield_coset_rep(f15, np.arange(f15.order)), oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,6 @@ def test_pow():
         (X + ONE) ** -1
 
 
-def test_mixed_universes_rejected():
-    other = MultiPoly.var("x", variables=("x", "y"))
-    with pytest.raises(ValueError):
-        X + other
-
-
 def test_rendering_graded_lex():
     assert str(MultiPoly.zero()) == "0"
     assert str(X * Y + X + ONE) == "x*y + x + 1"
@@ -223,7 +217,7 @@ def test_exact_divide_random_roundtrip():
             for _ in range(rng.randrange(1, 5)):
                 e = [0] * 6
                 for nm in names:
-                    e[MultiPoly.var(nm).variables.index(nm)] = rng.randrange(3)
+                    e[VARS.index(nm)] = rng.randrange(3)
                 terms.append(tuple(e))
             return MultiPoly(terms)
         p, q = rand_poly(), rand_poly()

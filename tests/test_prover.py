@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duperm import analyzer, gf2n, prover
-from duperm.construct import build_f, build_g, instance, random_affine_perm
+from conftest import random_affine_perm
+from duperm.construct import build_f, build_g, instance
 from duperm.prover import (
-    claim_ids,
     coset_intersection_check,
     lemma1_exhaustive,
     lemma1_replay,
@@ -228,12 +228,39 @@ def test_run_claims_pattern_filter():
     assert [r.claim_id for r in replay] == sorted(r.claim_id for r in replay)
 
 
+# the default claim set, sorted; walsh=True adds prop2.bound.k3.m2.x
+CLAIM_IDS = [
+    "lemma1.exhaustive.k1",
+    "lemma1.exhaustive.k2",
+    "lemma1.exhaustive.k3",
+    "lemma1.replay.step1.2a",
+    "lemma1.replay.step1.2b",
+    "lemma1.replay.step1.2c",
+    "lemma1.replay.step1.2d",
+    "lemma1.replay.step1.3a",
+    "lemma1.replay.step1.3b",
+    "lemma1.replay.step1.3c",
+    "lemma1.replay.step1.5",
+    "prop1.hypothesis.k3",
+    "prop1.remark2.k1.m0",
+    "prop1.remark2.k1.m1",
+    "prop1.remark2.k1.m2",
+    "prop1.remark2.k3.m2",
+    "prop2.bound.k1.m1.x+1",
+    "prop2.bound.k2.m2.b^2*x^2",
+    "theorem1.check.k1.m1.x",
+    "theorem1.check.k1.m1.x+1",
+    "theorem1.check.k3.m2.x",
+    "theorem1.coset.k1",
+    "theorem1.coset.k2",
+    "theorem1.coset.k3",
+]
+
+
 def test_claim_ids_listing():
-    ids = claim_ids()
-    assert "lemma1.exhaustive.k3" in ids
-    assert "prop1.remark2.k3.m2" in ids
-    assert "prop2.bound.k3.m2.x" not in ids
-    assert "prop2.bound.k3.m2.x" in claim_ids(walsh=True)
+    assert [r.claim_id for r in run_claims()] == CLAIM_IDS
+    with_walsh = [r.claim_id for r in run_claims(walsh=True)]
+    assert with_walsh == sorted(CLAIM_IDS + ["prop2.bound.k3.m2.x"])
 
 
 def test_prop2_bound_claims_small_k():
@@ -267,7 +294,7 @@ def test_run_claims_builds_each_field_once_and_keeps_none(monkeypatch):
     monkeypatch.setattr(gf2n, "mk_field", counting)
     results = run_claims("*")
     assert sorted(k for k, _ in built) == [1, 2, 3]
-    assert [r.claim_id for r in results] == claim_ids()
+    assert [r.claim_id for r in results] == CLAIM_IDS
     del results
     gc.collect()
     assert [k for k, ref in built if ref() is not None] == []
