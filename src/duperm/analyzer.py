@@ -18,9 +18,12 @@
   memoised int8 sign sequences.  A cost guard hands the table to the
   exhaustive scan, the kernel's oracle, whenever the structured work
   would reach the 2^n - 1 transforms of that scan;
-* algebraic degree: subset-XOR (Moebius) transform of the whole table,
-  all output coordinates in parallel (anf_degree, along the last axis
-  of any stack of tables);
+* algebraic degree: for x^e off GF(2^k) the paper's degree formula,
+  max(wt(e), (n - k) + deg H) with H = f + x^e on GF(2^k), a 2^k-entry
+  transform; on a tie of the two terms, or for any other table, the
+  subset-XOR (Moebius) transform of the whole table, all output
+  coordinates in parallel (anf_degree, along the last axis of any stack
+  of tables), which is also the formula's oracle;
 * permutation status: bijectivity scan.
 
 omega_counts and anf_degree take plain integer arrays of length 2^j,
@@ -431,7 +434,28 @@ def anf_degree(tables: np.ndarray) -> np.ndarray:
 
 
 def algebraic_degree(f: LutFunction) -> int:
-    """Max monomial degree of the algebraic normal form, all coordinates at once."""
+    """Max monomial degree of the algebraic normal form, all coordinates at once.
+
+    When f equals P = x^e outside GF(2^k), f = P + Delta with Delta zero
+    off GF(2^k).  deg P = wt(e), the binary weight of e.  In coordinates
+    whose last n - k vanish on GF(2^k), Delta is H(y) times the indicator
+    prod (z_i + 1), so deg Delta = (n - k) + deg H, H = (f + x^e) on
+    GF(2^k) in sorted-subfield coordinates (a linear coordinate system).
+    The degree of the sum is the larger of the two unless they tie; a
+    tie, or any other table, takes the Moebius transform of the whole
+    table, which is also the oracle.
+    """
+    power = _power_off_subfield(f)
+    if power is not None:
+        e, p, d = power
+        weight = e.bit_count()
+        if not len(d):
+            return weight
+        ctx = f.ctx
+        sub = np.array(ctx.subfield_elems)
+        patch = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ p[sub]))
+        if patch != weight:
+            return max(weight, patch)
     return int(anf_degree(f.table))
 
 

@@ -91,15 +91,27 @@ def _powmod(a: int, e: int, m: int) -> int:
     return r
 
 
+# _BYTE_BITS[i, b] is bit i of the byte b
+_BYTE_BITS = (np.arange(256, dtype=np.int64) >> np.arange(8)[:, None]) & 1
+
+
 def _vec_mulmod(arr: np.ndarray, c: int, m: int) -> np.ndarray:
-    """Elementwise _mulmod(a, c, m) over an int64 array of reduced polynomials."""
-    r = np.zeros_like(arr)
-    for i in range(c.bit_length()):
-        if (c >> i) & 1:
-            r ^= arr << i
+    """Elementwise _mulmod(a, c, m) over an int64 array of reduced polynomials.
+
+    a * c mod m is GF(2)-linear in a, so byte j of a selects one of the
+    256 subset XORs of the columns x^(8j + i) * c mod m, i < 8.
+    """
     dm = m.bit_length() - 1
-    for j in range(dm + c.bit_length() - 2, dm - 1, -1):
-        r ^= ((r >> j) & 1) * (m << (j - dm))
+    nbytes = -(-dm // 8)
+    cols = [c]
+    for _ in range(8 * nbytes - 1):
+        t = cols[-1] << 1
+        cols.append(t ^ m if t >> dm else t)
+    cols = np.array(cols, dtype=np.int64).reshape(nbytes, 8).T
+    tables = np.bitwise_xor.reduce(_BYTE_BITS[:, None, :] * cols[:, :, None], axis=0)
+    r = tables[0][arr & 255]
+    for j in range(1, nbytes):
+        r ^= tables[j][(arr >> 8 * j) & 255]
     return r
 
 
@@ -241,13 +253,13 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
     gen = _find_generator(modulus, n)
     q = 1 << n
 
-    # block doubling: exp[h:2h] = exp[:h] * gen^h
+    # block doubling: exp[h:2h] = exp[:h] * gen^h, gen^(2h) = (gen^h)^2
     exp = np.ones(q - 1, dtype=np.int64)
-    h = 1
+    h, gen_h = 1, gen
     while h < q - 1:
         step = min(h, q - 1 - h)
-        exp[h : h + step] = _vec_mulmod(exp[:step], _powmod(gen, h, modulus), modulus)
-        h *= 2
+        exp[h : h + step] = _vec_mulmod(exp[:step], gen_h, modulus)
+        h, gen_h = 2 * h, _mulmod(gen_h, gen_h, modulus)
     if _mulmod(int(exp[-1]), gen, modulus) != 1:
         raise ValueError("generator order check failed")
     log = np.zeros(q, dtype=np.int64)
@@ -258,23 +270,15 @@ def mk_field(k: int, max_bits: int = 20) -> FieldCtx:
     if not np.array_equal(exp[log[1:]], idx[1:]):
         raise ValueError("exp/log bijection check failed")
 
-    def _vec_frob(arr: np.ndarray, j: int) -> np.ndarray:
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        out[nz] = exp[(log[arr[nz]] << j) % (q - 1)]
-        return out
-
     # the trace is GF(2)-linear: Tr(x) is the parity of x & mask, where
-    # bit i of mask is the trace of the basis element x^i
-    basis = 1 << np.arange(n, dtype=np.int64)
-    basis_tr = np.zeros(n, dtype=np.int64)
-    curv = basis
-    for _ in range(n):
-        basis_tr ^= curv
-        curv = _vec_frob(curv, 1)
+    # bit i of mask is the trace of the basis element x^i, the XOR of its
+    # conjugates (x^i)^(2^j) = exp[2^j log x^i]
+    shifts = np.arange(n, dtype=np.int64)
+    conjugates = exp[(log[1 << shifts][:, None] << shifts) % (q - 1)]
+    basis_tr = np.bitwise_xor.reduce(conjugates, axis=1)
     if not set(basis_tr.tolist()) <= {0, 1}:
         raise ValueError("trace values left the prime field")
-    mask = int((basis_tr << np.arange(n)).sum())
+    mask = int((basis_tr << shifts).sum())
     trace_bits = (np.bitwise_count(idx & mask) & 1).astype(np.uint8)
 
     # GF(2^k)* is the subgroup of order 2^k - 1 of GF(2^n)*

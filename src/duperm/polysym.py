@@ -36,6 +36,12 @@ __all__ = [
 VARS = ("x", "y", "z", "u", "v", "b")
 
 _MAX_DEGREE = 127  # largest total degree: each byte field keeps its top bit clear
+_TOP = 8 * len(VARS)  # bit offset of the total-degree byte
+
+# _FACTORS[i][e] prints VARS[i]^e
+_FACTORS = tuple(
+    ("", name) + tuple(f"{name}^{e}" for e in range(2, _MAX_DEGREE + 1)) for name in VARS
+)
 
 
 class ExactDivisionError(ValueError):
@@ -100,11 +106,22 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         acc: set[int] = set()
         if self.terms and other.terms:
-            top = 8 * len(VARS)
-            _check_degree((max(self.terms) >> top) + (max(other.terms) >> top))
+            _check_degree((max(self.terms) >> _TOP) + (max(other.terms) >> _TOP))
+            toggle_off, toggle_on = acc.remove, acc.add
             for s in self.terms:
-                acc ^= {s + t for t in other.terms}
+                for t in other.terms:
+                    st = s + t
+                    if st in acc:
+                        toggle_off(st)
+                    else:
+                        toggle_on(st)
         return MultiPoly._raw(frozenset(acc))
+
+    def _square(self) -> "MultiPoly":
+        # over GF(2) the cross terms cancel, so each monomial doubles its exponents
+        if self.terms:
+            _check_degree(2 * (max(self.terms) >> _TOP))
+        return MultiPoly._raw(frozenset(m << 1 for m in self.terms))
 
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
@@ -116,7 +133,7 @@ class MultiPoly:
                 out = out * base
             e >>= 1
             if e:
-                base = base * base
+                base = base._square()
         return out
 
     def __eq__(self, other) -> bool:
@@ -141,7 +158,7 @@ class MultiPoly:
     def coefficient(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name^power, as a polynomial with that variable cleared."""
         sh = self._shift(name)
-        drop = (power << sh) + (power << 8 * len(VARS))
+        drop = (power << sh) + (power << _TOP)
         terms = frozenset(m - drop for m in self.terms if (m >> sh) & 255 == power)
         return MultiPoly._raw(terms)
 
@@ -176,11 +193,7 @@ class MultiPoly:
     def __str__(self) -> str:
         parts = []
         for m in sorted(self.terms, reverse=True):
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(VARS, _unpack(m))
-                if e
-            ]
+            factors = [names[e] for names, e in zip(_FACTORS, _unpack(m)) if e]
             parts.append("*".join(factors) or "1")
         return " + ".join(parts) or "0"
 

@@ -160,6 +160,12 @@ def _conjugate_system() -> dict:
     }
 
 
+def _replay_witness(computed: MultiPoly, published: MultiPoly) -> dict:
+    """Both polynomials as text; equal polynomials print alike, so once."""
+    text = str(computed)
+    return {"computed": text, "published": text if computed == published else str(published)}
+
+
 def lemma1_replay() -> list:
     """Replay all eight resultant/factorisation identities of the proof chain."""
     sysd = _conjugate_system()
@@ -177,7 +183,7 @@ def lemma1_replay() -> list:
         t0 = time.perf_counter()
         computed = resultant_wrt(eq, eq_d, "v")
         published = sysd["factors_2"][i] * sysd["cofactors_2"][i]
-        witness = {"computed": str(computed), "published": str(published)}
+        witness = _replay_witness(computed, published)
         if computed == published:
             reduced[i] = exact_divide(computed, sysd["factors_2"][i])
             witness["cofactor"] = str(reduced[i])
@@ -194,7 +200,7 @@ def lemma1_replay() -> list:
         t0 = time.perf_counter()
         computed = resultant_wrt(reduced[i], reduced[3], "u")
         published = sysd["published_3"][i]
-        witness = {"computed": str(computed), "published": str(published)}
+        witness = _replay_witness(computed, published)
         results.append(
             _result(claim_id, PASS if computed == published else FAIL, witness, t0)
         )
@@ -204,8 +210,7 @@ def lemma1_replay() -> list:
     image = shared.substitute_variables({"x": "y", "y": "z", "z": "u", "u": "v", "v": "x"})
     computed = resultant_wrt(shared, image, "z")
     witness = {
-        "computed": str(computed),
-        "published": str(sysd["published_5"]),
+        **_replay_witness(computed, sysd["published_5"]),
         "frobenius_image": str(image),
         "image_matches_published": image == sysd["published_4"],
     }
@@ -233,18 +238,19 @@ def coset_intersection_check(ctx: gf2n.FieldCtx, trials: int = 64, seed: int = 0
     d = dobbertin_exponent(k)
     powd = gf2n.vec_pow_all(ctx, d)
     sub = np.array(ctx.subfield_elems)
-    outside = np.flatnonzero(~ctx.subfield_mask).tolist()
+    outside = np.flatnonzero(~ctx.subfield_mask)
     if k > 2:
+        # sample reads only the population's length, so indices draw the same points
         rng = random.Random(seed)
-        outside = rng.sample(outside, min(trials, len(outside)))
-    vals = powd[np.array(outside)[:, None] ^ sub]
+        outside = outside[rng.sample(range(len(outside)), min(trials, len(outside)))]
+    vals = powd[outside[:, None] ^ sub]
     reps = np.sort(gf2n.subfield_coset_rep(ctx, vals), axis=1)
     distinct = 1 + np.count_nonzero(np.diff(reps, axis=1), axis=1)
     bad = np.flatnonzero(distinct != len(sub))
     if len(bad):
         i = int(bad[0])
         return _result(
-            claim_id, FAIL, {"a": outside[i], "images": vals[i].tolist()}, t0
+            claim_id, FAIL, {"a": int(outside[i]), "images": vals[i].tolist()}, t0
         )
     return _result(
         claim_id,
@@ -334,6 +340,24 @@ def prop2_bound_check(f, k: int, label: str) -> ClaimResult:
     return _result(claim_id, PASS if nl >= bound else FAIL, witness, t0)
 
 
+def _term_tables(ctx: gf2n.FieldCtx) -> tuple:
+    """Tables of c * y^(2^i), i < k, and of y^3 over GF(2^k), in subfield coordinates.
+
+    terms[i][c, y] holds c * y^(2^i) for subfield coordinates c and y.
+    Products and powers are sums of discrete logs, 0 where a factor is 0.
+    """
+    elems = np.array(ctx.subfield_elems)
+    logs, nonzero = ctx.log[elems], elems != 0
+
+    def by_logs(exps: np.ndarray, factors_nonzero: np.ndarray) -> np.ndarray:
+        values = np.where(factors_nonzero, ctx.exp[exps % len(ctx.exp)], 0)
+        return _subfield_coords(ctx, values)
+
+    both = nonzero[:, None] & nonzero
+    terms = [by_logs(logs[:, None] + (logs << i), both) for i in range(ctx.k)]
+    return terms, by_logs(3 * logs, nonzero)
+
+
 def prop1_hypothesis_search(ctx: gf2n.FieldCtx, max_examples: int = 3) -> ClaimResult:
     """Search affine maps L1 of GF(2^k) with deg(g + x^3) = 2 and measure deg(f).
 
@@ -347,15 +371,9 @@ def prop1_hypothesis_search(ctx: gf2n.FieldCtx, max_examples: int = 3) -> ClaimR
     sub = ctx.subfield_elems
     q = len(sub)
     # terms[i][c] is y -> c * y^(2^i); coordinates are linear, so terms add by XOR
-    terms = [
-        _subfield_coords(
-            ctx, [[gf2n.mul(ctx, c, gf2n.frobenius(ctx, y, i)) for y in sub] for c in sub]
-        )
-        for i in range(k)
-    ]
+    terms, cube = _term_tables(ctx)
     linear = functools.reduce(lambda acc, t: (acc[:, None] ^ t[None]).reshape(-1, q), terms)
     bijective = (np.sort(linear, axis=1) == np.arange(q)).all(axis=1)
-    cube = _subfield_coords(ctx, [gf2n.pow(ctx, c, 3) for c in sub])
     # deg(L1(y) + y) on the cubes; a constant term moves no degree above 0,
     # so a kept linear part is kept with each of its q constants
     degree2 = analyzer.anf_degree(linear[:, cube] ^ cube) == 2

@@ -348,19 +348,20 @@ def test_structured_spectrum_pinned_n15(f15, m, l1):
 # earlier kernels, which listed every row in blocks and summed each Walsh
 # orbit by modulo gathers, independently of the histograms and slices here
 N20_CRITERIA = {
-    (3, "x+1"): (16, {0: 549763683195, 2: 549738502410, 4: 8393595}, 4, 4364),
+    (3, "x+1"): (16, {0: 549763683195, 2: 549738502410, 4: 8393595}, 4, 4364, 19),
     (1, "x"): (
         14,
         {0: 549762630645, 2: 549740607600, 4: 7340940, **dict.fromkeys(range(6, 16, 2), 0), 16: 15},
         16,
         4360,
+        18,
     ),
 }
 
 
 def test_structured_criteria_pinned_n20():
     ctx = gf2n.mk_field(4)
-    for (m, l1), (size, spectrum, delta, wmax) in N20_CRITERIA.items():
+    for (m, l1), (size, spectrum, delta, wmax, degree) in N20_CRITERIA.items():
         f = instance(ctx, m, l1)
         assert len(_power_off_subfield(f)[2]) == size
         ds = differential_spectrum(f)
@@ -368,6 +369,7 @@ def test_structured_criteria_pinned_n20():
         assert (ds.spectrum, ds.delta) == (spectrum, delta), (m, l1)
         assert_spectrum_identities(ds, ctx.order)
         assert _structured_walsh(f) == wmax, (m, l1)
+        assert algebraic_degree(f) == degree, (m, l1)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +644,39 @@ def test_degree_of_permutation_at_most_n_minus_1(f5):
         f = instance(f5, 1, l1)
         if is_permutation(f):
             assert algebraic_degree(f) <= 4
+
+
+def test_degree_of_power_map_is_binary_weight(f10):
+    for e in range(1, f10.order):
+        assert anf_degree(power_function(f10, e).table) == e.bit_count(), e
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_structured_degree_matches_moebius(f5, f10, k):
+    # every exponent, a random D of every size, values from GF(2^k) or anywhere
+    ctx = f5 if k == 1 else f10
+    for e in range(1, ctx.order):
+        for size in range((1 << k) + 1):
+            for anywhere in (False, True):
+                f, _ = power_off_subfield(ctx, e, e << 4 | size << 1 | anywhere, size, anywhere)
+                assert algebraic_degree(f) == anf_degree(f.table), (e, size, anywhere)
+
+
+def test_degree_tie_takes_whole_table(f5, monkeypatch):
+    # k = 1: a nonzero constant H on GF(2) gives (n - k) + deg H = 4 = wt(29)
+    moebius, lengths = anf_degree, []
+    monkeypatch.setattr(analyzer, "anf_degree", lambda t: lengths.append(t.shape[-1]) or moebius(t))
+    p = power_function(f5, 29).table
+    for c in (1, 7, 30):
+        table = p.copy()
+        table[[0, 1]] ^= c
+        assert algebraic_degree(LutFunction(f5, table)) == moebius(table), c
+    assert lengths.count(32) == 3
+    # H non-constant: 4 + 1 > wt(29) decides without the whole table
+    table = p.copy()
+    table[1] ^= 5
+    assert algebraic_degree(LutFunction(f5, table)) == 5 == moebius(table)
+    assert lengths.count(32) == 3
 
 
 # ---------------------------------------------------------------------------

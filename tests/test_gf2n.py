@@ -134,6 +134,17 @@ def test_tables_match_scalar_chain(k):
     assert ctx.subfield_mask.tolist() == [frob_k[x] == x for x in range(q)]
 
 
+@pytest.mark.parametrize("n", [5, 10, 15, 20, 25])
+def test_vec_mulmod_matches_scalar(n):
+    # one to four bytes per element; n = 25 is the library's largest field
+    m = gf2n.lowest_irreducible(n)
+    rng = random.Random(n)
+    a = [0, 1, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(200)]
+    for c in (1, 2, (1 << n) - 1, rng.randrange(1 << n)):
+        got = gf2n._vec_mulmod(np.array(a, dtype=np.int64), c, m)
+        assert got.tolist() == [ref_pmod(ref_clmul(x, c), m) for x in a], c
+
+
 def test_tables_pinned_k4():
     # no scalar-chain oracle is affordable at n = 20, so digests pin the tables
     ctx = gf2n.mk_field(4)

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import weakref
 
 import numpy as np
@@ -86,6 +87,30 @@ def test_coset_intersection_sampled_deterministic(f15):
     b = coset_intersection_check(f15, trials=32, seed=9)
     assert a.status == "pass" and not a.witness["exhaustive"]
     assert a.witness == b.witness
+
+
+def test_coset_witness_is_first_failing_sampled_point(f15, monkeypatch):
+    # x^453 puts two images of a + GF(8) in one coset for about 1 in 4 points a
+    monkeypatch.setattr(prover, "dobbertin_exponent", lambda k: 453)
+    sub = f15.subfield_elems
+    outside = np.flatnonzero(~f15.subfield_mask)
+
+    def fails(a: int) -> bool:
+        images = {gf2n.subfield_coset_rep(f15, gf2n.pow(f15, a ^ s, 453)) for s in sub}
+        return len(images) < len(sub)
+
+    statuses = set()
+    for seed in range(10):
+        for trials in (1, 64, 300):
+            sample = random.Random(seed).sample(list(outside), trials)
+            want = next((int(a) for a in sample if fails(int(a))), None)
+            r = coset_intersection_check(f15, trials, seed)
+            statuses.add(r.status)
+            if want is None:
+                assert r.status == "pass" and r.witness["a_checked"] == trials
+            else:
+                assert r.status == "fail" and r.witness["a"] == want, (seed, trials)
+    assert statuses == {"pass", "fail"}
 
 
 def test_theorem1_check_k1(f5):
@@ -203,6 +228,19 @@ def test_subfield_kernels_match_oracles(f5, f10, f15, k, m, seeds):
     plus_cube = {c: int(f.table[c]) ^ y for c, y in zip(sub, cubes)}
     cube_coords = prover._subfield_coords(ctx, cubes)
     assert analyzer.anf_degree(g ^ cube_coords) == sub_degree(ctx, plus_cube)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_prop1_term_tables_match_scalar_arithmetic(f5, f10, f15, k):
+    ctx = (f5, f10, f15)[k - 1]
+    sub = ctx.subfield_elems
+    coords = {c: i for i, c in enumerate(sub)}
+    terms, cube = prover._term_tables(ctx)
+    assert len(terms) == k
+    for i, table in enumerate(terms):
+        want = [[coords[gf2n.mul(ctx, c, gf2n.frobenius(ctx, y, i))] for y in sub] for c in sub]
+        assert table.tolist() == want, i
+    assert cube.tolist() == [coords[gf2n.pow(ctx, y, 3)] for y in sub]
 
 
 def test_failing_claim_requires_witness():
