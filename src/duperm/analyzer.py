@@ -492,14 +492,14 @@ def nl_lower_bound(k: int) -> int:
 @dataclass
 class CriteriaReport:
     n: int
-    k: int | None
+    k: int
     construction: str | None
     spectrum: dict
     delta: int
     nl: int | None
     degree: int
     is_permutation: bool
-    lb: int | None
+    lb: int
     runtime_ms: dict
 
     def to_json_dict(self, include_runtime: bool = False) -> dict:
@@ -533,7 +533,7 @@ class CriteriaReport:
             "{%d, %d, %d}" % (w0, w2, w4),
             str(self.degree),
             str(self.nl) if self.nl is not None else "",
-            str(self.lb) if self.lb is not None else "",
+            str(self.lb),
         ]
 
 
@@ -546,9 +546,12 @@ def analyze(
 ) -> CriteriaReport:
     """Compute every criterion on f, timing each one.
 
-    workers is read by nothing: it is accepted only because
-    perfbench/workloads.py still passes workers=1.
+    The report's k is f.ctx.k.  k and workers are accepted only because
+    perfbench/workloads.py still passes k=ctx.k and workers=1; a k that
+    disagrees with the field raises ValueError.
     """
+    if k is not None and k != f.ctx.k:
+        raise ValueError("k does not match the field context")
     runtime: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -571,13 +574,13 @@ def analyze(
 
     return CriteriaReport(
         n=f.ctx.n,
-        k=k,
+        k=f.ctx.k,
         construction=construction,
         spectrum=ds.spectrum,
         delta=ds.delta,
         nl=nl,
         degree=degree,
         is_permutation=perm,
-        lb=nl_lower_bound(k) if k is not None else None,
+        lb=nl_lower_bound(f.ctx.k),
         runtime_ms=runtime,
     )

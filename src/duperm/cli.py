@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -61,12 +62,7 @@ def _emit(text: str, out) -> None:
 def cmd_analyze(args) -> int:
     ctx, f = _build_function(args)
     walsh = args.walsh == "on" or (args.walsh == "auto" and ctx.n <= 10)
-    report = analyzer.analyze(
-        f,
-        k=args.k,
-        construction=_construction_label(args),
-        walsh=walsh,
-    )
+    report = analyzer.analyze(f, construction=_construction_label(args), walsh=walsh)
     if args.format == "csv":
         lines = [",".join(_CSV_HEADER)]
         lines.append(",".join('"%s"' % c if "," in c else c for c in report.csv_row(args.l1)))
@@ -99,12 +95,7 @@ def cmd_export_lut(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = prover.run_claims(
-        pattern=args.claims,
-        seed=args.seed,
-        trials=args.trials,
-        walsh=args.walsh == "on",
-    )
+    results = prover.run_claims(pattern=args.claims, seed=args.seed, trials=args.trials)
     transcript = "".join(json.dumps(r.to_json_dict()) + "\n" for r in results)
     _emit(transcript, args.out)
     width = max((len(r.claim_id) for r in results), default=10)
@@ -132,15 +123,6 @@ def cmd_replay_proof(args) -> int:
     return 0 if ok else 1
 
 
-def _table_rows(m: int, expected, ctx):
-    rows = []
-    for l1_expr, spectrum, degree, nl in expected:
-        f = instance(ctx, m, l1_expr)
-        report = analyzer.analyze(f, k=2, construction=l1_expr)
-        rows.append((l1_expr, report, (spectrum, degree, nl)))
-    return rows
-
-
 def cmd_reproduce_tables(args) -> int:
     ctx = gf2n.mk_field(2)
     mismatches = []
@@ -148,31 +130,30 @@ def cmd_reproduce_tables(args) -> int:
         ("table1", 2, TABLE1_EXPECTED),
         ("table2", 1, TABLE2_EXPECTED),
     ):
-        rows = _table_rows(m, expected, ctx)
         path = os.path.join(args.out or ".", table_name + ".csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_HEADER)
-            for l1_expr, report, _ in rows:
+            for l1_expr, spectrum, degree, nl in expected:
+                report = analyzer.analyze(instance(ctx, m, l1_expr), construction=l1_expr)
                 writer.writerow(report.csv_row(l1_expr))
-        for l1_expr, report, (spectrum, degree, nl) in rows:
-            got = {
-                "spectrum": report.spectrum_triple(),
-                "deg": report.degree,
-                "NL": report.nl,
-                "LB": report.lb,
-            }
-            want = {"spectrum": spectrum, "deg": degree, "NL": nl, "LB": 380}
-            for column in ("spectrum", "deg", "NL", "LB"):
-                if got[column] != want[column]:
-                    mismatches.append(
-                        f"{table_name} row L1={l1_expr} column {column}: "
-                        f"computed {got[column]}, expected {want[column]}"
-                    )
-            sys.stdout.write(
-                f"{table_name} L1={l1_expr}: spectrum={got['spectrum']} "
-                f"deg={got['deg']} NL={got['NL']} LB={got['LB']}\n"
-            )
+                got = {
+                    "spectrum": report.spectrum_triple(),
+                    "deg": report.degree,
+                    "NL": report.nl,
+                    "LB": report.lb,
+                }
+                want = {"spectrum": spectrum, "deg": degree, "NL": nl, "LB": 380}
+                for column in ("spectrum", "deg", "NL", "LB"):
+                    if got[column] != want[column]:
+                        mismatches.append(
+                            f"{table_name} row L1={l1_expr} column {column}: "
+                            f"computed {got[column]}, expected {want[column]}"
+                        )
+                sys.stdout.write(
+                    f"{table_name} L1={l1_expr}: spectrum={got['spectrum']} "
+                    f"deg={got['deg']} NL={got['NL']} LB={got['LB']}\n"
+                )
     if mismatches:
         for line in mismatches:
             sys.stderr.write("MISMATCH " + line + "\n")
@@ -187,7 +168,9 @@ def _add_function_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l2", default="x", help="inner affine map")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first main call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="duperm",
         description="Construct and analyse low differential-uniformity S-boxes over GF(2^(5k))",
@@ -216,8 +199,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", default="*", help="glob over claim ids, e.g. 'lemma1.*'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--walsh", choices=("on", "off"), default="off",
-                   help="include the large-field nonlinearity claim")
     p.add_argument("--out", help="transcript path (default stdout)")
     p.add_argument("--workers", type=int, default=1,
                    help="ignored; accepted only because perfbench/workloads.py passes it")

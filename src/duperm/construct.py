@@ -69,16 +69,16 @@ class AffinePerm:
     """Affine permutation of the subfield GF(2^k): sum c_i x^(2^i) + constant."""
 
     ctx: gf2n.FieldCtx
-    k: int
     linear_coeffs: tuple
     constant: int
 
     def __post_init__(self):
-        if len(self.linear_coeffs) != self.k:
-            raise ValueError(f"need exactly {self.k} linear coefficients")
+        k = self.ctx.k
+        if len(self.linear_coeffs) != k:
+            raise ValueError(f"need exactly {k} linear coefficients")
         for c in (*self.linear_coeffs, self.constant):
             if not self.ctx.subfield_mask[c]:
-                raise ValueError(f"coefficient {c} lies outside GF(2^{self.k})")
+                raise ValueError(f"coefficient {c} lies outside GF(2^{k})")
         sub = self.ctx.subfield_elems
         image = {affine_eval(self, a) for a in sub}
         if len(image) != len(sub):
@@ -137,7 +137,7 @@ def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
                 f"x exponent {exp} is not a power of two below 2^{k} in {text!r}"
             )
         coeffs[i] ^= coef
-    return AffinePerm(ctx, k, tuple(coeffs), constant)
+    return AffinePerm(ctx, tuple(coeffs), constant)
 
 
 _DOB_TERMS = (4, 3, 2, 1)
@@ -178,7 +178,7 @@ def build_g(
     return LutFunction(ctx, table)
 
 
-def closed_form_eval(ctx: gf2n.FieldCtx, k: int, g: LutFunction, x):
+def closed_form_eval(ctx: gf2n.FieldCtx, g: LutFunction, x):
     """f(x) = g(x) + (g(x) + x^d)(x + x^(2^k))^(2^n - 1), evaluated directly.
 
     x is one element or an integer array of them; the result has the same
@@ -196,9 +196,9 @@ def closed_form_eval(ctx: gf2n.FieldCtx, k: int, g: LutFunction, x):
         return np.where((a != 0) & (b != 0), exp[(log[a] + log[b]) % q1], 0)
 
     x = np.asarray(x, dtype=np.int64)
-    indicator = power(x ^ power(x, 1 << k), q1)
+    indicator = power(x ^ power(x, 1 << ctx.k), q1)
     gx = g.table[x]
-    out = gx ^ mul(gx ^ power(x, dobbertin_exponent(k)), indicator)
+    out = gx ^ mul(gx ^ power(x, dobbertin_exponent(ctx.k)), indicator)
     return int(out) if out.ndim == 0 else out
 
 
@@ -218,7 +218,7 @@ def build_f(ctx: gf2n.FieldCtx, k: int, g: LutFunction) -> LutFunction:
         return np.array([rng.randrange(ctx.order) for _ in range(64)], dtype=np.int64)
 
     xs = ctx.memo("build_f_samples", samples)
-    bad = xs[table[xs] != closed_form_eval(ctx, k, g, xs)]
+    bad = xs[table[xs] != closed_form_eval(ctx, g, xs)]
     if len(bad):
         raise RuntimeError(f"piecewise and closed-form paths disagree at {bad[0]}")
     return LutFunction(ctx, table)

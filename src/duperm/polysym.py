@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from . import gf2n
-
 __all__ = [
     "VARS",
     "MultiPoly",
@@ -172,21 +170,6 @@ class MultiPoly:
                 new[dst] += e
             out.append(new)
         return MultiPoly(out)
-
-    def evaluate(self, assignment: dict, ctx: gf2n.FieldCtx) -> int:
-        exps = [_unpack(m) for m in self.terms]
-        used = {v for t in exps for v, e in zip(VARS, t) if e}
-        missing = [v for v in VARS if v in used and v not in assignment]
-        if missing:
-            raise ValueError(f"assignment missing variables: {missing}")
-        acc = 0
-        for t in exps:
-            prod = 1
-            for name, e in zip(VARS, t):
-                if e:
-                    prod = gf2n.mul(ctx, prod, gf2n.pow(ctx, assignment[name], e))
-            acc ^= prod
-        return acc
 
     # -- printing -------------------------------------------------------
 

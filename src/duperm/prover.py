@@ -93,15 +93,17 @@ def lemma1_exhaustive(ctx: gf2n.FieldCtx) -> ClaimResult:
     lhs = powd[np.arange(ctx.order) ^ 1] ^ powd
     outside = ~ctx.subfield_mask
     vals = lhs[outside]
-    stars = [b for b in ctx.subfield_elems if b]
-    per_b = {str(b): int(np.count_nonzero(vals == b)) for b in stars}
+    # one bincount in subfield coordinates; a 2^n-bin count array costs more than it saves
+    hits = vals[ctx.subfield_mask[vals]]
+    counts = np.bincount(_subfield_coords(ctx, hits), minlength=len(ctx.subfield_elems))
+    per_b = {str(b): int(c) for b, c in zip(ctx.subfield_elems, counts.tolist()) if b}
     if any(per_b.values()):
-        bad_b = next(b for b in stars if per_b[str(b)])
+        bad_b = int(next(b for b, c in per_b.items() if c))
         xs = np.nonzero(outside & (lhs == bad_b))[0]
         return _result(
             claim_id,
             FAIL,
-            {"b": int(bad_b), "x": int(xs[0]), "solutions_per_b": per_b},
+            {"b": bad_b, "x": int(xs[0]), "solutions_per_b": per_b},
             t0,
         )
     return _result(
@@ -276,13 +278,13 @@ def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
     return np.searchsorted(np.array(ctx.subfield_elems), values)
 
 
-def theorem1_check(ctx: gf2n.FieldCtx, m: int, l1: str, l2: str = "x") -> ClaimResult:
+def theorem1_check(ctx: gf2n.FieldCtx, m: int, l1: str) -> ClaimResult:
     """delta_f stays within the bound set by delta_g, and f permutes for odd k."""
     t0 = time.perf_counter()
     claim_id = f"theorem1.check.k{ctx.k}.m{m}.{l1.replace(' ', '')}"
     if ctx.k % 2 == 0:
         return _result(claim_id, SKIPPED, {"note": "statement requires odd k"}, t0)
-    f = instance(ctx, m, l1, l2)
+    f = instance(ctx, m, l1)
     g = _subfield_coords(ctx, f.table[list(ctx.subfield_elems)])  # g = f on GF(2^k)
     if len(np.unique(g)) < len(g):
         return _result(claim_id, SKIPPED, {"note": "g is not a subfield permutation"}, t0)
@@ -330,12 +332,12 @@ def remark2_degrees(ctx1: gf2n.FieldCtx, ctx3: gf2n.FieldCtx) -> list:
     return results
 
 
-def prop2_bound_check(f, k: int, label: str) -> ClaimResult:
+def prop2_bound_check(f, label: str) -> ClaimResult:
     """nl(f) must clear the parity-branch lower bound."""
     t0 = time.perf_counter()
-    claim_id = f"prop2.bound.k{k}.{label.replace(' ', '')}"
+    claim_id = f"prop2.bound.k{f.ctx.k}.{label.replace(' ', '')}"
     nl = analyzer.nonlinearity(f)
-    bound = analyzer.nl_lower_bound(k)
+    bound = analyzer.nl_lower_bound(f.ctx.k)
     witness = {"nl": nl, "bound": bound}
     return _result(claim_id, PASS if nl >= bound else FAIL, witness, t0)
 
@@ -358,12 +360,16 @@ def _term_tables(ctx: gf2n.FieldCtx) -> tuple:
     return terms, by_logs(3 * logs, nonzero)
 
 
-def prop1_hypothesis_search(ctx: gf2n.FieldCtx, max_examples: int = 3) -> ClaimResult:
+_HYPOTHESIS_EXAMPLES = 3
+
+
+def prop1_hypothesis_search(ctx: gf2n.FieldCtx) -> ClaimResult:
     """Search affine maps L1 of GF(2^k) with deg(g + x^3) = 2 and measure deg(f).
 
     Every (linear part, constant) candidate is one row of a table in
     subfield coordinates, rows in itertools.product order.  Reporting
-    claim: it never asserts existence, it lists what it found.
+    claim: it never asserts existence, it lists what it found, with
+    deg(f) for the first _HYPOTHESIS_EXAMPLES of them.
     """
     t0 = time.perf_counter()
     k = ctx.k
@@ -381,9 +387,9 @@ def prop1_hypothesis_search(ctx: gf2n.FieldCtx, max_examples: int = 3) -> ClaimR
 
     examples = []
     ident = parse_affine_expr(ctx, "x")
-    for index in satisfying[:max_examples]:
+    for index in satisfying[:_HYPOTHESIS_EXAMPLES]:
         *coeffs, const = np.unravel_index(index, (q,) * (k + 1))
-        L1 = AffinePerm(ctx, k, tuple(sub[c] for c in coeffs), sub[const])
+        L1 = AffinePerm(ctx, tuple(sub[c] for c in coeffs), sub[const])
         f = build_f(ctx, k, build_g(ctx, k, 2, L1, ident))
         examples.append(
             {
@@ -405,15 +411,10 @@ def prop1_hypothesis_search(ctx: gf2n.FieldCtx, max_examples: int = 3) -> ClaimR
 # ---------------------------------------------------------------------------
 
 def _prop2_instance(ctx: gf2n.FieldCtx, m: int, l1: str):
-    return prop2_bound_check(instance(ctx, m, l1), ctx.k, f"m{m}.{l1}")
+    return prop2_bound_check(instance(ctx, m, l1), f"m{m}.{l1}")
 
 
-def run_claims(
-    pattern: str = "*",
-    seed: int = 0,
-    trials: int = 64,
-    walsh: bool = False,
-) -> list:
+def run_claims(pattern: str = "*", seed: int = 0, trials: int = 64) -> list:
     """Run the whole claim set and keep the results whose id matches the glob pattern.
 
     The three fields are built first, into variables local to this call.
@@ -433,7 +434,5 @@ def run_claims(
         _prop2_instance(f1, 1, "x+1"),
         _prop2_instance(f2, 2, "b^2*x^2"),
     ]
-    if walsh:
-        results.append(_prop2_instance(f3, 2, "x"))
     kept = [r for r in results if fnmatch(r.claim_id, pattern)]
     return sorted(kept, key=lambda r: r.claim_id)

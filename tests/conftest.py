@@ -46,15 +46,15 @@ def walsh_max(f):
     return int(np.abs(walsh_table(f)).max())
 
 
-def random_affine_perm(ctx, k, seed):
-    """Seed-deterministic affine permutation of GF(2^k)."""
+def random_affine_perm(ctx, seed):
+    """Seed-deterministic affine permutation of GF(2^k), k = ctx.k."""
     rng = random.Random(seed)
     sub = ctx.subfield_elems
     for _ in range(4096):
-        coeffs = tuple(rng.choice(sub) for _ in range(k))
+        coeffs = tuple(rng.choice(sub) for _ in range(ctx.k))
         constant = rng.choice(sub)
         try:
-            return AffinePerm(ctx, k, coeffs, constant)
+            return AffinePerm(ctx, coeffs, constant)
         except ValueError:
             continue
     raise RuntimeError("could not draw a bijective affine map within budget")

@@ -203,7 +203,7 @@ def test_theorem1_k3(f15):
     # Degree 14 needs deg(g + x^3) = 2 on the subfield; x^4 is the first
     # outer map the prop1.hypothesis.k3 claim finds with that property.
     L1 = parse_affine_expr(f15, "x^4")
-    first = prover.prop1_hypothesis_search(f15, max_examples=1).witness["examples"][0]
+    first = prover.prop1_hypothesis_search(f15).witness["examples"][0]
     assert first["coeffs"] == [int(c) for c in L1.linear_coeffs]
     assert first["constant"] == L1.constant
     f = instance(f15, 2, "x^4")

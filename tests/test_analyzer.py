@@ -181,7 +181,7 @@ def ddt_row_spectrum(f):
 )
 def test_structured_spectrum_matches_ddt_rows(f5, f10, k, m, seeds):
     ctx = f5 if k == 1 else f10
-    L1, L2 = (random_affine_perm(ctx, k, seed) for seed in seeds)
+    L1, L2 = (random_affine_perm(ctx, seed) for seed in seeds)
     f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
     ds = differential_spectrum(f)
     assert ds.kernel == "structured"
@@ -437,7 +437,7 @@ def test_nl_consistency(f10):
 )
 def test_structured_walsh_matches_table(f5, f10, k, m, seeds):
     ctx = f5 if k == 1 else f10
-    L1, L2 = (random_affine_perm(ctx, k, seed) for seed in seeds)
+    L1, L2 = (random_affine_perm(ctx, seed) for seed in seeds)
     f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
     oracle = walsh_max(f)
     structured = _structured_walsh(f)
@@ -723,6 +723,15 @@ def test_analyze_report(f5):
     assert payload["runtime_ms"] is None
     assert list(payload["spectrum"]) == sorted(payload["spectrum"], key=int)
     assert rep.to_json() == analyze(f, k=1, construction="k=1 x+1").to_json()
+
+
+def test_analyze_takes_k_from_the_field(f10):
+    f = instance(f10, 2, "x+1")
+    rep = analyze(f)
+    assert (rep.k, rep.lb) == (2, nl_lower_bound(2)) == (2, 380)
+    assert rep.to_json() == analyze(f, k=2).to_json()
+    with pytest.raises(ValueError, match="field context"):
+        analyze(f, k=3)
 
 
 def test_analyze_without_walsh(f5):

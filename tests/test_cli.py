@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duperm
-from duperm import gf2n
+from duperm import cli, gf2n
 from duperm.analyzer import analyze
 from duperm.cli import TABLE1_EXPECTED, TABLE2_EXPECTED, main
 from duperm.construct import instance, read_lut
@@ -90,10 +90,23 @@ def test_usage_errors():
     assert "trials" in err
     # --workers is accepted only by verify and reproduce-tables, --seed only by verify
     for argv in (["no-such-command"], ["analyze", "--k", "1", "--workers", "2"],
-                 ["analyze", "--k", "1", "--seed", "0"]):
+                 ["analyze", "--k", "1", "--seed", "0"], ["verify", "--walsh", "on"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2
+
+
+def test_usage_error_leaves_the_parser_usable():
+    # the argument tree is built once per process and serves every call
+    assert cli._parser() is cli._parser()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--no-such-option"])
+        assert exc.value.code == 2
+        assert main(["verify", "--claims", "lemma1.exhaustive.k1"]) == 0
+    assert "unrecognized arguments: --no-such-option" in err.getvalue()
+    assert json.loads(out.getvalue())["claim_id"] == "lemma1.exhaustive.k1"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -80,7 +80,7 @@ def test_power_function_matches_square_multiply(f5):
 # ---------------------------------------------------------------------------
 
 def test_affine_xor_constant_permutes(f10):
-    L = AffinePerm(f10, 2, (1, 0), 1)
+    L = AffinePerm(f10, (1, 0), 1)
     sub = f10.subfield_elems
     assert {affine_eval(L, a) for a in sub} == set(sub)
     for a in sub:
@@ -89,16 +89,21 @@ def test_affine_xor_constant_permutes(f10):
 
 def test_affine_frobenius_scaling_permutes(f10):
     b2 = gf2n.mul(f10, f10.subfield_generator, f10.subfield_generator)
-    L = AffinePerm(f10, 2, (0, b2), 0)  # b^2 * x^2
+    L = AffinePerm(f10, (0, b2), 0)  # b^2 * x^2
     sub = f10.subfield_elems
     assert {affine_eval(L, a) for a in sub} == set(sub)
 
 
 def test_affine_rejects_non_bijections(f10):
     with pytest.raises(ValueError):
-        AffinePerm(f10, 2, (0, 0), 0)  # constant map
+        AffinePerm(f10, (0, 0), 0)  # constant map
     with pytest.raises(ValueError):
-        AffinePerm(f10, 2, (2, 0), 0)  # coefficient outside the subfield
+        AffinePerm(f10, (2, 0), 0)  # coefficient outside the subfield
+
+
+def test_affine_coefficient_count_is_the_field_k(f10):
+    with pytest.raises(ValueError, match="exactly 2 linear coefficients"):
+        AffinePerm(f10, (0, 0, 1), 0)  # x^4, a k = 3 map, on GF(4)
 
 
 def test_affine_eval_outside_subfield(f10):
@@ -203,14 +208,14 @@ def test_build_f_closed_form_agrees_exhaustively(f5, f10):
     g = build_g(f5, 1, 1, L1, parse_affine_expr(f5, "x"))
     f = build_f(f5, 1, g)
     for x in range(32):
-        assert int(f.table[x]) == closed_form_eval(f5, 1, g, x)
+        assert int(f.table[x]) == closed_form_eval(f5, g, x)
     g10 = build_g(f10, 2, 2, parse_affine_expr(f10, "x+b"), parse_affine_expr(f10, "x"))
     f10_fun = build_f(f10, 2, g10)
     for x in range(f10.order):
-        assert int(f10_fun.table[x]) == closed_form_eval(f10, 2, g10, x)
+        assert int(f10_fun.table[x]) == closed_form_eval(f10, g10, x)
     # the array form, as build_f calls it, and the int form agree
-    assert type(closed_form_eval(f10, 2, g10, 5)) is int
-    assert np.array_equal(closed_form_eval(f10, 2, g10, np.arange(f10.order)), f10_fun.table)
+    assert type(closed_form_eval(f10, g10, 5)) is int
+    assert np.array_equal(closed_form_eval(f10, g10, np.arange(f10.order)), f10_fun.table)
 
 
 def test_build_f_closed_form_catches_a_wrong_power_table(f10, monkeypatch):

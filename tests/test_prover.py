@@ -45,6 +45,28 @@ def test_lemma1_exhaustive_small_k(f5, f10):
     assert len(r2.witness["solutions_per_b"]) == 3
 
 
+def test_lemma1_exhaustive_fail_witness_matches_a_scan(f15, monkeypatch):
+    # x^33 has solutions for four b in GF(8)*; the witness names the first
+    # such b in subfield order and its smallest x
+    monkeypatch.setattr(prover, "dobbertin_exponent", lambda k: 33)
+    r = lemma1_exhaustive(f15)
+    solutions = {}
+    for x in range(f15.order):
+        b = gf2n.pow(f15, x ^ 1, 33) ^ gf2n.pow(f15, x, 33)
+        if b and f15.subfield_mask[b] and not f15.subfield_mask[x]:
+            solutions.setdefault(b, []).append(x)
+    stars = [b for b in f15.subfield_elems if b]
+    first = next(b for b in stars if b in solutions)
+    assert r.status == "fail"
+    assert r.witness == {
+        "b": first,
+        "x": solutions[first][0],
+        "solutions_per_b": {str(b): len(solutions.get(b, ())) for b in stars},
+    }
+    assert list(r.witness["solutions_per_b"]) == [str(b) for b in stars]
+    assert sum(r.witness["solutions_per_b"].values()) == 120
+
+
 def test_lemma1_replay_all_steps_pass():
     results = lemma1_replay()
     assert {r.claim_id for r in results} == REPLAY_IDS
@@ -213,7 +235,7 @@ def test_sorted_subfield_coordinates_are_linear(f5, f10, f15):
 )
 def test_subfield_kernels_match_oracles(f5, f10, f15, k, m, seeds):
     ctx = (f5, f10, f15)[k - 1]
-    L1, L2 = (random_affine_perm(ctx, k, seed) for seed in seeds)
+    L1, L2 = (random_affine_perm(ctx, seed) for seed in seeds)
     f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
     sub = ctx.subfield_elems
     g = prover._subfield_coords(ctx, f.table[list(sub)])
@@ -266,7 +288,7 @@ def test_run_claims_pattern_filter():
     assert [r.claim_id for r in replay] == sorted(r.claim_id for r in replay)
 
 
-# the default claim set, sorted; walsh=True adds prop2.bound.k3.m2.x
+# the claim set, sorted
 CLAIM_IDS = [
     "lemma1.exhaustive.k1",
     "lemma1.exhaustive.k2",
@@ -297,8 +319,12 @@ CLAIM_IDS = [
 
 def test_claim_ids_listing():
     assert [r.claim_id for r in run_claims()] == CLAIM_IDS
-    with_walsh = [r.claim_id for r in run_claims(walsh=True)]
-    assert with_walsh == sorted(CLAIM_IDS + ["prop2.bound.k3.m2.x"])
+
+
+def test_prop2_bound_reads_k_from_the_field(f10):
+    r = prop2_bound_check(instance(f10, 2, "x+1"), "m2.x+1")
+    assert r.claim_id == "prop2.bound.k2.m2.x+1"
+    assert r.witness["bound"] == 380
 
 
 def test_prop2_bound_claims_small_k():
@@ -348,8 +374,8 @@ def test_run_claims_matches_claims_on_fresh_fields():
         theorem1_check(field(1), 1, "x"),
         theorem1_check(field(3), 2, "x"),
         prop1_hypothesis_search(field(3)),
-        prop2_bound_check(instance(field(1), 1, "x+1"), 1, "m1.x+1"),
-        prop2_bound_check(instance(field(2), 2, "b^2*x^2"), 2, "m2.b^2*x^2"),
+        prop2_bound_check(instance(field(1), 1, "x+1"), "m1.x+1"),
+        prop2_bound_check(instance(field(2), 2, "b^2*x^2"), "m2.b^2*x^2"),
     ]
     alone += remark2_degrees(field(1), field(3))
     alone.sort(key=lambda r: r.claim_id)
