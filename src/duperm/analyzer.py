@@ -1,37 +1,34 @@
-"""Criteria computations on lookup-table functions.
+"""Criteria computations on the modified Dobbertin functions.
 
-* differential spectrum: when the table equals a power map P = x^e
-  outside the subfield GF(2^k), as every constructed f does, DDT row 1
-  of P gives every row, and only the pairs through the points D of
-  GF(2^k) where f and P differ move a cell: by memoised histograms in
-  the rows outside GF(2^k) (generic rows), cell by cell in the rows of
-  GF(2^k)* and where two pairs share a cell (exact rows).  Any other
-  table gets the exhaustive scan omega_counts, one DDT row per nonzero
-  a, which is also the structured kernel's test oracle;
-* Walsh maximum max |W(u, v)|, read by nonlinearity: the exhaustive
-  scan runs the sign table of Tr(v f(x)) of each component v through a
-  fast transform over u, a block of components at a time, reindexed to
-  the definition's u by the bit-linear map _psi_table.
-  For x^e off GF(2^k) the structured kernel needs gcd(e, 2^n - 1)
-  transforms of x^e plus an exact correction over D on the few orbits
-  of (u, v) that can still hold the maximum, each a sum of slices of
-  memoised int8 sign sequences.  A cost guard hands the table to the
-  exhaustive scan, the kernel's oracle, whenever the structured work
-  would reach the 2^n - 1 transforms of that scan;
-* algebraic degree: for x^e off GF(2^k) the paper's degree formula,
-  max(wt(e), (n - k) + deg H) with H = f + x^e on GF(2^k), a 2^k-entry
-  transform; on a tie of the two terms, or for any other table, the
-  subset-XOR (Moebius) transform of the whole table, all output
-  coordinates in parallel (anf_degree, along the last axis of any stack
-  of tables), which is also the formula's oracle;
-* permutation status: bijectivity scan.
+The criteria admit exactly the tables that equal the Dobbertin power
+map P = x^d, d = dobbertin_exponent(k), outside the subfield GF(2^k),
+as every constructed f does; _power_off_subfield raises ValueError on
+any other table, a hand-built one or one read by read_lut included.
+f then differs from P only on the points D of GF(2^k) where they
+disagree, and each criterion has one kernel:
+
+* differential spectrum: DDT row 1 of P gives every row, and only the
+  pairs through D move a cell: by memoised histograms in the rows
+  outside GF(2^k) (generic rows), cell by cell in the rows of GF(2^k)*
+  and where two pairs share a cell (exact rows);
+* Walsh maximum max |W(u, v)|, read by nonlinearity: gcd(d, 2^n - 1),
+  which is 1 or 3, fast transforms of P plus an exact correction over
+  D on the few orbits of (u, v) that can still hold the maximum, each a
+  sum of slices of memoised int8 sign sequences;
+* algebraic degree: the paper's degree formula, max(wt(d), (n - k) +
+  deg H) with H = f + x^d on GF(2^k), a 2^k-entry transform; on a tie
+  of the two terms the subset-XOR (Moebius) transform of the whole
+  table, all output coordinates in parallel (anf_degree, along the last
+  axis of any stack of tables);
+* permutation status: a bijectivity scan, which reads no structure and
+  takes any table.
 
 omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates.
 Everything runs in one process.
 
-What depends on the field and x^e alone is kept in the context's memo
-(gf2n.FieldCtx.memo): x^e, DDT row 1 with its histogram and inverse,
+What depends on the field and x^d alone is kept in the context's memo
+(gf2n.FieldCtx.memo): x^d, DDT row 1 with its histogram and inverse,
 the generic histograms (at most 2 * 2^n, one per value met), psi, the
 sign sequences and the orbits any f over the field could keep.  What
 depends on f stays per call; a cold context gives the same reports.
@@ -42,12 +39,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2n
-from .construct import LutFunction
+from .construct import LutFunction, dobbertin_exponent
 
 __all__ = [
     "DiffSpectrum",
@@ -63,17 +60,13 @@ __all__ = [
     "analyze",
 ]
 
-_V_BLOCK = 256
-_EXACT_LISTINGS = 8192
-
 
 @dataclass(frozen=True)
 class DiffSpectrum:
-    """omega_i counts and their maximum; kernel names the scan that produced them."""
+    """omega_i counts and their maximum."""
 
     spectrum: dict
     delta: int
-    kernel: str = field(default="exhaustive", compare=False)
 
 
 def omega_counts(table: np.ndarray) -> np.ndarray:
@@ -92,34 +85,33 @@ def omega_counts(table: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """(e, table of x^e, D) when f equals the power map x^e outside GF(2^k), else None.
+def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray, np.ndarray]:
+    """(e, table of x^e, D) for f equal to x^e outside GF(2^k); ValueError otherwise.
 
-    D lists, in ascending order, the points of GF(2^k) where f and x^e
-    differ.  The generator lies outside GF(2^k), so e = log f(generator),
-    with e = 0 taken as 2^n - 1 so that x^e maps 0 to 0; one O(2^n)
-    comparison confirms or refutes the guess.
+    e is d, the Dobbertin exponent of the field's k, and D lists, in
+    ascending order, the points of GF(2^k) where f and x^e differ.
     """
-    ctx, tab = f.ctx, f.table
-    v = int(tab[ctx.generator])
-    if v == 0:
-        return None
-    e = int(ctx.log[v]) or ctx.order - 1
+    ctx = f.ctx
+    e = dobbertin_exponent(ctx.k)
     p = gf2n.vec_pow_all(ctx, e)
-    d = np.flatnonzero(tab != p)
+    d = np.flatnonzero(f.table != p)
     if not ctx.subfield_mask[d].all():
-        return None
+        raise ValueError(
+            f"the table differs from x^{e} at {int(d[~ctx.subfield_mask[d]][0])}, "
+            f"outside GF(2^{ctx.k}); only f = x^{e} off the subfield is analysed"
+        )
     return e, p, d
 
 
-def _collision_rows(ctx, e: int, p, row1, tab, d: np.ndarray) -> np.ndarray | None:
+def _collision_rows(ctx, e: int, p, tab, d: np.ndarray) -> np.ndarray:
     """Rows a outside GF(2^k) in which two listings of s != s' in D share a cell.
 
     Cells P(s) + P(s + a) or f(s) + P(s + a) agree when, with y = s + a
     and alpha = s + s', P(y) + P(y + alpha) is P(s) + P(s'), f(s) + f(s')
     or f(s) + P(s'): then y = alpha z, and z solves P(z) + P(z + 1) =
-    beta / alpha^e, read off the memoised inverse of row1 (DDT row 1 of
-    P).  None when the even z outnumber _EXACT_LISTINGS, as for linear P.
+    beta / alpha^e.  x^e = x^d is APN, so each beta has at most one solution
+    pair {z, z + 1}, read off the memoised inverse of DDT row 1 of P,
+    and there are at most 6 |D| (|D| - 1) collision rows.
     """
     if len(d) < 2:
         return d[:0]
@@ -129,39 +121,34 @@ def _collision_rows(ctx, e: int, p, row1, tab, d: np.ndarray) -> np.ndarray | No
     alpha = s ^ s2
     beta = np.stack([p[s] ^ p[s2], tab[s] ^ tab[s2], tab[s] ^ p[s2]])
     b = np.where(beta != 0, exp[(log[beta] - e * log[alpha]) % q1], 0).ravel()
-    cnt = row1[b] // 2  # even z; z + 1 is the other solution
-    if cnt.sum() > _EXACT_LISTINGS:
-        return None
 
-    def row1_inverse() -> tuple:  # even z by P(z) + P(z + 1), where each value starts
-        return 2 * np.argsort(p[0::2] ^ p[1::2], kind="stable"), np.cumsum(row1 // 2) - row1 // 2
+    def row1_inverse() -> np.ndarray:  # the even z with P(z) + P(z + 1) = b, or -1
+        inverse = np.full(ctx.order, -1, dtype=np.int64)
+        inverse[p[0::2] ^ p[1::2]] = np.arange(0, ctx.order, 2)
+        return inverse
 
-    order, start = ctx.memo("row1_inverse", row1_inverse, e)
-    at = np.repeat(np.arange(len(b)), cnt)
-    z = order[(start[b] - np.cumsum(cnt) + cnt)[at] + np.arange(len(at))]
-    z, at = np.concatenate([z, z + 1]), np.concatenate([at, at]) % len(s)
+    z = ctx.memo("row1_inverse", row1_inverse, e)[b]
+    at = np.flatnonzero(z >= 0)
+    z, at = np.concatenate([z[at], z[at] + 1]), np.concatenate([at, at]) % len(s)
     a = np.where(z != 0, exp[(log[z] + log[alpha[at]]) % q1], 0) ^ s[at]
     return np.flatnonzero((np.bincount(a, minlength=ctx.order) > 0) & ~ctx.subfield_mask)
 
 
-def _structured_omega(f: LutFunction) -> np.ndarray | None:
-    """omega via power-map homogeneity, or None unless f is x^e off GF(2^k).
+def differential_spectrum(f: LutFunction) -> DiffSpectrum:
+    """omega_i counts over all (a, b) pairs with a != 0, plus the maximum.
 
-    For P = x^e, delta_P(a, b) = delta_P(1, b a^(-e)): omega starts as
-    2^n - 1 times the histogram of row 1, and each pair {s, s + a}, s in
-    D, moves its cell P(s) + P(s + a) down and f(s) + f(s + a) up.
+    For P = x^e, e = d, delta_P(a, b) = delta_P(1, b a^(-e)): omega starts
+    as 2^n - 1 times the histogram of row 1, and each pair {s, s + a}, s
+    in D, moves its cell P(s) + P(s + a) down and f(s) + f(s + a) up.
     * Generic rows, a outside GF(2^k): with a = s u (a = u for s = 0)
       the old counts are row1[(r + P(u + 1)) / u^e], r = 1 before and
       r = f(s) / s^e after (row1[(r + P(u)) / u^e], r = 0 and f(0), for
       s = 0); memoised histograms over u move all those rows at once.
     * Exact rows, GF(2^k)* and the collision rows where two listings
-      share a cell (their generic moves taken back), or every row when
-      _collision_rows gives up, are listed _EXACT_LISTINGS pairs at a time.
+      share a cell (their generic moves taken back), are listed in one
+      array, at most 2^k (2^k - 1)(1 + 6 * 2^k) listings.
     """
-    power = _power_off_subfield(f)
-    if power is None:
-        return None
-    e, p, d = power
+    e, p, d = _power_off_subfield(f)
     ctx, tab, log = f.ctx, f.table, f.ctx.log
     q, q1 = ctx.order, ctx.order - 1
 
@@ -187,55 +174,36 @@ def _structured_omega(f: LutFunction) -> np.ndarray | None:
         return ctx.memo(("hist", r, shift), build, e)
 
     row1, omega_p = ctx.memo("ddt_row1", ddt_row1, e)
-    omega, collide = omega_p.copy(), _collision_rows(ctx, e, p, row1, tab, d)
-    step = max(1, _EXACT_LISTINGS // max(len(d), 1))
-    if collide is None:
-        blocks = (np.arange(lo, min(lo + step, q))[:, None] for lo in range(1, q, step))
-    else:
-        rows = np.concatenate([np.flatnonzero(ctx.subfield_mask)[1:], collide])
-        blocks = (rows[lo : lo + step, None] for lo in range(0, len(rows), step))
-        for s, fs in zip(d.tolist(), tab[d].tolist()):
-            shift = int(s != 0)
-            r = int(relabel(fs, e * int(log[s]) % q1)) if s else fs
-            for h, w in ((hist(shift, shift), -2), (hist(r, shift), 2)):
-                # h[i] cells move from count i to i + w (a before cell counts >= 2)
-                omega[: len(h)] -= h
-                omega[max(w, 0) : len(h) + w] += h[max(-w, 0) :]
+    omega = omega_p.copy()
+    for s, fs in zip(d.tolist(), tab[d].tolist()):
+        shift = int(s != 0)
+        r = int(relabel(fs, e * int(log[s]) % q1)) if s else fs
+        for h, w in ((hist(shift, shift), -2), (hist(r, shift), 2)):
+            # h[i] cells move from count i to i + w (a before cell counts >= 2)
+            omega[: len(h)] -= h
+            omega[max(w, 0) : len(h) + w] += h[max(-w, 0) :]
 
-    for a in blocks:
-        x = d ^ a
-        # a pair {s, s + a} stands for its two inputs; one with both ends
-        # in D is listed from each end, and each listing counts once
-        w = np.where(tab[x] != p[x], 1, 2).ravel()
-        before = ((a << ctx.n) | (p[d] ^ p[x])).ravel()
-        after = ((a << ctx.n) | (tab[d] ^ tab[x])).ravel()
-        keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
-        w = np.concatenate([-w, w])
-        net = np.bincount(inv, w, minlength=len(keys)).astype(np.int64)
-        ra = keys >> ctx.n
-        old = row1[relabel(keys & q1, e * log[ra] % q1)]
-        np.add.at(omega, old, -1)
-        np.add.at(omega, old + net, 1)
-        if collide is not None:  # take back the histogram move of each listing
-            generic = ~ctx.subfield_mask[ra[inv]]
-            np.add.at(omega, old[inv][generic], 1)
-            np.add.at(omega, old[inv][generic] + w[generic], -1)
-    return omega
+    a = np.concatenate([np.flatnonzero(ctx.subfield_mask)[1:], _collision_rows(ctx, e, p, tab, d)])
+    x = d ^ a[:, None]
+    # a pair {s, s + a} stands for its two inputs; one with both ends
+    # in D is listed from each end, and each listing counts once
+    w = np.where(tab[x] != p[x], 1, 2).ravel()
+    before = ((a[:, None] << ctx.n) | (p[d] ^ p[x])).ravel()
+    after = ((a[:, None] << ctx.n) | (tab[d] ^ tab[x])).ravel()
+    keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
+    w = np.concatenate([-w, w])
+    net = np.bincount(inv, w, minlength=len(keys)).astype(np.int64)
+    ra = keys >> ctx.n
+    old = row1[relabel(keys & q1, e * log[ra] % q1)]
+    np.add.at(omega, old, -1)
+    np.add.at(omega, old + net, 1)
+    # take back the histogram move of each listing in a row outside GF(2^k)
+    generic = ~ctx.subfield_mask[ra[inv]]
+    np.add.at(omega, old[inv][generic], 1)
+    np.add.at(omega, old[inv][generic] + w[generic], -1)
 
-
-def differential_spectrum(f: LutFunction) -> DiffSpectrum:
-    """omega_i counts over all (a, b) pairs with a != 0, plus the maximum.
-
-    Tables equal to a power map outside GF(2^k) take the structured
-    kernel; any other table is scanned row by row by omega_counts.
-    """
-    omega = _structured_omega(f)
-    kernel = "structured"
-    if omega is None:
-        omega, kernel = omega_counts(f.table), "exhaustive"
     delta = int(np.nonzero(omega[1:])[0].max()) + 1
-    spectrum = {i: int(omega[i]) for i in range(0, delta + 1, 2)}
-    return DiffSpectrum(spectrum, delta, kernel)
+    return DiffSpectrum({i: int(omega[i]) for i in range(0, delta + 1, 2)}, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +250,16 @@ def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
     return ctx.memo("psi", build)
 
 
-def _walsh_blocks(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray):
-    """Transforms of the signs (-1)^Tr(v tab[x]), v in vs, _V_BLOCK rows at a time.
+def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Rows W[i, u] = sum_x (-1)^(Tr(vs[i] tab[x]) + Tr(u x)), u in field coordinates.
 
-    Row i of a block is sum_x (-1)^(Tr(vs[i] tab[x]) + <t, x>) over t; the
-    definition's u sits at t = psi(u), so block[:, _psi_table(ctx)] is in
-    field coordinates.  A scan holds a block or two, never all its rows.
+    One fast transform per row gives the sums at t = psi(u), the
+    standard-basis index of the character; _psi_table reindexes them.
     """
     nz = tab != 0
-    logs_f = ctx.log[tab[nz]]
-    for lo in range(0, len(vs), _V_BLOCK):
-        v = vs[lo : lo + _V_BLOCK]
-        prod = np.zeros((len(v), ctx.order), dtype=np.int64)
-        prod[:, nz] = ctx.exp[(logs_f + ctx.log[v][:, None]) % (ctx.order - 1)]
-        yield _fwht_lastaxis(1 - 2 * ctx.trace_bits[prod].astype(np.int32))
+    prod = np.zeros((len(vs), ctx.order), dtype=np.int64)
+    prod[:, nz] = ctx.exp[(ctx.log[tab[nz]] + ctx.log[vs][:, None]) % (ctx.order - 1)]
+    return _fwht_lastaxis(1 - 2 * ctx.trace_bits[prod].astype(np.int32))[:, _psi_table(ctx)]
 
 
 def _orbit_walsh(f: LutFunction, e: int, d: np.ndarray, j: int, w: int, wp_jw: int) -> np.ndarray:
@@ -333,56 +297,33 @@ def _orbit_walsh(f: LutFunction, e: int, d: np.ndarray, j: int, w: int, wp_jw: i
     return walsh
 
 
-def _structured_walsh(f: LutFunction) -> int | None:
-    """max |W_f| from the transforms of a power map, or None to fall back.
+def walsh_max_abs(f: LutFunction) -> int:
+    """max |W_f(u, v)| over all u and nonzero v, from transforms of P = x^e, e = d.
 
-    f must equal P = x^e outside GF(2^k); with g = gcd(e, 2^n - 1) and
-    gamma the generator, every nonzero v is gamma^j c^e with j < g, and
-    W_P(u, gamma^j c^e) = W_P(u / c, gamma^j).  So g transforms give
-    wp[j, w] = W_P(w, gamma^j), and on the orbit {(w c, gamma^j c^e)}
-    W_f = wp[j, w] + C with |C| <= 2 |D|.  The orbits with
-    |wp| >= max |wp| - 4 |D| are evaluated exactly, largest |wp| first,
-    until none left can win; the kernel is refused (None) when
-    g + (orbits kept) |D| >= 2^n - 1, the rows of the exhaustive scan.
-    The memo keeps, per exponent, the orbits any f over the field could
-    keep, in descending order of |wp|, so the guard is one binary search.
+    With g = gcd(e, 2^n - 1), 1 or 3, and gamma the generator, every
+    nonzero v is gamma^j c^e with j < g, and W_P(u, gamma^j c^e) =
+    W_P(u / c, gamma^j).  So g transforms give wp[j, w] = W_P(w, gamma^j),
+    and on the orbit {(w c, gamma^j c^e)} W_f = wp[j, w] + C with
+    |C| <= 2 |D|.  The orbits with |wp| >= max |wp| - 4 |D| are evaluated
+    exactly, largest |wp| first, until none left can win.  The memo keeps
+    the orbits any f over the field could keep, in descending order of
+    |wp|, so the orbits of one f are a prefix found by one binary search.
     """
-    power = _power_off_subfield(f)
-    if power is None:
-        return None
-    e, p, d = power
-    ctx, q1 = f.ctx, f.ctx.order - 1
-    g = math.gcd(e, q1)
-    if g >= q1:
-        return None
+    e, p, d = _power_off_subfield(f)
+    ctx = f.ctx
+    g = math.gcd(e, ctx.order - 1)
 
     def candidates() -> tuple:
-        # |D| <= 2^k, so no f over this field keeps an orbit below
-        # max |wp| - 4 * 2^k; each block is filtered against the running
-        # maximum, and what it kept against the final one
-        psi = _psi_table(ctx)
-        slack = 4 << ctx.k
-        top, lo, found = 0, 0, []
-        for block in _walsh_blocks(ctx, p, ctx.exp[:g]):
-            wp = block[:, psi].ravel()
-            mag = np.abs(wp)
-            top = max(top, int(mag.max()))
-            keep = np.flatnonzero(mag >= top - slack)
-            found.append((keep + lo * ctx.order, wp[keep]))
-            lo += len(block)
-        flat, wp = (np.concatenate(c) for c in zip(*found))
+        # |D| <= 2^k, so no f over this field keeps an orbit below max |wp| - 4 * 2^k
+        wp = _walsh_rows(ctx, p, ctx.exp[:g]).ravel()
         mag = np.abs(wp)
-        keep = np.flatnonzero(mag >= top - slack)
+        keep = np.flatnonzero(mag >= mag.max() - (4 << ctx.k))
         order = keep[np.argsort(-mag[keep], kind="stable")]
-        return flat[order], wp[order], -mag[order]
+        return order, wp[order], -mag[order]
 
     orbits, wp, neg_mag = ctx.memo("walsh_orbits", candidates, e)
-    top = -int(neg_mag[0])
     cmax = 2 * len(d)
-    kept = int(np.searchsorted(neg_mag, 2 * cmax - top, side="right"))
-    if g + kept * len(d) >= q1:
-        return None
-
+    kept = int(np.searchsorted(neg_mag, 2 * cmax + int(neg_mag[0]), side="right"))
     best = 0
     for i in range(kept):
         if cmax - int(neg_mag[i]) <= best:
@@ -390,21 +331,6 @@ def _structured_walsh(f: LutFunction) -> int | None:
         j, w = divmod(int(orbits[i]), ctx.order)
         best = max(best, int(np.abs(_orbit_walsh(f, e, d, j, w, int(wp[i]))).max()))
     return best
-
-
-def walsh_max_abs(f: LutFunction) -> int:
-    """max |W(u, v)| over all u and nonzero v, without storing the table.
-
-    Tables equal to a power map outside GF(2^k) take the structured
-    kernel when its cost guard admits them; any other table is scanned
-    in blocks of _V_BLOCK components.
-    """
-    best = _structured_walsh(f)
-    if best is not None:
-        return best
-    ctx = f.ctx
-    blocks = _walsh_blocks(ctx, f.table, np.arange(1, ctx.order))
-    return max(int(np.abs(block).max()) for block in blocks)
 
 
 def nonlinearity(f: LutFunction) -> int:
@@ -436,27 +362,22 @@ def anf_degree(tables: np.ndarray) -> np.ndarray:
 def algebraic_degree(f: LutFunction) -> int:
     """Max monomial degree of the algebraic normal form, all coordinates at once.
 
-    When f equals P = x^e outside GF(2^k), f = P + Delta with Delta zero
-    off GF(2^k).  deg P = wt(e), the binary weight of e.  In coordinates
-    whose last n - k vanish on GF(2^k), Delta is H(y) times the indicator
-    prod (z_i + 1), so deg Delta = (n - k) + deg H, H = (f + x^e) on
-    GF(2^k) in sorted-subfield coordinates (a linear coordinate system).
-    The degree of the sum is the larger of the two unless they tie; a
-    tie, or any other table, takes the Moebius transform of the whole
-    table, which is also the oracle.
+    f = P + Delta with P = x^e, e = d, and Delta zero off GF(2^k).
+    deg P = wt(e), the binary weight of e.  In coordinates whose last
+    n - k vanish on GF(2^k), Delta is H(y) times the indicator prod
+    (z_i + 1), so deg Delta = (n - k) + deg H, H = (f + x^e) on GF(2^k) in
+    sorted-subfield coordinates (a linear coordinate system).  The
+    degree of the sum is the larger of the two unless they tie; a tie
+    takes the Moebius transform of the whole table.
     """
-    power = _power_off_subfield(f)
-    if power is not None:
-        e, p, d = power
-        weight = e.bit_count()
-        if not len(d):
-            return weight
-        ctx = f.ctx
-        sub = np.array(ctx.subfield_elems)
-        patch = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ p[sub]))
-        if patch != weight:
-            return max(weight, patch)
-    return int(anf_degree(f.table))
+    e, p, d = _power_off_subfield(f)
+    weight = e.bit_count()
+    if not len(d):
+        return weight
+    ctx = f.ctx
+    sub = np.array(ctx.subfield_elems)
+    patch = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ p[sub]))
+    return max(weight, patch) if patch != weight else int(anf_degree(f.table))
 
 
 def is_permutation(f: LutFunction) -> bool:

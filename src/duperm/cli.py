@@ -124,13 +124,16 @@ def cmd_replay_proof(args) -> int:
 
 
 def cmd_reproduce_tables(args) -> int:
+    out = args.out or "."
+    if not os.path.isdir(out):
+        raise NotADirectoryError(f"--out {out} is not an existing directory")
     ctx = gf2n.mk_field(2)
     mismatches = []
     for table_name, m, expected in (
         ("table1", 2, TABLE1_EXPECTED),
         ("table2", 1, TABLE2_EXPECTED),
     ):
-        path = os.path.join(args.out or ".", table_name + ".csv")
+        path = os.path.join(out, table_name + ".csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_HEADER)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from duperm import gf2n
-from duperm.analyzer import _psi_table, _walsh_blocks
+from duperm.analyzer import DiffSpectrum, _walsh_rows
 from duperm.construct import AffinePerm
 
 
@@ -32,9 +32,20 @@ def ddt_row(f, a):
     return np.bincount(f.table[np.arange(f.ctx.order) ^ a] ^ f.table, minlength=f.ctx.order)
 
 
+def ddt_row_spectrum(f):
+    """The spectrum rebuilt from the DDT rows of every a != 0."""
+    q = f.ctx.order
+    omega = np.zeros(q + 1, dtype=np.int64)
+    for a in range(1, q):
+        omega += np.bincount(ddt_row(f, a), minlength=q + 1)
+    delta = int(np.nonzero(omega[1:])[0].max()) + 1
+    return DiffSpectrum({i: int(omega[i]) for i in range(0, delta + 1, 2)}, delta)
+
+
 def walsh_rows(ctx, tab, vs):
-    """Rows W[i, u] = W(u, vs[i]) of tab, u in field coordinates."""
-    return np.concatenate([b[:, _psi_table(ctx)] for b in _walsh_blocks(ctx, tab, vs)])
+    """Rows W[i, u] = W(u, vs[i]) of tab, u in field coordinates, 256 components at a time."""
+    blocks = (_walsh_rows(ctx, tab, vs[lo : lo + 256]) for lo in range(0, len(vs), 256))
+    return np.concatenate(list(blocks))
 
 
 def walsh_table(f):

@@ -51,6 +51,22 @@ def test_analyze_k1_json():
     assert payload["runtime_ms"] is None
 
 
+# `analyze --k 1 --m M --l1 x+1` for m = 1..6, byte for byte, as captured when
+# a cost guard still sent these instances' Walsh maximum to the exhaustive scan
+ANALYZE_K1_X_PLUS_1 = (
+    '{"n": 5, "k": 1, "construction": "k=1 m=%d L1=x+1 L2=x", '
+    '"spectrum": {"0": 526, "2": 436, "4": 30}, "delta": 4, "nl": 10, '
+    '"degree": 4, "permutation": true, "lb": 6, "runtime_ms": null}\n'
+)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_analyze_k1_x_plus_1_pinned(m):
+    assert run_cli(["analyze", "--k", "1", "--m", str(m), "--l1", "x+1"]) == (
+        0, ANALYZE_K1_X_PLUS_1 % m, ""
+    )
+
+
 def test_analyze_output_byte_stable():
     argv = ["analyze", "--k", "2", "--m", "2", "--l1", "b^2*x^2"]
     first = run_cli(argv)
@@ -270,6 +286,16 @@ def test_reproduce_tables(tmp_path):
             assert int(deg) == want_deg
             assert int(nl) == want_nl
             assert int(lb) == 380
+
+
+def test_reproduce_tables_missing_out_directory(tmp_path, monkeypatch):
+    # the directory is checked before any table is computed
+    monkeypatch.setattr(gf2n, "mk_field", None)
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run_cli(["reproduce-tables", "--out", str(missing)])
+    assert (code, out) == (1, "")
+    assert err == f"error: --out {missing} is not an existing directory\n"
+    assert not missing.exists()
 
 
 def test_reproduce_tables_mismatch_names_row_and_column(tmp_path):
