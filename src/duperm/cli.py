@@ -51,6 +51,13 @@ def _construction_label(args) -> str:
     return f"k={args.k} m={args.m} L1={args.l1} L2={args.l2}"
 
 
+def _check_out(path) -> None:
+    """Fail before any work when the directory --out would be written in is missing."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        parent = os.path.dirname(path)
+        raise NotADirectoryError(f"--out {path}: {parent} is not an existing directory")
+
+
 def _emit(text: str, out) -> None:
     if out:
         with open(out, "w") as fh:
@@ -60,6 +67,7 @@ def _emit(text: str, out) -> None:
 
 
 def cmd_analyze(args) -> int:
+    _check_out(args.out)
     ctx, f = _build_function(args)
     walsh = args.walsh == "on" or (args.walsh == "auto" and ctx.n <= 10)
     report = analyzer.analyze(f, construction=_construction_label(args), walsh=walsh)
@@ -73,6 +81,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    _check_out(args.out)
     ctx, f = _build_function(args)
     digest = hashlib.sha256(f.table.astype("<u8").tobytes()).hexdigest()
     if args.out:
@@ -89,12 +98,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_export_lut(args) -> int:
+    _check_out(args.out)
     _, f = _build_function(args)
     write_lut(f, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
+    _check_out(args.out)
     results = prover.run_claims(pattern=args.claims, seed=args.seed, trials=args.trials)
     transcript = "".join(json.dumps(r.to_json_dict()) + "\n" for r in results)
     _emit(transcript, args.out)

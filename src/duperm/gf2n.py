@@ -212,16 +212,20 @@ class FieldCtx:
     def memo(self, key: str | tuple, build, e: int | None = None):
         """build(), computed once per context and stored read-only under key.
 
-        Every entry is a function of the field alone (e None) or of the
-        field and the power map x^e, so the memo changes when a result is
+        Every entry is a function of the field alone (e None), of the
+        field and the power map x^e, or of those and one orbit of tables
+        under the analyzer's scaling and Frobenius maps, whose members
+        share every criterion; so the memo changes when a result is
         computed, never the result.  It keeps one exponent: an entry for
         an exponent other than the stored one first drops every entry of
         the old exponent.  A tuple key also names a parameter of build, a
-        field element or a residue mod gcd(e, 2^n - 1), and an exponent
-        keeps one entry per value met: at most 2 * 2^n spectrum histograms
-        (a field element and a flag), each at most (max DDT entry of x^e)
-        + 1 counts long.  It is freed with the context.  build returns an
-        array or a tuple of arrays.
+        field element, a residue mod gcd(e, 2^n - 1) or an orbit key, and
+        an exponent keeps one entry per value met: at most 2 * 2^n
+        spectrum histograms (a field element and a flag), each at most
+        (max DDT entry of x^e) + 1 counts long, and per orbit met its
+        spectrum up to delta, its max |W| and its degree, a few int64
+        each.  It is freed with the context.  build returns an array or a
+        tuple of arrays.
         """
         memo = self._memo
         if e is not None:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 
 import numpy as np
@@ -21,6 +23,18 @@ def f10():
 @pytest.fixture(scope="session")
 def f15():
     return gf2n.mk_field(3)
+
+
+@functools.cache
+def _field_tables(k):
+    return gf2n.mk_field(k)
+
+
+def fresh_field(k):
+    """A GF(2^(5k)) context with an empty memo, for tests that count kernel
+    calls or read the memo: no entry an earlier test left, per orbit or per
+    field, can answer for them.  The read-only field tables are shared."""
+    return dataclasses.replace(_field_tables(k), _memo={})
 
 
 # ---------------------------------------------------------------------------

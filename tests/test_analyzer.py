@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     ddt_row,
     ddt_row_spectrum,
+    fresh_field,
     random_affine_perm,
     walsh_max,
     walsh_rows,
@@ -177,8 +179,9 @@ def test_spectrum_identities(f5, f10):
     m=st.integers(1, 6),
     seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
 )
-def test_structured_spectrum_matches_ddt_rows(f5, f10, k, m, seeds):
-    ctx = f5 if k == 1 else f10
+def test_structured_spectrum_matches_ddt_rows(k, m, seeds):
+    # a fresh context per table: the kernel runs, no orbit entry answers
+    ctx = fresh_field(k)
     L1, L2 = (random_affine_perm(ctx, seed) for seed in seeds)
     f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
     assert differential_spectrum(f) == ddt_row_spectrum(f)
@@ -208,23 +211,23 @@ def power_off_subfield(ctx, e, seed, size, anywhere):
     size=st.integers(0, 4),
     anywhere=st.booleans(),
 )
-def test_structured_spectrum_arbitrary_subfield_values(f5, f10, ke, seed, size, anywhere):
+def test_structured_spectrum_arbitrary_subfield_values(ke, seed, size, anywhere):
     k, e = ke
-    f, d = power_off_subfield(f5 if k == 1 else f10, e, seed, size, anywhere)
+    f, d = power_off_subfield(fresh_field(k), e, seed, size, anywhere)
     assert _power_off_subfield(f)[2].tolist() == d.tolist()
     assert differential_spectrum(f) == ddt_row_spectrum(f)
 
 
-def test_structured_spectrum_every_row_exact(f5, f10, monkeypatch):
+def test_structured_spectrum_every_row_exact(monkeypatch):
     # every row outside GF(2^k) taken for a collision row: the exact listing
     # must take back each move the histograms made and recount all rows
     monkeypatch.setattr(
         analyzer, "_collision_rows", lambda ctx, *_: np.flatnonzero(~ctx.subfield_mask)
     )
     for k, e in SUBFIELD_EXPONENTS:
-        ctx = f5 if k == 1 else f10
         for seed in range(4):
             for size in (0, 1, 2, 1 << k):
+                ctx = fresh_field(k)
                 f, _ = power_off_subfield(ctx, e, seed, size, anywhere=bool(seed % 2))
                 assert differential_spectrum(f) == ddt_row_spectrum(f), (k, seed, size)
 
@@ -368,7 +371,7 @@ def test_permutation_balancedness(f5, f10):
         assert ws10[v - 1, 0] == 0
 
 
-def test_walsh_streaming_matches_table(f10):
+def test_walsh_max_matches_table_n10(f10):
     f = instance(f10, 2, "x+1")
     assert walsh_max_abs(f) == walsh_max(f)
 
@@ -388,8 +391,8 @@ def test_nl_consistency(f10):
     m=st.integers(1, 6),
     seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
 )
-def test_structured_walsh_matches_table(f5, f10, k, m, seeds):
-    ctx = f5 if k == 1 else f10
+def test_structured_walsh_matches_table(k, m, seeds):
+    ctx = fresh_field(k)
     L1, L2 = (random_affine_perm(ctx, seed) for seed in seeds)
     f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
     assert walsh_max_abs(f) == walsh_max(f)
@@ -448,16 +451,43 @@ def test_orbit_walsh_matches_table(f10):
             assert np.array_equal(_orbit_walsh(f, e, d, j, w, rows[j, w]), full[v - 1, u])
 
 
+def test_walsh_evaluates_every_orbit_that_could_win(monkeypatch):
+    # the stop rule: |W_f - W_P| <= 2 |D|, so an orbit with |W_P| + 2 |D|
+    # above the returned maximum could hold a larger |W_f| and must have
+    # been evaluated; a fresh context per table, so that the kernel runs
+    evaluated = []
+    orbit_walsh = analyzer._orbit_walsh
+
+    def spy(f, e, d, j, w, wp_jw):
+        evaluated.append((j, w))
+        return orbit_walsh(f, e, d, j, w, wp_jw)
+
+    monkeypatch.setattr(analyzer, "_orbit_walsh", spy)
+    most = 0  # the most orbits that could win in one table
+    for k, e in SUBFIELD_EXPONENTS:
+        for seed in range(12):
+            ctx = fresh_field(k)
+            size = 1 + seed % (1 << k)
+            f, d = power_off_subfield(ctx, e, seed, size, anywhere=bool(seed % 3))
+            evaluated.clear()
+            best = walsh_max_abs(f)
+            wp = walsh_rows(ctx, power_function(ctx, e).table, ctx.exp[: math.gcd(e, ctx.order - 1)])
+            could_win = set(zip(*np.nonzero(np.abs(wp) + 2 * len(d) > best)))
+            assert could_win <= set(evaluated), (k, seed)
+            most = max(most, len(could_win))
+    assert most > 1  # so stopping after the first orbit would be caught
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     ke=st.sampled_from(SUBFIELD_EXPONENTS),
     seed=st.integers(0, 2**32),
     anywhere=st.booleans(),
 )
-def test_structured_walsh_arbitrary_subfield_values(f5, f10, ke, seed, anywhere):
+def test_structured_walsh_arbitrary_subfield_values(ke, seed, anywhere):
     # x^d off GF(2^k) and any values on it, inside GF(2^k) or anywhere in the field
     k, e = ke
-    ctx = f5 if k == 1 else f10
+    ctx = fresh_field(k)
     rng = np.random.default_rng(seed)
     table = power_function(ctx, e).table.copy()
     sub = np.flatnonzero(ctx.subfield_mask)
@@ -543,7 +573,7 @@ ACCEPTANCE_WALSH_KERNEL = {
 }
 
 
-def test_structured_walsh_kernel_choice_pinned(f5, f10):
+def test_structured_walsh_pinned_acceptance_instances(f5, f10):
     for (k, m, l1), want in ACCEPTANCE_WALSH_KERNEL.items():
         f = instance(f5 if k == 1 else f10, m, l1)
         assert walsh_max_abs(f) == want == walsh_max(f), (k, m, l1)
@@ -587,31 +617,32 @@ def test_degree_of_power_map_is_binary_weight(f10):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_structured_degree_matches_moebius(f5, f10, k):
+def test_structured_degree_matches_moebius(k):
     # x^d with a random D of every size, values from GF(2^k) or anywhere
-    ctx = f5 if k == 1 else f10
     e = dobbertin_exponent(k)
     for seed in range(64):
         for size in range((1 << k) + 1):
             for anywhere in (False, True):
+                ctx = fresh_field(k)
                 f, _ = power_off_subfield(ctx, e, seed << 4 | size << 1 | anywhere, size, anywhere)
                 assert algebraic_degree(f) == anf_degree(f.table), (seed, size, anywhere)
 
 
-def test_degree_tie_takes_whole_table(f5, monkeypatch):
-    # k = 1: a nonzero constant H on GF(2) gives (n - k) + deg H = 4 = wt(29)
+def test_degree_tie_takes_whole_table(monkeypatch):
+    # k = 1: a nonzero constant H on GF(2) gives (n - k) + deg H = 4 = wt(29);
+    # a fresh context per table, so that no orbit entry answers
     moebius, lengths = anf_degree, []
     monkeypatch.setattr(analyzer, "anf_degree", lambda t: lengths.append(t.shape[-1]) or moebius(t))
-    p = power_function(f5, 29).table
+    p = power_function(fresh_field(1), 29).table
     for c in (1, 7, 30):
         table = p.copy()
         table[[0, 1]] ^= c
-        assert algebraic_degree(LutFunction(f5, table)) == moebius(table), c
+        assert algebraic_degree(LutFunction(fresh_field(1), table)) == moebius(table), c
     assert lengths.count(32) == 3
     # H non-constant: 4 + 1 > wt(29) decides without the whole table
     table = p.copy()
     table[1] ^= 5
-    assert algebraic_degree(LutFunction(f5, table)) == 5 == moebius(table)
+    assert algebraic_degree(LutFunction(fresh_field(1), table)) == 5 == moebius(table)
     assert lengths.count(32) == 3
 
 
@@ -708,8 +739,8 @@ def test_memo_never_changes_a_report():
     # cold: a fresh context per instance; warm: one context in order, then in
     # reverse, with the table of x^7 built in between so that the memo's
     # exponent is replaced before every instance
-    cold = {inst: _report(gf2n.mk_field(2), inst) for inst in SWEEP_INSTANCES}
-    ctx = gf2n.mk_field(2)
+    cold = {inst: _report(fresh_field(2), inst) for inst in SWEEP_INSTANCES}
+    ctx = fresh_field(2)
     for order in (SWEEP_INSTANCES, SWEEP_INSTANCES[::-1]):
         warm = {}
         for inst in order:
@@ -717,11 +748,13 @@ def test_memo_never_changes_a_report():
             gf2n.vec_pow_all(ctx, 7)
             assert ctx._memo["e"] == 7
         assert warm == cold
-    # one context through all of them keeps one exponent and each histogram
-    # the spectrum met, trimmed: under ten int64 tables of the field in all
-    ctx = gf2n.mk_field(2)
+    # one context through all of them keeps one exponent, each histogram
+    # the spectrum met, trimmed, and three small entries per orbit met:
+    # under ten int64 tables of the field in all
+    ctx = fresh_field(2)
     assert {inst: _report(ctx, inst) for inst in SWEEP_INSTANCES} == cold
-    assert sum(a.nbytes for a in _memo_arrays(ctx)) <= 10 * 8 * ctx.order
+    # a view keeps its whole base alive, so count the base
+    assert sum((a if a.base is None else a.base).nbytes for a in _memo_arrays(ctx)) <= 10 * 8 * ctx.order
 
 
 def _memo_arrays(ctx):
@@ -731,19 +764,25 @@ def _memo_arrays(ctx):
 
 
 def test_memo_arrays_are_read_only():
-    ctx = gf2n.mk_field(2)
+    ctx = fresh_field(2)
     f = instance(ctx, 2, "x+b")
     analyze(f, k=2)
+    # x^d, DDT row 1 and its histogram, psi, signs, orbits, the orbit maps
+    # and the three criteria of f's orbit
     arrays = _memo_arrays(ctx)
-    assert len(arrays) >= 7  # x^d, DDT row 1 and its histogram, psi, signs, orbits
+    assert len(arrays) >= 14
     assert any(a is gf2n.vec_pow_all(ctx, dobbertin_exponent(2)) for a in arrays)
+    per_orbit = [key[0] for key in ctx._memo["power"]
+                 if isinstance(key, tuple) and key[0] in ("spectrum", "walsh", "degree")]
+    assert sorted(per_orbit) == ["degree", "spectrum", "walsh"]
+    assert "orbit_maps" in ctx._memo["power"]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
 
 
 def test_memo_lives_and_dies_with_its_context():
-    ctx = gf2n.mk_field(1)
+    ctx = fresh_field(1)
     f = instance(ctx, 1, "x+1")
     analyze(f, k=1)
     assert ctx._memo
@@ -751,3 +790,86 @@ def test_memo_lives_and_dies_with_its_context():
     del ctx, f
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# one analysis per orbit of the scaling and Frobenius maps
+# ---------------------------------------------------------------------------
+
+def orbit_images(f, points):
+    """A f B on the given points, for B(x) = c sigma^i(x) and A(y) =
+    sigma^(-i)(c^(-d) y), every c in GF(2^k)* and i < n, sigma(x) = x^2;
+    each image is f's table with those points replaced, by scalar operations."""
+    ctx = f.ctx
+    q1, e = ctx.order - 1, dobbertin_exponent(ctx.k)
+    images = []
+    for c in ctx.subfield_elems[1:]:
+        c_e = gf2n.pow(ctx, c, q1 - e)
+        for i in range(ctx.n):
+            table = f.table.copy()
+            for x in points:
+                y = int(f.table[gf2n.mul(ctx, c, gf2n.frobenius(ctx, x, i))])
+                table[x] = gf2n.frobenius(ctx, gf2n.mul(ctx, c_e, y), (ctx.n - i) % ctx.n)
+            images.append(LutFunction(ctx, table))
+    return images
+
+
+def cold_report(f):
+    """f's criteria from the kernels themselves, never from an orbit entry."""
+    a = analyzer._admit(f)
+    return tuple(analyzer._spectrum(a).tolist()), analyzer._walsh(a), analyzer._degree(a)
+
+
+def test_orbit_maps_keep_x_d_off_the_subfield(f10):
+    # A (x^d) B = x^d on the whole field, so A f B is admitted again
+    p = power_function(f10, 339)
+    for image in orbit_images(p, range(f10.order))[::7]:
+        assert np.array_equal(image.table, p.table)
+
+
+@pytest.mark.parametrize("k, orbits", [(1, 4), (2, 56)])
+def test_every_subfield_table_reads_its_cold_report(k, orbits):
+    # every table with values in GF(2^k): through one context, forward and
+    # backward, each report equals the report of a fresh context
+    ctx = fresh_field(k)
+    p, sub = power_function(ctx, dobbertin_exponent(k)).table, list(ctx.subfield_elems)
+    tables = []
+    for values in itertools.product(sub, repeat=len(sub)):
+        table = p.copy()
+        table[sub] = values
+        tables.append(table)
+    cold = [analyze(LutFunction(fresh_field(k), t)).to_json() for t in tables]
+    for step in (1, -1):
+        ctx = fresh_field(k)
+        warm = [analyze(LutFunction(ctx, t)).to_json() for t in tables[::step]]
+        assert warm[::step] == cold
+        # one spectrum per orbit: a key that merged two orbits or missed a
+        # symmetry would count fewer or more
+        assert sum(key[0] == "spectrum" for key in ctx._memo["power"] if isinstance(key, tuple)) == orbits
+
+
+@pytest.mark.parametrize("k, seed", [(2, 0), (2, 1), (2, 2), (3, 3)])
+def test_orbit_images_share_key_and_report(k, seed):
+    # values anywhere in GF(2^n), where sigma^k is not the identity: all
+    # n (2^k - 1) images share the key, which is the least image itself,
+    # and the criteria computed afresh on each
+    ctx = fresh_field(k)
+    f, _ = power_off_subfield(ctx, dobbertin_exponent(k), seed, 1 << k, anywhere=True)
+    sub = list(ctx.subfield_elems)
+    images = orbit_images(f, sub)
+    assert len(images) == ctx.n * ((1 << k) - 1)
+    least = min(image.table[sub].tolist() for image in images)
+    assert {analyzer._admit(image).key for image in images} == {
+        np.array(least, dtype=np.int64).tobytes()
+    }
+    assert len({cold_report(image) for image in images}) == 1
+    assert len({analyze(image).to_json() for image in images}) == 1
+
+
+def test_analyze_admits_once_and_keys_once(f10, monkeypatch):
+    calls = []
+    for name in ("_power_off_subfield", "_orbit_key"):
+        fn = getattr(analyzer, name)
+        monkeypatch.setattr(analyzer, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    analyze(instance(f10, 2, "x+b"))
+    assert sorted(calls) == ["_orbit_key", "_power_off_subfield"]

@@ -298,6 +298,22 @@ def test_reproduce_tables_missing_out_directory(tmp_path, monkeypatch):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--k", "1"],
+    ["construct", "--k", "1"],
+    ["export-lut", "--k", "1"],
+    ["verify", "--claims", "*"],
+])
+def test_out_in_missing_directory_fails_before_any_field(tmp_path, monkeypatch, command):
+    built = []
+    monkeypatch.setattr(gf2n, "mk_field", lambda *a, **kw: built.append(a))
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run_cli(command + ["--out", str(missing / "x")])
+    assert (code, out, built) == (1, "", [])
+    assert err == f"error: --out {missing / 'x'}: {missing} is not an existing directory\n"
+    assert not missing.exists()
+
+
 def test_reproduce_tables_mismatch_names_row_and_column(tmp_path):
     _, _, err = run_cli(["reproduce-tables", "--out", str(tmp_path)])
     assert "table1 row L1=x+1 column spectrum" in err
