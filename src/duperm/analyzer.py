@@ -243,7 +243,7 @@ def _spectrum(f: _Admitted) -> np.ndarray:
         # w = 1 / u: counts row1[r P(w) + P(w + 1)], row1[r P(w) + 1] for s = 0
         def build() -> np.ndarray:
             elog, p1 = ctx.memo("outside", outside, e)
-            cell = np.roll(ctx.exp, -int(log[r]))[elog] if r else np.zeros_like(elog)
+            cell = ctx.exp[(elog + int(log[r])) % q1] if r else np.zeros_like(elog)
             return np.bincount(row1[cell ^ (p1 if shift else 1)])
 
         return ctx.memo(("hist", r, shift), build, e)
@@ -300,10 +300,10 @@ def _fwht_lastaxis(a: np.ndarray) -> np.ndarray:
 def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
     """Bit-linear reindexing with Tr(u x) = <psi(u), x> in the standard basis.
 
-    Bit i of psi(u) is Tr(u x^i), which is GF(2)-linear in u: the parity
-    of u & M_i, where bit j of M_i is Tr(x^(i+j)).  So n parity passes
-    build the table, as mk_field builds trace_bits.  It depends on the
-    field alone and is kept in the context's memo.
+    Bit j of psi(u) is Tr(u x^j), which is GF(2)-linear in u, so the
+    table doubles one basis element at a time: psi[h:2h] = psi[:h] ^
+    psi(x^i) for h = 2^i, where bit j of psi(x^i) is Tr(x^(i+j)).  It
+    depends on the field alone and is kept in the context's memo.
     """
 
     def build() -> np.ndarray:
@@ -314,11 +314,10 @@ def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
             powers.append(t ^ ctx.modulus if t >> n else t)
         tr = ctx.trace_bits[powers].astype(np.int64)
         bits = np.arange(n)
-        idx = np.arange(ctx.order, dtype=np.int64)
         psi = np.zeros(ctx.order, dtype=np.int64)
         for i in range(n):
-            mask = int((tr[i : i + n] << bits).sum())
-            psi |= (np.bitwise_count(idx & mask) & 1).astype(np.int64) << i
+            h = 1 << i
+            np.bitwise_xor(psi[:h], int((tr[i : i + n] << bits).sum()), out=psi[h : 2 * h])
         return psi
 
     return ctx.memo("psi", build)

@@ -14,14 +14,24 @@ total degree past _MAX_DEGREE raises OverflowError before any field
 could carry into its neighbour, and exact_divide tests divisibility
 with one subtraction against those clear bits.
 
-resultant_wrt eliminates one variable from two MultiPolys: a Sylvester
-determinant with polynomial entries, expanded by memoised cofactors
-(every in-scope matrix has order at most 6).
+A product toggles each sum of two monomials in one set; from
+_NUMPY_PAIRS pairs of terms up, where a Python loop costs more than a
+numpy call, it counts the sums in numpy and keeps those met an odd
+number of times.
+
+resultant_wrt eliminates one variable from two MultiPolys, one of them
+linear in it: the Sylvester determinant expanded along the other's row,
+evaluated by Horner's rule.  Every elimination of the prover's chain has
+such an operand.  exact_divide takes each leading remainder term off a
+heap, and MultiPoly.parse reads back the text that str() prints.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "VARS",
@@ -35,11 +45,13 @@ VARS = ("x", "y", "z", "u", "v", "b")
 
 _MAX_DEGREE = 127  # largest total degree: each byte field keeps its top bit clear
 _TOP = 8 * len(VARS)  # bit offset of the total-degree byte
+_NUMPY_PAIRS = 64  # products of at least this many pairs of terms are summed in numpy
 
-# _FACTORS[i][e] prints VARS[i]^e
+# _FACTORS[i][e] prints VARS[i]^e and a trailing "*", or nothing for e = 0
 _FACTORS = tuple(
-    ("", name) + tuple(f"{name}^{e}" for e in range(2, _MAX_DEGREE + 1)) for name in VARS
+    ("", f"{name}*") + tuple(f"{name}^{e}*" for e in range(2, _MAX_DEGREE + 1)) for name in VARS
 )
+_X, _Y, _Z, _U, _V, _B = _FACTORS
 
 
 class ExactDivisionError(ValueError):
@@ -91,6 +103,21 @@ class MultiPoly:
         return cls((tuple(int(j == i) for j in range(len(VARS))),))
 
     @classmethod
+    def parse(cls, text: str) -> "MultiPoly":
+        """The polynomial that str() prints as text, its factors in any order."""
+        if text == "0":
+            return cls()
+        terms = []
+        for term in text.split(" + "):
+            exponents = [0] * len(VARS)
+            if term != "1":
+                for factor in term.split("*"):
+                    name, caret, power = factor.partition("^")
+                    exponents[VARS.index(name)] += int(power) if caret else 1
+            terms.append(exponents)
+        return cls(terms)
+
+    @classmethod
     def _raw(cls, terms: frozenset) -> "MultiPoly":
         out = cls.__new__(cls)
         out.terms = terms
@@ -102,17 +129,24 @@ class MultiPoly:
         return MultiPoly._raw(self.terms ^ other.terms)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return MultiPoly._raw(frozenset())
+        _check_degree((max(a) >> _TOP) + (max(b) >> _TOP))
+        if len(a) * len(b) >= _NUMPY_PAIRS:
+            # every monomial fits in an int64; a sum met an even number of times cancels
+            sums = np.fromiter(a, np.int64, len(a))[:, None] + np.fromiter(b, np.int64, len(b))
+            values, counts = np.unique(sums, return_counts=True)
+            return MultiPoly._raw(frozenset(values[counts & 1 == 1].tolist()))
         acc: set[int] = set()
-        if self.terms and other.terms:
-            _check_degree((max(self.terms) >> _TOP) + (max(other.terms) >> _TOP))
-            toggle_off, toggle_on = acc.remove, acc.add
-            for s in self.terms:
-                for t in other.terms:
-                    st = s + t
-                    if st in acc:
-                        toggle_off(st)
-                    else:
-                        toggle_on(st)
+        toggle_off, toggle_on = acc.remove, acc.add
+        for s in a:
+            for t in b:
+                st = s + t
+                if st in acc:
+                    toggle_off(st)
+                else:
+                    toggle_on(st)
         return MultiPoly._raw(frozenset(acc))
 
     def _square(self) -> "MultiPoly":
@@ -176,83 +210,72 @@ class MultiPoly:
     def __str__(self) -> str:
         parts = []
         for m in sorted(self.terms, reverse=True):
-            factors = [names[e] for names, e in zip(_FACTORS, _unpack(m)) if e]
-            parts.append("*".join(factors) or "1")
+            _, x, y, z, u, v, b = m.to_bytes(len(VARS) + 1, "big")
+            text = _X[x] + _Y[y] + _Z[z] + _U[u] + _V[v] + _B[b]
+            parts.append(text[:-1] or "1")  # each factor ends in "*"
         return " + ".join(parts) or "0"
 
     __repr__ = __str__
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """p / q when q divides p exactly; raises ExactDivisionError otherwise."""
+    """p / q when q divides p exactly; raises ExactDivisionError otherwise.
+
+    The remainder's leading term comes off a heap: every term a step adds
+    is below the one it cancels, so popped terms no longer in the
+    remainder are stale and skipped.
+    """
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
     # a - b keeps every clear top bit of a | guard iff no byte of b exceeds a's
     guard = int.from_bytes(b"\x80" * (len(VARS) + 1), "big")
     lead_q = max(q.terms)
     rem = set(p.terms)
+    heap = [-m for m in rem]  # heapq pops the least, so terms go in negated
+    heapq.heapify(heap)
     quot: set[int] = set()
-    while rem:
-        lead_r = max(rem)
+    while heap:
+        lead_r = -heapq.heappop(heap)
+        if lead_r not in rem:
+            continue
         if (lead_r | guard) - lead_q & guard != guard:
             raise ExactDivisionError(
                 f"non-exact division, remainder leading term {tuple(_unpack(lead_r))}"
             )
         t = lead_r - lead_q
         quot.add(t)
-        rem ^= {t + s for s in q.terms}
+        for s in q.terms:
+            m = t + s
+            if m in rem:
+                rem.remove(m)
+            else:
+                rem.add(m)
+                heapq.heappush(heap, -m)
     return MultiPoly._raw(frozenset(quot))
 
 
-# ---------------------------------------------------------------------------
-# Resultants
-# ---------------------------------------------------------------------------
-
-def _det_poly(matrix: list) -> MultiPoly:
-    """Determinant of a square MultiPoly matrix by memoised cofactor expansion."""
-    n = len(matrix)
-    one = MultiPoly.one()
-    zero = MultiPoly.zero()
-    memo: dict[frozenset, MultiPoly] = {}
-
-    def go(cols: frozenset) -> MultiPoly:
-        if not cols:
-            return one
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = n - len(cols)
-        acc = zero
-        for c in cols:
-            entry = matrix[row][c]
-            if entry:
-                acc = acc + entry * go(cols - {c})
-        memo[cols] = acc
-        return acc
-
-    return go(frozenset(range(n)))
-
-
 def resultant_wrt(F: MultiPoly, G: MultiPoly, name: str) -> MultiPoly:
-    """Resultant of F and G with respect to one variable.
+    """Resultant of F and G with respect to one variable t, one of them linear in t.
 
-    Both inputs must have positive degree in that variable; the result
-    no longer involves it and vanishes at every common zero of F and G.
+    Both inputs must have positive degree in t; the result no longer
+    involves it and vanishes at every common zero of F and G.  For
+    f1 t + f0 and G = sum g_i t^i of degree d, the Sylvester determinant
+    expanded along G's row is sum g_i f0^i f1^(d - i) (no signs in
+    characteristic 2), which Horner's rule evaluates.
     """
     dF = F.degree_in(name)
     dG = G.degree_in(name)
     if dF < 1 or dG < 1:
         raise ValueError(f"variable {name!r} must appear in both polynomials")
-    fc = [F.coefficient(name, dF - i) for i in range(dF + 1)]
-    gc = [G.coefficient(name, dG - i) for i in range(dG + 1)]
-    order = dF + dG
-    zero = MultiPoly.zero()
-    rows = []
-    for i in range(dG):
-        rows.append([zero] * i + fc + [zero] * (dG - 1 - i))
-    for i in range(dF):
-        rows.append([zero] * i + gc + [zero] * (dF - 1 - i))
-    assert all(len(r) == order for r in rows)
-    res = _det_poly(rows)
-    assert res.degree_in(name) <= 0
-    return res
+    if dF != 1:
+        if dG != 1:
+            raise ValueError(f"neither polynomial is linear in {name!r}")
+        F, G, dG = G, F, dF
+    f0, f1 = F.coefficient(name, 0), F.coefficient(name, 1)
+    acc = G.coefficient(name, dG)
+    f1_power = f1
+    for i in range(dG - 1, -1, -1):
+        acc = acc * f0 + G.coefficient(name, i) * f1_power
+        if i:
+            f1_power = f1_power * f1
+    return acc

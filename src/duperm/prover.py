@@ -6,12 +6,15 @@ claim always carries a counterexample or a computed-vs-expected pair;
 a passing symbolic step carries the transcript of the polynomials it
 compared.  Claims are deterministic given (claim_id, seed).
 
-Every claim takes the field context it runs on.  run_claims runs the
-whole claim set and then keeps the results whose id matches its glob,
-so each claim id is spelled only in the claim function that builds it.
-It builds each field once per call, before the timer of any claim
-starts (so elapsed_ms excludes mk_field), and the claims on one field
-share its memo; no context outlives the call.
+Every claim takes the field context it runs on, or the instance it
+measures with a label for its id.  run_claims runs the whole claim set
+and then keeps the results whose id matches its glob, so each claim id
+is built only in the claim function that runs it; the one exception is
+prop1.remark2.k1.m0, skipped in run_claims because m = 0 has no
+instance.  It builds each field and each measured instance once per
+call, before the timer of any claim starts (so elapsed_ms excludes
+mk_field and instance), and the claims on one field share its memo; no
+context outlives the call.
 
 The no-solution lemma for (x+1)^d + x^d = b over the subfield
 complement is verified through two independent channels: an exhaustive
@@ -85,31 +88,36 @@ def _result(claim_id: str, status: str, witness, t0: float) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 def lemma1_exhaustive(ctx: gf2n.FieldCtx) -> ClaimResult:
-    """Scan GF(2^n) \\ GF(2^k) for solutions of (x+1)^d + x^d = b, b in GF(2^k)*."""
+    """Scan GF(2^n) \\ GF(2^k) for solutions of (x+1)^d + x^d = b, b in GF(2^k)*.
+
+    x and x + 1 give one left-hand side, and lie outside GF(2^k)
+    together, so one scan of the pairs {x, x + 1} from the even x
+    counts every solution twice.
+    """
     t0 = time.perf_counter()
     claim_id = f"lemma1.exhaustive.k{ctx.k}"
     d = dobbertin_exponent(ctx.k)
     powd = gf2n.vec_pow_all(ctx, d)
-    lhs = powd[np.arange(ctx.order) ^ 1] ^ powd
-    outside = ~ctx.subfield_mask
+    lhs = powd[0::2] ^ powd[1::2]
+    outside = ~ctx.subfield_mask[0::2]
     vals = lhs[outside]
     # one bincount in subfield coordinates; a 2^n-bin count array costs more than it saves
     hits = vals[ctx.subfield_mask[vals]]
     counts = np.bincount(_subfield_coords(ctx, hits), minlength=len(ctx.subfield_elems))
-    per_b = {str(b): int(c) for b, c in zip(ctx.subfield_elems, counts.tolist()) if b}
+    per_b = {str(b): 2 * int(c) for b, c in zip(ctx.subfield_elems, counts.tolist()) if b}
     if any(per_b.values()):
         bad_b = int(next(b for b, c in per_b.items() if c))
         xs = np.nonzero(outside & (lhs == bad_b))[0]
         return _result(
             claim_id,
             FAIL,
-            {"b": bad_b, "x": int(xs[0]), "solutions_per_b": per_b},
+            {"b": bad_b, "x": 2 * int(xs[0]), "solutions_per_b": per_b},
             t0,
         )
     return _result(
         claim_id,
         PASS,
-        {"candidates": int(outside.sum()), "solutions_per_b": per_b},
+        {"candidates": 2 * int(outside.sum()), "solutions_per_b": per_b},
         t0,
     )
 
@@ -129,23 +137,18 @@ def _conjugate_system() -> dict:
     eq_d = v * x * y * z * (u + one) + u * (v + one) * (x + one) * (y + one) * (z + one) + b * u * (u + one)
     eq_e = x * y * z * u * (v + one) + v * (x + one) * (y + one) * (z + one) * (u + one) + b * v * (v + one)
 
-    cof_b = (
-        b * x * y * z + b * x * y * u + b * x * z * u + b * x * u
-        + y ** 2 * z ** 2 + y ** 2 * z + y * z ** 2 + b * y * z * u + b * y * z + y * z
+    # the expanded forms as the paper prints them
+    cof_b = MultiPoly.parse(
+        "b*x*y*z + b*x*y*u + b*x*z*u + b*x*u + y^2*z^2 + y^2*z + y*z^2 + b*y*z*u + b*y*z + y*z"
     )
-    cof_c = (
-        x ** 2 * z ** 2 + x ** 2 * z + b * x * y * z + b * x * y * u + x * z ** 2
-        + b * x * z * u + b * x * z + x * z + b * y * z * u + b * y * u
+    cof_c = MultiPoly.parse(
+        "x^2*z^2 + x^2*z + b*x*y*z + b*x*y*u + x*z^2 + b*x*z*u + b*x*z + x*z + b*y*z*u + b*y*u"
     )
-    cof_d = (
-        x ** 2 * y ** 2 + x ** 2 * y + x * y ** 2 + b * x * y * z + b * x * y * u
-        + b * x * y + x * y + b * x * z * u + b * y * z * u + b * z * u
+    cof_d = MultiPoly.parse(
+        "x^2*y^2 + x^2*y + x*y^2 + b*x*y*z + b*x*y*u + b*x*y + x*y + b*x*z*u + b*y*z*u + b*z*u"
     )
-    shared = x * y + x * z + y * z + x + y + z + b + one
-    tail = (
-        x * y * z + x * y * u + x * z * u + y * z * u + x * u + y * u + z * u
-        + b * u ** 2 + b * u + u
-    )
+    shared = MultiPoly.parse("x*y + x*z + y*z + x + y + z + b + 1")
+    tail = MultiPoly.parse("x*y*z + x*y*u + x*z*u + y*z*u + x*u + y*u + z*u + b*u^2 + b*u + u")
     lin = b * x * y * z * (x + one) * (y + one) * (z + one)
     return {
         "eqs": (eq_a, eq_b, eq_c, eq_d, eq_e),
@@ -157,7 +160,7 @@ def _conjugate_system() -> dict:
             lin * (x + y + b + one) ** 2 * shared ** 2,
         ),
         "shared": shared,
-        "published_4": y * z + y * u + z * u + y + z + u + b + one,
+        "published_4": MultiPoly.parse("y*z + y*u + z*u + y + z + u + b + 1"),
         "published_5": (x + u) * (y ** 2 + y + b),
     }
 
@@ -278,13 +281,13 @@ def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
     return np.searchsorted(np.array(ctx.subfield_elems), values)
 
 
-def theorem1_check(ctx: gf2n.FieldCtx, m: int, l1: str) -> ClaimResult:
+def theorem1_check(f, label: str) -> ClaimResult:
     """delta_f stays within the bound set by delta_g, and f permutes for odd k."""
     t0 = time.perf_counter()
-    claim_id = f"theorem1.check.k{ctx.k}.m{m}.{l1.replace(' ', '')}"
+    ctx = f.ctx
+    claim_id = f"theorem1.check.k{ctx.k}.{label.replace(' ', '')}"
     if ctx.k % 2 == 0:
         return _result(claim_id, SKIPPED, {"note": "statement requires odd k"}, t0)
-    f = instance(ctx, m, l1)
     g = _subfield_coords(ctx, f.table[list(ctx.subfield_elems)])  # g = f on GF(2^k)
     if len(np.unique(g)) < len(g):
         return _result(claim_id, SKIPPED, {"note": "g is not a subfield permutation"}, t0)
@@ -305,31 +308,19 @@ def theorem1_check(ctx: gf2n.FieldCtx, m: int, l1: str) -> ClaimResult:
     return _result(claim_id, status, witness, t0)
 
 
-def remark2_degrees(ctx1: gf2n.FieldCtx, ctx3: gf2n.FieldCtx) -> list:
-    """Algebraic degrees of the identity-map instances on the k = 1 and k = 3 fields."""
-    results = []
-    for ctx, expected in ((ctx1, 4), (ctx3, 14)):
-        k = ctx.k
-        ms = sorted({k - 1, (k + 1) // 2, 2})
-        for m in ms:
-            t0 = time.perf_counter()
-            claim_id = f"prop1.remark2.k{k}.m{m}"
-            if m < 1:
-                results.append(
-                    _result(
-                        claim_id,
-                        SKIPPED,
-                        {"note": "inner map degenerates to a constant"},
-                        t0,
-                    )
-                )
-                continue
-            degree = analyzer.algebraic_degree(instance(ctx, m, "x"))
-            witness = {"expected": expected, "computed": degree}
-            results.append(
-                _result(claim_id, PASS if degree == expected else FAIL, witness, t0)
-            )
-    return results
+# Remark 2's degree of the identity-map instances, by subfield degree k
+_REMARK2_DEGREE = {1: 4, 3: 14}
+
+
+def remark2_degrees(f, label: str) -> ClaimResult:
+    """The algebraic degree of an identity-map instance against Remark 2's value."""
+    t0 = time.perf_counter()
+    k = f.ctx.k
+    claim_id = f"prop1.remark2.k{k}.{label.replace(' ', '')}"
+    expected = _REMARK2_DEGREE[k]
+    degree = analyzer.algebraic_degree(f)
+    witness = {"expected": expected, "computed": degree}
+    return _result(claim_id, PASS if degree == expected else FAIL, witness, t0)
 
 
 def prop2_bound_check(f, label: str) -> ClaimResult:
@@ -410,29 +401,41 @@ def prop1_hypothesis_search(ctx: gf2n.FieldCtx) -> ClaimResult:
 # The claim set
 # ---------------------------------------------------------------------------
 
-def _prop2_instance(ctx: gf2n.FieldCtx, m: int, l1: str):
-    return prop2_bound_check(instance(ctx, m, l1), f"m{m}.{l1}")
-
-
 def run_claims(pattern: str = "*", seed: int = 0, trials: int = 64) -> list:
     """Run the whole claim set and keep the results whose id matches the glob pattern.
 
-    The three fields are built first, into variables local to this call.
+    The three fields, and each instance that claims measure, are built
+    first, into variables local to this call; an instance two claims
+    measure is built once.
     """
     f1, f2, f3 = (gf2n.mk_field(k) for k in (1, 2, 3))
+    k1_shifted, k1_ident, k1_m2_ident, k3_ident, k2_scaled = (
+        instance(f1, 1, "x+1"),
+        instance(f1, 1, "x"),
+        instance(f1, 2, "x"),
+        instance(f3, 2, "x"),
+        instance(f2, 2, "b^2*x^2"),
+    )
     results = [lemma1_exhaustive(ctx) for ctx in (f1, f2, f3)]
     results += lemma1_replay()
     results += [coset_intersection_check(ctx, trials, seed) for ctx in (f1, f2, f3)]
     results += [
-        theorem1_check(f1, 1, "x+1"),
-        theorem1_check(f1, 1, "x"),
-        theorem1_check(f3, 2, "x"),
-    ]
-    results += remark2_degrees(f1, f3)
-    results += [
+        theorem1_check(k1_shifted, "m1.x+1"),
+        theorem1_check(k1_ident, "m1.x"),
+        theorem1_check(k3_ident, "m2.x"),
+        # m = 0 has no instance: x^(2^0 - 1) is the constant 1
+        _result(
+            "prop1.remark2.k1.m0",
+            SKIPPED,
+            {"note": "inner map degenerates to a constant"},
+            time.perf_counter(),
+        ),
+        remark2_degrees(k1_ident, "m1"),
+        remark2_degrees(k1_m2_ident, "m2"),
+        remark2_degrees(k3_ident, "m2"),
         prop1_hypothesis_search(f3),
-        _prop2_instance(f1, 1, "x+1"),
-        _prop2_instance(f2, 2, "b^2*x^2"),
+        prop2_bound_check(k1_shifted, "m1.x+1"),
+        prop2_bound_check(k2_scaled, "m2.b^2*x^2"),
     ]
     kept = [r for r in results if fnmatch(r.claim_id, pattern)]
     return sorted(kept, key=lambda r: r.claim_id)

@@ -416,6 +416,50 @@ def test_psi_table_matches_basis_products(f5, f10, f15):
         assert f10.trace_bits[gf2n.mul(f10, u, x)] == int(psi[u] & x).bit_count() & 1
 
 
+def psi_by_parity_passes(ctx):
+    """The n-pass construction: bit i of psi(u) is the parity of u & M_i,
+    where bit j of M_i is Tr(x^(i+j))."""
+    n = ctx.n
+    powers = [1]
+    for _ in range(2 * n - 2):
+        t = powers[-1] << 1
+        powers.append(t ^ ctx.modulus if t >> n else t)
+    tr = ctx.trace_bits[powers].astype(np.int64)
+    idx = np.arange(ctx.order, dtype=np.int64)
+    psi = np.zeros(ctx.order, dtype=np.int64)
+    for i in range(n):
+        mask = int((tr[i : i + n] << np.arange(n)).sum())
+        psi |= (np.bitwise_count(idx & mask) & 1).astype(np.int64) << i
+    return psi
+
+
+def test_psi_doubling_matches_parity_passes(f5, f10, f15):
+    for ctx in (f5, f10, f15, gf2n.mk_field(4)):
+        psi = _psi_table(ctx)
+        assert psi.dtype == np.int64
+        assert np.array_equal(psi, psi_by_parity_passes(ctx)), ctx.n
+
+
+def test_histogram_cells_match_rolled_exp():
+    # a histogram build gathers exp[(e log w + log r) mod (2^n - 1)], which is
+    # np.roll(exp, -log r)[e log w], without the 2^n copy
+    ctx = fresh_field(2)
+    differential_spectrum(instance(ctx, 2, "x+b"))
+    memo = ctx._memo["power"]
+    elog, p1 = memo["outside"]
+    row1 = memo["ddt_row1"][0]
+    q1 = ctx.order - 1
+    for r in range(1, ctx.order):
+        rolled = np.roll(ctx.exp, -int(ctx.log[r]))[elog]
+        assert np.array_equal(ctx.exp[(elog + int(ctx.log[r])) % q1], rolled), r
+    hists = [key for key in memo if isinstance(key, tuple) and key[0] == "hist"]
+    assert len(hists) > 2
+    for key in hists:
+        _, r, shift = key
+        cell = np.roll(ctx.exp, -int(ctx.log[r]))[elog] if r else np.zeros_like(elog)
+        assert np.array_equal(memo[key], np.bincount(row1[cell ^ (p1 if shift else 1)])), key
+
+
 @pytest.mark.parametrize("e", [339, 33])
 def test_power_walsh_scaling_identity(f10, e):
     # W_P(w c, gamma^j c^e) = W_P(w, gamma^j): g rows give the whole table

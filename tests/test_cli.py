@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -262,6 +263,17 @@ def test_replay_proof_command():
     code, out, _ = run_cli(["replay-proof"])
     assert code == 0
     assert len(out.strip().splitlines()) == 8
+
+
+# sha256 of `replay-proof --verbose` stdout: every step's polynomials as
+# text, printed before the resultant and printing kernels were rewritten
+REPLAY_VERBOSE_SHA256 = "cdfcac4c78d7613c8b40ddd447851f08fd234750ba9d3bc96c0c6864177f7c04"
+
+
+def test_replay_proof_verbose_stdout_pinned():
+    code, out, _ = run_cli(["replay-proof", "--verbose"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPLAY_VERBOSE_SHA256
 
 
 def test_reproduce_tables(tmp_path):

@@ -102,6 +102,48 @@ def test_ring_matches_tuple_oracle(p, q, e):
         assert exact_divide(P * Q, Q) == P
 
 
+def test_large_products_match_tuple_oracle():
+    # products of at least _NUMPY_PAIRS pairs of terms are summed in numpy
+    rng = random.Random(3)
+    for _ in range(40):
+        p, q = (
+            frozenset(tuple(rng.randrange(4) for _ in VARS) for _ in range(rng.randrange(8, 30)))
+            for _ in range(2)
+        )
+        P, Q = MultiPoly(p), MultiPoly(q)
+        assert len(P.terms) * len(Q.terms) >= polysym._NUMPY_PAIRS
+        assert agrees(P * Q, oracle_mul(p, q))
+        # every cross term of a square cancels
+        assert (P + Q) * (P + Q) == (P + Q) ** 2 == P ** 2 + Q ** 2
+        assert exact_divide(P * Q, Q) == P
+    # total degrees 30 + 100 pass the field width
+    left = MultiPoly([(i, 30 - i, 0, 0, 0, 0) for i in range(10)])
+    right = MultiPoly([(0, 0, 100 - i, i, 0, 0) for i in range(10)])
+    with pytest.raises(OverflowError):
+        left * right
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=polys)
+def test_parse_reads_back_what_str_prints(p):
+    P = MultiPoly(p)
+    assert MultiPoly.parse(str(P)) == P
+
+
+def test_parse_forms():
+    assert MultiPoly.parse("0") == MultiPoly.zero()
+    assert MultiPoly.parse("1") == ONE
+    # factors in any order, repeated variables multiply, repeated terms cancel
+    assert MultiPoly.parse("b*x*y^2 + u") == X * Y ** 2 * B + U
+    assert MultiPoly.parse("x*x^2*y") == X ** 3 * Y
+    assert MultiPoly.parse("x*y + y*x + z") == Z
+    for bad in ("w", "x^", "x^-1", "x * y", "2*x", ""):
+        with pytest.raises(ValueError):
+            MultiPoly.parse(bad)
+    with pytest.raises(OverflowError):
+        MultiPoly.parse(f"x^{polysym._MAX_DEGREE + 1}")
+
+
 def test_degree_past_the_field_width_raises():
     limit = polysym._MAX_DEGREE
     assert str(X ** limit) == f"x^{limit}"
@@ -225,6 +267,33 @@ def test_exact_divide_nonexact_raises():
         exact_divide(X, MultiPoly.zero())
 
 
+def rand_poly_all(rng, terms, max_exp):
+    """A random MultiPoly in all six variables: up to `terms` terms, exponents <= max_exp."""
+    return MultiPoly(
+        tuple(rng.randrange(max_exp + 1) for _ in VARS) for _ in range(rng.randrange(1, terms + 1))
+    )
+
+
+def test_exact_divide_heap_roundtrip_and_remainders():
+    # products large enough that many remainder terms cancel and come back;
+    # the quotient is read off a heap of remainder terms
+    rng = random.Random(23)
+    checked = refused = 0
+    for _ in range(150):
+        p, q = rand_poly_all(rng, 12, 3), rand_poly_all(rng, 8, 2)
+        if not p or not q:
+            continue
+        assert exact_divide(p * q, q) == p
+        checked += 1
+        # q has two or more terms, so it divides no monomial, and p*q + m is not a multiple
+        if len(q.terms) > 1:
+            m = rand_poly_all(rng, 1, 3)
+            with pytest.raises(ExactDivisionError):
+                exact_divide(p * q + m, q)
+            refused += 1
+    assert checked > 100 and refused > 50
+
+
 def test_exact_divide_random_roundtrip():
     rng = random.Random(9)
     names = ("x", "y", "b")
@@ -329,18 +398,109 @@ def test_sylvester_resultant_oracle(f5):
 
 
 def test_resultant_specialization_soundness(f5):
+    # one operand linear in y, the other of degree up to 3, in both orders
     rng = random.Random(41)
     done = 0
     while done < 40:
-        F = rand_poly_xyb(rng, 3)
-        G = rand_poly_xyb(rng, 2)
-        if F.degree_in("y") < 1 or G.degree_in("y") < 1:
+        F = rand_poly_xyb(rng, 1)
+        G = rand_poly_xyb(rng, 3)
+        if F.degree_in("y") != 1 or G.degree_in("y") < 1:
             continue
-        res = resultant_wrt(F, G, "y")
         assign = {"x": rng.randrange(32), "b": rng.randrange(32)}
         fu = [evaluate(F.coefficient("y", i), assign, f5) for i in range(F.degree_in("y") + 1)]
         gu = [evaluate(G.coefficient("y", i), assign, f5) for i in range(G.degree_in("y") + 1)]
         if fu[-1] == 0 or gu[-1] == 0:
             continue
-        assert evaluate(res, assign, f5) == sylvester_resultant(f5, fu, gu)
+        want = sylvester_resultant(f5, fu, gu)
+        assert evaluate(resultant_wrt(F, G, "y"), assign, f5) == want
+        assert evaluate(resultant_wrt(G, F, "y"), assign, f5) == want
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# resultants against the full Sylvester determinant with polynomial entries
+# ---------------------------------------------------------------------------
+
+def det_poly(matrix: list) -> MultiPoly:
+    """Determinant of a square MultiPoly matrix by memoised cofactor expansion."""
+    n = len(matrix)
+    memo: dict = {}
+
+    def go(cols: frozenset) -> MultiPoly:
+        if not cols:
+            return ONE
+        if cols not in memo:
+            row = n - len(cols)
+            acc = MultiPoly.zero()
+            for c in cols:
+                if matrix[row][c]:
+                    acc = acc + matrix[row][c] * go(cols - {c})
+            memo[cols] = acc
+        return memo[cols]
+
+    return go(frozenset(range(n)))
+
+
+def sylvester_oracle(F: MultiPoly, G: MultiPoly, name: str) -> MultiPoly:
+    """Res(F, G) in name as the Sylvester determinant; no signs in characteristic 2."""
+    dF, dG = F.degree_in(name), G.degree_in(name)
+    fc = [F.coefficient(name, dF - i) for i in range(dF + 1)]
+    gc = [G.coefficient(name, dG - i) for i in range(dG + 1)]
+    zero = MultiPoly.zero()
+    rows = [[zero] * i + fc + [zero] * (dG - 1 - i) for i in range(dG)]
+    rows += [[zero] * i + gc + [zero] * (dF - 1 - i) for i in range(dF)]
+    return det_poly(rows)
+
+
+def test_det_poly_oracle_by_hand():
+    assert det_poly([[X, Y], [Z, U]]) == X * U + Y * Z
+    assert det_poly([[X, ONE, ONE], [ONE, Y, ONE], [ONE, ONE, Z]]) == X * Y * Z + X + Y + Z
+    assert det_poly([[X, Y], [X, Y]]) == MultiPoly.zero()
+
+
+def rand_coefficient(rng, name):
+    """0, 1 or a random polynomial free of name."""
+    pick = rng.randrange(4)
+    if pick < 2:
+        return (MultiPoly.zero(), ONE)[pick]
+    i = VARS.index(name)
+    return MultiPoly(
+        tuple(0 if j == i else rng.randrange(3) for j in range(len(VARS)))
+        for _ in range(rng.randrange(1, 5))
+    )
+
+
+def test_resultant_wrt_matches_sylvester_oracle():
+    rng = random.Random(17)
+    done = 0
+    while done < 240:
+        name = VARS[done % len(VARS)]
+        t = MultiPoly.var(name)
+        d = rng.randrange(1, 5)
+        f1 = rand_coefficient(rng, name)
+        if not f1:
+            continue  # F must be linear in t
+        F = f1 * t + rand_coefficient(rng, name)
+        coeffs = [rand_coefficient(rng, name) for _ in range(d + 1)]
+        if not coeffs[-1]:
+            continue
+        G = MultiPoly.zero()
+        for i, g in enumerate(coeffs):
+            G = G + g * t ** i
+        want = sylvester_oracle(F, G, name)
+        assert sylvester_oracle(G, F, name) == want
+        assert resultant_wrt(F, G, name) == want
+        assert resultant_wrt(G, F, name) == want
+        assert want.degree_in(name) <= 0
+        done += 1
+
+
+def test_resultant_wrt_needs_a_linear_operand():
+    for F, G in (
+        (Y ** 2 + X, Y ** 2 + Y + B),
+        (Y ** 3 * X + ONE, X * Y ** 2 + Y),
+    ):
+        with pytest.raises(ValueError, match="linear"):
+            resultant_wrt(F, G, "y")
+        # the oracle still answers: the restriction is the kernel's
+        assert sylvester_oracle(F, G, "y").degree_in("y") <= 0

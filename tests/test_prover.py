@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from duperm import analyzer, gf2n, prover
 from conftest import random_affine_perm
 from duperm.construct import build_f, build_g, instance
+from duperm.polysym import MultiPoly
 from duperm.prover import (
     coset_intersection_check,
     lemma1_exhaustive,
@@ -95,6 +96,34 @@ def test_replay_shared_factor_in_second_round():
         assert exact_divide(res, shared ** 2) * shared ** 2 == res
 
 
+def test_text_stated_forms_equal_their_products():
+    # the expanded published forms are stated as text; each equals the
+    # product expression it replaced
+    x, y, z, u, v, b = (MultiPoly.var(n) for n in "xyzuvb")
+    one = MultiPoly.one()
+    sysd = prover._conjugate_system()
+    cof_b = (
+        b * x * y * z + b * x * y * u + b * x * z * u + b * x * u
+        + y ** 2 * z ** 2 + y ** 2 * z + y * z ** 2 + b * y * z * u + b * y * z + y * z
+    )
+    cof_c = (
+        x ** 2 * z ** 2 + x ** 2 * z + b * x * y * z + b * x * y * u + x * z ** 2
+        + b * x * z * u + b * x * z + x * z + b * y * z * u + b * y * u
+    )
+    cof_d = (
+        x ** 2 * y ** 2 + x ** 2 * y + x * y ** 2 + b * x * y * z + b * x * y * u
+        + b * x * y + x * y + b * x * z * u + b * y * z * u + b * z * u
+    )
+    shared = x * y + x * z + y * z + x + y + z + b + one
+    tail = (
+        x * y * z + x * y * u + x * z * u + y * z * u + x * u + y * u + z * u
+        + b * u ** 2 + b * u + u
+    )
+    assert sysd["cofactors_2"] == (cof_b, cof_c, cof_d, shared ** 2 * tail)
+    assert sysd["shared"] == shared
+    assert sysd["published_4"] == y * z + y * u + z * u + y + z + u + b + one
+
+
 def test_coset_intersection_exhaustive(f5, f10):
     r1 = coset_intersection_check(f5)
     assert r1.status == "pass"
@@ -136,27 +165,37 @@ def test_coset_witness_is_first_failing_sampled_point(f15, monkeypatch):
 
 
 def test_theorem1_check_k1(f5):
-    modified = theorem1_check(f5, 1, "x+1")
+    modified = theorem1_check(instance(f5, 1, "x+1"), "m1.x+1")
+    assert modified.claim_id == "theorem1.check.k1.m1.x+1"
     assert modified.status == "pass"
     assert modified.witness["delta_g"] == 2
     assert modified.witness["delta_f"] == 4
     assert modified.witness["permutation"] is True
     assert modified.witness["attained"] is True
 
-    degenerate = theorem1_check(f5, 1, "x")
+    degenerate = theorem1_check(instance(f5, 1, "x"), "m1.x")
     assert degenerate.status == "pass"
     assert degenerate.witness["delta_f"] == 2
     assert degenerate.witness["attained"] is False
 
 
 def test_theorem1_check_even_k_skipped(f10):
-    r = theorem1_check(f10, 1, "x+1")
+    r = theorem1_check(instance(f10, 1, "x+1"), "m1.x+1")
     assert r.status == "skipped"
+    assert r.claim_id == "theorem1.check.k2.m1.x+1"
 
 
 def test_remark2_degrees(f5, f15):
-    results = {r.claim_id: r for r in remark2_degrees(f5, f15)}
-    assert results["prop1.remark2.k1.m0"].status == "skipped"
+    results = {
+        r.claim_id: r
+        for r in (
+            remark2_degrees(instance(f5, 1, "x"), "m1"),
+            remark2_degrees(instance(f5, 2, "x"), "m2"),
+            remark2_degrees(instance(f15, 2, "x"), "m2"),
+        )
+    }
+    m0 = run_claims("prop1.remark2.k1.m0")
+    assert [(r.claim_id, r.status) for r in m0] == [("prop1.remark2.k1.m0", "skipped")]
     assert results["prop1.remark2.k1.m1"].status == "pass"
     assert results["prop1.remark2.k1.m1"].witness["computed"] == 4
     assert results["prop1.remark2.k1.m2"].status == "pass"
@@ -370,13 +409,16 @@ def test_run_claims_matches_claims_on_fresh_fields():
     alone += lemma1_replay()
     alone += [coset_intersection_check(field(k)) for k in (1, 2, 3)]
     alone += [
-        theorem1_check(field(1), 1, "x+1"),
-        theorem1_check(field(1), 1, "x"),
-        theorem1_check(field(3), 2, "x"),
+        theorem1_check(instance(field(1), 1, "x+1"), "m1.x+1"),
+        theorem1_check(instance(field(1), 1, "x"), "m1.x"),
+        theorem1_check(instance(field(3), 2, "x"), "m2.x"),
+        remark2_degrees(instance(field(1), 1, "x"), "m1"),
+        remark2_degrees(instance(field(1), 2, "x"), "m2"),
+        remark2_degrees(instance(field(3), 2, "x"), "m2"),
         prop1_hypothesis_search(field(3)),
         prop2_bound_check(instance(field(1), 1, "x+1"), "m1.x+1"),
         prop2_bound_check(instance(field(2), 2, "b^2*x^2"), "m2.b^2*x^2"),
     ]
-    alone += remark2_degrees(field(1), field(3))
+    alone += run_claims("prop1.remark2.k1.m0")
     alone.sort(key=lambda r: r.claim_id)
     assert without_times(run_claims("*")) == without_times(alone)
