@@ -24,7 +24,6 @@ from .construct import (
     dobbertin_exponent,
     instance,
     parse_affine_expr,
-    power_function,
     read_lut,
     write_lut,
 )

@@ -2,10 +2,12 @@
 
 The criteria admit exactly the tables that equal the Dobbertin power
 map P = x^d, d = dobbertin_exponent(k), outside the subfield GF(2^k),
-as every constructed f does; _power_off_subfield raises ValueError on
-any other table, a hand-built one or one read by read_lut included.
-f then differs from P only on the points D of GF(2^k) where they
-disagree, and each criterion has one kernel:
+as every constructed f does; _admit raises ValueError on any other
+table, a hand-built one or one read by read_lut included.  So d is
+fixed by the field, and every kernel reads it from ctx.k (as e, since
+d names the points D in the code).  f then differs from P only on the
+points D of GF(2^k) where they disagree, and each criterion has one
+kernel:
 
 * differential spectrum: DDT row 1 of P gives every row, and only the
   pairs through D move a cell: by memoised histograms in the rows
@@ -28,9 +30,10 @@ so they also run on maps of GF(2^k) written in subfield coordinates.
 Everything runs in one process.
 
 What depends on the field and x^d alone is kept in the context's memo
-(gf2n.FieldCtx.memo): x^d, DDT row 1 with its histogram and inverse,
-the generic histograms (at most 2 * 2^n, one per value met), psi, the
-sign sequences and the orbits any f over the field could keep.
+(gf2n.FieldCtx.memo), keyed by name alone, since x^d is the only power
+map admitted: x^d, DDT row 1 with its histogram and inverse, the
+generic histograms (at most 2 * 2^n, one per value met), psi, the sign
+sequences and the orbits any f over the field could keep.
 
 What depends on f is kept per orbit.  For c in GF(2^k)* and i < n, with
 B(x) = c x^(2^i) and A(y) = (c^(-d) y)^(2^(n - i)), A f B is again x^d
@@ -94,35 +97,17 @@ def omega_counts(table: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _power_off_subfield(f: LutFunction) -> tuple[int, np.ndarray, np.ndarray]:
-    """(e, table of x^e, D) for f equal to x^e outside GF(2^k); ValueError otherwise.
+def _orbit_key(f: LutFunction) -> bytes:
+    """f's orbit key: the least image of its subfield table under f -> A f B.
 
-    e is d, the Dobbertin exponent of the field's k, and D lists, in
-    ascending order, the points of GF(2^k) where f and x^e differ.
-    """
-    ctx = f.ctx
-    e = dobbertin_exponent(ctx.k)
-    p = gf2n.vec_pow_all(ctx, e)
-    d = np.flatnonzero(f.table != p)
-    if not ctx.subfield_mask[d].all():
-        raise ValueError(
-            f"the table differs from x^{e} at {int(d[~ctx.subfield_mask[d]][0])}, "
-            f"outside GF(2^{ctx.k}); only f = x^{e} off the subfield is analysed"
-        )
-    return e, p, d
-
-
-def _orbit_key(f: LutFunction, e: int) -> bytes:
-    """f's orbit key: the least image of its subfield table under f -> A f B, e = d.
-
-    B(x) = c sigma^i(x) and A(y) = sigma^(-i)(c^(-e) y), sigma(x) = x^2,
+    B(x) = c sigma^i(x) and A(y) = sigma^(-i)(c^(-d) y), sigma(x) = x^2,
     for every c in GF(2^k)* and i < n (see the module docstring).  On
     GF(2^k) sigma^k is the identity, but not on the values f may take
     elsewhere in the field, so i runs up to n.  The key is the subfield
     table of the lexicographically least image, as bytes; two tables
     share a key exactly when they lie in one orbit.
     """
-    ctx, q1 = f.ctx, f.ctx.order - 1
+    ctx, q1, e = f.ctx, f.ctx.order - 1, dobbertin_exponent(f.ctx.k)
 
     def maps() -> tuple:
         # column c n + i: B(s) for each s of the sorted subfield (B(0) = 0),
@@ -136,7 +121,7 @@ def _orbit_key(f: LutFunction, e: int) -> bytes:
         # full-shape copies: elementwise without broadcasting is faster here
         return at, *(np.repeat(a[None], len(at), axis=0) for a in (mult, shift))
 
-    at, mult, shift = ctx.memo("orbit_maps", maps, e)
+    at, mult, shift = ctx.memo("orbit_maps", maps)
     v = f.table[at]
     t = ctx.log[v] * mult
     t += shift
@@ -148,9 +133,8 @@ def _orbit_key(f: LutFunction, e: int) -> bytes:
 
 @dataclass(frozen=True, eq=False)
 class _Admitted(LutFunction):
-    """f with what _power_off_subfield and _orbit_key found, computed once."""
+    """f with the table p of x^d, the sorted points d where they differ, and its orbit key."""
 
-    e: int = field(kw_only=True)
     p: np.ndarray = field(kw_only=True, repr=False)
     d: np.ndarray = field(kw_only=True, repr=False)
     key: bytes = field(kw_only=True, repr=False)
@@ -160,31 +144,40 @@ class _Admitted(LutFunction):
 
 
 def _admit(f: LutFunction) -> _Admitted:
+    """f admitted: ValueError unless f equals x^d outside GF(2^k)."""
     if isinstance(f, _Admitted):
         return f
-    e, p, d = _power_off_subfield(f)
-    return _Admitted(f.ctx, f.table, e=e, p=p, d=d, key=_orbit_key(f, e))
+    ctx, e = f.ctx, dobbertin_exponent(f.ctx.k)
+    p = gf2n.vec_pow_all(ctx, e)
+    d = np.flatnonzero(f.table != p)
+    if not ctx.subfield_mask[d].all():
+        raise ValueError(
+            f"the table differs from x^{e} at {int(d[~ctx.subfield_mask[d]][0])}, "
+            f"outside GF(2^{ctx.k}); only f = x^{e} off the subfield is analysed"
+        )
+    return _Admitted(ctx, f.table, p=p, d=d, key=_orbit_key(f))
 
 
 def _per_orbit(f: LutFunction, criterion: str, kernel) -> np.ndarray:
     """kernel(f), run for the first f of its orbit met on the context and memoised."""
     a = _admit(f)
-    return a.ctx.memo((criterion, a.key), lambda: np.atleast_1d(kernel(a)), a.e)
+    return a.ctx.memo((criterion, a.key), lambda: np.atleast_1d(kernel(a)))
 
 
-def _collision_rows(ctx, e: int, p, tab, d: np.ndarray) -> np.ndarray:
+def _collision_rows(f: _Admitted) -> np.ndarray:
     """Rows a outside GF(2^k) in which two listings of s != s' in D share a cell.
 
     Cells P(s) + P(s + a) or f(s) + P(s + a) agree when, with y = s + a
     and alpha = s + s', P(y) + P(y + alpha) is P(s) + P(s'), f(s) + f(s')
     or f(s) + P(s'): then y = alpha z, and z solves P(z) + P(z + 1) =
-    beta / alpha^e.  x^e = x^d is APN, so each beta has at most one solution
+    beta / alpha^d.  P = x^d is APN, so each beta has at most one solution
     pair {z, z + 1}, read off the memoised inverse of DDT row 1 of P,
     and there are at most 6 |D| (|D| - 1) collision rows.
     """
+    ctx, p, tab, d = f.ctx, f.p, f.table, f.d
     if len(d) < 2:
         return d[:0]
-    log, exp, q1 = ctx.log, ctx.exp, ctx.order - 1
+    log, exp, q1, e = ctx.log, ctx.exp, ctx.order - 1, dobbertin_exponent(ctx.k)
     i = np.flatnonzero(~np.eye(len(d), dtype=bool))
     s, s2 = d[i // len(d)], d[i % len(d)]
     alpha = s ^ s2
@@ -196,7 +189,7 @@ def _collision_rows(ctx, e: int, p, tab, d: np.ndarray) -> np.ndarray:
         inverse[p[0::2] ^ p[1::2]] = np.arange(0, ctx.order, 2)
         return inverse
 
-    z = ctx.memo("row1_inverse", row1_inverse, e)[b]
+    z = ctx.memo("row1_inverse", row1_inverse)[b]
     at = np.flatnonzero(z >= 0)
     z, at = np.concatenate([z[at], z[at] + 1]), np.concatenate([at, at]) % len(s)
     a = np.where(z != 0, exp[(log[z] + log[alpha[at]]) % q1], 0) ^ s[at]
@@ -212,43 +205,43 @@ def differential_spectrum(f: LutFunction) -> DiffSpectrum:
 def _spectrum(f: _Admitted) -> np.ndarray:
     """omega_0 .. omega_delta of f.
 
-    For P = x^e, e = d, delta_P(a, b) = delta_P(1, b a^(-e)): omega starts
+    For P = x^d, delta_P(a, b) = delta_P(1, b a^(-d)): omega starts
     as 2^n - 1 times the histogram of row 1, and each pair {s, s + a}, s
     in D, moves its cell P(s) + P(s + a) down and f(s) + f(s + a) up.
     * Generic rows, a outside GF(2^k): with a = s u (a = u for s = 0)
-      the old counts are row1[(r + P(u + 1)) / u^e], r = 1 before and
-      r = f(s) / s^e after (row1[(r + P(u)) / u^e], r = 0 and f(0), for
+      the old counts are row1[(r + P(u + 1)) / u^d], r = 1 before and
+      r = f(s) / s^d after (row1[(r + P(u)) / u^d], r = 0 and f(0), for
       s = 0); memoised histograms over u move all those rows at once.
     * Exact rows, GF(2^k)* and the collision rows where two listings
       share a cell (their generic moves taken back), are listed in one
       array, at most 2^k (2^k - 1)(1 + 6 * 2^k) listings.
     """
-    e, p, d = f.e, f.p, f.d
+    p, d = f.p, f.d
     ctx, tab, log = f.ctx, f.table, f.ctx.log
-    q, q1 = ctx.order, ctx.order - 1
+    q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
 
     def ddt_row1() -> tuple:
         pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
         row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
         return row1, np.bincount(row1, minlength=q + 1) * q1
 
-    def relabel(b, elog):  # b / a^e for elog = e log a, 0 where b is 0
+    def relabel(b, elog):  # b / a^d for elog = d log a, 0 where b is 0
         return np.where(b != 0, ctx.exp[(log[b] - elog) % q1], 0)
 
-    def outside() -> tuple:  # for w outside GF(2^k): e log w and P(w + 1)
+    def outside() -> tuple:  # for w outside GF(2^k): d log w and P(w + 1)
         w = np.flatnonzero(~ctx.subfield_mask)
         return (e * log[w] % q1).astype(np.int32), p[w ^ 1].astype(np.int32)
 
     def hist(r: int, shift: int) -> np.ndarray:
         # w = 1 / u: counts row1[r P(w) + P(w + 1)], row1[r P(w) + 1] for s = 0
         def build() -> np.ndarray:
-            elog, p1 = ctx.memo("outside", outside, e)
+            elog, p1 = ctx.memo("outside", outside)
             cell = ctx.exp[(elog + int(log[r])) % q1] if r else np.zeros_like(elog)
             return np.bincount(row1[cell ^ (p1 if shift else 1)])
 
-        return ctx.memo(("hist", r, shift), build, e)
+        return ctx.memo(("hist", r, shift), build)
 
-    row1, omega_p = ctx.memo("ddt_row1", ddt_row1, e)
+    row1, omega_p = ctx.memo("ddt_row1", ddt_row1)
     omega = omega_p.copy()
     for s, fs in zip(d.tolist(), tab[d].tolist()):
         shift = int(s != 0)
@@ -258,7 +251,7 @@ def _spectrum(f: _Admitted) -> np.ndarray:
             omega[: len(h)] -= h
             omega[max(w, 0) : len(h) + w] += h[max(-w, 0) :]
 
-    a = np.concatenate([np.flatnonzero(ctx.subfield_mask)[1:], _collision_rows(ctx, e, p, tab, d)])
+    a = np.concatenate([np.flatnonzero(ctx.subfield_mask)[1:], _collision_rows(f)])
     x = d ^ a[:, None]
     # a pair {s, s + a} stands for its two inputs; one with both ends
     # in D is listed from each end, and each listing counts once
@@ -335,17 +328,18 @@ def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarr
     return _fwht_lastaxis(1 - 2 * ctx.trace_bits[prod].astype(np.int32))[:, _psi_table(ctx)]
 
 
-def _orbit_walsh(f: LutFunction, e: int, d: np.ndarray, j: int, w: int, wp_jw: int) -> np.ndarray:
-    """W_f(w c, gamma^j c^e) for c = gamma^i, i = 0 .. 2^n - 2.
+def _orbit_walsh(f: _Admitted, j: int, w: int, wp_jw: int) -> np.ndarray:
+    """W_f(w c, gamma^j c^d) for c = gamma^i, i = 0 .. 2^n - 2.
 
-    f equals x^e except on the points d; wp_jw = W_P(w, gamma^j) for P = x^e.
-    Each term is a sign (-1)^Tr(gamma^(e i + t)) or (-1)^Tr(gamma^(i + t)).
-    With g = gcd(e, 2^n - 1), rho = t mod g and e t' = t - rho, the first
-    is entry i + t' of the base sequence (-1)^Tr(gamma^(e i + rho)), which
+    f equals P = x^d except on the points D; wp_jw = W_P(w, gamma^j).
+    Each term is a sign (-1)^Tr(gamma^(d i + t)) or (-1)^Tr(gamma^(i + t)).
+    With g = gcd(d, 2^n - 1), rho = t mod g and d t' = t - rho, the first
+    is entry i + t' of the base sequence (-1)^Tr(gamma^(d i + rho)), which
     the memo keeps per rho, like the trace signs, in int8 and long enough
     that every term is a slice.
     """
     ctx, log, q1 = f.ctx, f.ctx.log, f.ctx.order - 1
+    e, d = dobbertin_exponent(ctx.k), f.d
     g = math.gcd(e, q1)
     period = q1 // g
     step = pow(e // g, -1, period)  # t' = step (t - rho) / g mod period
@@ -355,13 +349,13 @@ def _orbit_walsh(f: LutFunction, e: int, d: np.ndarray, j: int, w: int, wp_jw: i
     def term(t: int) -> np.ndarray:
         rho = t % g
         base = ctx.memo(("walsh_base", rho),
-                        lambda: np.tile(sgn[e * np.arange(period) % q1 + rho], g + 1), e)
+                        lambda: np.tile(sgn[e * np.arange(period) % q1 + rho], g + 1))
         lo = (t - rho) // g * step % period
         return base[lo : lo + q1]
 
     walsh = np.full(q1, wp_jw, dtype=np.int64)
     for s, fs in zip(d.tolist(), f.table[d].tolist()):
-        # ((-1)^Tr(v f(s)) - (-1)^Tr(v s^e)) (-1)^Tr(u s)
+        # ((-1)^Tr(v f(s)) - (-1)^Tr(v s^d)) (-1)^Tr(u s)
         diff = (term(j + int(log[fs])) if fs else 1) - (term(j + e * int(log[s])) if s else 1)
         if w and s:
             t = int(log[w] + log[s]) % q1
@@ -376,19 +370,19 @@ def walsh_max_abs(f: LutFunction) -> int:
 
 
 def _walsh(f: _Admitted) -> int:
-    """max |W_f(u, v)| from transforms of P = x^e, e = d.
+    """max |W_f(u, v)| from transforms of P = x^d.
 
-    With g = gcd(e, 2^n - 1), 1 or 3, and gamma the generator, every
-    nonzero v is gamma^j c^e with j < g, and W_P(u, gamma^j c^e) =
+    With g = gcd(d, 2^n - 1), 1 or 3, and gamma the generator, every
+    nonzero v is gamma^j c^d with j < g, and W_P(u, gamma^j c^d) =
     W_P(u / c, gamma^j).  So g transforms give wp[j, w] = W_P(w, gamma^j),
-    and on the orbit {(w c, gamma^j c^e)} W_f = wp[j, w] + C with
+    and on the orbit {(w c, gamma^j c^d)} W_f = wp[j, w] + C with
     |C| <= 2 |D|.  The orbits with |wp| >= max |wp| - 4 |D| are evaluated
     exactly, largest |wp| first, until none left can win.  The memo keeps
     the orbits any f over the field could keep, in descending order of
     |wp|, so the orbits of one f are a prefix found by one binary search.
     """
-    e, p, d, ctx = f.e, f.p, f.d, f.ctx
-    g = math.gcd(e, ctx.order - 1)
+    p, d, ctx = f.p, f.d, f.ctx
+    g = math.gcd(dobbertin_exponent(ctx.k), ctx.order - 1)
 
     def candidates() -> tuple:
         # |D| <= 2^k, so no f over this field keeps an orbit below max |wp| - 4 * 2^k
@@ -398,7 +392,7 @@ def _walsh(f: _Admitted) -> int:
         order = keep[np.argsort(-mag[keep], kind="stable")]
         return order, wp[order], -mag[order]
 
-    orbits, wp, neg_mag = ctx.memo("walsh_orbits", candidates, e)
+    orbits, wp, neg_mag = ctx.memo("walsh_orbits", candidates)
     cmax = 2 * len(d)
     kept = int(np.searchsorted(neg_mag, 2 * cmax + int(neg_mag[0]), side="right"))
     best = 0
@@ -406,7 +400,7 @@ def _walsh(f: _Admitted) -> int:
         if cmax - int(neg_mag[i]) <= best:
             break
         j, w = divmod(int(orbits[i]), ctx.order)
-        best = max(best, int(np.abs(_orbit_walsh(f, e, d, j, w, int(wp[i]))).max()))
+        best = max(best, int(np.abs(_orbit_walsh(f, j, w, int(wp[i]))).max()))
     return best
 
 
@@ -444,19 +438,18 @@ def algebraic_degree(f: LutFunction) -> int:
 def _degree(f: _Admitted) -> int:
     """The degree by the paper's degree formula.
 
-    f = P + Delta with P = x^e, e = d, and Delta zero off GF(2^k).
-    deg P = wt(e), the binary weight of e.  In coordinates whose last
+    f = P + Delta with P = x^d and Delta zero off GF(2^k).
+    deg P = wt(d), the binary weight of d.  In coordinates whose last
     n - k vanish on GF(2^k), Delta is H(y) times the indicator prod
-    (z_i + 1), so deg Delta = (n - k) + deg H, H = (f + x^e) on GF(2^k) in
+    (z_i + 1), so deg Delta = (n - k) + deg H, H = (f + x^d) on GF(2^k) in
     sorted-subfield coordinates (a linear coordinate system).  The
     degree of the sum is the larger of the two unless they tie; a tie
     takes the Moebius transform of the whole table.
     """
-    e, p, d = f.e, f.p, f.d
-    weight = e.bit_count()
+    ctx, p, d = f.ctx, f.p, f.d
+    weight = dobbertin_exponent(ctx.k).bit_count()
     if not len(d):
         return weight
-    ctx = f.ctx
     sub = np.array(ctx.subfield_elems)
     patch = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ p[sub]))
     return max(weight, patch) if patch != weight else int(anf_degree(f.table))

@@ -52,7 +52,9 @@ def _construction_label(args) -> str:
 
 
 def _check_out(path) -> None:
-    """Fail before any work when the directory --out would be written in is missing."""
+    """Fail before any work when --out names a directory or lies in a missing one."""
+    if path and os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory, not a file")
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         parent = os.path.dirname(path)
         raise NotADirectoryError(f"--out {path}: {parent} is not an existing directory")

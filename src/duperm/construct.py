@@ -1,9 +1,8 @@
 """Builders for the analysed functions over GF(2^(5k)).
 
-Three families are materialised as full lookup tables:
+Two families are materialised as full lookup tables, for the Dobbertin
+exponent d = 2^(4k) + 2^(3k) + 2^(2k) + 2^k - 1:
 
-* power maps x^d, in particular the Dobbertin exponent
-  d = 2^(4k) + 2^(3k) + 2^(2k) + 2^k - 1;
 * subfield maps g = L1 o x^(2^m - 1) o L2 for affine permutations
   L1, L2 of GF(2^k), stored in big-field coordinates with the
   non-subfield slots zeroed;
@@ -30,7 +29,6 @@ __all__ = [
     "LutFunction",
     "AffinePerm",
     "dobbertin_exponent",
-    "power_function",
     "affine_eval",
     "parse_affine_expr",
     "build_g",
@@ -104,14 +102,15 @@ def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
     k = ctx.k
     beta = ctx.subfield_generator
 
+    def digits(tok: str) -> bool:  # int() would also take a sign, "_" or non-ASCII digits
+        return tok.isascii() and tok.isdigit()
+
     def const_value(tok: str) -> int:
-        if tok == "0":
-            return 0
-        if tok == "1":
-            return 1
+        if tok in ("0", "1"):
+            return int(tok)
         if tok == "b":
             return beta
-        if tok.startswith("b^"):
+        if tok.startswith("b^") and digits(tok[2:]):
             return gf2n.pow(ctx, beta, int(tok[2:]))
         raise ValueError(f"cannot parse coefficient {tok!r} in {text!r}")
 
@@ -127,7 +126,7 @@ def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
         coef = const_value(head.rstrip("*")) if head else 1
         if tail == "":
             exp = 1
-        elif tail.startswith("^"):
+        elif tail.startswith("^") and digits(tail[1:]):
             exp = int(tail[1:])
         else:
             raise ValueError(f"cannot parse term {term!r} in {text!r}")
@@ -147,11 +146,6 @@ def dobbertin_exponent(k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     return sum(1 << (j * k) for j in _DOB_TERMS) - 1
-
-
-def power_function(ctx: gf2n.FieldCtx, d: int) -> LutFunction:
-    """The power map x^d as a full table; 0^0 = 1 only when d = 0."""
-    return LutFunction(ctx, gf2n.vec_pow_all(ctx, d))
 
 
 def build_g(

@@ -13,9 +13,8 @@ held once, as a numpy array; the scalar operations index it with
 .item, so they return Python ints.
 
 Each context also carries a memo (FieldCtx.memo) of read-only tables
-derived from the field and at most one power map x^e; vec_pow_all,
-build_f and the analyzer's kernels keep their tables there.  It is a cache that
-never changes a result.
+derived from the field; vec_pow_all, build_f and the analyzer's kernels
+keep their tables there.  It is a cache that never changes a result.
 
 The subfield is found without Frobenius passes over the field:
 GF(2^k)* is the unique subgroup of order 2^k - 1 of the cyclic group
@@ -209,29 +208,20 @@ class FieldCtx:
     def order(self) -> int:
         return 1 << self.n
 
-    def memo(self, key: str | tuple, build, e: int | None = None):
+    def memo(self, key: str | tuple, build):
         """build(), computed once per context and stored read-only under key.
 
-        Every entry is a function of the field alone (e None), of the
-        field and the power map x^e, or of those and one orbit of tables
-        under the analyzer's scaling and Frobenius maps, whose members
-        share every criterion; so the memo changes when a result is
-        computed, never the result.  It keeps one exponent: an entry for
-        an exponent other than the stored one first drops every entry of
-        the old exponent.  A tuple key also names a parameter of build, a
-        field element, a residue mod gcd(e, 2^n - 1) or an orbit key, and
-        an exponent keeps one entry per value met: at most 2 * 2^n
-        spectrum histograms (a field element and a flag), each at most
-        (max DDT entry of x^e) + 1 counts long, and per orbit met its
-        spectrum up to delta, its max |W| and its degree, a few int64
-        each.  It is freed with the context.  build returns an array or a
-        tuple of arrays.
+        Every entry is a function of the field, of the field and a
+        power map (vec_pow_all's x^e; the analyzer's entries all belong
+        to x^d), or of those and one orbit of tables under the analyzer's
+        scaling and Frobenius maps, whose members share every criterion;
+        so the memo changes when a result is computed, never the result.
+        A tuple key also names a parameter of build: an exponent, a field
+        element, a residue mod gcd(d, 2^n - 1) or an orbit key.  Nothing
+        is evicted; the memo is freed with the context.  build returns
+        an array or a tuple of arrays.
         """
         memo = self._memo
-        if e is not None:
-            if memo.get("e") != e:
-                memo["e"], memo["power"] = e, {}
-            memo = memo["power"]
         if key not in memo:
             value = build()
             for arr in value if isinstance(value, tuple) else (value,):
@@ -366,8 +356,8 @@ def subfield_coset_rep(ctx: FieldCtx, a):
 def vec_pow_all(ctx: FieldCtx, e: int) -> np.ndarray:
     """Table of i^e for every field element i (0^0 = 1, else 0^e = 0).
 
-    The table is read-only and kept in ctx's memo, so repeated calls with
-    one exponent build it once.
+    The table is read-only and kept in ctx's memo under ("pow", e), so
+    repeated calls with one exponent build it once.
     """
     if e < 0:
         raise ValueError("exponent must be non-negative")
@@ -381,4 +371,4 @@ def vec_pow_all(ctx: FieldCtx, e: int) -> np.ndarray:
         out[1:] = ctx.exp[(ctx.log[1:] * (e % q1)) % q1]
         return out
 
-    return ctx.memo("pow", build, e)
+    return ctx.memo(("pow", e), build)

@@ -7,7 +7,7 @@ import pytest
 
 from duperm import gf2n
 from duperm.analyzer import DiffSpectrum, _walsh_rows
-from duperm.construct import AffinePerm
+from duperm.construct import AffinePerm, LutFunction
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +40,11 @@ def fresh_field(k):
 # ---------------------------------------------------------------------------
 # exhaustive references shared by the test modules
 # ---------------------------------------------------------------------------
+
+def power_function(ctx, e):
+    """The power map x^e as a full table; 0^0 = 1 only when e = 0."""
+    return LutFunction(ctx, gf2n.vec_pow_all(ctx, e))
+
 
 def ddt_row(f, a):
     """counts[b] = #{x : f(x + a) + f(x) = b}."""

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import ddt_row, walsh_table
+from conftest import ddt_row, power_function, walsh_table
 from duperm import gf2n, prover
 from duperm.analyzer import (
     algebraic_degree,
@@ -20,7 +20,7 @@ from duperm.analyzer import (
     nl_lower_bound,
     nonlinearity,
 )
-from duperm.construct import instance, parse_affine_expr, power_function
+from duperm.construct import instance, parse_affine_expr
 
 TABLE1 = (
     ("x+1", (523776, 523776, 0), 8, 472),

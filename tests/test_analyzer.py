@@ -15,6 +15,7 @@ from conftest import (
     ddt_row,
     ddt_row_spectrum,
     fresh_field,
+    power_function,
     random_affine_perm,
     walsh_max,
     walsh_rows,
@@ -31,9 +32,9 @@ from duperm.analyzer import (
     nonlinearity,
     omega_counts,
     walsh_max_abs,
+    _admit,
     _collision_rows,
     _orbit_walsh,
-    _power_off_subfield,
     _psi_table,
 )
 from duperm.construct import (
@@ -42,7 +43,6 @@ from duperm.construct import (
     build_g,
     dobbertin_exponent,
     instance,
-    power_function,
 )
 
 
@@ -188,14 +188,14 @@ def test_structured_spectrum_matches_ddt_rows(k, m, seeds):
 
 
 # (k, d): the Dobbertin exponent of GF(2^(5k)), the one power the criteria admit
-SUBFIELD_EXPONENTS = [(1, 29), (2, 339)]
+SUBFIELD_EXPONENTS = [(k, dobbertin_exponent(k)) for k in (1, 2)]
 
 
-def power_off_subfield(ctx, e, seed, size, anywhere):
-    """x^e off GF(2^k) and any values on a set D of |D| = size points of it,
+def power_off_subfield(ctx, seed, size, anywhere):
+    """x^d off GF(2^k) and any values on a set D of |D| = size points of it,
     drawn from inside GF(2^k) or from anywhere in the field."""
     rng = np.random.default_rng(seed)
-    table = power_function(ctx, e).table.copy()
+    table = power_function(ctx, dobbertin_exponent(ctx.k)).table.copy()
     sub = np.flatnonzero(ctx.subfield_mask)
     d = np.sort(rng.choice(sub, min(size, len(sub)), replace=False))
     pool = np.arange(ctx.order) if anywhere else sub
@@ -206,15 +206,14 @@ def power_off_subfield(ctx, e, seed, size, anywhere):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
-    ke=st.sampled_from(SUBFIELD_EXPONENTS),
+    k=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**32),
     size=st.integers(0, 4),
     anywhere=st.booleans(),
 )
-def test_structured_spectrum_arbitrary_subfield_values(ke, seed, size, anywhere):
-    k, e = ke
-    f, d = power_off_subfield(fresh_field(k), e, seed, size, anywhere)
-    assert _power_off_subfield(f)[2].tolist() == d.tolist()
+def test_structured_spectrum_arbitrary_subfield_values(k, seed, size, anywhere):
+    f, d = power_off_subfield(fresh_field(k), seed, size, anywhere)
+    assert _admit(f).d.tolist() == d.tolist()
     assert differential_spectrum(f) == ddt_row_spectrum(f)
 
 
@@ -222,48 +221,47 @@ def test_structured_spectrum_every_row_exact(monkeypatch):
     # every row outside GF(2^k) taken for a collision row: the exact listing
     # must take back each move the histograms made and recount all rows
     monkeypatch.setattr(
-        analyzer, "_collision_rows", lambda ctx, *_: np.flatnonzero(~ctx.subfield_mask)
+        analyzer, "_collision_rows", lambda f: np.flatnonzero(~f.ctx.subfield_mask)
     )
-    for k, e in SUBFIELD_EXPONENTS:
+    for k in (1, 2):
         for seed in range(4):
             for size in (0, 1, 2, 1 << k):
                 ctx = fresh_field(k)
-                f, _ = power_off_subfield(ctx, e, seed, size, anywhere=bool(seed % 2))
+                f, _ = power_off_subfield(ctx, seed, size, anywhere=bool(seed % 2))
                 assert differential_spectrum(f) == ddt_row_spectrum(f), (k, seed, size)
 
 
-def listing_collisions(f, e):
+def listing_collisions(f):
     """Rows a outside GF(2^k) where two of the cells P(s) + P(s + a) and
-    f(s) + P(s + a), P = x^e, s in D, agree; found by sorting each row's cells."""
+    f(s) + P(s + a), P = x^d, s in D, agree; found by sorting each row's cells."""
     ctx = f.ctx
-    p = power_function(ctx, e).table
+    p = power_function(ctx, dobbertin_exponent(ctx.k)).table
     d = np.flatnonzero(f.table != p)
     a = np.flatnonzero(~ctx.subfield_mask)[:, None]
     cells = np.sort(np.concatenate([p[d] ^ p[d ^ a], f.table[d] ^ p[d ^ a]], axis=1), axis=1)
     return a[(cells[:, 1:] == cells[:, :-1]).any(axis=1), 0].tolist()
 
 
-def collision_rows(f, e, d):
-    return _collision_rows(f.ctx, e, power_function(f.ctx, e).table, f.table, d)
+def collision_rows(f):
+    return _collision_rows(_admit(f))
 
 
 def test_collision_rows_match_listings(f5, f10):
     found = 0
-    for k, e in SUBFIELD_EXPONENTS:
-        ctx = f5 if k == 1 else f10
+    for ctx in (f5, f10):
         for seed in range(10):
-            for size in (2, 3, 1 << k):
+            for size in (2, 3, 1 << ctx.k):
                 for anywhere in (False, True):
-                    f, d = power_off_subfield(ctx, e, seed, size, anywhere)
-                    rows = collision_rows(f, e, d)
-                    assert rows.tolist() == listing_collisions(f, e), (k, seed, size, anywhere)
+                    f, _ = power_off_subfield(ctx, seed, size, anywhere)
+                    rows = collision_rows(f)
+                    assert rows.tolist() == listing_collisions(f), (ctx.k, seed, size, anywhere)
                     found += len(rows) > 0
     assert found
     # the Dobbertin map of GF(2^10) with the four points of GF(4) sent to
     # values drawn from the whole field has 24 collision rows, which the
     # structured spectrum must recount exactly
-    f, d = power_off_subfield(f10, 339, 8, 4, anywhere=True)
-    assert len(collision_rows(f, 339, d)) == 24
+    f, _ = power_off_subfield(f10, 8, 4, anywhere=True)
+    assert len(collision_rows(f)) == 24
     assert differential_spectrum(f) == ddt_row_spectrum(f)
 
 
@@ -271,11 +269,10 @@ def test_collision_rows_bounded_on_the_dobbertin_map(f5, f10, f15):
     # x^d is APN, so each of the 3 |D| (|D| - 1) targets has at most one
     # solution pair {z, z + 1}: at most 6 |D| (|D| - 1) collision rows
     for ctx in (f5, f10, f15):
-        e = dobbertin_exponent(ctx.k)
         for seed in range(20):
             for size in range(2, (1 << ctx.k) + 1):
-                f, d = power_off_subfield(ctx, e, seed, size, anywhere=bool(seed % 2))
-                assert len(collision_rows(f, e, d)) <= 6 * size * (size - 1), (ctx.n, seed, size)
+                f, _ = power_off_subfield(ctx, seed, size, anywhere=bool(seed % 2))
+                assert len(collision_rows(f)) <= 6 * size * (size - 1), (ctx.n, seed, size)
     # the Walsh kernel transforms gcd(d, 2^n - 1) rows of x^d, up to k = 5
     gcds = [math.gcd(dobbertin_exponent(k), (1 << 5 * k) - 1) for k in range(1, 6)]
     assert gcds == [1, 3, 1, 3, 1]
@@ -319,7 +316,7 @@ def test_structured_criteria_pinned_n20():
     ctx = gf2n.mk_field(4)
     for (m, l1), (size, spectrum, delta, wmax, degree) in N20_CRITERIA.items():
         f = instance(ctx, m, l1)
-        assert len(_power_off_subfield(f)[2]) == size
+        assert len(_admit(f).d) == size
         ds = differential_spectrum(f)
         assert (ds.spectrum, ds.delta) == (spectrum, delta), (m, l1)
         assert_spectrum_identities(ds, ctx.order)
@@ -445,7 +442,7 @@ def test_histogram_cells_match_rolled_exp():
     # np.roll(exp, -log r)[e log w], without the 2^n copy
     ctx = fresh_field(2)
     differential_spectrum(instance(ctx, 2, "x+b"))
-    memo = ctx._memo["power"]
+    memo = ctx._memo
     elog, p1 = memo["outside"]
     row1 = memo["ddt_row1"][0]
     q1 = ctx.order - 1
@@ -483,8 +480,8 @@ def test_orbit_walsh_matches_table(f10):
     sub = np.flatnonzero(f10.subfield_mask)
     table = p.copy()
     table[sub] = (5, 0, 1000, p[sub[3]])
-    f = LutFunction(f10, table)
-    d = sub[:3]
+    f = _admit(LutFunction(f10, table))
+    assert f.d.tolist() == sub[:3].tolist()
     rows = walsh_rows(f10, p, f10.exp[:3])
     full = walsh_table(f)
     logc = np.arange(1023)
@@ -492,7 +489,7 @@ def test_orbit_walsh_matches_table(f10):
         v = f10.exp[(j + e * logc) % 1023]
         for w in (0, 1, 5, 700):
             u = [gf2n.mul(f10, int(c), w) for c in f10.exp]
-            assert np.array_equal(_orbit_walsh(f, e, d, j, w, rows[j, w]), full[v - 1, u])
+            assert np.array_equal(_orbit_walsh(f, j, w, rows[j, w]), full[v - 1, u])
 
 
 def test_walsh_evaluates_every_orbit_that_could_win(monkeypatch):
@@ -502,9 +499,9 @@ def test_walsh_evaluates_every_orbit_that_could_win(monkeypatch):
     evaluated = []
     orbit_walsh = analyzer._orbit_walsh
 
-    def spy(f, e, d, j, w, wp_jw):
+    def spy(f, j, w, wp_jw):
         evaluated.append((j, w))
-        return orbit_walsh(f, e, d, j, w, wp_jw)
+        return orbit_walsh(f, j, w, wp_jw)
 
     monkeypatch.setattr(analyzer, "_orbit_walsh", spy)
     most = 0  # the most orbits that could win in one table
@@ -512,7 +509,7 @@ def test_walsh_evaluates_every_orbit_that_could_win(monkeypatch):
         for seed in range(12):
             ctx = fresh_field(k)
             size = 1 + seed % (1 << k)
-            f, d = power_off_subfield(ctx, e, seed, size, anywhere=bool(seed % 3))
+            f, d = power_off_subfield(ctx, seed, size, anywhere=bool(seed % 3))
             evaluated.clear()
             best = walsh_max_abs(f)
             wp = walsh_rows(ctx, power_function(ctx, e).table, ctx.exp[: math.gcd(e, ctx.order - 1)])
@@ -524,14 +521,13 @@ def test_walsh_evaluates_every_orbit_that_could_win(monkeypatch):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
-    ke=st.sampled_from(SUBFIELD_EXPONENTS),
+    k=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**32),
     anywhere=st.booleans(),
 )
-def test_structured_walsh_arbitrary_subfield_values(ke, seed, anywhere):
+def test_structured_walsh_arbitrary_subfield_values(k, seed, anywhere):
     # x^d off GF(2^k) and any values on it, inside GF(2^k) or anywhere in the field
-    k, e = ke
-    ctx = fresh_field(k)
+    ctx, e = fresh_field(k), dobbertin_exponent(k)
     rng = np.random.default_rng(seed)
     table = power_function(ctx, e).table.copy()
     sub = np.flatnonzero(ctx.subfield_mask)
@@ -543,7 +539,7 @@ def test_structured_walsh_arbitrary_subfield_values(ke, seed, anywhere):
     # the maximum alone cannot check it, because on x^d the top orbits of
     # |W_P| held max |W_f| in every table tried (all 1024 at n = 5, 400
     # random at n = 10, 300 random at n = 15)
-    size = len(_power_off_subfield(f)[2])
+    size = len(_admit(f).d)
     assert np.abs(full - power_walsh_table(ctx, e)).max() <= 2 * size
 
 
@@ -655,20 +651,22 @@ def test_degree_of_permutation_at_most_n_minus_1(f5):
             assert algebraic_degree(f) <= 4
 
 
-def test_degree_of_power_map_is_binary_weight(f10):
-    for e in range(1, f10.order):
-        assert anf_degree(power_function(f10, e).table) == e.bit_count(), e
+def test_degree_of_power_map_is_binary_weight():
+    # the memo keeps every exponent's table, so 1023 of them go on a context
+    # that dies with the test, not on the shared one
+    ctx = fresh_field(2)
+    for e in range(1, ctx.order):
+        assert anf_degree(power_function(ctx, e).table) == e.bit_count(), e
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_structured_degree_matches_moebius(k):
     # x^d with a random D of every size, values from GF(2^k) or anywhere
-    e = dobbertin_exponent(k)
     for seed in range(64):
         for size in range((1 << k) + 1):
             for anywhere in (False, True):
                 ctx = fresh_field(k)
-                f, _ = power_off_subfield(ctx, e, seed << 4 | size << 1 | anywhere, size, anywhere)
+                f, _ = power_off_subfield(ctx, seed << 4 | size << 1 | anywhere, size, anywhere)
                 assert algebraic_degree(f) == anf_degree(f.table), (seed, size, anywhere)
 
 
@@ -781,8 +779,8 @@ def _report(ctx, inst):
 
 def test_memo_never_changes_a_report():
     # cold: a fresh context per instance; warm: one context in order, then in
-    # reverse, with the table of x^7 built in between so that the memo's
-    # exponent is replaced before every instance
+    # reverse, with the table of x^7 built in between, so that the memo holds
+    # a foreign power map next to x^d
     cold = {inst: _report(fresh_field(2), inst) for inst in SWEEP_INSTANCES}
     ctx = fresh_field(2)
     for order in (SWEEP_INSTANCES, SWEEP_INSTANCES[::-1]):
@@ -790,9 +788,8 @@ def test_memo_never_changes_a_report():
         for inst in order:
             warm[inst] = _report(ctx, inst)
             gf2n.vec_pow_all(ctx, 7)
-            assert ctx._memo["e"] == 7
         assert warm == cold
-    # one context through all of them keeps one exponent, each histogram
+    # one context through all of them keeps one power map, each histogram
     # the spectrum met, trimmed, and three small entries per orbit met:
     # under ten int64 tables of the field in all
     ctx = fresh_field(2)
@@ -802,9 +799,7 @@ def test_memo_never_changes_a_report():
 
 
 def _memo_arrays(ctx):
-    entries = [v for key, v in ctx._memo.items() if key not in ("e", "power")]
-    entries += ctx._memo["power"].values()
-    return [a for v in entries for a in (v if isinstance(v, tuple) else (v,))]
+    return [a for v in ctx._memo.values() for a in (v if isinstance(v, tuple) else (v,))]
 
 
 def test_memo_arrays_are_read_only():
@@ -816,10 +811,10 @@ def test_memo_arrays_are_read_only():
     arrays = _memo_arrays(ctx)
     assert len(arrays) >= 14
     assert any(a is gf2n.vec_pow_all(ctx, dobbertin_exponent(2)) for a in arrays)
-    per_orbit = [key[0] for key in ctx._memo["power"]
+    per_orbit = [key[0] for key in ctx._memo
                  if isinstance(key, tuple) and key[0] in ("spectrum", "walsh", "degree")]
     assert sorted(per_orbit) == ["degree", "spectrum", "walsh"]
-    assert "orbit_maps" in ctx._memo["power"]
+    assert "orbit_maps" in ctx._memo
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -889,7 +884,7 @@ def test_every_subfield_table_reads_its_cold_report(k, orbits):
         assert warm[::step] == cold
         # one spectrum per orbit: a key that merged two orbits or missed a
         # symmetry would count fewer or more
-        assert sum(key[0] == "spectrum" for key in ctx._memo["power"] if isinstance(key, tuple)) == orbits
+        assert sum(key[0] == "spectrum" for key in ctx._memo if isinstance(key, tuple)) == orbits
 
 
 @pytest.mark.parametrize("k, seed", [(2, 0), (2, 1), (2, 2), (3, 3)])
@@ -898,7 +893,7 @@ def test_orbit_images_share_key_and_report(k, seed):
     # n (2^k - 1) images share the key, which is the least image itself,
     # and the criteria computed afresh on each
     ctx = fresh_field(k)
-    f, _ = power_off_subfield(ctx, dobbertin_exponent(k), seed, 1 << k, anywhere=True)
+    f, _ = power_off_subfield(ctx, seed, 1 << k, anywhere=True)
     sub = list(ctx.subfield_elems)
     images = orbit_images(f, sub)
     assert len(images) == ctx.n * ((1 << k) - 1)
@@ -912,8 +907,31 @@ def test_orbit_images_share_key_and_report(k, seed):
 
 def test_analyze_admits_once_and_keys_once(f10, monkeypatch):
     calls = []
-    for name in ("_power_off_subfield", "_orbit_key"):
-        fn = getattr(analyzer, name)
-        monkeypatch.setattr(analyzer, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    admit, orbit_key = analyzer._admit, analyzer._orbit_key
+
+    def spy(f):  # an admission check: _admit on a table not yet admitted
+        if not isinstance(f, analyzer._Admitted):
+            calls.append("_admit")
+        return admit(f)
+
+    monkeypatch.setattr(analyzer, "_admit", spy)
+    monkeypatch.setattr(analyzer, "_orbit_key", lambda f: calls.append("_orbit_key") or orbit_key(f))
     analyze(instance(f10, 2, "x+b"))
-    assert sorted(calls) == ["_orbit_key", "_power_off_subfield"]
+    assert sorted(calls) == ["_admit", "_orbit_key"]
+
+
+def test_another_exponents_table_evicts_nothing(monkeypatch):
+    # the memo is one flat dict: x^7 next to x^d adds its table and drops no
+    # entry, so an orbit met before is still read, with no kernel run
+    ctx = fresh_field(2)
+    report = analyze(instance(ctx, 2, "x+b")).to_json()
+    keys = set(ctx._memo)
+    gf2n.vec_pow_all(ctx, 7)
+    assert set(ctx._memo) == keys | {("pow", 7)} and len(ctx._memo) == len(keys) + 1
+    ran = []
+    for name in ("_spectrum", "_walsh", "_degree"):
+        fn = getattr(analyzer, name)
+        monkeypatch.setattr(analyzer, name, lambda f, fn=fn, name=name: ran.append(name) or fn(f))
+    assert analyze(instance(ctx, 2, "b^2*x^2")).to_json() != report
+    assert analyze(instance(ctx, 2, "x+b")).to_json() == report
+    assert ran == ["_spectrum", "_walsh", "_degree"]

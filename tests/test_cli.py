@@ -324,6 +324,10 @@ def test_out_in_missing_directory_fails_before_any_field(tmp_path, monkeypatch, 
     assert (code, out, built) == (1, "", [])
     assert err == f"error: --out {missing / 'x'}: {missing} is not an existing directory\n"
     assert not missing.exists()
+    # an existing directory is no file to write either
+    code, out, err = run_cli(command + ["--out", str(tmp_path)])
+    assert (code, out, built) == (1, "", [])
+    assert err == f"error: --out {tmp_path} is a directory, not a file\n"
 
 
 def test_reproduce_tables_mismatch_names_row_and_column(tmp_path):

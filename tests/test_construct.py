@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import power_function
 from duperm import construct, gf2n
 from duperm.construct import (
     AffinePerm,
@@ -16,7 +18,6 @@ from duperm.construct import (
     closed_form_eval,
     dobbertin_exponent,
     parse_affine_expr,
-    power_function,
     read_lut,
     write_lut,
 )
@@ -120,8 +121,9 @@ def test_parse_affine_expr(f10):
     assert L.constant == beta
     assert parse_affine_expr(f10, "x+1").constant == 1
     assert parse_affine_expr(f10, "b*x").linear_coeffs == (beta, 0)
-    for bad in ("x^3", "x^4", "q+1", "", "x+"):
-        with pytest.raises(ValueError):
+    # each refusal names the expression, whichever term is bad
+    for bad in ("x^3", "x^4", "q+1", "", "x+", "b^", "x^y", "b^-1*x", "x^-2"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_affine_expr(f10, bad)
 
 
