@@ -1,13 +1,14 @@
 """Criteria computations on the modified Dobbertin functions.
 
-The criteria admit exactly the tables that equal the Dobbertin power
+The criteria take exactly the tables that equal the Dobbertin power
 map P = x^d, d = dobbertin_exponent(k), outside the subfield GF(2^k),
-as every constructed f does; _admit raises ValueError on any other
-table, a hand-built one or one read by read_lut included.  So d is
-fixed by the field, and every kernel reads it from ctx.k (as e, since
-d names the points D in the code).  f then differs from P only on the
-points D of GF(2^k) where they disagree, and each criterion has one
-kernel:
+as every constructed f does; any other table, a hand-built one or one
+read by read_lut included, has no patch (LutFunction.patch raises
+ValueError), and every criterion but the permutation scan refuses it.
+So d is fixed by the field, and every kernel reads it from ctx.k (as e,
+since d names the points D in the code) and P from vec_pow_all.  f then
+differs from P only on the points D = f.patch of GF(2^k), and each
+criterion has one kernel:
 
 * differential spectrum: DDT row 1 of P gives every row, and only the
   pairs through D move a cell: by memoised histograms in the rows
@@ -35,15 +36,15 @@ map admitted: x^d, DDT row 1 with its histogram and inverse, the
 generic histograms (at most 2 * 2^n, one per value met), psi, the sign
 sequences and the orbits any f over the field could keep.
 
-What depends on f is kept per orbit.  For c in GF(2^k)* and i < n, with
-B(x) = c x^(2^i) and A(y) = (c^(-d) y)^(2^(n - i)), A f B is again x^d
-off GF(2^k), and A and B are linear, so f and A f B have the same
+What depends on f is kept per orbit of the linear equivalences
+f -> A f B that fix x^d (see construct): f and A f B have the same
 spectrum, max |W| and degree.  Each criterion is computed for the
-first f of an orbit met on a context and stored in the memo under the
-orbit's key (_orbit_key): the spectrum up to delta, max |W|, the
-degree.  A later f of the orbit reads them.  analyze admits f and
-takes its key once, for all three criteria.  A cold context gives the
-same reports.
+first f of an orbit met on a context and stored in the memo under
+(criterion, f.orbit_key): the spectrum up to delta, max |W|, the
+degree.  A later f of the orbit reads them.  f finds its patch and its
+orbit key on first use and keeps them, so one f read by several
+criteria or claims is compared with x^d once and keyed once.  A cold
+context gives the same reports.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,74 +98,12 @@ def omega_counts(table: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _orbit_key(f: LutFunction) -> bytes:
-    """f's orbit key: the least image of its subfield table under f -> A f B.
-
-    B(x) = c sigma^i(x) and A(y) = sigma^(-i)(c^(-d) y), sigma(x) = x^2,
-    for every c in GF(2^k)* and i < n (see the module docstring).  On
-    GF(2^k) sigma^k is the identity, but not on the values f may take
-    elsewhere in the field, so i runs up to n.  The key is the subfield
-    table of the lexicographically least image, as bytes; two tables
-    share a key exactly when they lie in one orbit.
-    """
-    ctx, q1, e = f.ctx, f.ctx.order - 1, dobbertin_exponent(f.ctx.k)
-
-    def maps() -> tuple:
-        # column c n + i: B(s) for each s of the sorted subfield (B(0) = 0),
-        # and log A(y) = log y * mult + shift
-        logc = ctx.log[np.array(ctx.subfield_elems[1:])]
-        frob = 1 << np.arange(ctx.n)  # log sigma^i(y) = 2^i log y
-        at = np.zeros((len(logc) + 1, len(logc) * ctx.n), dtype=np.int64)
-        at[1:] = ctx.exp[(logc[:, None, None] + frob[:, None] * logc) % q1].reshape(-1, len(logc)).T
-        mult = np.tile(frob[::-1] * 2 % q1, len(logc))  # 2^(n - i) mod 2^n - 1
-        shift = -e * np.repeat(logc, ctx.n) % q1 * mult % q1
-        # full-shape copies: elementwise without broadcasting is faster here
-        return at, *(np.repeat(a[None], len(at), axis=0) for a in (mult, shift))
-
-    at, mult, shift = ctx.memo("orbit_maps", maps)
-    v = f.table[at]
-    t = ctx.log[v] * mult
-    t += shift
-    t %= q1
-    image = ctx.exp[t]
-    image[v == 0] = 0
-    return image[:, np.lexsort(image[::-1])[0]].tobytes()
-
-
-@dataclass(frozen=True, eq=False)
-class _Admitted(LutFunction):
-    """f with the table p of x^d, the sorted points d where they differ, and its orbit key."""
-
-    p: np.ndarray = field(kw_only=True, repr=False)
-    d: np.ndarray = field(kw_only=True, repr=False)
-    key: bytes = field(kw_only=True, repr=False)
-
-    def __post_init__(self):  # f's table was checked when f was built
-        pass
-
-
-def _admit(f: LutFunction) -> _Admitted:
-    """f admitted: ValueError unless f equals x^d outside GF(2^k)."""
-    if isinstance(f, _Admitted):
-        return f
-    ctx, e = f.ctx, dobbertin_exponent(f.ctx.k)
-    p = gf2n.vec_pow_all(ctx, e)
-    d = np.flatnonzero(f.table != p)
-    if not ctx.subfield_mask[d].all():
-        raise ValueError(
-            f"the table differs from x^{e} at {int(d[~ctx.subfield_mask[d]][0])}, "
-            f"outside GF(2^{ctx.k}); only f = x^{e} off the subfield is analysed"
-        )
-    return _Admitted(ctx, f.table, p=p, d=d, key=_orbit_key(f))
-
-
 def _per_orbit(f: LutFunction, criterion: str, kernel) -> np.ndarray:
     """kernel(f), run for the first f of its orbit met on the context and memoised."""
-    a = _admit(f)
-    return a.ctx.memo((criterion, a.key), lambda: np.atleast_1d(kernel(a)))
+    return f.ctx.memo((criterion, f.orbit_key), lambda: np.atleast_1d(kernel(f)))
 
 
-def _collision_rows(f: _Admitted) -> np.ndarray:
+def _collision_rows(f: LutFunction) -> np.ndarray:
     """Rows a outside GF(2^k) in which two listings of s != s' in D share a cell.
 
     Cells P(s) + P(s + a) or f(s) + P(s + a) agree when, with y = s + a
@@ -174,10 +113,11 @@ def _collision_rows(f: _Admitted) -> np.ndarray:
     pair {z, z + 1}, read off the memoised inverse of DDT row 1 of P,
     and there are at most 6 |D| (|D| - 1) collision rows.
     """
-    ctx, p, tab, d = f.ctx, f.p, f.table, f.d
+    ctx, tab, d = f.ctx, f.table, f.patch
     if len(d) < 2:
         return d[:0]
     log, exp, q1, e = ctx.log, ctx.exp, ctx.order - 1, dobbertin_exponent(ctx.k)
+    p = gf2n.vec_pow_all(ctx, e)
     i = np.flatnonzero(~np.eye(len(d), dtype=bool))
     s, s2 = d[i // len(d)], d[i % len(d)]
     alpha = s ^ s2
@@ -202,7 +142,7 @@ def differential_spectrum(f: LutFunction) -> DiffSpectrum:
     return DiffSpectrum({i: int(omega[i]) for i in range(0, len(omega), 2)}, len(omega) - 1)
 
 
-def _spectrum(f: _Admitted) -> np.ndarray:
+def _spectrum(f: LutFunction) -> np.ndarray:
     """omega_0 .. omega_delta of f.
 
     For P = x^d, delta_P(a, b) = delta_P(1, b a^(-d)): omega starts
@@ -216,9 +156,9 @@ def _spectrum(f: _Admitted) -> np.ndarray:
       share a cell (their generic moves taken back), are listed in one
       array, at most 2^k (2^k - 1)(1 + 6 * 2^k) listings.
     """
-    p, d = f.p, f.d
-    ctx, tab, log = f.ctx, f.table, f.ctx.log
+    ctx, tab, log, d = f.ctx, f.table, f.ctx.log, f.patch
     q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
+    p = gf2n.vec_pow_all(ctx, e)
 
     def ddt_row1() -> tuple:
         pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
@@ -328,7 +268,7 @@ def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarr
     return _fwht_lastaxis(1 - 2 * ctx.trace_bits[prod].astype(np.int32))[:, _psi_table(ctx)]
 
 
-def _orbit_walsh(f: _Admitted, j: int, w: int, wp_jw: int) -> np.ndarray:
+def _orbit_walsh(f: LutFunction, j: int, w: int, wp_jw: int) -> np.ndarray:
     """W_f(w c, gamma^j c^d) for c = gamma^i, i = 0 .. 2^n - 2.
 
     f equals P = x^d except on the points D; wp_jw = W_P(w, gamma^j).
@@ -339,7 +279,7 @@ def _orbit_walsh(f: _Admitted, j: int, w: int, wp_jw: int) -> np.ndarray:
     that every term is a slice.
     """
     ctx, log, q1 = f.ctx, f.ctx.log, f.ctx.order - 1
-    e, d = dobbertin_exponent(ctx.k), f.d
+    e, d = dobbertin_exponent(ctx.k), f.patch
     g = math.gcd(e, q1)
     period = q1 // g
     step = pow(e // g, -1, period)  # t' = step (t - rho) / g mod period
@@ -369,7 +309,7 @@ def walsh_max_abs(f: LutFunction) -> int:
     return int(_per_orbit(f, "walsh", _walsh)[0])
 
 
-def _walsh(f: _Admitted) -> int:
+def _walsh(f: LutFunction) -> int:
     """max |W_f(u, v)| from transforms of P = x^d.
 
     With g = gcd(d, 2^n - 1), 1 or 3, and gamma the generator, every
@@ -381,12 +321,12 @@ def _walsh(f: _Admitted) -> int:
     the orbits any f over the field could keep, in descending order of
     |wp|, so the orbits of one f are a prefix found by one binary search.
     """
-    p, d, ctx = f.p, f.d, f.ctx
-    g = math.gcd(dobbertin_exponent(ctx.k), ctx.order - 1)
+    ctx, d, e = f.ctx, f.patch, dobbertin_exponent(f.ctx.k)
+    g = math.gcd(e, ctx.order - 1)
 
     def candidates() -> tuple:
         # |D| <= 2^k, so no f over this field keeps an orbit below max |wp| - 4 * 2^k
-        wp = _walsh_rows(ctx, p, ctx.exp[:g]).ravel()
+        wp = _walsh_rows(ctx, gf2n.vec_pow_all(ctx, e), ctx.exp[:g]).ravel()
         mag = np.abs(wp)
         keep = np.flatnonzero(mag >= mag.max() - (4 << ctx.k))
         order = keep[np.argsort(-mag[keep], kind="stable")]
@@ -435,7 +375,7 @@ def algebraic_degree(f: LutFunction) -> int:
     return int(_per_orbit(f, "degree", _degree)[0])
 
 
-def _degree(f: _Admitted) -> int:
+def _degree(f: LutFunction) -> int:
     """The degree by the paper's degree formula.
 
     f = P + Delta with P = x^d and Delta zero off GF(2^k).
@@ -446,13 +386,13 @@ def _degree(f: _Admitted) -> int:
     degree of the sum is the larger of the two unless they tie; a tie
     takes the Moebius transform of the whole table.
     """
-    ctx, p, d = f.ctx, f.p, f.d
-    weight = dobbertin_exponent(ctx.k).bit_count()
+    ctx, d, e = f.ctx, f.patch, dobbertin_exponent(f.ctx.k)
+    weight = e.bit_count()
     if not len(d):
         return weight
     sub = np.array(ctx.subfield_elems)
-    patch = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ p[sub]))
-    return max(weight, patch) if patch != weight else int(anf_degree(f.table))
+    deg_delta = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ gf2n.vec_pow_all(ctx, e)[sub]))
+    return max(weight, deg_delta) if deg_delta != weight else int(anf_degree(f.table))
 
 
 def is_permutation(f: LutFunction) -> bool:
@@ -542,9 +482,9 @@ def analyze(
 ) -> CriteriaReport:
     """Compute every criterion on f, timing each one.
 
-    f is admitted and its orbit key taken once, inside the spectrum's
-    time; each criterion then runs for the first f of its orbit met on
-    the context and is a memo lookup for the rest.  The report's k is
+    f keeps its patch and orbit key, taken by the first criterion that
+    reads them; each criterion then runs for the first f of its orbit met
+    on the context and is a memo lookup for the rest.  The report's k is
     f.ctx.k.  k and workers are accepted only because
     perfbench/workloads.py still passes k=ctx.k and workers=1; a k that
     disagrees with the field raises ValueError.
@@ -554,18 +494,17 @@ def analyze(
     runtime: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    a = _admit(f)
-    ds = differential_spectrum(a)
+    ds = differential_spectrum(f)
     runtime["spectrum"] = (time.perf_counter() - t0) * 1e3
 
     nl = None
     if walsh:
         t0 = time.perf_counter()
-        nl = nonlinearity(a)
+        nl = nonlinearity(f)
         runtime["walsh"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    degree = algebraic_degree(a)
+    degree = algebraic_degree(f)
     runtime["degree"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()

@@ -12,12 +12,20 @@ exponent d = 2^(4k) + 2^(3k) + 2^(2k) + 2^k - 1:
   is implemented as an independent evaluation path and cross-checked
   against the piecewise table on a fixed sample of points.
 
-Tables are immutable once built and serialise to a binary format
-(magic "SBLUT1\\0\\0", one byte n, 2^n little-endian 8-byte values).
+Tables are immutable once built (LutFunction makes the table it is
+handed read-only) and serialise to a binary format (magic
+"SBLUT1\\0\\0", one byte n, 2^n little-endian 8-byte values).
+
+For c in GF(2^k)* and i < n the linear maps B(x) = c x^(2^i) and A(y) =
+(c^(-d) y)^(2^(n - i)) fix x^d, so A f B is again x^d off GF(2^k), with
+f's spectrum, nonlinearity and degree.  A LutFunction finds on first use
+and keeps the points where it differs from x^d (patch, ValueError if one
+lies outside GF(2^k)) and the key of its orbit under those maps (orbit_key).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -45,18 +53,68 @@ LUT_MAGIC = b"SBLUT1\x00\x00"
 
 @dataclass(frozen=True, eq=False)
 class LutFunction:
-    """A function GF(2^n) -> GF(2^n) materialised as a table of 2^n values."""
+    """A function GF(2^n) -> GF(2^n) materialised as a read-only table of 2^n values."""
 
     ctx: gf2n.FieldCtx
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.table.ndim != 1:
+            raise ValueError(f"table must be one-dimensional, not of shape {self.table.shape}")
         if len(self.table) != self.ctx.order:
             raise ValueError("table length must be 2^n")
         if not np.issubdtype(self.table.dtype, np.integer):
             raise ValueError(f"table must hold integers, not {self.table.dtype}")
         if self.table.min() < 0 or self.table.max() >= self.ctx.order:
             raise ValueError("table entry outside the field")
+        self.table.flags.writeable = False
+
+    @functools.cached_property
+    def patch(self) -> np.ndarray:
+        """The sorted points where the table differs from x^d: ValueError unless all in GF(2^k)."""
+        ctx, e = self.ctx, dobbertin_exponent(self.ctx.k)
+        d = np.flatnonzero(self.table != gf2n.vec_pow_all(ctx, e))
+        if not ctx.subfield_mask[d].all():
+            raise ValueError(
+                f"the table differs from x^{e} at {int(d[~ctx.subfield_mask[d]][0])}, "
+                f"outside GF(2^{ctx.k}); only f = x^{e} off the subfield is analysed"
+            )
+        d.flags.writeable = False  # every criterion reads this one array
+        return d
+
+    @functools.cached_property
+    def orbit_key(self) -> bytes:
+        """The least image of the subfield table under f -> A f B, as bytes.
+
+        B(x) = c sigma^i(x) and A(y) = sigma^(-i)(c^(-d) y), sigma(x) = x^2,
+        for every c in GF(2^k)* and i < n.  On GF(2^k) sigma^k is the
+        identity, but not on the values f may take elsewhere in the field,
+        so i runs up to n.  Two tables share a key exactly when they lie
+        in one orbit; a table that patch refuses gets none.
+        """
+        self.patch  # raises for a table off the construction
+        ctx, q1, e = self.ctx, self.ctx.order - 1, dobbertin_exponent(self.ctx.k)
+
+        def maps() -> tuple:
+            # column c n + i: B(s) for each s of the sorted subfield (B(0) = 0),
+            # and log A(y) = log y * mult + shift
+            logc = ctx.log[np.array(ctx.subfield_elems[1:])]
+            frob = 1 << np.arange(ctx.n)  # log sigma^i(y) = 2^i log y
+            at = np.zeros((len(logc) + 1, len(logc) * ctx.n), dtype=np.int64)
+            at[1:] = ctx.exp[(logc[:, None, None] + frob[:, None] * logc) % q1].reshape(-1, len(logc)).T
+            mult = np.tile(frob[::-1] * 2 % q1, len(logc))  # 2^(n - i) mod 2^n - 1
+            shift = -e * np.repeat(logc, ctx.n) % q1 * mult % q1
+            # full-shape copies: elementwise without broadcasting is faster here
+            return at, *(np.repeat(a[None], len(at), axis=0) for a in (mult, shift))
+
+        at, mult, shift = ctx.memo("orbit_maps", maps)
+        v = self.table[at]
+        t = ctx.log[v] * mult
+        t += shift
+        t %= q1
+        image = ctx.exp[t]
+        image[v == 0] = 0
+        return image[:, np.lexsort(image[::-1])[0]].tobytes()
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
@@ -75,7 +133,7 @@ class AffinePerm:
         if len(self.linear_coeffs) != k:
             raise ValueError(f"need exactly {k} linear coefficients")
         for c in (*self.linear_coeffs, self.constant):
-            if not self.ctx.subfield_mask[c]:
+            if not (0 <= c < self.ctx.order and self.ctx.subfield_mask[c]):  # c < 0 would wrap
                 raise ValueError(f"coefficient {c} lies outside GF(2^{k})")
         sub = self.ctx.subfield_elems
         image = {affine_eval(self, a) for a in sub}
@@ -84,7 +142,7 @@ class AffinePerm:
 
 
 def affine_eval(L: AffinePerm, a: int) -> int:
-    if not L.ctx.subfield_mask[a]:
+    if not (0 <= a < L.ctx.order and L.ctx.subfield_mask[a]):
         raise ValueError(f"{a} is not a subfield element")
     acc = L.constant
     for i, c in enumerate(L.linear_coeffs):

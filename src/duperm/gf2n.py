@@ -213,13 +213,14 @@ class FieldCtx:
 
         Every entry is a function of the field, of the field and a
         power map (vec_pow_all's x^e; the analyzer's entries all belong
-        to x^d), or of those and one orbit of tables under the analyzer's
-        scaling and Frobenius maps, whose members share every criterion;
-        so the memo changes when a result is computed, never the result.
-        A tuple key also names a parameter of build: an exponent, a field
-        element, a residue mod gcd(d, 2^n - 1) or an orbit key.  Nothing
-        is evicted; the memo is freed with the context.  build returns
-        an array or a tuple of arrays.
+        to x^d), or of those and one orbit of tables under the linear
+        maps that fix x^d (construct.LutFunction.orbit_key), whose
+        members share every criterion; so the memo changes when a result
+        is computed, never the result.  A tuple key also names a
+        parameter of build: an exponent, a field element, a residue mod
+        gcd(d, 2^n - 1) or an orbit key.  Nothing is evicted; the memo
+        is freed with the context.  build returns an array or a tuple of
+        arrays.
         """
         memo = self._memo
         if key not in memo:

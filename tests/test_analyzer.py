@@ -21,7 +21,7 @@ from conftest import (
     walsh_rows,
     walsh_table,
 )
-from duperm import analyzer, gf2n
+from duperm import analyzer, gf2n, prover
 from duperm.analyzer import (
     algebraic_degree,
     analyze,
@@ -32,7 +32,6 @@ from duperm.analyzer import (
     nonlinearity,
     omega_counts,
     walsh_max_abs,
-    _admit,
     _collision_rows,
     _orbit_walsh,
     _psi_table,
@@ -213,7 +212,7 @@ def power_off_subfield(ctx, seed, size, anywhere):
 )
 def test_structured_spectrum_arbitrary_subfield_values(k, seed, size, anywhere):
     f, d = power_off_subfield(fresh_field(k), seed, size, anywhere)
-    assert _admit(f).d.tolist() == d.tolist()
+    assert f.patch.tolist() == d.tolist()
     assert differential_spectrum(f) == ddt_row_spectrum(f)
 
 
@@ -242,10 +241,6 @@ def listing_collisions(f):
     return a[(cells[:, 1:] == cells[:, :-1]).any(axis=1), 0].tolist()
 
 
-def collision_rows(f):
-    return _collision_rows(_admit(f))
-
-
 def test_collision_rows_match_listings(f5, f10):
     found = 0
     for ctx in (f5, f10):
@@ -253,7 +248,7 @@ def test_collision_rows_match_listings(f5, f10):
             for size in (2, 3, 1 << ctx.k):
                 for anywhere in (False, True):
                     f, _ = power_off_subfield(ctx, seed, size, anywhere)
-                    rows = collision_rows(f)
+                    rows = _collision_rows(f)
                     assert rows.tolist() == listing_collisions(f), (ctx.k, seed, size, anywhere)
                     found += len(rows) > 0
     assert found
@@ -261,7 +256,7 @@ def test_collision_rows_match_listings(f5, f10):
     # values drawn from the whole field has 24 collision rows, which the
     # structured spectrum must recount exactly
     f, _ = power_off_subfield(f10, 8, 4, anywhere=True)
-    assert len(collision_rows(f)) == 24
+    assert len(_collision_rows(f)) == 24
     assert differential_spectrum(f) == ddt_row_spectrum(f)
 
 
@@ -272,7 +267,7 @@ def test_collision_rows_bounded_on_the_dobbertin_map(f5, f10, f15):
         for seed in range(20):
             for size in range(2, (1 << ctx.k) + 1):
                 f, _ = power_off_subfield(ctx, seed, size, anywhere=bool(seed % 2))
-                assert len(collision_rows(f)) <= 6 * size * (size - 1), (ctx.n, seed, size)
+                assert len(_collision_rows(f)) <= 6 * size * (size - 1), (ctx.n, seed, size)
     # the Walsh kernel transforms gcd(d, 2^n - 1) rows of x^d, up to k = 5
     gcds = [math.gcd(dobbertin_exponent(k), (1 << 5 * k) - 1) for k in range(1, 6)]
     assert gcds == [1, 3, 1, 3, 1]
@@ -316,7 +311,7 @@ def test_structured_criteria_pinned_n20():
     ctx = gf2n.mk_field(4)
     for (m, l1), (size, spectrum, delta, wmax, degree) in N20_CRITERIA.items():
         f = instance(ctx, m, l1)
-        assert len(_admit(f).d) == size
+        assert len(f.patch) == size
         ds = differential_spectrum(f)
         assert (ds.spectrum, ds.delta) == (spectrum, delta), (m, l1)
         assert_spectrum_identities(ds, ctx.order)
@@ -480,8 +475,8 @@ def test_orbit_walsh_matches_table(f10):
     sub = np.flatnonzero(f10.subfield_mask)
     table = p.copy()
     table[sub] = (5, 0, 1000, p[sub[3]])
-    f = _admit(LutFunction(f10, table))
-    assert f.d.tolist() == sub[:3].tolist()
+    f = LutFunction(f10, table)
+    assert f.patch.tolist() == sub[:3].tolist()
     rows = walsh_rows(f10, p, f10.exp[:3])
     full = walsh_table(f)
     logc = np.arange(1023)
@@ -539,7 +534,7 @@ def test_structured_walsh_arbitrary_subfield_values(k, seed, anywhere):
     # the maximum alone cannot check it, because on x^d the top orbits of
     # |W_P| held max |W_f| in every table tried (all 1024 at n = 5, 400
     # random at n = 10, 300 random at n = 15)
-    size = len(_admit(f).d)
+    size = len(f.patch)
     assert np.abs(full - power_walsh_table(ctx, e)).max() <= 2 * size
 
 
@@ -855,8 +850,7 @@ def orbit_images(f, points):
 
 def cold_report(f):
     """f's criteria from the kernels themselves, never from an orbit entry."""
-    a = analyzer._admit(f)
-    return tuple(analyzer._spectrum(a).tolist()), analyzer._walsh(a), analyzer._degree(a)
+    return tuple(analyzer._spectrum(f).tolist()), analyzer._walsh(f), analyzer._degree(f)
 
 
 def test_orbit_maps_keep_x_d_off_the_subfield(f10):
@@ -898,26 +892,59 @@ def test_orbit_images_share_key_and_report(k, seed):
     images = orbit_images(f, sub)
     assert len(images) == ctx.n * ((1 << k) - 1)
     least = min(image.table[sub].tolist() for image in images)
-    assert {analyzer._admit(image).key for image in images} == {
+    assert {image.orbit_key for image in images} == {
         np.array(least, dtype=np.int64).tobytes()
     }
     assert len({cold_report(image) for image in images}) == 1
     assert len({analyze(image).to_json() for image in images}) == 1
 
 
-def test_analyze_admits_once_and_keys_once(f10, monkeypatch):
+def spy_on_patch_and_key(monkeypatch):
+    """Record each comparison of a table with x^d (on entry to patch) and each
+    orbit key taken (on return from orbit_key)."""
     calls = []
-    admit, orbit_key = analyzer._admit, analyzer._orbit_key
 
-    def spy(f):  # an admission check: _admit on a table not yet admitted
-        if not isinstance(f, analyzer._Admitted):
-            calls.append("_admit")
-        return admit(f)
+    def counted(name, func):
+        def spy(f):
+            if name == "patch":
+                calls.append(name)
+            value = func(f)
+            if name == "orbit_key":
+                calls.append(name)
+            return value
 
-    monkeypatch.setattr(analyzer, "_admit", spy)
-    monkeypatch.setattr(analyzer, "_orbit_key", lambda f: calls.append("_orbit_key") or orbit_key(f))
-    analyze(instance(f10, 2, "x+b"))
-    assert sorted(calls) == ["_admit", "_orbit_key"]
+        prop = functools.cached_property(spy)
+        prop.__set_name__(LutFunction, name)
+        return prop
+
+    for name in ("patch", "orbit_key"):
+        monkeypatch.setattr(LutFunction, name, counted(name, vars(LutFunction)[name].func))
+    return calls
+
+
+def test_one_instance_is_compared_and_keyed_once(monkeypatch):
+    # theorem 1 reads the spectrum, proposition 2 the nonlinearity and
+    # analyze all three criteria: one comparison with x^d and one key in all
+    calls = spy_on_patch_and_key(monkeypatch)
+    f = instance(fresh_field(2), 2, "x+b")
+    prover.theorem1_check(f, "k2 m2 x+b")
+    prover.prop2_bound_check(f, "k2 m2 x+b")
+    analyze(f)
+    analyze(f)
+    assert calls == ["patch", "orbit_key"]
+
+
+def test_refused_table_raises_on_every_call_and_is_never_keyed(f10, monkeypatch):
+    # cached_property keeps no exception: each call compares again and refuses
+    calls = spy_on_patch_and_key(monkeypatch)
+    f = LutFunction(f10, refused_table(f10, "one-point-changed", "generator"))
+    criteria = (differential_spectrum, walsh_max_abs, nonlinearity, algebraic_degree, analyze)
+    for criterion in criteria * 2:
+        with pytest.raises(ValueError, match=f"x\\^{dobbertin_exponent(2)}"):
+            criterion(f)
+    assert calls == ["patch"] * 2 * len(criteria)
+    with pytest.raises(ValueError, match="outside GF"):
+        f.orbit_key
 
 
 def test_another_exponents_table_evicts_nothing(monkeypatch):

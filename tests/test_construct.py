@@ -113,6 +113,18 @@ def test_affine_eval_outside_subfield(f10):
         affine_eval(L, 2)
 
 
+@pytest.mark.parametrize("value", [5000, 1024, -1, -1023])
+def test_values_outside_the_field_are_refused(f10, value):
+    # a negative value would index subfield_mask from the end (-1023 reads
+    # slot 1, which is in GF(4)), a large one past it
+    with pytest.raises(ValueError, match=f"coefficient {value} lies outside"):
+        AffinePerm(f10, (1, 0), value)
+    with pytest.raises(ValueError, match=f"coefficient {value} lies outside"):
+        AffinePerm(f10, (value, 0), 0)
+    with pytest.raises(ValueError, match=f"^{value} is not a subfield element"):
+        affine_eval(parse_affine_expr(f10, "x"), value)
+
+
 def test_parse_affine_expr(f10):
     beta = f10.subfield_generator
     b2 = gf2n.mul(f10, beta, beta)
@@ -265,6 +277,25 @@ def test_lut_function_rejects_tables_outside_the_field(f5):
             LutFunction(f5, table)
     with pytest.raises(ValueError, match="integers"):
         LutFunction(f5, np.arange(32, dtype=float))
+
+
+def test_lut_function_rejects_tables_not_one_dimensional(f5):
+    # a (32, 2) table has 32 rows and passed the length check
+    for shape in ((32, 2), (2, 32), (1, 32), ()):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            LutFunction(f5, np.zeros(shape, dtype=np.int64))
+
+
+def test_lut_function_tables_are_read_only(tmp_path, f10):
+    table = np.arange(1024)
+    path = tmp_path / "f.lut"
+    built = construct.instance(f10, 2, "x+b")
+    write_lut(built, path)
+    for f in (built, read_lut(path, f10), LutFunction(f10, table)):
+        with pytest.raises(ValueError, match="read-only"):
+            f.table[0] = 1
+    assert not table.flags.writeable  # the array handed in, not a copy
+    assert not built.patch.flags.writeable  # shared by every criterion that reads it
 
 
 # ---------------------------------------------------------------------------
