@@ -4,7 +4,7 @@ The criteria take exactly the tables that equal the Dobbertin power
 map P = x^d, d = dobbertin_exponent(k), outside the subfield GF(2^k),
 as every constructed f does; any other table, a hand-built one or one
 read by read_lut included, has no patch (LutFunction.patch raises
-ValueError), and every criterion but the permutation scan refuses it.
+ValueError), and every criterion refuses it.
 So d is fixed by the field, and every kernel reads it from ctx.k (as e,
 since d names the points D in the code) and P from vec_pow_all.  f then
 differs from P only on the points D = f.patch of GF(2^k), and each
@@ -13,7 +13,12 @@ criterion has one kernel:
 * differential spectrum: DDT row 1 of P gives every row, and only the
   pairs through D move a cell: by memoised histograms in the rows
   outside GF(2^k) (generic rows), cell by cell in the rows of GF(2^k)*
-  and where two pairs share a cell (exact rows);
+  and where two pairs share a cell (exact rows).  Such collision rows
+  arise only where f takes a value outside GF(2^k): by Lemma 1 the
+  solutions that would place one outside GF(2^k) do not exist for
+  values inside it (see _collision_rows), so a constructed f has none.
+  A cell counts at most max(row 1) + 2 |D|, so omega is kept
+  max(row 1) + 2 |D| + 1 long, not 2^n + 1;
 * Walsh maximum max |W(u, v)|, read by nonlinearity: gcd(d, 2^n - 1),
   which is 1 or 3, fast transforms of P plus an exact correction over
   D on the few orbits of (u, v) that can still hold the maximum, each a
@@ -23,8 +28,8 @@ criterion has one kernel:
   of the two terms the subset-XOR (Moebius) transform of the whole
   table, all output coordinates in parallel (anf_degree, along the last
   axis of any stack of tables);
-* permutation status: a bijectivity scan, which reads no structure and
-  takes any table.
+* permutation status: from the structure, gcd(d, 2^n - 1) = 1 and f
+  maps GF(2^k) onto itself, read off the 2^k values of f there.
 
 omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates.
@@ -43,7 +48,8 @@ first f of an orbit met on a context and stored in the memo under
 (criterion, f.orbit_key): the spectrum up to delta, max |W|, the
 degree.  A later f of the orbit reads them.  f finds its patch and its
 orbit key on first use and keeps them, so one f read by several
-criteria or claims is compared with x^d once and keyed once.  A cold
+criteria or claims is compared with x^d at most once and keyed once;
+build_f hands f its patch, so a built f is never compared.  A cold
 context gives the same reports.
 """
 
@@ -112,9 +118,18 @@ def _collision_rows(f: LutFunction) -> np.ndarray:
     beta / alpha^d.  P = x^d is APN, so each beta has at most one solution
     pair {z, z + 1}, read off the memoised inverse of DDT row 1 of P,
     and there are at most 6 |D| (|D| - 1) collision rows.
+
+    None arise when every f(s), s in D, lies in GF(2^k), as for every
+    constructed f.  P maps GF(2^k) onto itself (d = 3 mod 2^k - 1), so
+    beta and b = beta / alpha^d lie in GF(2^k).  For b != 0, Lemma 1:
+    (z + 1)^d + z^d = b has no solution z outside GF(2^k).  For b = 0,
+    z^d = (z + 1)^d puts (z + 1) / z among the gcd(d, 2^n - 1)-th roots
+    of unity: only 1 for odd k, and the cube roots of unity, in GF(4),
+    a subfield of GF(2^k), for even k; z + 1 = z is impossible, so z
+    lies in GF(2^k).  Every row a = alpha z + s then lies in GF(2^k).
     """
     ctx, tab, d = f.ctx, f.table, f.patch
-    if len(d) < 2:
+    if len(d) < 2 or ctx.subfield_mask[tab[d]].all():
         return d[:0]
     log, exp, q1, e = ctx.log, ctx.exp, ctx.order - 1, dobbertin_exponent(ctx.k)
     p = gf2n.vec_pow_all(ctx, e)
@@ -133,7 +148,15 @@ def _collision_rows(f: LutFunction) -> np.ndarray:
     at = np.flatnonzero(z >= 0)
     z, at = np.concatenate([z[at], z[at] + 1]), np.concatenate([at, at]) % len(s)
     a = np.where(z != 0, exp[(log[z] + log[alpha[at]]) % q1], 0) ^ s[at]
-    return np.flatnonzero((np.bincount(a, minlength=ctx.order) > 0) & ~ctx.subfield_mask)
+    a = np.sort(a[~ctx.subfield_mask[a]])
+    return a[_run_starts(a)]
+
+
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """The indices where a run of equal values starts in the sorted array v."""
+    new = np.ones(len(v), dtype=bool)
+    new[1:] = v[1:] != v[:-1]
+    return np.flatnonzero(new)
 
 
 def differential_spectrum(f: LutFunction) -> DiffSpectrum:
@@ -148,13 +171,19 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     For P = x^d, delta_P(a, b) = delta_P(1, b a^(-d)): omega starts
     as 2^n - 1 times the histogram of row 1, and each pair {s, s + a}, s
     in D, moves its cell P(s) + P(s + a) down and f(s) + f(s + a) up.
+    A cell counts at most max(row 1) + 2 |D|: each of the at most |D|
+    pairs through D adds at most 2 to the count row 1 gives it.  So omega
+    is kept that long, which also holds a histogram's move up by 2 when
+    D is not empty.
     * Generic rows, a outside GF(2^k): with a = s u (a = u for s = 0)
       the old counts are row1[(r + P(u + 1)) / u^d], r = 1 before and
       r = f(s) / s^d after (row1[(r + P(u)) / u^d], r = 0 and f(0), for
-      s = 0); memoised histograms over u move all those rows at once.
+      s = 0); memoised histograms over u move all those rows at once,
+      the moves of every s summed and applied together.
     * Exact rows, GF(2^k)* and the collision rows where two listings
       share a cell (their generic moves taken back), are listed in one
-      array, at most 2^k (2^k - 1)(1 + 6 * 2^k) listings.
+      array, at most 2^k (2^k - 1)(1 + 6 * 2^k) listings, sorted so that
+      the listings of one cell are adjacent.
     """
     ctx, tab, log, d = f.ctx, f.table, f.ctx.log, f.patch
     q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
@@ -163,7 +192,7 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     def ddt_row1() -> tuple:
         pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
         row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
-        return row1, np.bincount(row1, minlength=q + 1) * q1
+        return row1, np.bincount(row1) * q1
 
     def relabel(b, elog):  # b / a^d for elog = d log a, 0 where b is 0
         return np.where(b != 0, ctx.exp[(log[b] - elog) % q1], 0)
@@ -176,41 +205,57 @@ def _spectrum(f: LutFunction) -> np.ndarray:
         # w = 1 / u: counts row1[r P(w) + P(w + 1)], row1[r P(w) + 1] for s = 0
         def build() -> np.ndarray:
             elog, p1 = ctx.memo("outside", outside)
-            cell = ctx.exp[(elog + int(log[r])) % q1] if r else np.zeros_like(elog)
-            return np.bincount(row1[cell ^ (p1 if shift else 1)])
+            if r:  # in place: at n = 20 each fresh temporary can cost 2^n / 512 page faults
+                t = elog + int(log[r])
+                t %= q1
+                cell = ctx.exp[t]
+                cell ^= p1 if shift else 1
+            else:
+                cell = p1 if shift else np.ones_like(elog)
+            return np.bincount(row1[cell])
 
         return ctx.memo(("hist", r, shift), build)
 
     row1, omega_p = ctx.memo("ddt_row1", ddt_row1)
-    omega = omega_p.copy()
-    for s, fs in zip(d.tolist(), tab[d].tolist()):
+    size = len(omega_p) + 2 * len(d)  # max(row 1) + 2 |D| + 1
+    omega = np.zeros(size, dtype=np.int64)
+    omega[: len(omega_p)] = omega_p
+    # h[i] cells move from count i down to i - 2 (a before cell counts >= 2)
+    # or up to i + 2
+    down, up = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+    r = np.where(d != 0, relabel(tab[d], e * log[d] % q1), tab[d])
+    for s, rs in zip(d.tolist(), r.tolist()):
         shift = int(s != 0)
-        r = int(relabel(fs, e * int(log[s]) % q1)) if s else fs
-        for h, w in ((hist(shift, shift), -2), (hist(r, shift), 2)):
-            # h[i] cells move from count i to i + w (a before cell counts >= 2)
-            omega[: len(h)] -= h
-            omega[max(w, 0) : len(h) + w] += h[max(-w, 0) :]
+        h = hist(shift, shift)
+        down[: len(h)] += h
+        h = hist(rs, shift)
+        up[: len(h)] += h
+    omega -= down + up
+    omega[:-2] += down[2:]
+    omega[2:] += up[:-2]
 
-    a = np.concatenate([np.flatnonzero(ctx.subfield_mask)[1:], _collision_rows(f)])
+    rows = _collision_rows(f)
+    a = np.concatenate([ctx.subfield_index[1:], rows])
     x = d ^ a[:, None]
     # a pair {s, s + a} stands for its two inputs; one with both ends
     # in D is listed from each end, and each listing counts once
     w = np.where(tab[x] != p[x], 1, 2).ravel()
-    before = ((a[:, None] << ctx.n) | (p[d] ^ p[x])).ravel()
-    after = ((a[:, None] << ctx.n) | (tab[d] ^ tab[x])).ravel()
-    keys, inv = np.unique(np.concatenate([before, after]), return_inverse=True)
-    w = np.concatenate([-w, w])
-    net = np.bincount(inv, w, minlength=len(keys)).astype(np.int64)
-    ra = keys >> ctx.n
-    old = row1[relabel(keys & q1, e * log[ra] % q1)]
-    np.add.at(omega, old, -1)
-    np.add.at(omega, old + net, 1)
-    # take back the histogram move of each listing in a row outside GF(2^k)
-    generic = ~ctx.subfield_mask[ra[inv]]
-    np.add.at(omega, old[inv][generic], 1)
-    np.add.at(omega, old[inv][generic] + w[generic], -1)
+    keys = np.concatenate([((a[:, None] << ctx.n) | (p[d] ^ p[x])).ravel(),
+                           ((a[:, None] << ctx.n) | (tab[d] ^ tab[x])).ravel()])
+    order = np.argsort(keys)
+    keys, moves = keys[order], np.concatenate([-w, w])[order]
+    first = _run_starts(keys)
+    cells = keys[first]
+    ra = cells >> ctx.n
+    old = row1[relabel(cells & q1, e * log[ra] % q1)]
+    omega -= np.bincount(old, minlength=size)
+    omega += np.bincount(old + np.add.reduceat(moves, first), minlength=size)
+    if len(rows):  # take back the histogram move of each listing in a row outside GF(2^k)
+        generic = ~ctx.subfield_mask[keys >> ctx.n]
+        old = np.repeat(old, np.diff(first, append=len(keys)))[generic]
+        omega += np.bincount(old, minlength=size) - np.bincount(old + moves[generic], minlength=size)
 
-    return omega[: int(np.nonzero(omega[1:])[0].max()) + 2].copy()  # not a view of 2^n counts
+    return omega[: np.flatnonzero(omega)[-1] + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +435,27 @@ def _degree(f: LutFunction) -> int:
     weight = e.bit_count()
     if not len(d):
         return weight
-    sub = np.array(ctx.subfield_elems)
+    sub = ctx.subfield_index
     deg_delta = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ gf2n.vec_pow_all(ctx, e)[sub]))
     return max(weight, deg_delta) if deg_delta != weight else int(anf_degree(f.table))
 
 
 def is_permutation(f: LutFunction) -> bool:
-    q = f.ctx.order
-    seen = np.zeros(q, dtype=bool)
-    seen[f.table] = True
-    return bool(seen.all())
+    """Whether f permutes GF(2^n), from the structure: gcd(d, 2^n - 1) = 1 and
+    f maps GF(2^k) onto itself.
+
+    x^d acts as x^3 on GF(2^k) (d = 3 mod 2^k - 1).  When the gcd is 1,
+    x^d permutes GF(2^n) and GF(2^k), so it maps the rest of the field
+    onto the rest, and f permutes exactly when it permutes GF(2^k).  When
+    it is 3 (even k), y, w y and w^2 y, w a cube root of unity in GF(4),
+    lie off GF(2^k) for y off it and share one image.
+    """
+    ctx = f.ctx
+    f.patch  # raises for a table off the construction
+    if math.gcd(dobbertin_exponent(ctx.k), ctx.order - 1) != 1:
+        return False
+    sub = ctx.subfield_index
+    return bool(np.array_equal(np.sort(f.table[sub]), sub))
 
 
 def nl_lower_bound(k: int) -> int:

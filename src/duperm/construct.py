@@ -13,14 +13,16 @@ exponent d = 2^(4k) + 2^(3k) + 2^(2k) + 2^k - 1:
   against the piecewise table on a fixed sample of points.
 
 Tables are immutable once built (LutFunction makes the table it is
-handed read-only) and serialise to a binary format (magic
-"SBLUT1\\0\\0", one byte n, 2^n little-endian 8-byte values).
+handed read-only, and copies it first when it is a view of another
+array) and serialise to a binary format (magic "SBLUT1\\0\\0", one byte
+n, 2^n little-endian 8-byte values).
 
 For c in GF(2^k)* and i < n the linear maps B(x) = c x^(2^i) and A(y) =
 (c^(-d) y)^(2^(n - i)) fix x^d, so A f B is again x^d off GF(2^k), with
 f's spectrum, nonlinearity and degree.  A LutFunction finds on first use
 and keeps the points where it differs from x^d (patch, ValueError if one
 lies outside GF(2^k)) and the key of its orbit under those maps (orbit_key).
+build_f knows the patch from g's 2^k values and hands it over.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class LutFunction:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.table, np.ndarray):
+            raise ValueError(f"table must be a numpy array, not {type(self.table).__name__}")
+        if not self.table.flags.owndata:  # a writeable base could change a view after patch
+            object.__setattr__(self, "table", self.table.copy())
         if self.table.ndim != 1:
             raise ValueError(f"table must be one-dimensional, not of shape {self.table.shape}")
         if len(self.table) != self.ctx.order:
@@ -98,7 +104,7 @@ class LutFunction:
         def maps() -> tuple:
             # column c n + i: B(s) for each s of the sorted subfield (B(0) = 0),
             # and log A(y) = log y * mult + shift
-            logc = ctx.log[np.array(ctx.subfield_elems[1:])]
+            logc = ctx.log[ctx.subfield_index[1:]]
             frob = 1 << np.arange(ctx.n)  # log sigma^i(y) = 2^i log y
             at = np.zeros((len(logc) + 1, len(logc) * ctx.n), dtype=np.int64)
             at[1:] = ctx.exp[(logc[:, None, None] + frob[:, None] * logc) % q1].reshape(-1, len(logc)).T
@@ -120,28 +126,52 @@ class LutFunction:
         return int(self.table[x])
 
 
+def _assembled(ctx: gf2n.FieldCtx, table: np.ndarray, patch: np.ndarray | None = None) -> LutFunction:
+    """A LutFunction over a new table of checked field elements, with no range
+    scan, and with the patch build_f found on GF(2^k), so no compare with x^d."""
+    f = object.__new__(LutFunction)
+    table.flags.writeable = False
+    f.__dict__.update(ctx=ctx, table=table)
+    if patch is not None:
+        patch.flags.writeable = False
+        f.__dict__["patch"] = patch  # what the cached_property would store
+    return f
+
+
 @dataclass(frozen=True)
 class AffinePerm:
-    """Affine permutation of the subfield GF(2^k): sum c_i x^(2^i) + constant."""
+    """Affine permutation of the subfield GF(2^k): sum c_i x^(2^i) + constant.
+
+    image[i] is the image of the i-th element of the sorted subfield, a
+    read-only array computed once from the exp/log tables.
+    """
 
     ctx: gf2n.FieldCtx
     linear_coeffs: tuple
     constant: int
+    image: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = self.ctx.k
+        ctx, k = self.ctx, self.ctx.k
         if len(self.linear_coeffs) != k:
             raise ValueError(f"need exactly {k} linear coefficients")
         for c in (*self.linear_coeffs, self.constant):
-            if not (0 <= c < self.ctx.order and self.ctx.subfield_mask[c]):  # c < 0 would wrap
+            if not (0 <= c < ctx.order and ctx.subfield_mask[c]):  # c < 0 would wrap
                 raise ValueError(f"coefficient {c} lies outside GF(2^{k})")
-        sub = self.ctx.subfield_elems
-        image = {affine_eval(self, a) for a in sub}
-        if len(image) != len(sub):
+        logs = ctx.log[ctx.subfield_index[1:]]
+        image = np.zeros(len(logs) + 1, dtype=np.int64)
+        for i, c in enumerate(self.linear_coeffs):
+            if c:  # c a^(2^i) = gamma^(log c + 2^i log a)
+                image[1:] ^= ctx.exp[(ctx.log.item(c) + (logs << i)) % (ctx.order - 1)]
+        image ^= self.constant
+        if len(set(image.tolist())) != len(image):  # the values lie in GF(2^k)
             raise ValueError("affine map is not a bijection of the subfield")
+        image.flags.writeable = False
+        object.__setattr__(self, "image", image)
 
 
 def affine_eval(L: AffinePerm, a: int) -> int:
+    """L(a) for one subfield element, by scalar field operations."""
     if not (0 <= a < L.ctx.order and L.ctx.subfield_mask[a]):
         raise ValueError(f"{a} is not a subfield element")
     acc = L.constant
@@ -215,19 +245,36 @@ def build_g(
 ) -> LutFunction:
     """g = L1 o x^(2^m - 1) o L2 on the subfield, zero elsewhere.
 
-    For gcd(k, m) != 1 the inner power map, and so g, is not a subfield
-    permutation.  Those instances are built and analysed all the same;
-    the permutation scan of the analyzer reports the property.
+    Composes the images of L2 and L1 with the inner power map, all on
+    the 2^k subfield points.  For gcd(k, m) != 1 the inner power map,
+    and so g, is not a subfield permutation.  Those instances are built
+    and analysed all the same; is_permutation reports the property.
     """
     if k != ctx.k:
         raise ValueError("k does not match the field context")
     if m < 1:
         raise ValueError("m must be positive")
-    e = (1 << m) - 1
+    sub, q1 = ctx.subfield_index, ctx.order - 1
+    y = L2.image  # the exponent reduced first: an int64 product would wrap for large m
+    inner = np.where(y != 0, ctx.exp[ctx.log[y] * (((1 << m) - 1) % q1) % q1], 0)
     table = np.zeros(ctx.order, dtype=np.int64)
-    for a in ctx.subfield_elems:
-        table[a] = affine_eval(L1, gf2n.pow(ctx, affine_eval(L2, a), e))
-    return LutFunction(ctx, table)
+    table[sub] = L1.image[np.searchsorted(sub, inner)]
+    return _assembled(ctx, table)
+
+
+def _power(ctx, a, e):  # a^e elementwise for e > 0
+    return np.where(a != 0, ctx.exp[ctx.log[a] * e % (ctx.order - 1)], 0)
+
+
+def _closed_form_parts(ctx: gf2n.FieldCtx, x: np.ndarray) -> tuple:
+    """x^d and the indicator (x + x^(2^k))^(2^n - 1), from the exp/log tables."""
+    indicator = _power(ctx, x ^ _power(ctx, x, 1 << ctx.k), ctx.order - 1)
+    return _power(ctx, x, dobbertin_exponent(ctx.k)), indicator
+
+
+def _closed_form(ctx, gx, xd, indicator):  # g(x) + (g(x) + x^d) * indicator, by exp/log
+    a, q1 = gx ^ xd, ctx.order - 1
+    return gx ^ np.where((a != 0) & (indicator != 0), ctx.exp[(ctx.log[a] + ctx.log[indicator]) % q1], 0)
 
 
 def closed_form_eval(ctx: gf2n.FieldCtx, g: LutFunction, x):
@@ -238,42 +285,38 @@ def closed_form_eval(ctx: gf2n.FieldCtx, g: LutFunction, x):
     tables, not read from vec_pow_all, so build_f's check compares two
     independent paths.
     """
-    exp, log = ctx.exp, ctx.log
-    q1 = ctx.order - 1
-
-    def power(a, e):  # a^e elementwise for e > 0
-        return np.where(a != 0, exp[log[a] * e % q1], 0)
-
-    def mul(a, b):
-        return np.where((a != 0) & (b != 0), exp[(log[a] + log[b]) % q1], 0)
-
     x = np.asarray(x, dtype=np.int64)
-    indicator = power(x ^ power(x, 1 << ctx.k), q1)
-    gx = g.table[x]
-    out = gx ^ mul(gx ^ power(x, dobbertin_exponent(ctx.k)), indicator)
+    out = _closed_form(ctx, g.table[x], *_closed_form_parts(ctx, x))
     return int(out) if out.ndim == 0 else out
 
 
 def build_f(ctx: gf2n.FieldCtx, k: int, g: LutFunction) -> LutFunction:
     """Piecewise function: g on the subfield, x^d elsewhere.
 
-    Cross-checks the table against the closed-form evaluation on 64
-    deterministic sample points, drawn once per context (its memo).
+    The patch, the points of GF(2^k) where g differs from x^d, comes from
+    a 2^k compare and goes to f with its table.  The table is checked
+    against the closed-form evaluation on 64 deterministic sample points;
+    the points, with x^d and the indicator there, are drawn and computed
+    once per context (its memo).
     """
     if k != ctx.k:
         raise ValueError("k does not match the field context")
-    d = dobbertin_exponent(k)
-    table = np.where(ctx.subfield_mask, g.table, gf2n.vec_pow_all(ctx, d))
+    sub = ctx.subfield_index
+    table = gf2n.vec_pow_all(ctx, dobbertin_exponent(k)).copy()
+    values = g.table[sub]
+    patch = sub[values != table[sub]]
+    table[sub] = values
 
-    def samples() -> np.ndarray:
+    def samples() -> tuple:
         rng = random.Random(0x5B0C)
-        return np.array([rng.randrange(ctx.order) for _ in range(64)], dtype=np.int64)
+        xs = np.array([rng.randrange(ctx.order) for _ in range(64)], dtype=np.int64)
+        return xs, *_closed_form_parts(ctx, xs)
 
-    xs = ctx.memo("build_f_samples", samples)
-    bad = xs[table[xs] != closed_form_eval(ctx, g, xs)]
+    xs, xd, indicator = ctx.memo("build_f_samples", samples)
+    bad = xs[table[xs] != _closed_form(ctx, g.table[xs], xd, indicator)]
     if len(bad):
         raise RuntimeError(f"piecewise and closed-form paths disagree at {bad[0]}")
-    return LutFunction(ctx, table)
+    return _assembled(ctx, table, patch)
 
 
 def instance(ctx: gf2n.FieldCtx, m: int, l1: str, l2: str = "x") -> LutFunction:

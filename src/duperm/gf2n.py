@@ -208,6 +208,11 @@ class FieldCtx:
     def order(self) -> int:
         return 1 << self.n
 
+    @property
+    def subfield_index(self) -> np.ndarray:
+        """subfield_elems as a read-only array, the index of GF(2^k) into any table."""
+        return self.memo("subfield_index", lambda: np.flatnonzero(self.subfield_mask))
+
     def memo(self, key: str | tuple, build):
         """build(), computed once per context and stored read-only under key.
 

@@ -242,7 +242,7 @@ def coset_intersection_check(ctx: gf2n.FieldCtx, trials: int = 64, seed: int = 0
     claim_id = f"theorem1.coset.k{k}"
     d = dobbertin_exponent(k)
     powd = gf2n.vec_pow_all(ctx, d)
-    sub = np.array(ctx.subfield_elems)
+    sub = ctx.subfield_index
     outside = np.flatnonzero(~ctx.subfield_mask)
     if k > 2:
         # sample reads only the population's length, so indices draw the same points
@@ -278,7 +278,7 @@ def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
     coordinate vectors.  A map of GF(2^k) written in these coordinates is
     a 2^k-entry table the analyzer kernels take as they are.
     """
-    return np.searchsorted(np.array(ctx.subfield_elems), values)
+    return np.searchsorted(ctx.subfield_index, values)
 
 
 def theorem1_check(f, label: str) -> ClaimResult:
@@ -288,8 +288,8 @@ def theorem1_check(f, label: str) -> ClaimResult:
     claim_id = f"theorem1.check.k{ctx.k}.{label.replace(' ', '')}"
     if ctx.k % 2 == 0:
         return _result(claim_id, SKIPPED, {"note": "statement requires odd k"}, t0)
-    g = _subfield_coords(ctx, f.table[list(ctx.subfield_elems)])  # g = f on GF(2^k)
-    if len(np.unique(g)) < len(g):
+    g = _subfield_coords(ctx, f.table[ctx.subfield_index])  # g = f on GF(2^k)
+    if np.bincount(g, minlength=len(g)).max() > 1:
         return _result(claim_id, SKIPPED, {"note": "g is not a subfield permutation"}, t0)
     delta_g = int(np.nonzero(analyzer.omega_counts(g)[1:])[0].max()) + 1
     if delta_g > 6:
@@ -339,7 +339,7 @@ def _term_tables(ctx: gf2n.FieldCtx) -> tuple:
     terms[i][c, y] holds c * y^(2^i) for subfield coordinates c and y.
     Products and powers are sums of discrete logs, 0 where a factor is 0.
     """
-    elems = np.array(ctx.subfield_elems)
+    elems = ctx.subfield_index
     logs, nonzero = ctx.log[elems], elems != 0
 
     def by_logs(exps: np.ndarray, factors_nonzero: np.ndarray) -> np.ndarray:

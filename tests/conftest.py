@@ -46,6 +46,14 @@ def power_function(ctx, e):
     return LutFunction(ctx, gf2n.vec_pow_all(ctx, e))
 
 
+def is_bijective(table):
+    """The bijectivity scan, the oracle of analyzer.is_permutation: every
+    field element is a value of the table."""
+    seen = np.zeros(len(table), dtype=bool)
+    seen[table] = True
+    return bool(seen.all())
+
+
 def ddt_row(f, a):
     """counts[b] = #{x : f(x + a) + f(x) = b}."""
     return np.bincount(f.table[np.arange(f.ctx.order) ^ a] ^ f.table, minlength=f.ctx.order)

@@ -8,13 +8,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     ddt_row,
     ddt_row_spectrum,
     fresh_field,
+    is_bijective,
     power_function,
     random_affine_perm,
     walsh_max,
@@ -37,6 +38,7 @@ from duperm.analyzer import (
     _psi_table,
 )
 from duperm.construct import (
+    AffinePerm,
     LutFunction,
     build_f,
     build_g,
@@ -146,6 +148,34 @@ def test_dobbertin_apn_n5(f5):
     assert ds.delta == 2
 
 
+def test_structural_permutation_status_matches_the_scan(f5, f10, f15):
+    # is_permutation reads gcd(d, 2^n - 1) and f on GF(2^k); the oracle
+    # scans the whole table: every map of GF(2^k) into itself at k = 1 and
+    # 2 placed on the subfield, and values from anywhere at k = 1, 2, 3
+    seen = {True: 0, False: 0}
+    for ctx in (f5, f10):
+        p, sub = power_function(ctx, dobbertin_exponent(ctx.k)).table, list(ctx.subfield_elems)
+        maps = list(itertools.product(sub, repeat=len(sub)))
+        assert len(maps) == {1: 4, 2: 256}[ctx.k]
+        for values in maps:
+            table = p.copy()
+            table[sub] = values
+            f = LutFunction(ctx, table)
+            assert is_permutation(f) == is_bijective(table), (ctx.k, values)
+            seen[is_permutation(f)] += 1
+    for ctx in (f5, f10, f15):
+        for seed in range(12):
+            for size in (1, 2, 1 << ctx.k):
+                f, _ = power_off_subfield(ctx, seed, size, anywhere=True)
+                assert is_permutation(f) == is_bijective(f.table), (ctx.k, seed, size)
+                seen[is_permutation(f)] += 1
+        for seed in range(12):  # values in GF(2^k): at k = 3 some permute
+            f, _ = power_off_subfield(ctx, seed, 2, anywhere=False)
+            assert is_permutation(f) == is_bijective(f.table), (ctx.k, seed)
+            seen[is_permutation(f)] += 1
+    assert min(seen.values()) >= 10
+
+
 def test_dobbertin_n10_apn_non_permutation(f10):
     f = power_function(f10, 339)
     assert differential_spectrum(f).delta == 2
@@ -210,6 +240,11 @@ def power_off_subfield(ctx, seed, size, anywhere):
     size=st.integers(0, 4),
     anywhere=st.booleans(),
 )
+# every point of GF(2^k) changed, to values from the whole field, so that
+# the exact listings and their cells' counts are as large as they get
+@example(k=1, seed=0, size=2, anywhere=True)
+@example(k=2, seed=0, size=4, anywhere=True)
+@example(k=2, seed=8, size=4, anywhere=True)
 def test_structured_spectrum_arbitrary_subfield_values(k, seed, size, anywhere):
     f, d = power_off_subfield(fresh_field(k), seed, size, anywhere)
     assert f.patch.tolist() == d.tolist()
@@ -230,15 +265,68 @@ def test_structured_spectrum_every_row_exact(monkeypatch):
                 assert differential_spectrum(f) == ddt_row_spectrum(f), (k, seed, size)
 
 
+def test_structured_spectrum_largest_cells():
+    # f constant on GF(2^k): in each row a of GF(2^k)* every subfield pair
+    # lands in cell 0, the largest count a cell reaches here
+    for k in (1, 2):
+        ctx = fresh_field(k)
+        p = power_function(ctx, dobbertin_exponent(k)).table
+        for c in (0, 1, ctx.generator, ctx.order - 1):
+            table = p.copy()
+            table[ctx.subfield_mask] = c
+            f = LutFunction(ctx, table)
+            ds = differential_spectrum(f)
+            assert ds == ddt_row_spectrum(f), (k, c)
+            assert ds.delta >= 1 << k
+
+
 def listing_collisions(f):
     """Rows a outside GF(2^k) where two of the cells P(s) + P(s + a) and
-    f(s) + P(s + a), P = x^d, s in D, agree; found by sorting each row's cells."""
+    f(s) + P(s + a), P = x^d, s in D, agree; found by sorting each row's
+    cells, in blocks of rows so that n = 20 stays small."""
     ctx = f.ctx
     p = power_function(ctx, dobbertin_exponent(ctx.k)).table
     d = np.flatnonzero(f.table != p)
-    a = np.flatnonzero(~ctx.subfield_mask)[:, None]
-    cells = np.sort(np.concatenate([p[d] ^ p[d ^ a], f.table[d] ^ p[d ^ a]], axis=1), axis=1)
-    return a[(cells[:, 1:] == cells[:, :-1]).any(axis=1), 0].tolist()
+    outside = np.flatnonzero(~ctx.subfield_mask)
+    rows = []
+    for lo in range(0, len(outside), 1 << 15):
+        a = outside[lo : lo + (1 << 15), None]
+        cells = np.sort(np.concatenate([p[d] ^ p[d ^ a], f.table[d] ^ p[d ^ a]], axis=1), axis=1)
+        rows += a[(cells[:, 1:] == cells[:, :-1]).any(axis=1), 0].tolist()
+    return rows
+
+
+def every_affine_perm(ctx):
+    perms = []
+    for *coeffs, constant in itertools.product(ctx.subfield_elems, repeat=ctx.k + 1):
+        try:
+            perms.append(AffinePerm(ctx, tuple(coeffs), constant))
+        except ValueError:
+            continue
+    return perms
+
+
+def test_constructed_functions_have_no_collision_rows(f5, f10, f15):
+    # Lemma 1 rules collision rows out for values in GF(2^k), so the kernel
+    # returns none without a search; the oracle searches every row: every
+    # (m, L1, L2) at k = 1 and 2, a seeded sample at k = 3
+    built = 0
+    for ctx in (f5, f10):
+        perms = every_affine_perm(ctx)
+        assert len(perms) == {1: 2, 2: 24}[ctx.k]
+        for m, L1, L2 in itertools.product((1, 2, 3), perms, perms):
+            f = build_f(ctx, ctx.k, build_g(ctx, ctx.k, m, L1, L2))
+            assert listing_collisions(f) == [], (ctx.k, m, L1, L2)
+            built += 1
+    patched = 0
+    for seed in range(24):
+        L1, L2 = (random_affine_perm(f15, 2 * seed + i) for i in (0, 1))
+        f = build_f(f15, 3, build_g(f15, 3, 1 + seed % 3, L1, L2))
+        assert listing_collisions(f) == [], (seed, L1, L2)
+        built += 1
+        patched += len(f.patch) >= 2
+    assert built == 3 * 2 * 2 + 3 * 24 * 24 + 24
+    assert patched >= 20  # rows can collide only where |D| >= 2
 
 
 def test_collision_rows_match_listings(f5, f10):
@@ -307,8 +395,13 @@ N20_CRITERIA = {
 }
 
 
-def test_structured_criteria_pinned_n20():
-    ctx = gf2n.mk_field(4)
+@pytest.fixture(scope="module")
+def f20():
+    return gf2n.mk_field(4)
+
+
+def test_structured_criteria_pinned_n20(f20):
+    ctx = f20
     for (m, l1), (size, spectrum, delta, wmax, degree) in N20_CRITERIA.items():
         f = instance(ctx, m, l1)
         assert len(f.patch) == size
@@ -317,6 +410,16 @@ def test_structured_criteria_pinned_n20():
         assert_spectrum_identities(ds, ctx.order)
         assert walsh_max_abs(f) == wmax, (m, l1)
         assert algebraic_degree(f) == degree, (m, l1)
+
+
+def test_lemma1_and_no_collision_rows_n20(f20):
+    # the argument of _collision_rows at k = 4: Lemma 1 holds on GF(2^20),
+    # and the pinned instances, whose values lie in GF(16), list no row
+    assert prover.lemma1_exhaustive(f20).status == "pass"
+    for m, l1 in N20_CRITERIA:
+        f = instance(f20, m, l1)
+        assert f20.subfield_mask[f.table[f.patch]].all()
+        assert listing_collisions(f) == [], (m, l1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +458,8 @@ def test_permutation_balancedness(f5, f10):
     assert is_permutation(fperm5)
     ws = walsh_table(fperm5)
     assert (ws[:, 0] == 0).all()
-    fperm10 = power_function(f10, 5)  # gcd(5, 1023) = 1
-    assert is_permutation(fperm10)
+    fperm10 = power_function(f10, 5)  # gcd(5, 1023) = 1; not x^d, so the oracle
+    assert is_bijective(fperm10.table)
     ws10 = walsh_table(fperm10)
     rng = random.Random(3)
     for v in [rng.randrange(1, 1024) for _ in range(64)]:
@@ -580,7 +683,9 @@ def refused_table(ctx, kind, arg):
 def test_criteria_refuse_tables_off_the_construction(f5, f10, k, kind, arg):
     ctx = f5 if k == 1 else f10
     f = LutFunction(ctx, refused_table(ctx, kind, arg))
-    for criterion in (differential_spectrum, walsh_max_abs, nonlinearity, algebraic_degree, analyze):
+    for criterion in (
+        differential_spectrum, walsh_max_abs, nonlinearity, algebraic_degree, is_permutation, analyze
+    ):
         with pytest.raises(ValueError, match=f"x\\^{dobbertin_exponent(k)}"):
             criterion(f)
 
@@ -924,14 +1029,15 @@ def spy_on_patch_and_key(monkeypatch):
 
 def test_one_instance_is_compared_and_keyed_once(monkeypatch):
     # theorem 1 reads the spectrum, proposition 2 the nonlinearity and
-    # analyze all three criteria: one comparison with x^d and one key in all
+    # analyze all three criteria: build_f hands f its patch, so a built f
+    # is never compared with x^d, and it is keyed once in all
     calls = spy_on_patch_and_key(monkeypatch)
     f = instance(fresh_field(2), 2, "x+b")
     prover.theorem1_check(f, "k2 m2 x+b")
     prover.prop2_bound_check(f, "k2 m2 x+b")
     analyze(f)
     analyze(f)
-    assert calls == ["patch", "orbit_key"]
+    assert calls == ["orbit_key"]
 
 
 def test_refused_table_raises_on_every_call_and_is_never_keyed(f10, monkeypatch):

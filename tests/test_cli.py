@@ -245,6 +245,20 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_claim_run_leaves_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma on first use, about 15 ms that
+    # landed in the elapsed_ms of whichever claim called it first
+    probe = (
+        "import sys\n"
+        "from duperm import prover\n"
+        "prover.run_claims()\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = _run_python(["-c", probe])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_verify_failing_claim_exits_one():
     code, out, err = run_cli(["verify", "--claims", "prop1.remark2.k3.m2"])
     assert code == 1

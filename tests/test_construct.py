@@ -181,6 +181,16 @@ def test_build_g_direct_composition(f10):
         assert int(g.table[a]) == gf2n.pow(f10, a, 3) ^ 1
 
 
+@pytest.mark.parametrize("m", [60, 64, 100])
+def test_build_g_large_m_matches_scalar_powers(f10, m):
+    # log y (2^m - 1) would wrap in int64 for large m unless reduced first
+    L1 = parse_affine_expr(f10, "b*x+1")
+    L2 = parse_affine_expr(f10, "x^2+b")
+    g = build_g(f10, 2, m, L1, L2)
+    for a in f10.subfield_elems:
+        assert int(g.table[a]) == affine_eval(L1, gf2n.pow(f10, affine_eval(L2, a), (1 << m) - 1))
+
+
 def test_build_g_inner_map_apn_on_subfield(f15):
     ident = parse_affine_expr(f15, "x")
     g = build_g(f15, 3, 2, ident, ident)
@@ -296,6 +306,23 @@ def test_lut_function_tables_are_read_only(tmp_path, f10):
             f.table[0] = 1
     assert not table.flags.writeable  # the array handed in, not a copy
     assert not built.patch.flags.writeable  # shared by every criterion that reads it
+
+
+def test_lut_function_copies_a_view(f5):
+    # a view's base stays writeable: a write through it must not reach
+    # f.table after patch was cached
+    base = power_function(f5, 29).table.copy()
+    f = LutFunction(f5, base[:])
+    assert f.patch.tolist() == []
+    base[3] ^= 1
+    assert int(f.table[3]) == gf2n.pow(f5, 3, 29)
+    assert f.patch.tolist() == []
+    assert base.flags.writeable  # the base is not made read-only either
+
+
+def test_lut_function_refuses_what_is_not_an_array(f5):
+    with pytest.raises(ValueError, match="numpy array, not list"):
+        LutFunction(f5, [0] * 32)
 
 
 # ---------------------------------------------------------------------------
