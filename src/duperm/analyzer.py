@@ -11,18 +11,14 @@ differs from P only on the points D = f.patch of GF(2^k), and each
 criterion has one kernel:
 
 * differential spectrum: DDT row 1 of P gives every row, and only the
-  pairs through D move a cell: by memoised histograms in the rows
-  outside GF(2^k) (generic rows), cell by cell in the rows of GF(2^k)*
-  and where two pairs share a cell (exact rows).  Such collision rows
-  arise only where f takes a value outside GF(2^k): by Lemma 1 the
-  solutions that would place one outside GF(2^k) do not exist for
-  values inside it (see _collision_rows), so a constructed f has none.
-  A cell counts at most max(row 1) + 2 |D|, so omega is kept
-  max(row 1) + 2 |D| + 1 long, not 2^n + 1;
+  pairs through D move a cell; memoised histograms move the rows outside
+  GF(2^k) (generic rows), and the rows of GF(2^k)* come from GF(2^k)
+  (below).  A cell counts at most max(row 1) + 2 |D|, so omega is that
+  long (at least 2^k + 1), not 2^n + 1;
 * Walsh maximum max |W(u, v)|, read by nonlinearity: gcd(d, 2^n - 1),
-  which is 1 or 3, fast transforms of P plus an exact correction over
-  D on the few orbits of (u, v) that can still hold the maximum, each a
-  sum of slices of memoised int8 sign sequences;
+  which is 1 or 3, fast transforms of P give W_P on every orbit of
+  (u, v); the few orbits that can still hold the maximum are kept, and
+  the correction W_f - W_P comes from GF(2^k) (below);
 * algebraic degree: the paper's degree formula, max(wt(d), (n - k) +
   deg H) with H = f + x^d on GF(2^k), a 2^k-entry transform; on a tie
   of the two terms the subset-XOR (Moebius) transform of the whole
@@ -31,6 +27,43 @@ criterion has one kernel:
 * permutation status: from the structure, gcd(d, 2^n - 1) = 1 and f
   maps GF(2^k) onto itself, read off the 2^k values of f there.
 
+When f maps GF(2^k) into itself, as every constructed f does,
+f.subfield_maps holds G = f and C = x^d on GF(2^k) as 2^k-entry tables
+in subfield coordinates (x^d acts as x^3 there), and two identities
+reduce the rest to them.
+
+Rows of GF(2^k)*: for a in GF(2^k)* and b in GF(2^k), x and x + a lie
+in GF(2^k) together, and no x outside it solves P(x + a) + P(x) = b.
+For b != 0, x = a z gives (z + 1)^d + z^d = b / a^d in GF(2^k)*, which
+by Lemma 1 has no solution z outside GF(2^k); for b = 0, (x + a) / x
+would be a gcd(d, 2^n - 1)-th root of unity other than 1: none for odd
+k, a cube root of unity w in GF(4), a subfield of GF(2^k), for even k,
+and then x = a / (w + 1) lies in GF(2^k).  So those cells hold the DDT
+of G, the other cells of those rows that of P, and omega trades
+omega_counts(C) for omega_counts(G).  The same argument, with a
+collision target b = beta / alpha^d in GF(2^k), leaves no generic row
+where two listings share a cell.
+
+Walsh correction: E(u, v) = W_f - W_P = sum over y in GF(2^k) of
+((-1)^Tr(v f(y)) - (-1)^Tr(v y^d)) (-1)^Tr(u y).  For y in GF(2^k),
+Tr_n(v y) = Tr_k(y Tr_{n/k}(v)), so in subfield coordinates
+Tr_n(v sub[i]) = <V(v), i>, bit t of V(v) being Tr(v sub[2^t]) (U the
+same map, for u).  So E = Delta[V(v), U(u)], Delta = W_G - W_C the
+difference of the 2^k x 2^k Walsh tables of G and C, and E depends on
+(u, v) only through its class (U(u), V(v)).  For each class the memo
+keeps top and bottom, the largest and the least W_P over the kept
+orbits that hold it, and max |W_f| is the largest of top + Delta and
+-(bottom + Delta).  The cover rule: the kept orbits are walked in
+descending order of W_P for top, ascending for bottom; the first orbit
+that holds a class sets it, the walk stops once every class is set, and
+a class no kept orbit holds is left out.
+
+A table with a value outside GF(2^k) on the subfield (built by hand or
+read by read_lut) has no subfield_maps and keeps the direct kernels: it
+lists the rows of GF(2^k)* cell by cell, with the collision rows
+(_listed_rows, _collision_rows), and sums the correction over D on each
+kept orbit from slices of memoised int8 sign sequences (_orbit_walsh).
+
 omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates.
 Everything runs in one process.
@@ -38,8 +71,9 @@ Everything runs in one process.
 What depends on the field and x^d alone is kept in the context's memo
 (gf2n.FieldCtx.memo), keyed by name alone, since x^d is the only power
 map admitted: x^d, DDT row 1 with its histogram and inverse, the
-generic histograms (at most 2 * 2^n, one per value met), psi, the sign
-sequences and the orbits any f over the field could keep.
+generic histograms (at most 2 * 2^n, one per value met), C with its
+omega, psi, the sign sequences, the orbits any f over the field could
+keep and top and bottom of each class on them.
 
 What depends on f is kept per orbit of the linear equivalences
 f -> A f B that fix x^d (see construct): f and A f B have the same
@@ -55,6 +89,7 @@ context gives the same reports.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -91,17 +126,13 @@ class DiffSpectrum:
 def omega_counts(table: np.ndarray) -> np.ndarray:
     """omega[i] = #{(a, b), a != 0 : #{x : t(x + a) + t(x) = b} = i}.
 
-    t is an integer table of length 2^j with values below 2^j; the scan
-    goes row by row over every nonzero a.
+    t is an integer table of length 2^j with values below 2^j; one
+    bincount counts the (2^j - 1) 2^j cells (a, b), a second their counts.
     """
     q = len(table)
-    idx = np.arange(q)
-    omega = np.zeros(q + 1, dtype=np.int64)
-    for a in range(1, q):
-        row = np.bincount(table[idx ^ a] ^ table, minlength=q)
-        hist = np.bincount(row)
-        omega[: len(hist)] += hist
-    return omega
+    x = np.arange(q)
+    cells = (x[1:, None] * q) | (table[x ^ x[1:, None]] ^ table)
+    return np.bincount(np.bincount(cells.ravel(), minlength=q * q)[q:], minlength=q + 1)
 
 
 def _per_orbit(f: LutFunction, criterion: str, kernel) -> np.ndarray:
@@ -117,19 +148,13 @@ def _collision_rows(f: LutFunction) -> np.ndarray:
     or f(s) + P(s'): then y = alpha z, and z solves P(z) + P(z + 1) =
     beta / alpha^d.  P = x^d is APN, so each beta has at most one solution
     pair {z, z + 1}, read off the memoised inverse of DDT row 1 of P,
-    and there are at most 6 |D| (|D| - 1) collision rows.
-
-    None arise when every f(s), s in D, lies in GF(2^k), as for every
-    constructed f.  P maps GF(2^k) onto itself (d = 3 mod 2^k - 1), so
-    beta and b = beta / alpha^d lie in GF(2^k).  For b != 0, Lemma 1:
-    (z + 1)^d + z^d = b has no solution z outside GF(2^k).  For b = 0,
-    z^d = (z + 1)^d puts (z + 1) / z among the gcd(d, 2^n - 1)-th roots
-    of unity: only 1 for odd k, and the cube roots of unity, in GF(4),
-    a subfield of GF(2^k), for even k; z + 1 = z is impossible, so z
-    lies in GF(2^k).  Every row a = alpha z + s then lies in GF(2^k).
+    and there are at most 6 |D| (|D| - 1) collision rows.  Only a table
+    with a value outside GF(2^k) on the subfield reaches this search:
+    with every value inside, Lemma 1 puts every solution z, and so every
+    such row, in GF(2^k) (see _spectrum).
     """
     ctx, tab, d = f.ctx, f.table, f.patch
-    if len(d) < 2 or ctx.subfield_mask[tab[d]].all():
+    if len(d) < 2:
         return d[:0]
     log, exp, q1, e = ctx.log, ctx.exp, ctx.order - 1, dobbertin_exponent(ctx.k)
     p = gf2n.vec_pow_all(ctx, e)
@@ -159,6 +184,11 @@ def _run_starts(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def _relabel(ctx: gf2n.FieldCtx, b: np.ndarray, elog) -> np.ndarray:
+    """b / a^d for elog = d log a, elementwise; 0 where b is 0."""
+    return np.where(b != 0, ctx.exp[(ctx.log[b] - elog) % (ctx.order - 1)], 0)
+
+
 def differential_spectrum(f: LutFunction) -> DiffSpectrum:
     """omega_i counts over all (a, b) pairs with a != 0, plus the maximum."""
     omega = _per_orbit(f, "spectrum", _spectrum)
@@ -173,17 +203,17 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     in D, moves its cell P(s) + P(s + a) down and f(s) + f(s + a) up.
     A cell counts at most max(row 1) + 2 |D|: each of the at most |D|
     pairs through D adds at most 2 to the count row 1 gives it.  So omega
-    is kept that long, which also holds a histogram's move up by 2 when
-    D is not empty.
+    is kept that long (and at least 2^k + 1), which also holds a
+    histogram's move up by 2 when D is not empty.
     * Generic rows, a outside GF(2^k): with a = s u (a = u for s = 0)
       the old counts are row1[(r + P(u + 1)) / u^d], r = 1 before and
       r = f(s) / s^d after (row1[(r + P(u)) / u^d], r = 0 and f(0), for
       s = 0); memoised histograms over u move all those rows at once,
       the moves of every s summed and applied together.
-    * Exact rows, GF(2^k)* and the collision rows where two listings
-      share a cell (their generic moves taken back), are listed in one
-      array, at most 2^k (2^k - 1)(1 + 6 * 2^k) listings, sorted so that
-      the listings of one cell are adjacent.
+    * Rows of GF(2^k)*: when f maps GF(2^k) into itself, omega trades
+      omega_counts(C) for omega_counts(G) (see the module docstring);
+      otherwise they are listed cell by cell with the collision rows
+      (_listed_rows).
     """
     ctx, tab, log, d = f.ctx, f.table, f.ctx.log, f.patch
     q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
@@ -193,9 +223,6 @@ def _spectrum(f: LutFunction) -> np.ndarray:
         pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
         row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
         return row1, np.bincount(row1) * q1
-
-    def relabel(b, elog):  # b / a^d for elog = d log a, 0 where b is 0
-        return np.where(b != 0, ctx.exp[(log[b] - elog) % q1], 0)
 
     def outside() -> tuple:  # for w outside GF(2^k): d log w and P(w + 1)
         w = np.flatnonzero(~ctx.subfield_mask)
@@ -217,13 +244,13 @@ def _spectrum(f: LutFunction) -> np.ndarray:
         return ctx.memo(("hist", r, shift), build)
 
     row1, omega_p = ctx.memo("ddt_row1", ddt_row1)
-    size = len(omega_p) + 2 * len(d)  # max(row 1) + 2 |D| + 1
+    size = max(len(omega_p) + 2 * len(d), (1 << ctx.k) + 1)
     omega = np.zeros(size, dtype=np.int64)
     omega[: len(omega_p)] = omega_p
     # h[i] cells move from count i down to i - 2 (a before cell counts >= 2)
     # or up to i + 2
     down, up = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-    r = np.where(d != 0, relabel(tab[d], e * log[d] % q1), tab[d])
+    r = np.where(d != 0, _relabel(ctx, tab[d], e * log[d] % q1), tab[d])
     for s, rs in zip(d.tolist(), r.tolist()):
         shift = int(s != 0)
         h = hist(shift, shift)
@@ -234,6 +261,26 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     omega[:-2] += down[2:]
     omega[2:] += up[:-2]
 
+    maps = f.subfield_maps
+    if maps is None:
+        omega += _listed_rows(f, row1, size)
+    else:
+        g, c = maps
+        omega[: len(g) + 1] += omega_counts(g) - ctx.memo("subfield_omega", lambda: omega_counts(c))
+    return omega[: np.flatnonzero(omega)[-1] + 1]
+
+
+def _listed_rows(f: LutFunction, row1: np.ndarray, size: int) -> np.ndarray:
+    """The moves of omega in the rows of GF(2^k)* and the collision rows.
+
+    For a table with a value outside GF(2^k) on the subfield.  The rows
+    are listed cell by cell in one array, at most 2^k (2^k - 1)(1 + 6 *
+    2^k) listings, sorted so that the listings of one cell are adjacent;
+    in a collision row the histogram move of each listing is taken back.
+    """
+    ctx, tab, log, d = f.ctx, f.table, f.ctx.log, f.patch
+    q1, e = ctx.order - 1, dobbertin_exponent(ctx.k)
+    p = gf2n.vec_pow_all(ctx, e)
     rows = _collision_rows(f)
     a = np.concatenate([ctx.subfield_index[1:], rows])
     x = d ^ a[:, None]
@@ -247,15 +294,14 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     first = _run_starts(keys)
     cells = keys[first]
     ra = cells >> ctx.n
-    old = row1[relabel(cells & q1, e * log[ra] % q1)]
-    omega -= np.bincount(old, minlength=size)
-    omega += np.bincount(old + np.add.reduceat(moves, first), minlength=size)
+    old = row1[_relabel(ctx, cells & q1, e * log[ra] % q1)]
+    moved = np.bincount(old + np.add.reduceat(moves, first), minlength=size)
+    moved -= np.bincount(old, minlength=size)
     if len(rows):  # take back the histogram move of each listing in a row outside GF(2^k)
         generic = ~ctx.subfield_mask[keys >> ctx.n]
         old = np.repeat(old, np.diff(first, append=len(keys)))[generic]
-        omega += np.bincount(old, minlength=size) - np.bincount(old + moves[generic], minlength=size)
-
-    return omega[: np.flatnonzero(omega)[-1] + 1]
+        moved += np.bincount(old, minlength=size) - np.bincount(old + moves[generic], minlength=size)
+    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +309,31 @@ def _spectrum(f: LutFunction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fwht_lastaxis(a: np.ndarray) -> np.ndarray:
-    """In-place fast transform along the last axis (length a power of two)."""
+    """Fast transform along the last axis (length a power of two), as a new
+    array of a's dtype.
+
+    The index splits into digits of up to 5 bits, and each pass multiplies
+    one digit by the Hadamard matrix of its size, so one BLAS product in
+    float64 does the butterflies of five stages.  The sums are exact: every
+    partial sum is an integer below 2^53.
+    """
     q = a.shape[-1]
-    h = 1
+    h = min(q, 32)
+    x = a.reshape(-1, h) @ _hadamard(h)
     while h < q:
-        view = a.reshape(a.shape[:-1] + (q // (2 * h), 2, h))
-        top = view[..., 0, :].copy()
-        view[..., 0, :] += view[..., 1, :]
-        view[..., 1, :] = top - view[..., 1, :]
-        h *= 2
-    return a
+        r = min(q // h, 32)
+        x = _hadamard(r) @ x.reshape(-1, r, h)
+        h *= r
+    return x.reshape(a.shape).astype(a.dtype)
+
+
+@functools.cache
+def _hadamard(q: int) -> np.ndarray:
+    """H[a, b] = (-1)^<a, b> for a, b < q, in float64, read-only."""
+    a = np.arange(q)
+    h = 1.0 - 2 * (np.bitwise_count(a[:, None] & a) & 1)
+    h.flags.writeable = False
+    return h
 
 
 def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
@@ -349,6 +410,47 @@ def _orbit_walsh(f: LutFunction, j: int, w: int, wp_jw: int) -> np.ndarray:
     return walsh
 
 
+def _walsh_cover(ctx: gf2n.FieldCtx, orbits: np.ndarray, wp: np.ndarray) -> tuple:
+    """(top, bottom) per class U + 2^k V by the cover rule (module docstring);
+    -+2^(n + 1) for a class that no kept orbit holds.
+
+    Along an orbit (w gamma^i, gamma^(j + d i)), U is a rotation of the
+    sequence U(gamma^i), whose bits are rotations of Tr(gamma^i), and V
+    one gather of it.
+    """
+    k, q1, cells, e = ctx.k, ctx.order - 1, 1 << 2 * ctx.k, dobbertin_exponent(ctx.k)
+    tr = ctx.trace_bits[ctx.exp]
+    useq = tr.astype(np.int64)  # U(gamma^i), bit 0 Tr(gamma^i) since sub[1] = 1
+    for t in range(1, k):
+        lt = int(ctx.log[ctx.subfield_index[1 << t]])
+        useq |= np.concatenate((tr[lt:], tr[:lt])) << t
+    vseq, held = {}, {}
+
+    def classes_of(i: int) -> np.ndarray:
+        if i not in held:
+            j, w = divmod(int(orbits[i]), ctx.order)
+            if j not in vseq:
+                vseq[j] = useq[np.arange(j, j + e * q1, e) % q1] << k
+            cls = vseq[j]
+            if w:
+                lw = int(ctx.log[w])
+                cls = cls + np.concatenate((useq[lw:], useq[:lw]))
+            held[i] = np.bincount(cls, minlength=cells) > 0
+        return held[i]
+
+    sides = []
+    for sign in (1, -1):
+        side, free = np.full(cells, -sign << (ctx.n + 1)), np.ones(cells, dtype=bool)
+        for i in np.argsort(-sign * wp, kind="stable").tolist():
+            new = classes_of(i) & free
+            side[new] = wp[i]
+            free ^= new
+            if not free.any():
+                break
+        sides.append(side)
+    return tuple(sides)
+
+
 def walsh_max_abs(f: LutFunction) -> int:
     """max |W_f(u, v)| over all u and nonzero v."""
     return int(_per_orbit(f, "walsh", _walsh)[0])
@@ -360,17 +462,25 @@ def _walsh(f: LutFunction) -> int:
     With g = gcd(d, 2^n - 1), 1 or 3, and gamma the generator, every
     nonzero v is gamma^j c^d with j < g, and W_P(u, gamma^j c^d) =
     W_P(u / c, gamma^j).  So g transforms give wp[j, w] = W_P(w, gamma^j),
-    and on the orbit {(w c, gamma^j c^d)} W_f = wp[j, w] + C with
-    |C| <= 2 |D|.  The orbits with |wp| >= max |wp| - 4 |D| are evaluated
-    exactly, largest |wp| first, until none left can win.  The memo keeps
-    the orbits any f over the field could keep, in descending order of
-    |wp|, so the orbits of one f are a prefix found by one binary search.
+    and on the orbit {(w c, gamma^j c^d)} W_f = wp[j, w] + E, where E =
+    sum_s ((-1)^Tr(v f(s)) - (-1)^Tr(v s^d)) (-1)^Tr(u s) over s in D and
+    |E| <= 2 |D|.  Only the orbits with |wp| >= max |wp| - 4 |D| can hold
+    max |W_f|; the memo keeps the orbits any f over the field could keep
+    (|D| <= 2^k), in descending order of |wp|.
+
+    When f maps GF(2^k) into itself, E = Delta[V(v), U(u)] with Delta =
+    W_G - W_C (see the module docstring and _walsh_cover), and max |W_f|
+    is the largest of top + Delta and -(bottom + Delta) over the classes.
+    Any other table evaluates the orbits with |wp| + 2 |D| above the best
+    so far exactly, largest |wp| first, until none left can win; the
+    orbits of one f are a prefix of the memoised ones, found by one
+    binary search.
     """
     ctx, d, e = f.ctx, f.patch, dobbertin_exponent(f.ctx.k)
     g = math.gcd(e, ctx.order - 1)
 
     def candidates() -> tuple:
-        # |D| <= 2^k, so no f over this field keeps an orbit below max |wp| - 4 * 2^k
+        # no f over this field keeps an orbit below max |wp| - 4 * 2^k
         wp = _walsh_rows(ctx, gf2n.vec_pow_all(ctx, e), ctx.exp[:g]).ravel()
         mag = np.abs(wp)
         keep = np.flatnonzero(mag >= mag.max() - (4 << ctx.k))
@@ -378,6 +488,12 @@ def _walsh(f: LutFunction) -> int:
         return order, wp[order], -mag[order]
 
     orbits, wp, neg_mag = ctx.memo("walsh_orbits", candidates)
+    maps = f.subfield_maps
+    if maps is not None:
+        top, bottom = ctx.memo("walsh_cover", lambda: _walsh_cover(ctx, orbits, wp))
+        h = _hadamard(1 << ctx.k)  # W_G[beta, alpha] = sum_i H[beta, G[i]] H[i, alpha]
+        delta = ((h[:, maps[0]] - h[:, maps[1]]) @ h).ravel()
+        return max(int((top + delta).max()), -int((bottom + delta).min()))
     cmax = 2 * len(d)
     kept = int(np.searchsorted(neg_mag, 2 * cmax + int(neg_mag[0]), side="right"))
     best = 0
@@ -411,8 +527,15 @@ def anf_degree(tables: np.ndarray) -> np.ndarray:
         view = anf.reshape(anf.shape[:-1] + (q // (2 * h), 2, h))
         view[..., 1, :] ^= view[..., 0, :]
         h *= 2
+    return np.where(anf != 0, _bit_weights(q), 0).max(axis=-1)
+
+
+@functools.cache
+def _bit_weights(q: int) -> np.ndarray:
+    """The bit count of each index below q, read-only."""
     weights = np.bitwise_count(np.arange(q, dtype=np.uint64))
-    return np.where(anf != 0, weights, 0).max(axis=-1)
+    weights.flags.writeable = False
+    return weights
 
 
 def algebraic_degree(f: LutFunction) -> int:
@@ -435,8 +558,9 @@ def _degree(f: LutFunction) -> int:
     weight = e.bit_count()
     if not len(d):
         return weight
-    sub = ctx.subfield_index
-    deg_delta = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ gf2n.vec_pow_all(ctx, e)[sub]))
+    maps, sub = f.subfield_maps, ctx.subfield_index
+    h = maps[0] ^ maps[1] if maps is not None else f.table[sub] ^ gf2n.vec_pow_all(ctx, e)[sub]
+    deg_delta = ctx.n - ctx.k + int(anf_degree(h))
     return max(weight, deg_delta) if deg_delta != weight else int(anf_degree(f.table))
 
 

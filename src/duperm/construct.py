@@ -13,9 +13,10 @@ exponent d = 2^(4k) + 2^(3k) + 2^(2k) + 2^k - 1:
   against the piecewise table on a fixed sample of points.
 
 Tables are immutable once built (LutFunction makes the table it is
-handed read-only, and copies it first when it is a view of another
-array) and serialise to a binary format (magic "SBLUT1\\0\\0", one byte
-n, 2^n little-endian 8-byte values).
+handed read-only, and copies it first, as int64, when it is a view of
+another array or holds another integer dtype) and serialise to a
+binary format (magic "SBLUT1\\0\\0", one byte n, 2^n little-endian
+8-byte values).
 
 For c in GF(2^k)* and i < n the linear maps B(x) = c x^(2^i) and A(y) =
 (c^(-d) y)^(2^(n - i)) fix x^d, so A f B is again x^d off GF(2^k), with
@@ -39,7 +40,6 @@ __all__ = [
     "LutFunction",
     "AffinePerm",
     "dobbertin_exponent",
-    "affine_eval",
     "parse_affine_expr",
     "build_g",
     "build_f",
@@ -63,8 +63,6 @@ class LutFunction:
     def __post_init__(self):
         if not isinstance(self.table, np.ndarray):
             raise ValueError(f"table must be a numpy array, not {type(self.table).__name__}")
-        if not self.table.flags.owndata:  # a writeable base could change a view after patch
-            object.__setattr__(self, "table", self.table.copy())
         if self.table.ndim != 1:
             raise ValueError(f"table must be one-dimensional, not of shape {self.table.shape}")
         if len(self.table) != self.ctx.order:
@@ -73,6 +71,10 @@ class LutFunction:
             raise ValueError(f"table must hold integers, not {self.table.dtype}")
         if self.table.min() < 0 or self.table.max() >= self.ctx.order:
             raise ValueError("table entry outside the field")
+        # the kernels index and XOR in int64; a view is copied too, since a
+        # writeable base could change it after patch
+        if self.table.dtype != np.int64 or not self.table.flags.owndata:
+            object.__setattr__(self, "table", self.table.astype(np.int64))
         self.table.flags.writeable = False
 
     @functools.cached_property
@@ -122,6 +124,28 @@ class LutFunction:
         image[v == 0] = 0
         return image[:, np.lexsort(image[::-1])[0]].tobytes()
 
+    @functools.cached_property
+    def subfield_maps(self) -> tuple | None:
+        """(G, C): f and x^d on GF(2^k) in sorted-subfield coordinates, or None
+        when f takes a value outside GF(2^k) there.
+
+        G[i] = j when f(sub[i]) = sub[j], sub the sorted subfield.  The sorted
+        subfield is a linear coordinate system, sub[i ^ j] = sub[i] ^ sub[j]:
+        every nonzero element leads with a pivot bit of the echelon basis, so
+        the order is that of the coordinate vectors.  C is x^d there, which
+        acts as x^3 (d = 3 mod 2^k - 1); it depends on the field alone and is
+        kept in the memo.  Every f that build_f makes has these tables.
+        """
+        ctx, sub = self.ctx, self.ctx.subfield_index
+        values = self.table[sub]
+        if not ctx.subfield_mask[values].all():
+            return None
+        power = ctx.memo("subfield_power", lambda: np.searchsorted(
+            sub, gf2n.vec_pow_all(ctx, dobbertin_exponent(ctx.k))[sub]))
+        coords = np.searchsorted(sub, values)
+        coords.flags.writeable = False
+        return coords, power
+
     def __call__(self, x: int) -> int:
         return int(self.table[x])
 
@@ -170,17 +194,6 @@ class AffinePerm:
         object.__setattr__(self, "image", image)
 
 
-def affine_eval(L: AffinePerm, a: int) -> int:
-    """L(a) for one subfield element, by scalar field operations."""
-    if not (0 <= a < L.ctx.order and L.ctx.subfield_mask[a]):
-        raise ValueError(f"{a} is not a subfield element")
-    acc = L.constant
-    for i, c in enumerate(L.linear_coeffs):
-        if c:
-            acc ^= gf2n.mul(L.ctx, c, gf2n.frobenius(L.ctx, a, i))
-    return acc
-
-
 def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
     """Parse 'c*x^(2^i)' sums like "x+1", "b*x+b" or "b^2*x^2 + b".
 
@@ -227,13 +240,10 @@ def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
     return AffinePerm(ctx, tuple(coeffs), constant)
 
 
-_DOB_TERMS = (4, 3, 2, 1)
-
-
 def dobbertin_exponent(k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
-    return sum(1 << (j * k) for j in _DOB_TERMS) - 1
+    return (1 << 4 * k) + (1 << 3 * k) + (1 << 2 * k) + (1 << k) - 1
 
 
 def build_g(

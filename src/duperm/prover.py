@@ -270,13 +270,9 @@ def coset_intersection_check(ctx: gf2n.FieldCtx, trials: int = 64, seed: int = 0
 # ---------------------------------------------------------------------------
 
 def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
-    """Subfield elements as their indices in the sorted subfield.
-
-    The sorted subfield is a linear coordinate system,
-    sub[i ^ j] == sub[i] ^ sub[j]: every nonzero subfield element leads
-    with a pivot bit of the echelon basis, so the order is that of the
-    coordinate vectors.  A map of GF(2^k) written in these coordinates is
-    a 2^k-entry table the analyzer kernels take as they are.
+    """Subfield elements as their indices in the sorted subfield, the linear
+    coordinates of construct.LutFunction.subfield_maps.  A map of GF(2^k)
+    written in them is a 2^k-entry table the analyzer kernels take as they are.
     """
     return np.searchsorted(ctx.subfield_index, values)
 
@@ -288,10 +284,10 @@ def theorem1_check(f, label: str) -> ClaimResult:
     claim_id = f"theorem1.check.k{ctx.k}.{label.replace(' ', '')}"
     if ctx.k % 2 == 0:
         return _result(claim_id, SKIPPED, {"note": "statement requires odd k"}, t0)
-    g = _subfield_coords(ctx, f.table[ctx.subfield_index])  # g = f on GF(2^k)
-    if np.bincount(g, minlength=len(g)).max() > 1:
+    maps = f.subfield_maps  # g = f on GF(2^k), in subfield coordinates
+    if maps is None or np.bincount(maps[0], minlength=len(maps[0])).max() > 1:
         return _result(claim_id, SKIPPED, {"note": "g is not a subfield permutation"}, t0)
-    delta_g = int(np.nonzero(analyzer.omega_counts(g)[1:])[0].max()) + 1
+    delta_g = int(np.flatnonzero(analyzer.omega_counts(maps[0])).max())
     if delta_g > 6:
         return _result(claim_id, SKIPPED, {"note": f"delta_g = {delta_g} outside statement"}, t0)
     bound = 4 if delta_g <= 4 else 6

@@ -84,6 +84,18 @@ def walsh_max(f):
     return int(np.abs(walsh_table(f)).max())
 
 
+def affine_eval(L, a):
+    """L(a) for one subfield element, by scalar field operations: the
+    oracle of AffinePerm.image."""
+    if not (0 <= a < L.ctx.order and L.ctx.subfield_mask[a]):
+        raise ValueError(f"{a} is not a subfield element")
+    acc = L.constant
+    for i, c in enumerate(L.linear_coeffs):
+        if c:
+            acc ^= gf2n.mul(L.ctx, c, gf2n.frobenius(L.ctx, a, i))
+    return acc
+
+
 def random_affine_perm(ctx, seed):
     """Seed-deterministic affine permutation of GF(2^k), k = ctx.k."""
     rng = random.Random(seed)

@@ -253,15 +253,17 @@ def test_structured_spectrum_arbitrary_subfield_values(k, seed, size, anywhere):
 
 def test_structured_spectrum_every_row_exact(monkeypatch):
     # every row outside GF(2^k) taken for a collision row: the exact listing
-    # must take back each move the histograms made and recount all rows
+    # must take back each move the histograms made and recount all rows;
+    # only tables with a value outside GF(2^k) on the subfield list rows
     monkeypatch.setattr(
         analyzer, "_collision_rows", lambda f: np.flatnonzero(~f.ctx.subfield_mask)
     )
     for k in (1, 2):
-        for seed in range(4):
-            for size in (0, 1, 2, 1 << k):
+        for seed in range(8):
+            for size in (1, 2, 1 << k):
                 ctx = fresh_field(k)
-                f, _ = power_off_subfield(ctx, seed, size, anywhere=bool(seed % 2))
+                f, _ = power_off_subfield(ctx, seed, size, anywhere=True)
+                assert f.subfield_maps is None, (k, seed, size)
                 assert differential_spectrum(f) == ddt_row_spectrum(f), (k, seed, size)
 
 
@@ -327,6 +329,49 @@ def test_constructed_functions_have_no_collision_rows(f5, f10, f15):
         patched += len(f.patch) >= 2
     assert built == 3 * 2 * 2 + 3 * 24 * 24 + 24
     assert patched >= 20  # rows can collide only where |D| >= 2
+
+
+def subfield_ddt(t):
+    """DDT[a, b] of a 2^k-entry table, row by row."""
+    x = np.arange(len(t))
+    return np.array([np.bincount(t[x ^ a] ^ t, minlength=len(t)) for a in x])
+
+
+def subfield_tables(ctx, count, seed):
+    """Maps of GF(2^k) into itself as 2^k-entry tables in subfield
+    coordinates: every one at k = 1 and 2, count drawn from seed at k = 3."""
+    q = 1 << ctx.k
+    if ctx.k <= 2:
+        return [np.array(values) for values in itertools.product(range(q), repeat=q)]
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, q, q) for _ in range(count)]
+
+
+def test_lemma1_block_is_the_ddt_of_g(f5, f10, f15):
+    # for a in GF(2^k)* and b in GF(2^k) no x outside GF(2^k) solves
+    # f(x + a) + f(x) = b, so these cells of f's DDT hold g's counts, and
+    # those of x^d the counts of x^3 (d = 3 mod 2^k - 1), in subfield
+    # coordinates: every map of GF(2) and GF(4) into itself, 24 of GF(8)
+    for ctx in (f5, f10, f15):
+        sub, q = ctx.subfield_index, 1 << ctx.k
+        p = power_function(ctx, dobbertin_exponent(ctx.k))
+        cube = np.searchsorted(sub, [gf2n.pow(ctx, int(s), 3) for s in sub])
+        ddt = subfield_ddt(cube)
+        for a in range(1, q):
+            assert ddt_row(p, sub[a])[sub].tolist() == ddt[a].tolist(), (ctx.k, a)
+        tables = subfield_tables(ctx, 24, ctx.k)
+        assert len(tables) == {1: 4, 2: 256, 3: 24}[ctx.k]
+        for g in tables:
+            table = p.table.copy()
+            table[sub] = sub[g]
+            f = LutFunction(ctx, table)
+            assert [t.tolist() for t in f.subfield_maps] == [g.tolist(), cube.tolist()]
+            ddt = subfield_ddt(g)
+            for a in range(1, q):
+                assert ddt_row(f, sub[a])[sub].tolist() == ddt[a].tolist(), (ctx.k, g, a)
+    # a value outside GF(2^k) leaves f without subfield tables
+    f, _ = power_off_subfield(f10, 8, 4, anywhere=True)
+    assert f.subfield_maps is None
 
 
 def test_collision_rows_match_listings(f5, f10):
@@ -493,6 +538,31 @@ def test_structured_walsh_matches_table(k, m, seeds):
     assert walsh_max_abs(f) == walsh_max(f)
 
 
+def fwht_by_butterflies(a):
+    """The radix-2 butterflies along the last axis, one stage per bit."""
+    a = a.astype(np.int64)
+    q, h = a.shape[-1], 1
+    while h < q:
+        view = a.reshape(a.shape[:-1] + (q // (2 * h), 2, h))
+        top = view[..., 0, :].copy()
+        view[..., 0, :] += view[..., 1, :]
+        view[..., 1, :] = top - view[..., 1, :]
+        h *= 2
+    return a
+
+
+def test_fwht_matches_butterflies():
+    # the float64 blocks of 32 against the integer butterflies, at every
+    # length up to 2^20 and on stacks of rows
+    rng = np.random.default_rng(3)
+    for j in range(21):
+        a = (1 - 2 * rng.integers(0, 2, (3 if j <= 15 else 1, 1 << j))).astype(np.int32)
+        out = analyzer._fwht_lastaxis(a)
+        assert out.dtype == np.int32 and np.array_equal(out, fwht_by_butterflies(a)), j
+    a = rng.integers(-1000, 1000, (2, 3, 1 << 10))
+    assert np.array_equal(analyzer._fwht_lastaxis(a), fwht_by_butterflies(a))
+
+
 def test_psi_table_matches_basis_products(f5, f10, f15):
     # the n-multiply construction: bit i of psi(u) is Tr(u x^i), one
     # full-field product per basis element x^i
@@ -590,10 +660,106 @@ def test_orbit_walsh_matches_table(f10):
             assert np.array_equal(_orbit_walsh(f, j, w, rows[j, w]), full[v - 1, u])
 
 
+def class_of(ctx, y):
+    """U(y) for an array of field elements: bit t is Tr(y sub[2^t]), by
+    exp/log products."""
+    q1, sub = ctx.order - 1, ctx.subfield_index
+    out = np.zeros(len(y), dtype=np.int64)
+    nz = y != 0
+    for t in range(ctx.k):
+        prod = ctx.exp[(ctx.log[y[nz]] + ctx.log[sub[1 << t]]) % q1]
+        out[nz] |= ctx.trace_bits[prod].astype(np.int64) << t
+    return out
+
+
+def subfield_walsh(t):
+    """W[beta, alpha] = sum_i (-1)^(<beta, t[i]> + <alpha, i>), term by term."""
+    q = len(t)
+
+    def sign(x):
+        return -1 if int(x).bit_count() % 2 else 1
+
+    return np.array([[sum(sign(beta & t[i]) * sign(alpha & i) for i in range(q))
+                      for alpha in range(q)] for beta in range(q)])
+
+
+def test_walsh_correction_is_read_off_gf2k(f5, f10):
+    # W_f - W_P = Delta[V(v), U(u)] over the whole table, Delta = W_G - W_C:
+    # every map of GF(2) into itself at n = 5; at n = 10 the subfield table
+    # of every constructed (m, L1, L2), m <= 3, and 16 drawn maps of GF(4)
+    for ctx in (f5, f10):
+        sub, e = ctx.subfield_index, dobbertin_exponent(ctx.k)
+        p = power_function(ctx, e)
+        field = np.arange(ctx.order)
+        u, v = class_of(ctx, field), class_of(ctx, field[1:])
+        if ctx.k == 1:
+            tables = {tuple(g.tolist()) for g in subfield_tables(ctx, 0, 0)}
+        else:
+            perms = every_affine_perm(ctx)
+            tables = {tuple(build_f(ctx, 2, build_g(ctx, 2, m, L1, L2)).subfield_maps[0].tolist())
+                      for m, L1, L2 in itertools.product((1, 2, 3), perms, perms)}
+            rng = np.random.default_rng(5)
+            tables |= {tuple(rng.integers(0, 4, 4).tolist()) for _ in range(16)}
+        assert len(tables) >= {1: 4, 2: 40}[ctx.k]
+        wc = subfield_walsh(p.subfield_maps[1])
+        for g in sorted(tables):
+            table = p.table.copy()
+            table[sub] = sub[list(g)]
+            f = LutFunction(ctx, table)
+            full = walsh_table(f)
+            delta = subfield_walsh(g) - wc
+            assert np.array_equal(full - power_walsh_table(ctx, e), delta[v[:, None], u]), (ctx.k, g)
+            assert walsh_max_abs(f) == int(np.abs(full).max()), (ctx.k, g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_walsh_cover_matches_every_candidate_orbit(k):
+    # top and bottom come from the first orbits of a signed walk; the
+    # oracle takes the extremes of W_P over every candidate orbit holding a
+    # class, with each orbit's classes from exp/log products; a class that
+    # no candidate holds is left out (its entry is -+2^(n + 1))
+    ctx = fresh_field(k)
+    walsh_max_abs(instance(ctx, 1, "x+1"))
+    orbits, wp, _ = ctx._memo["walsh_orbits"]
+    top, bottom = ctx._memo["walsh_cover"]
+    q1, e, cells = ctx.order - 1, dobbertin_exponent(k), 1 << 2 * k
+    want_top, want_bottom = np.full(cells, -(2 << ctx.n)), np.full(cells, 2 << ctx.n)
+    i = np.arange(q1)
+    for orbit, w_p in zip(orbits.tolist(), wp.tolist()):
+        j, w = divmod(orbit, ctx.order)
+        us = ctx.exp[(ctx.log[w] + i) % q1] if w else np.zeros(q1, dtype=np.int64)
+        held = np.unique(class_of(ctx, us) + (class_of(ctx, ctx.exp[(j + e * i) % q1]) << k))
+        want_top[held] = np.maximum(want_top[held], w_p)
+        want_bottom[held] = np.minimum(want_bottom[held], w_p)
+    assert top.tolist() == want_top.tolist()
+    assert bottom.tolist() == want_bottom.tolist()
+    assert len(orbits) == {1: 26, 2: 79, 3: 1}[k]  # so the walk's stop matters at k = 1, 2
+
+
+def test_constructed_functions_take_the_subfield_kernels(monkeypatch):
+    # a constructed f never reaches the listing of exact rows, the collision
+    # search or the orbit sums; a table with a value outside GF(2^k) does
+    reached = []
+    for name in ("_listed_rows", "_collision_rows", "_orbit_walsh"):
+        fn = getattr(analyzer, name)
+        monkeypatch.setattr(analyzer, name, lambda *a, fn=fn, name=name: reached.append(name) or fn(*a))
+    for k in (1, 2, 3):
+        for seed in range(4):
+            ctx = fresh_field(k)
+            L1, L2 = (random_affine_perm(ctx, 2 * seed + i) for i in (0, 1))
+            analyze(build_f(ctx, k, build_g(ctx, k, 1 + seed % 3, L1, L2)))
+    assert reached == []
+    f, _ = power_off_subfield(fresh_field(2), 8, 4, anywhere=True)
+    analyze(f)
+    assert set(reached) == {"_listed_rows", "_collision_rows", "_orbit_walsh"}
+
+
 def test_walsh_evaluates_every_orbit_that_could_win(monkeypatch):
-    # the stop rule: |W_f - W_P| <= 2 |D|, so an orbit with |W_P| + 2 |D|
-    # above the returned maximum could hold a larger |W_f| and must have
-    # been evaluated; a fresh context per table, so that the kernel runs
+    # the stop rule of the orbit loop, which tables with a value outside
+    # GF(2^k) on the subfield take: |W_f - W_P| <= 2 |D|, so an orbit with
+    # |W_P| + 2 |D| above the returned maximum could hold a larger |W_f|
+    # and must have been evaluated; a fresh context per table, so that the
+    # kernel runs
     evaluated = []
     orbit_walsh = analyzer._orbit_walsh
 
@@ -604,10 +770,12 @@ def test_walsh_evaluates_every_orbit_that_could_win(monkeypatch):
     monkeypatch.setattr(analyzer, "_orbit_walsh", spy)
     most = 0  # the most orbits that could win in one table
     for k, e in SUBFIELD_EXPONENTS:
-        for seed in range(12):
+        for seed in range(32):
             ctx = fresh_field(k)
             size = 1 + seed % (1 << k)
-            f, d = power_off_subfield(ctx, seed, size, anywhere=bool(seed % 3))
+            f, d = power_off_subfield(ctx, seed, size, anywhere=True)
+            if f.subfield_maps is not None:  # every value drawn landed in GF(2^k)
+                continue
             evaluated.clear()
             best = walsh_max_abs(f)
             wp = walsh_rows(ctx, power_function(ctx, e).table, ctx.exp[: math.gcd(e, ctx.order - 1)])
@@ -906,8 +1074,9 @@ def test_memo_arrays_are_read_only():
     ctx = fresh_field(2)
     f = instance(ctx, 2, "x+b")
     analyze(f, k=2)
-    # x^d, DDT row 1 and its histogram, psi, signs, orbits, the orbit maps
-    # and the three criteria of f's orbit
+    # x^d, DDT row 1 and its histogram, x^d on GF(4) with its omega, psi,
+    # orbits with their class extremes, the orbit maps and the three
+    # criteria of f's orbit
     arrays = _memo_arrays(ctx)
     assert len(arrays) >= 14
     assert any(a is gf2n.vec_pow_all(ctx, dobbertin_exponent(2)) for a in arrays)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import power_function
+from conftest import affine_eval, fresh_field, power_function, random_affine_perm
 from duperm import construct, gf2n
+from duperm.analyzer import analyze
 from duperm.construct import (
     AffinePerm,
     LutFunction,
-    affine_eval,
     build_f,
     build_g,
     closed_form_eval,
@@ -93,6 +93,14 @@ def test_affine_frobenius_scaling_permutes(f10):
     L = AffinePerm(f10, (0, b2), 0)  # b^2 * x^2
     sub = f10.subfield_elems
     assert {affine_eval(L, a) for a in sub} == set(sub)
+
+
+def test_affine_image_matches_scalar_evaluation(f5, f10, f15):
+    # AffinePerm.image, by exp/log tables, against the scalar oracle
+    for ctx in (f5, f10, f15):
+        for seed in range(8):
+            L = random_affine_perm(ctx, seed)
+            assert L.image.tolist() == [affine_eval(L, a) for a in ctx.subfield_elems]
 
 
 def test_affine_rejects_non_bijections(f10):
@@ -287,6 +295,20 @@ def test_lut_function_rejects_tables_outside_the_field(f5):
             LutFunction(f5, table)
     with pytest.raises(ValueError, match="integers"):
         LutFunction(f5, np.arange(32, dtype=float))
+    # 2^63 would wrap to a negative int64 if converted before the check
+    with pytest.raises(ValueError, match="outside the field"):
+        LutFunction(f5, np.full(32, 2**63, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int32, np.uint16])
+def test_lut_function_stores_int64(dtype):
+    # the kernels index and XOR in int64: a uint64 table made the spectrum
+    # index the log table with floats and the degree XOR uint64 with int64;
+    # fresh contexts, so that the kernels run on the converted table
+    built = construct.instance(fresh_field(2), 2, "b^2*x^2+b", "b*x+1")
+    f = LutFunction(fresh_field(2), built.table.astype(dtype))
+    assert f.table.dtype == np.int64 and not f.table.flags.writeable
+    assert analyze(f).to_json() == analyze(built).to_json()
 
 
 def test_lut_function_rejects_tables_not_one_dimensional(f5):
