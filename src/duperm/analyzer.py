@@ -65,7 +65,8 @@ lists the rows of GF(2^k)* cell by cell, with the collision rows
 kept orbit from slices of memoised int8 sign sequences (_orbit_walsh).
 
 omega_counts and anf_degree take plain integer arrays of length 2^j,
-so they also run on maps of GF(2^k) written in subfield coordinates.
+so they also run on maps of GF(2^k) written in subfield coordinates;
+omega_counts takes O(4^j) memory and is meant for such small tables.
 Everything runs in one process.
 
 What depends on the field and x^d alone is kept in the context's memo
@@ -128,6 +129,8 @@ def omega_counts(table: np.ndarray) -> np.ndarray:
 
     t is an integer table of length 2^j with values below 2^j; one
     bincount counts the (2^j - 1) 2^j cells (a, b), a second their counts.
+    Meant for small tables, the 2^k-entry maps of GF(2^k): the cells and
+    the first bincount take O(4^j) memory.
     """
     q = len(table)
     x = np.arange(q)
@@ -309,22 +312,35 @@ def _listed_rows(f: LutFunction, row1: np.ndarray, size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fwht_lastaxis(a: np.ndarray) -> np.ndarray:
-    """Fast transform along the last axis (length a power of two), as a new
-    array of a's dtype.
+    """In-place fast transform along the last axis (length a power of two)
+    of a C-contiguous integer array; returns a.
 
     The index splits into digits of up to 5 bits, and each pass multiplies
     one digit by the Hadamard matrix of its size, so one BLAS product in
-    float64 does the butterflies of five stages.  The sums are exact: every
-    partial sum is an integer below 2^53.
+    float64 does the butterflies of five stages.  A pass runs on blocks of
+    at most _FWHT_BLOCK entries and writes each back into a, so the float64
+    scratch stays that small whatever the length.  The sums are exact:
+    every partial sum is an integer below 2^53 that a's dtype holds.
     """
     q = a.shape[-1]
     h = min(q, 32)
-    x = a.reshape(-1, h) @ _hadamard(h)
+    rows = a.reshape(-1, h)
+    step = _FWHT_BLOCK // h
+    for i in range(0, len(rows), step):
+        rows[i : i + step] = rows[i : i + step] @ _hadamard(h)
     while h < q:
         r = min(q // h, 32)
-        x = _hadamard(r) @ x.reshape(-1, r, h)
+        blocks = a.reshape(-1, r, h)
+        step, width = max(1, _FWHT_BLOCK // (r * h)), min(h, _FWHT_BLOCK // r)
+        for i in range(0, len(blocks), step):
+            for j in range(0, h, width):
+                view = blocks[i : i + step, :, j : j + width]
+                view[...] = _hadamard(r) @ view
         h *= r
-    return x.reshape(a.shape).astype(a.dtype)
+    return a
+
+
+_FWHT_BLOCK = 1 << 14  # 128 KiB of float64 scratch: the fastest of 2^11 .. 2^18 at n = 15 and 20
 
 
 @functools.cache
@@ -369,9 +385,14 @@ def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarr
     standard-basis index of the character; _psi_table reindexes them.
     """
     nz = tab != 0
-    prod = np.zeros((len(vs), ctx.order), dtype=np.int64)
-    prod[:, nz] = ctx.exp[(ctx.log[tab[nz]] + ctx.log[vs][:, None]) % (ctx.order - 1)]
-    return _fwht_lastaxis(1 - 2 * ctx.trace_bits[prod].astype(np.int32))[:, _psi_table(ctx)]
+    logs = ctx.log[tab[nz]]
+    signs = np.zeros((len(vs), ctx.order), dtype=np.int32)
+    for row, lv in zip(signs, ctx.log[vs].tolist()):  # one row of temporaries at a time
+        row[nz] = ctx.trace_bits[ctx.exp[(logs + lv) % (ctx.order - 1)]]
+    del logs
+    signs *= -2
+    signs += 1
+    return _fwht_lastaxis(signs)[:, _psi_table(ctx)]
 
 
 def _orbit_walsh(f: LutFunction, j: int, w: int, wp_jw: int) -> np.ndarray:
@@ -558,9 +579,8 @@ def _degree(f: LutFunction) -> int:
     weight = e.bit_count()
     if not len(d):
         return weight
-    maps, sub = f.subfield_maps, ctx.subfield_index
-    h = maps[0] ^ maps[1] if maps is not None else f.table[sub] ^ gf2n.vec_pow_all(ctx, e)[sub]
-    deg_delta = ctx.n - ctx.k + int(anf_degree(h))
+    sub = ctx.subfield_index
+    deg_delta = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ gf2n.vec_pow_all(ctx, e)[sub]))
     return max(weight, deg_delta) if deg_delta != weight else int(anf_degree(f.table))
 
 

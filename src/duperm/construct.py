@@ -240,10 +240,13 @@ def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
     return AffinePerm(ctx, tuple(coeffs), constant)
 
 
+_DOB_TERMS = (4, 3, 2, 1)
+
+
 def dobbertin_exponent(k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
-    return (1 << 4 * k) + (1 << 3 * k) + (1 << 2 * k) + (1 << k) - 1
+    return sum(1 << (j * k) for j in _DOB_TERMS) - 1
 
 
 def build_g(

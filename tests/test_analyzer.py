@@ -552,15 +552,17 @@ def fwht_by_butterflies(a):
 
 
 def test_fwht_matches_butterflies():
-    # the float64 blocks of 32 against the integer butterflies, at every
-    # length up to 2^20 and on stacks of rows
+    # the float64 blocks of 32, written back in place, against the integer
+    # butterflies, at every length up to 2^20 and on stacks of rows
     rng = np.random.default_rng(3)
     for j in range(21):
         a = (1 - 2 * rng.integers(0, 2, (3 if j <= 15 else 1, 1 << j))).astype(np.int32)
+        expected = fwht_by_butterflies(a)
         out = analyzer._fwht_lastaxis(a)
-        assert out.dtype == np.int32 and np.array_equal(out, fwht_by_butterflies(a)), j
+        assert out is a and out.dtype == np.int32 and np.array_equal(out, expected), j
     a = rng.integers(-1000, 1000, (2, 3, 1 << 10))
-    assert np.array_equal(analyzer._fwht_lastaxis(a), fwht_by_butterflies(a))
+    expected = fwht_by_butterflies(a)
+    assert np.array_equal(analyzer._fwht_lastaxis(a), expected)
 
 
 def test_psi_table_matches_basis_products(f5, f10, f15):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from duperm import analyzer, gf2n, prover
 from conftest import random_affine_perm
-from duperm.construct import build_f, build_g, instance
+from duperm.construct import LutFunction, build_f, build_g, instance
 from duperm.polysym import MultiPoly
 from duperm.prover import (
     coset_intersection_check,
@@ -177,6 +177,19 @@ def test_theorem1_check_k1(f5):
     assert degenerate.status == "pass"
     assert degenerate.witness["delta_f"] == 2
     assert degenerate.witness["attained"] is False
+
+
+def test_theorem1_check_g_off_subfield_skipped(f5):
+    # x + 1 on GF(2) with the image of 1 moved outside GF(2): g is no map of
+    # the subfield, so delta_g is not defined and the check is skipped
+    table = instance(f5, 1, "x+1").table.copy()
+    table[1] = 2
+    f = LutFunction(f5, table)
+    assert f.subfield_maps is None
+    r = theorem1_check(f, "m1.x+1")
+    assert r.claim_id == "theorem1.check.k1.m1.x+1"
+    assert r.status == "skipped"
+    assert r.witness == {"note": "g is not a subfield permutation"}
 
 
 def test_theorem1_check_even_k_skipped(f10):
