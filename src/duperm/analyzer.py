@@ -1,10 +1,10 @@
 """Criteria computations on the modified Dobbertin functions.
 
 The criteria take exactly the tables that equal the Dobbertin power
-map P = x^d, d = dobbertin_exponent(k), outside the subfield GF(2^k),
-as every constructed f does; any other table, a hand-built one or one
-read by read_lut included, has no patch (LutFunction.patch raises
-ValueError), and every criterion refuses it.
+map P = x^d, d = dobbertin_exponent(k), outside the subfield GF(2^k)
+and map GF(2^k) into itself, as every constructed f does; any other
+table, a hand-built one or one read by read_lut included, has no patch
+(LutFunction.patch raises ValueError), and every criterion refuses it.
 So d is fixed by the field, and every kernel reads it from ctx.k (as e,
 since d names the points D in the code) and P from vec_pow_all.  f then
 differs from P only on the points D = f.patch of GF(2^k), and each
@@ -27,7 +27,6 @@ criterion has one kernel:
 * permutation status: from the structure, gcd(d, 2^n - 1) = 1 and f
   maps GF(2^k) onto itself, read off the 2^k values of f there.
 
-When f maps GF(2^k) into itself, as every constructed f does,
 f.subfield_maps holds G = f and C = x^d on GF(2^k) as 2^k-entry tables
 in subfield coordinates (x^d acts as x^3 there), and two identities
 reduce the rest to them.
@@ -40,9 +39,13 @@ would be a gcd(d, 2^n - 1)-th root of unity other than 1: none for odd
 k, a cube root of unity w in GF(4), a subfield of GF(2^k), for even k,
 and then x = a / (w + 1) lies in GF(2^k).  So those cells hold the DDT
 of G, the other cells of those rows that of P, and omega trades
-omega_counts(C) for omega_counts(G).  The same argument, with a
-collision target b = beta / alpha^d in GF(2^k), leaves no generic row
-where two listings share a cell.
+omega_counts(C) for omega_counts(G).  The same argument makes the
+generic rows, a outside GF(2^k), exact: pairs {s, s + a} and {s', s' +
+a}, s != s' in D, share a cell only when, with y = s + a and alpha =
+s + s', P(y) + P(y + alpha) is beta = P(s) + P(s'), f(s) + f(s') or
+f(s) + P(s'); then y = alpha z with P(z) + P(z + 1) = beta / alpha^d in
+GF(2^k), so z, and with it y and a, lie in GF(2^k).  So in a generic
+row each pair through D moves its own cells.
 
 Walsh correction: E(u, v) = W_f - W_P = sum over y in GF(2^k) of
 ((-1)^Tr(v f(y)) - (-1)^Tr(v y^d)) (-1)^Tr(u y).  For y in GF(2^k),
@@ -58,12 +61,6 @@ descending order of W_P for top, ascending for bottom; the first orbit
 that holds a class sets it, the walk stops once every class is set, and
 a class no kept orbit holds is left out.
 
-A table with a value outside GF(2^k) on the subfield (built by hand or
-read by read_lut) has no subfield_maps and keeps the direct kernels: it
-lists the rows of GF(2^k)* cell by cell, with the collision rows
-(_listed_rows, _collision_rows), and sums the correction over D on each
-kept orbit from slices of memoised int8 sign sequences (_orbit_walsh).
-
 omega_counts and anf_degree take plain integer arrays of length 2^j,
 so they also run on maps of GF(2^k) written in subfield coordinates;
 omega_counts takes O(4^j) memory and is meant for such small tables.
@@ -71,10 +68,10 @@ Everything runs in one process.
 
 What depends on the field and x^d alone is kept in the context's memo
 (gf2n.FieldCtx.memo), keyed by name alone, since x^d is the only power
-map admitted: x^d, DDT row 1 with its histogram and inverse, the
-generic histograms (at most 2 * 2^n, one per value met), C with its
-omega, psi, the sign sequences, the orbits any f over the field could
-keep and top and bottom of each class on them.
+map admitted: x^d, DDT row 1 with its histogram, the generic
+histograms (at most 2 * 2^n, one per value met), C with its omega, psi,
+the orbits any f over the field could keep and top and bottom of each
+class on them.
 
 What depends on f is kept per orbit of the linear equivalences
 f -> A f B that fix x^d (see construct): f and A f B have the same
@@ -143,55 +140,6 @@ def _per_orbit(f: LutFunction, criterion: str, kernel) -> np.ndarray:
     return f.ctx.memo((criterion, f.orbit_key), lambda: np.atleast_1d(kernel(f)))
 
 
-def _collision_rows(f: LutFunction) -> np.ndarray:
-    """Rows a outside GF(2^k) in which two listings of s != s' in D share a cell.
-
-    Cells P(s) + P(s + a) or f(s) + P(s + a) agree when, with y = s + a
-    and alpha = s + s', P(y) + P(y + alpha) is P(s) + P(s'), f(s) + f(s')
-    or f(s) + P(s'): then y = alpha z, and z solves P(z) + P(z + 1) =
-    beta / alpha^d.  P = x^d is APN, so each beta has at most one solution
-    pair {z, z + 1}, read off the memoised inverse of DDT row 1 of P,
-    and there are at most 6 |D| (|D| - 1) collision rows.  Only a table
-    with a value outside GF(2^k) on the subfield reaches this search:
-    with every value inside, Lemma 1 puts every solution z, and so every
-    such row, in GF(2^k) (see _spectrum).
-    """
-    ctx, tab, d = f.ctx, f.table, f.patch
-    if len(d) < 2:
-        return d[:0]
-    log, exp, q1, e = ctx.log, ctx.exp, ctx.order - 1, dobbertin_exponent(ctx.k)
-    p = gf2n.vec_pow_all(ctx, e)
-    i = np.flatnonzero(~np.eye(len(d), dtype=bool))
-    s, s2 = d[i // len(d)], d[i % len(d)]
-    alpha = s ^ s2
-    beta = np.stack([p[s] ^ p[s2], tab[s] ^ tab[s2], tab[s] ^ p[s2]])
-    b = np.where(beta != 0, exp[(log[beta] - e * log[alpha]) % q1], 0).ravel()
-
-    def row1_inverse() -> np.ndarray:  # the even z with P(z) + P(z + 1) = b, or -1
-        inverse = np.full(ctx.order, -1, dtype=np.int64)
-        inverse[p[0::2] ^ p[1::2]] = np.arange(0, ctx.order, 2)
-        return inverse
-
-    z = ctx.memo("row1_inverse", row1_inverse)[b]
-    at = np.flatnonzero(z >= 0)
-    z, at = np.concatenate([z[at], z[at] + 1]), np.concatenate([at, at]) % len(s)
-    a = np.where(z != 0, exp[(log[z] + log[alpha[at]]) % q1], 0) ^ s[at]
-    a = np.sort(a[~ctx.subfield_mask[a]])
-    return a[_run_starts(a)]
-
-
-def _run_starts(v: np.ndarray) -> np.ndarray:
-    """The indices where a run of equal values starts in the sorted array v."""
-    new = np.ones(len(v), dtype=bool)
-    new[1:] = v[1:] != v[:-1]
-    return np.flatnonzero(new)
-
-
-def _relabel(ctx: gf2n.FieldCtx, b: np.ndarray, elog) -> np.ndarray:
-    """b / a^d for elog = d log a, elementwise; 0 where b is 0."""
-    return np.where(b != 0, ctx.exp[(ctx.log[b] - elog) % (ctx.order - 1)], 0)
-
-
 def differential_spectrum(f: LutFunction) -> DiffSpectrum:
     """omega_i counts over all (a, b) pairs with a != 0, plus the maximum."""
     omega = _per_orbit(f, "spectrum", _spectrum)
@@ -212,11 +160,10 @@ def _spectrum(f: LutFunction) -> np.ndarray:
       the old counts are row1[(r + P(u + 1)) / u^d], r = 1 before and
       r = f(s) / s^d after (row1[(r + P(u)) / u^d], r = 0 and f(0), for
       s = 0); memoised histograms over u move all those rows at once,
-      the moves of every s summed and applied together.
-    * Rows of GF(2^k)*: when f maps GF(2^k) into itself, omega trades
-      omega_counts(C) for omega_counts(G) (see the module docstring);
-      otherwise they are listed cell by cell with the collision rows
-      (_listed_rows).
+      the moves of every s summed and applied together.  No two pairs of
+      a generic row share a cell (module docstring), so each move is exact.
+    * Rows of GF(2^k)*: omega trades omega_counts(C) for omega_counts(G)
+      (see the module docstring).
     """
     ctx, tab, log, d = f.ctx, f.table, f.ctx.log, f.patch
     q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
@@ -253,7 +200,8 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     # h[i] cells move from count i down to i - 2 (a before cell counts >= 2)
     # or up to i + 2
     down, up = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-    r = np.where(d != 0, _relabel(ctx, tab[d], e * log[d] % q1), tab[d])
+    # r = f(s) / s^d, and f(0) for s = 0
+    r = np.where((d != 0) & (tab[d] != 0), ctx.exp[(log[tab[d]] - e * log[d]) % q1], tab[d])
     for s, rs in zip(d.tolist(), r.tolist()):
         shift = int(s != 0)
         h = hist(shift, shift)
@@ -264,47 +212,9 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     omega[:-2] += down[2:]
     omega[2:] += up[:-2]
 
-    maps = f.subfield_maps
-    if maps is None:
-        omega += _listed_rows(f, row1, size)
-    else:
-        g, c = maps
-        omega[: len(g) + 1] += omega_counts(g) - ctx.memo("subfield_omega", lambda: omega_counts(c))
+    g, c = f.subfield_maps
+    omega[: len(g) + 1] += omega_counts(g) - ctx.memo("subfield_omega", lambda: omega_counts(c))
     return omega[: np.flatnonzero(omega)[-1] + 1]
-
-
-def _listed_rows(f: LutFunction, row1: np.ndarray, size: int) -> np.ndarray:
-    """The moves of omega in the rows of GF(2^k)* and the collision rows.
-
-    For a table with a value outside GF(2^k) on the subfield.  The rows
-    are listed cell by cell in one array, at most 2^k (2^k - 1)(1 + 6 *
-    2^k) listings, sorted so that the listings of one cell are adjacent;
-    in a collision row the histogram move of each listing is taken back.
-    """
-    ctx, tab, log, d = f.ctx, f.table, f.ctx.log, f.patch
-    q1, e = ctx.order - 1, dobbertin_exponent(ctx.k)
-    p = gf2n.vec_pow_all(ctx, e)
-    rows = _collision_rows(f)
-    a = np.concatenate([ctx.subfield_index[1:], rows])
-    x = d ^ a[:, None]
-    # a pair {s, s + a} stands for its two inputs; one with both ends
-    # in D is listed from each end, and each listing counts once
-    w = np.where(tab[x] != p[x], 1, 2).ravel()
-    keys = np.concatenate([((a[:, None] << ctx.n) | (p[d] ^ p[x])).ravel(),
-                           ((a[:, None] << ctx.n) | (tab[d] ^ tab[x])).ravel()])
-    order = np.argsort(keys)
-    keys, moves = keys[order], np.concatenate([-w, w])[order]
-    first = _run_starts(keys)
-    cells = keys[first]
-    ra = cells >> ctx.n
-    old = row1[_relabel(ctx, cells & q1, e * log[ra] % q1)]
-    moved = np.bincount(old + np.add.reduceat(moves, first), minlength=size)
-    moved -= np.bincount(old, minlength=size)
-    if len(rows):  # take back the histogram move of each listing in a row outside GF(2^k)
-        generic = ~ctx.subfield_mask[keys >> ctx.n]
-        old = np.repeat(old, np.diff(first, append=len(keys)))[generic]
-        moved += np.bincount(old, minlength=size) - np.bincount(old + moves[generic], minlength=size)
-    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -395,42 +305,6 @@ def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarr
     return _fwht_lastaxis(signs)[:, _psi_table(ctx)]
 
 
-def _orbit_walsh(f: LutFunction, j: int, w: int, wp_jw: int) -> np.ndarray:
-    """W_f(w c, gamma^j c^d) for c = gamma^i, i = 0 .. 2^n - 2.
-
-    f equals P = x^d except on the points D; wp_jw = W_P(w, gamma^j).
-    Each term is a sign (-1)^Tr(gamma^(d i + t)) or (-1)^Tr(gamma^(i + t)).
-    With g = gcd(d, 2^n - 1), rho = t mod g and d t' = t - rho, the first
-    is entry i + t' of the base sequence (-1)^Tr(gamma^(d i + rho)), which
-    the memo keeps per rho, like the trace signs, in int8 and long enough
-    that every term is a slice.
-    """
-    ctx, log, q1 = f.ctx, f.ctx.log, f.ctx.order - 1
-    e, d = dobbertin_exponent(ctx.k), f.patch
-    g = math.gcd(e, q1)
-    period = q1 // g
-    step = pow(e // g, -1, period)  # t' = step (t - rho) / g mod period
-    # (-1)^Tr(gamma^t), t = 0 .. 2 (2^n - 1) - 1
-    sgn = ctx.memo("trace_signs", lambda: np.tile(1 - 2 * ctx.trace_bits[ctx.exp].astype(np.int8), 2))
-
-    def term(t: int) -> np.ndarray:
-        rho = t % g
-        base = ctx.memo(("walsh_base", rho),
-                        lambda: np.tile(sgn[e * np.arange(period) % q1 + rho], g + 1))
-        lo = (t - rho) // g * step % period
-        return base[lo : lo + q1]
-
-    walsh = np.full(q1, wp_jw, dtype=np.int64)
-    for s, fs in zip(d.tolist(), f.table[d].tolist()):
-        # ((-1)^Tr(v f(s)) - (-1)^Tr(v s^d)) (-1)^Tr(u s)
-        diff = (term(j + int(log[fs])) if fs else 1) - (term(j + e * int(log[s])) if s else 1)
-        if w and s:
-            t = int(log[w] + log[s]) % q1
-            diff = diff * sgn[t : t + q1]
-        walsh += diff
-    return walsh
-
-
 def _walsh_cover(ctx: gf2n.FieldCtx, orbits: np.ndarray, wp: np.ndarray) -> tuple:
     """(top, bottom) per class U + 2^k V by the cover rule (module docstring);
     -+2^(n + 1) for a class that no kept orbit holds.
@@ -487,17 +361,13 @@ def _walsh(f: LutFunction) -> int:
     sum_s ((-1)^Tr(v f(s)) - (-1)^Tr(v s^d)) (-1)^Tr(u s) over s in D and
     |E| <= 2 |D|.  Only the orbits with |wp| >= max |wp| - 4 |D| can hold
     max |W_f|; the memo keeps the orbits any f over the field could keep
-    (|D| <= 2^k), in descending order of |wp|.
+    (|D| <= 2^k).
 
-    When f maps GF(2^k) into itself, E = Delta[V(v), U(u)] with Delta =
-    W_G - W_C (see the module docstring and _walsh_cover), and max |W_f|
-    is the largest of top + Delta and -(bottom + Delta) over the classes.
-    Any other table evaluates the orbits with |wp| + 2 |D| above the best
-    so far exactly, largest |wp| first, until none left can win; the
-    orbits of one f are a prefix of the memoised ones, found by one
-    binary search.
+    E = Delta[V(v), U(u)] with Delta = W_G - W_C (see the module docstring
+    and _walsh_cover), and max |W_f| is the largest of top + Delta and
+    -(bottom + Delta) over the classes.
     """
-    ctx, d, e = f.ctx, f.patch, dobbertin_exponent(f.ctx.k)
+    ctx, e = f.ctx, dobbertin_exponent(f.ctx.k)
     g = math.gcd(e, ctx.order - 1)
 
     def candidates() -> tuple:
@@ -505,25 +375,14 @@ def _walsh(f: LutFunction) -> int:
         wp = _walsh_rows(ctx, gf2n.vec_pow_all(ctx, e), ctx.exp[:g]).ravel()
         mag = np.abs(wp)
         keep = np.flatnonzero(mag >= mag.max() - (4 << ctx.k))
-        order = keep[np.argsort(-mag[keep], kind="stable")]
-        return order, wp[order], -mag[order]
+        return keep, wp[keep]
 
-    orbits, wp, neg_mag = ctx.memo("walsh_orbits", candidates)
-    maps = f.subfield_maps
-    if maps is not None:
-        top, bottom = ctx.memo("walsh_cover", lambda: _walsh_cover(ctx, orbits, wp))
-        h = _hadamard(1 << ctx.k)  # W_G[beta, alpha] = sum_i H[beta, G[i]] H[i, alpha]
-        delta = ((h[:, maps[0]] - h[:, maps[1]]) @ h).ravel()
-        return max(int((top + delta).max()), -int((bottom + delta).min()))
-    cmax = 2 * len(d)
-    kept = int(np.searchsorted(neg_mag, 2 * cmax + int(neg_mag[0]), side="right"))
-    best = 0
-    for i in range(kept):
-        if cmax - int(neg_mag[i]) <= best:
-            break
-        j, w = divmod(int(orbits[i]), ctx.order)
-        best = max(best, int(np.abs(_orbit_walsh(f, j, w, int(wp[i]))).max()))
-    return best
+    gmap, cmap = f.subfield_maps
+    orbits, wp = ctx.memo("walsh_orbits", candidates)
+    top, bottom = ctx.memo("walsh_cover", lambda: _walsh_cover(ctx, orbits, wp))
+    h = _hadamard(1 << ctx.k)  # W_G[beta, alpha] = sum_i H[beta, G[i]] H[i, alpha]
+    delta = ((h[:, gmap] - h[:, cmap]) @ h).ravel()
+    return max(int((top + delta).max()), -int((bottom + delta).min()))
 
 
 def nonlinearity(f: LutFunction) -> int:

@@ -22,8 +22,10 @@ For c in GF(2^k)* and i < n the linear maps B(x) = c x^(2^i) and A(y) =
 (c^(-d) y)^(2^(n - i)) fix x^d, so A f B is again x^d off GF(2^k), with
 f's spectrum, nonlinearity and degree.  A LutFunction finds on first use
 and keeps the points where it differs from x^d (patch, ValueError if one
-lies outside GF(2^k)) and the key of its orbit under those maps (orbit_key).
-build_f knows the patch from g's 2^k values and hands it over.
+lies outside GF(2^k) or takes a value outside GF(2^k)) and the key of its
+orbit under those maps (orbit_key).  build_f refuses a g with a value
+outside GF(2^k) on it, knows the patch from g's 2^k values and hands it
+over.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class LutFunction:
 
     @functools.cached_property
     def patch(self) -> np.ndarray:
-        """The sorted points where the table differs from x^d: ValueError unless all in GF(2^k)."""
+        """The sorted points where the table differs from x^d: ValueError unless
+        all lie in GF(2^k) and take values in GF(2^k)."""
         ctx, e = self.ctx, dobbertin_exponent(self.ctx.k)
         d = np.flatnonzero(self.table != gf2n.vec_pow_all(ctx, e))
         if not ctx.subfield_mask[d].all():
@@ -87,6 +90,8 @@ class LutFunction:
                 f"the table differs from x^{e} at {int(d[~ctx.subfield_mask[d]][0])}, "
                 f"outside GF(2^{ctx.k}); only f = x^{e} off the subfield is analysed"
             )
+        # off d the table is x^d, which maps GF(2^k) into itself
+        _refuse_values_off_subfield(ctx, d, self.table[d])
         d.flags.writeable = False  # every criterion reads this one array
         return d
 
@@ -95,23 +100,23 @@ class LutFunction:
         """The least image of the subfield table under f -> A f B, as bytes.
 
         B(x) = c sigma^i(x) and A(y) = sigma^(-i)(c^(-d) y), sigma(x) = x^2,
-        for every c in GF(2^k)* and i < n.  On GF(2^k) sigma^k is the
-        identity, but not on the values f may take elsewhere in the field,
-        so i runs up to n.  Two tables share a key exactly when they lie
-        in one orbit; a table that patch refuses gets none.
+        for every c in GF(2^k)* and i < k: f takes its values on GF(2^k)
+        in GF(2^k), where sigma^k is the identity, so i < k gives every
+        image.  Two tables share a key exactly when they lie in one orbit;
+        a table that patch refuses gets none.
         """
         self.patch  # raises for a table off the construction
         ctx, q1, e = self.ctx, self.ctx.order - 1, dobbertin_exponent(self.ctx.k)
 
         def maps() -> tuple:
-            # column c n + i: B(s) for each s of the sorted subfield (B(0) = 0),
+            # column c k + i: B(s) for each s of the sorted subfield (B(0) = 0),
             # and log A(y) = log y * mult + shift
             logc = ctx.log[ctx.subfield_index[1:]]
-            frob = 1 << np.arange(ctx.n)  # log sigma^i(y) = 2^i log y
-            at = np.zeros((len(logc) + 1, len(logc) * ctx.n), dtype=np.int64)
+            frob = 1 << np.arange(ctx.k)  # log sigma^i(y) = 2^i log y
+            at = np.zeros((len(logc) + 1, len(logc) * ctx.k), dtype=np.int64)
             at[1:] = ctx.exp[(logc[:, None, None] + frob[:, None] * logc) % q1].reshape(-1, len(logc)).T
-            mult = np.tile(frob[::-1] * 2 % q1, len(logc))  # 2^(n - i) mod 2^n - 1
-            shift = -e * np.repeat(logc, ctx.n) % q1 * mult % q1
+            mult = np.tile((1 << ctx.n) // frob % q1, len(logc))  # 2^(n - i) mod 2^n - 1
+            shift = -e * np.repeat(logc, ctx.k) % q1 * mult % q1
             # full-shape copies: elementwise without broadcasting is faster here
             return at, *(np.repeat(a[None], len(at), axis=0) for a in (mult, shift))
 
@@ -125,29 +130,37 @@ class LutFunction:
         return image[:, np.lexsort(image[::-1])[0]].tobytes()
 
     @functools.cached_property
-    def subfield_maps(self) -> tuple | None:
-        """(G, C): f and x^d on GF(2^k) in sorted-subfield coordinates, or None
-        when f takes a value outside GF(2^k) there.
+    def subfield_maps(self) -> tuple:
+        """(G, C): f and x^d on GF(2^k) in sorted-subfield coordinates.
 
         G[i] = j when f(sub[i]) = sub[j], sub the sorted subfield.  The sorted
         subfield is a linear coordinate system, sub[i ^ j] = sub[i] ^ sub[j]:
         every nonzero element leads with a pivot bit of the echelon basis, so
         the order is that of the coordinate vectors.  C is x^d there, which
         acts as x^3 (d = 3 mod 2^k - 1); it depends on the field alone and is
-        kept in the memo.  Every f that build_f makes has these tables.
+        kept in the memo.  A table that patch refuses has neither.
         """
+        self.patch  # raises for a table off the construction
         ctx, sub = self.ctx, self.ctx.subfield_index
-        values = self.table[sub]
-        if not ctx.subfield_mask[values].all():
-            return None
         power = ctx.memo("subfield_power", lambda: np.searchsorted(
             sub, gf2n.vec_pow_all(ctx, dobbertin_exponent(ctx.k))[sub]))
-        coords = np.searchsorted(sub, values)
+        coords = np.searchsorted(sub, self.table[sub])
         coords.flags.writeable = False
         return coords, power
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
+
+
+def _refuse_values_off_subfield(ctx: gf2n.FieldCtx, points: np.ndarray, values: np.ndarray) -> None:
+    """ValueError naming the first of the points of GF(2^k) whose value lies outside it."""
+    off = np.flatnonzero(~ctx.subfield_mask[values])
+    if len(off):
+        e, i = dobbertin_exponent(ctx.k), off[0]
+        raise ValueError(
+            f"the value {int(values[i])} at {int(points[i])} lies outside GF(2^{ctx.k}); "
+            f"only f = x^{e} off the subfield with values in GF(2^{ctx.k}) on it is analysed"
+        )
 
 
 def _assembled(ctx: gf2n.FieldCtx, table: np.ndarray, patch: np.ndarray | None = None) -> LutFunction:
@@ -306,17 +319,19 @@ def closed_form_eval(ctx: gf2n.FieldCtx, g: LutFunction, x):
 def build_f(ctx: gf2n.FieldCtx, k: int, g: LutFunction) -> LutFunction:
     """Piecewise function: g on the subfield, x^d elsewhere.
 
-    The patch, the points of GF(2^k) where g differs from x^d, comes from
-    a 2^k compare and goes to f with its table.  The table is checked
-    against the closed-form evaluation on 64 deterministic sample points;
-    the points, with x^d and the indicator there, are drawn and computed
-    once per context (its memo).
+    g must map GF(2^k) into itself (ValueError naming the first point that
+    it does not, as LutFunction.patch).  The patch, the points of GF(2^k)
+    where g differs from x^d, comes from a 2^k compare and goes to f with
+    its table.  The table is checked against the closed-form evaluation on
+    64 deterministic sample points; the points, with x^d and the indicator
+    there, are drawn and computed once per context (its memo).
     """
     if k != ctx.k:
         raise ValueError("k does not match the field context")
     sub = ctx.subfield_index
-    table = gf2n.vec_pow_all(ctx, dobbertin_exponent(k)).copy()
     values = g.table[sub]
+    _refuse_values_off_subfield(ctx, sub, values)
+    table = gf2n.vec_pow_all(ctx, dobbertin_exponent(k)).copy()
     patch = sub[values != table[sub]]
     table[sub] = values
 

@@ -282,12 +282,14 @@ def theorem1_check(f, label: str) -> ClaimResult:
     t0 = time.perf_counter()
     ctx = f.ctx
     claim_id = f"theorem1.check.k{ctx.k}.{label.replace(' ', '')}"
+    # g = f on GF(2^k), in subfield coordinates; read first, so that a table
+    # off the construction is refused at every k
+    g = f.subfield_maps[0]
     if ctx.k % 2 == 0:
         return _result(claim_id, SKIPPED, {"note": "statement requires odd k"}, t0)
-    maps = f.subfield_maps  # g = f on GF(2^k), in subfield coordinates
-    if maps is None or np.bincount(maps[0], minlength=len(maps[0])).max() > 1:
+    if np.bincount(g, minlength=len(g)).max() > 1:
         return _result(claim_id, SKIPPED, {"note": "g is not a subfield permutation"}, t0)
-    delta_g = int(np.flatnonzero(analyzer.omega_counts(maps[0])).max())
+    delta_g = int(np.flatnonzero(analyzer.omega_counts(g)).max())
     if delta_g > 6:
         return _result(claim_id, SKIPPED, {"note": f"delta_g = {delta_g} outside statement"}, t0)
     bound = 4 if delta_g <= 4 else 6

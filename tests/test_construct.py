@@ -270,6 +270,17 @@ def test_build_f_closed_form_catches_a_wrong_power_table(f10, monkeypatch):
         build_f(f10, 2, g)
 
 
+def test_build_f_refuses_g_with_values_outside_the_subfield(f10):
+    # g with the values [0, 1, 5, 700] on the sorted subfield [0, 1, 236,
+    # 237] of GF(2^10): f would take values outside GF(4) there, which no
+    # criterion admits, so build_f refuses g as LutFunction.patch would f
+    sub = f10.subfield_index
+    table = np.zeros(f10.order, dtype=np.int64)
+    table[sub] = [0, 1, 5, 700]
+    with pytest.raises(ValueError, match=rf"value 5 at {sub[2]} lies outside GF\(2\^2\).*x\^339"):
+        build_f(f10, 2, LutFunction(f10, table))
+
+
 def test_build_f_identity_g_gives_power_map(f5):
     ident = parse_affine_expr(f5, "x")
     g = build_g(f5, 1, 1, ident, ident)

@@ -179,17 +179,15 @@ def test_theorem1_check_k1(f5):
     assert degenerate.witness["attained"] is False
 
 
-def test_theorem1_check_g_off_subfield_skipped(f5):
-    # x + 1 on GF(2) with the image of 1 moved outside GF(2): g is no map of
-    # the subfield, so delta_g is not defined and the check is skipped
-    table = instance(f5, 1, "x+1").table.copy()
-    table[1] = 2
-    f = LutFunction(f5, table)
-    assert f.subfield_maps is None
-    r = theorem1_check(f, "m1.x+1")
-    assert r.claim_id == "theorem1.check.k1.m1.x+1"
-    assert r.status == "skipped"
-    assert r.witness == {"note": "g is not a subfield permutation"}
+def test_theorem1_check_g_off_subfield_skipped(f5, f10):
+    # x + 1 with the image of 1 moved outside the subfield: g is no map of
+    # the subfield, and the check refuses f as the criteria do, at odd and
+    # even k alike
+    for ctx in (f5, f10):
+        table = instance(ctx, 1, "x+1").table.copy()
+        table[1] = 2
+        with pytest.raises(ValueError, match=f"value 2 at 1 lies outside GF\\(2\\^{ctx.k}\\)"):
+            theorem1_check(LutFunction(ctx, table), "m1.x+1")
 
 
 def test_theorem1_check_even_k_skipped(f10):
