@@ -1,14 +1,14 @@
 """Criteria computations on the modified Dobbertin functions.
 
-The criteria take exactly the tables that equal the Dobbertin power
-map P = x^d, d = dobbertin_exponent(k), outside the subfield GF(2^k)
-and map GF(2^k) into itself, as every constructed f does; any other
-table, a hand-built one or one read by read_lut included, has no patch
-(LutFunction.patch raises ValueError), and every criterion refuses it.
-So d is fixed by the field, and every kernel reads it from ctx.k (as e,
-since d names the points D in the code) and P from vec_pow_all.  f then
-differs from P only on the points D = f.patch of GF(2^k), and each
-criterion has one kernel:
+Every LutFunction equals the Dobbertin power map P = x^d, d =
+dobbertin_exponent(k), outside the subfield GF(2^k) and maps GF(2^k)
+into itself: that is what it stores, its 2^k values there, and a table
+that is not of this shape is refused where it enters
+(LutFunction.from_table, which read_lut calls), before any criterion
+sees it.  So d is fixed by the field, and every kernel reads it from
+ctx.k (as e, since d names the points D in the code) and P from
+vec_pow_all.  f then differs from P only on the points D of GF(2^k) at
+the positions f.patch, and each criterion has one kernel:
 
 * differential spectrum: DDT row 1 of P gives every row, and only the
   pairs through D move a cell; memoised histograms move the rows outside
@@ -22,8 +22,8 @@ criterion has one kernel:
 * algebraic degree: the paper's degree formula, max(wt(d), (n - k) +
   deg H) with H = f + x^d on GF(2^k), a 2^k-entry transform; on a tie
   of the two terms the subset-XOR (Moebius) transform of the whole
-  table, all output coordinates in parallel (anf_degree, along the last
-  axis of any stack of tables);
+  table, f.table, all output coordinates in parallel (anf_degree, along
+  the last axis of any stack of tables);
 * permutation status: from the structure, gcd(d, 2^n - 1) = 1 and f
   maps GF(2^k) onto itself, read off the 2^k values of f there.
 
@@ -80,9 +80,8 @@ first f of an orbit met on a context and stored in the memo under
 (criterion, f.orbit_key): the spectrum up to delta, max |W|, the
 degree.  A later f of the orbit reads them.  f finds its patch and its
 orbit key on first use and keeps them, so one f read by several
-criteria or claims is compared with x^d at most once and keyed once;
-build_f hands f its patch, so a built f is never compared.  A cold
-context gives the same reports.
+criteria or claims is compared with x^d on GF(2^k) at most once and
+keyed once.  A cold context gives the same reports.
 """
 
 from __future__ import annotations
@@ -165,7 +164,8 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     * Rows of GF(2^k)*: omega trades omega_counts(C) for omega_counts(G)
       (see the module docstring).
     """
-    ctx, tab, log, d = f.ctx, f.table, f.ctx.log, f.patch
+    ctx, log = f.ctx, f.ctx.log
+    d, fd = ctx.subfield_index[f.patch], f.values[f.patch]
     q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
     p = gf2n.vec_pow_all(ctx, e)
 
@@ -201,7 +201,7 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     # or up to i + 2
     down, up = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
     # r = f(s) / s^d, and f(0) for s = 0
-    r = np.where((d != 0) & (tab[d] != 0), ctx.exp[(log[tab[d]] - e * log[d]) % q1], tab[d])
+    r = np.where((d != 0) & (fd != 0), ctx.exp[(log[fd] - e * log[d]) % q1], fd)
     for s, rs in zip(d.tolist(), r.tolist()):
         shift = int(s != 0)
         h = hist(shift, shift)
@@ -434,12 +434,12 @@ def _degree(f: LutFunction) -> int:
     degree of the sum is the larger of the two unless they tie; a tie
     takes the Moebius transform of the whole table.
     """
-    ctx, d, e = f.ctx, f.patch, dobbertin_exponent(f.ctx.k)
+    ctx, e = f.ctx, dobbertin_exponent(f.ctx.k)
     weight = e.bit_count()
-    if not len(d):
+    if not len(f.patch):
         return weight
     sub = ctx.subfield_index
-    deg_delta = ctx.n - ctx.k + int(anf_degree(f.table[sub] ^ gf2n.vec_pow_all(ctx, e)[sub]))
+    deg_delta = ctx.n - ctx.k + int(anf_degree(f.values ^ gf2n.vec_pow_all(ctx, e)[sub]))
     return max(weight, deg_delta) if deg_delta != weight else int(anf_degree(f.table))
 
 
@@ -454,11 +454,9 @@ def is_permutation(f: LutFunction) -> bool:
     lie off GF(2^k) for y off it and share one image.
     """
     ctx = f.ctx
-    f.patch  # raises for a table off the construction
     if math.gcd(dobbertin_exponent(ctx.k), ctx.order - 1) != 1:
         return False
-    sub = ctx.subfield_index
-    return bool(np.array_equal(np.sort(f.table[sub]), sub))
+    return bool(np.array_equal(np.sort(f.values), ctx.subfield_index))
 
 
 def nl_lower_bound(k: int) -> int:

@@ -1,31 +1,29 @@
 """Builders for the analysed functions over GF(2^(5k)).
 
-Two families are materialised as full lookup tables, for the Dobbertin
-exponent d = 2^(4k) + 2^(3k) + 2^(2k) + 2^k - 1:
+For the Dobbertin exponent d = 2^(4k) + 2^(3k) + 2^(2k) + 2^k - 1, the
+analysed f is g on the subfield GF(2^k) and x^d everywhere else, for a
+map g of GF(2^k) into itself, so g's 2^k values fix f:
 
-* subfield maps g = L1 o x^(2^m - 1) o L2 for affine permutations
-  L1, L2 of GF(2^k), stored in big-field coordinates with the
-  non-subfield slots zeroed;
-* the piecewise modification f that agrees with g on the subfield and
-  with x^d everywhere else.  The closed form
+* build_g gives g = L1 o x^(2^m - 1) o L2, for affine permutations L1,
+  L2 of GF(2^k), as its values on the sorted subfield;
+* build_f gives f for any such g.  The closed form
   f(x) = g(x) + (g(x) + x^d) (x + x^(2^k))^(2^n - 1)
   is implemented as an independent evaluation path and cross-checked
-  against the piecewise table on a fixed sample of points.
+  against the piecewise definition on a fixed sample of points.
 
-Tables are immutable once built (LutFunction makes the table it is
-handed read-only, and copies it first, as int64, when it is a view of
-another array or holds another integer dtype) and serialise to a
-binary format (magic "SBLUT1\\0\\0", one byte n, 2^n little-endian
-8-byte values).
+A LutFunction holds f as those 2^k values, read-only int64, and
+LutFunction(ctx, values) is its one constructor, which refuses a value
+outside GF(2^k).  A table of all 2^n values enters only through
+LutFunction.from_table (read_lut calls it), which refuses a table that
+is not x^d off GF(2^k).  f.table is built on first read and kept; the
+criteria read the values.  Tables serialise to a binary format (magic
+"SBLUT1\\0\\0", one byte n, 2^n little-endian 8-byte values).
 
 For c in GF(2^k)* and i < n the linear maps B(x) = c x^(2^i) and A(y) =
 (c^(-d) y)^(2^(n - i)) fix x^d, so A f B is again x^d off GF(2^k), with
 f's spectrum, nonlinearity and degree.  A LutFunction finds on first use
-and keeps the points where it differs from x^d (patch, ValueError if one
-lies outside GF(2^k) or takes a value outside GF(2^k)) and the key of its
-orbit under those maps (orbit_key).  build_f refuses a g with a value
-outside GF(2^k) on it, knows the patch from g's 2^k values and hands it
-over.
+and keeps the positions where it differs from x^d (patch) and the key
+of its orbit under those maps (orbit_key).
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "build_g",
     "build_f",
     "instance",
-    "closed_form_eval",
     "write_lut",
     "read_lut",
     "LUT_MAGIC",
@@ -57,60 +54,74 @@ LUT_MAGIC = b"SBLUT1\x00\x00"
 
 @dataclass(frozen=True, eq=False)
 class LutFunction:
-    """A function GF(2^n) -> GF(2^n) materialised as a read-only table of 2^n values."""
+    """f on GF(2^n): values[i] at sub[i], sub the sorted subfield, and x^d elsewhere.
+
+    values is stored as a read-only int64 array of 2^k elements of
+    GF(2^k); ValueError names the first point whose value is not one.
+    """
 
     ctx: gf2n.FieldCtx
-    table: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.table, np.ndarray):
-            raise ValueError(f"table must be a numpy array, not {type(self.table).__name__}")
-        if self.table.ndim != 1:
-            raise ValueError(f"table must be one-dimensional, not of shape {self.table.shape}")
-        if len(self.table) != self.ctx.order:
-            raise ValueError("table length must be 2^n")
-        if not np.issubdtype(self.table.dtype, np.integer):
-            raise ValueError(f"table must hold integers, not {self.table.dtype}")
-        if self.table.min() < 0 or self.table.max() >= self.ctx.order:
-            raise ValueError("table entry outside the field")
-        # the kernels index and XOR in int64; a view is copied too, since a
-        # writeable base could change it after patch
-        if self.table.dtype != np.int64 or not self.table.flags.owndata:
-            object.__setattr__(self, "table", self.table.astype(np.int64))
-        self.table.flags.writeable = False
+        ctx, values = self.ctx, _int64(self.values, self.ctx.k, "values")
+        sub, listed = ctx.subfield_elems, values.tolist()
+        if not set(sub).issuperset(listed):  # on 2^k Python ints: cheaper than numpy calls
+            e, i = dobbertin_exponent(ctx.k), next(i for i, v in enumerate(listed) if v not in sub)
+            raise ValueError(
+                f"the value {listed[i]} at {sub[i]} lies outside GF(2^{ctx.k}); "
+                f"only f = x^{e} off the subfield with values in GF(2^{ctx.k}) on it is analysed"
+            )
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_table(cls, ctx: gf2n.FieldCtx, table: np.ndarray) -> LutFunction:
+        """f from a table of its 2^n values, which f keeps as its table.
+
+        ValueError unless the table is x^d off GF(2^k), naming the first
+        point where it is not, and takes values in GF(2^k) on it.
+        """
+        table, e = _int64(table, ctx.n, "table"), dobbertin_exponent(ctx.k)
+        d = (table != gf2n.vec_pow_all(ctx, e)).nonzero()[0]
+        off = d[~ctx.subfield_mask[d]]
+        if len(off):
+            raise ValueError(
+                f"the table differs from x^{e} at {int(off[0])}, outside GF(2^{ctx.k}); "
+                f"only f = x^{e} off the subfield is analysed"
+            )
+        f = cls(ctx, table[ctx.subfield_index])
+        f.__dict__["table"] = table  # what the cached_property would store
+        return f
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """f at every point of GF(2^n), read-only: x^d with the values written in on GF(2^k)."""
+        table = gf2n.vec_pow_all(self.ctx, dobbertin_exponent(self.ctx.k)).copy()
+        table[self.ctx.subfield_index] = self.values
+        table.flags.writeable = False
+        return table
 
     @functools.cached_property
     def patch(self) -> np.ndarray:
-        """The sorted points where the table differs from x^d: ValueError unless
-        all lie in GF(2^k) and take values in GF(2^k)."""
-        ctx, e = self.ctx, dobbertin_exponent(self.ctx.k)
-        d = np.flatnonzero(self.table != gf2n.vec_pow_all(ctx, e))
-        if not ctx.subfield_mask[d].all():
-            raise ValueError(
-                f"the table differs from x^{e} at {int(d[~ctx.subfield_mask[d]][0])}, "
-                f"outside GF(2^{ctx.k}); only f = x^{e} off the subfield is analysed"
-            )
-        # off d the table is x^d, which maps GF(2^k) into itself
-        _refuse_values_off_subfield(ctx, d, self.table[d])
-        d.flags.writeable = False  # every criterion reads this one array
-        return d
+        """The positions i, ascending, where f differs from x^d: f(sub[i]) != sub[i]^d."""
+        i = (self.values != _subfield_power(self.ctx)[0]).nonzero()[0]
+        i.flags.writeable = False  # every criterion reads this one array
+        return i
 
     @functools.cached_property
     def orbit_key(self) -> bytes:
-        """The least image of the subfield table under f -> A f B, as bytes.
+        """The least image of the values under f -> A f B, as bytes.
 
         B(x) = c sigma^i(x) and A(y) = sigma^(-i)(c^(-d) y), sigma(x) = x^2,
         for every c in GF(2^k)* and i < k: f takes its values on GF(2^k)
         in GF(2^k), where sigma^k is the identity, so i < k gives every
-        image.  Two tables share a key exactly when they lie in one orbit;
-        a table that patch refuses gets none.
+        image.  Two functions share a key exactly when they lie in one orbit.
         """
-        self.patch  # raises for a table off the construction
         ctx, q1, e = self.ctx, self.ctx.order - 1, dobbertin_exponent(self.ctx.k)
 
         def maps() -> tuple:
-            # column c k + i: B(s) for each s of the sorted subfield (B(0) = 0),
-            # and log A(y) = log y * mult + shift
+            # column c k + i: the position of B(s) for each s of the sorted
+            # subfield (B(0) = 0), and log A(y) = log y * mult + shift
             logc = ctx.log[ctx.subfield_index[1:]]
             frob = 1 << np.arange(ctx.k)  # log sigma^i(y) = 2^i log y
             at = np.zeros((len(logc) + 1, len(logc) * ctx.k), dtype=np.int64)
@@ -118,10 +129,10 @@ class LutFunction:
             mult = np.tile((1 << ctx.n) // frob % q1, len(logc))  # 2^(n - i) mod 2^n - 1
             shift = -e * np.repeat(logc, ctx.k) % q1 * mult % q1
             # full-shape copies: elementwise without broadcasting is faster here
-            return at, *(np.repeat(a[None], len(at), axis=0) for a in (mult, shift))
+            return _subfield_coords(ctx, at), *(np.repeat(a[None], len(at), axis=0) for a in (mult, shift))
 
         at, mult, shift = ctx.memo("orbit_maps", maps)
-        v = self.table[at]
+        v = self.values[at]
         t = ctx.log[v] * mult
         t += shift
         t %= q1
@@ -138,41 +149,54 @@ class LutFunction:
         every nonzero element leads with a pivot bit of the echelon basis, so
         the order is that of the coordinate vectors.  C is x^d there, which
         acts as x^3 (d = 3 mod 2^k - 1); it depends on the field alone and is
-        kept in the memo.  A table that patch refuses has neither.
+        kept in the memo.
         """
-        self.patch  # raises for a table off the construction
-        ctx, sub = self.ctx, self.ctx.subfield_index
-        power = ctx.memo("subfield_power", lambda: np.searchsorted(
-            sub, gf2n.vec_pow_all(ctx, dobbertin_exponent(ctx.k))[sub]))
-        coords = np.searchsorted(sub, self.table[sub])
+        coords = _subfield_coords(self.ctx, self.values)
         coords.flags.writeable = False
-        return coords, power
+        return coords, _subfield_power(self.ctx)[1]
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
 
 
-def _refuse_values_off_subfield(ctx: gf2n.FieldCtx, points: np.ndarray, values: np.ndarray) -> None:
-    """ValueError naming the first of the points of GF(2^k) whose value lies outside it."""
-    off = np.flatnonzero(~ctx.subfield_mask[values])
-    if len(off):
-        e, i = dobbertin_exponent(ctx.k), off[0]
-        raise ValueError(
-            f"the value {int(values[i])} at {int(points[i])} lies outside GF(2^{ctx.k}); "
-            f"only f = x^{e} off the subfield with values in GF(2^{ctx.k}) on it is analysed"
-        )
+def _int64(array: np.ndarray, bits: int, name: str) -> np.ndarray:
+    """array, one-dimensional with 2^bits integer entries (ValueError otherwise),
+    made read-only as int64.
+
+    The kernels index and XOR in int64; a view is copied too, since a
+    writeable base could change it later.
+    """
+    if not isinstance(array, np.ndarray):
+        raise ValueError(f"{name} must be a numpy array, not {type(array).__name__}")
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, not of shape {array.shape}")
+    if len(array) != 1 << bits:
+        raise ValueError(f"{name} length must be 2^{bits}, not {len(array)}")
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, not {array.dtype}")
+    if array.dtype != np.int64 or not array.flags.owndata:
+        array = array.astype(np.int64)
+    array.flags.writeable = False
+    return array
 
 
-def _assembled(ctx: gf2n.FieldCtx, table: np.ndarray, patch: np.ndarray | None = None) -> LutFunction:
-    """A LutFunction over a new table of checked field elements, with no range
-    scan, and with the patch build_f found on GF(2^k), so no compare with x^d."""
-    f = object.__new__(LutFunction)
-    table.flags.writeable = False
-    f.__dict__.update(ctx=ctx, table=table)
-    if patch is not None:
-        patch.flags.writeable = False
-        f.__dict__["patch"] = patch  # what the cached_property would store
-    return f
+def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
+    """Elements of GF(2^k) as their positions in the sorted subfield, the
+    linear coordinates of LutFunction.subfield_maps.  A map of GF(2^k)
+    written in them is a 2^k-entry table the analyzer kernels take as they are.
+    """
+    return np.searchsorted(ctx.subfield_index, values)
+
+
+def _subfield_power(ctx: gf2n.FieldCtx) -> tuple:
+    """x^d on the sorted subfield: its values there, and C, the same in
+    subfield coordinates; kept in the memo."""
+
+    def build() -> tuple:
+        values = _power(ctx, ctx.subfield_index, dobbertin_exponent(ctx.k))
+        return values, _subfield_coords(ctx, values)
+
+    return ctx.memo("subfield_power", build)
 
 
 @dataclass(frozen=True)
@@ -268,8 +292,8 @@ def build_g(
     m: int,
     L1: AffinePerm,
     L2: AffinePerm,
-) -> LutFunction:
-    """g = L1 o x^(2^m - 1) o L2 on the subfield, zero elsewhere.
+) -> np.ndarray:
+    """g = L1 o x^(2^m - 1) o L2 as its 2^k values on the sorted subfield.
 
     Composes the images of L2 and L1 with the inner power map, all on
     the 2^k subfield points.  For gcd(k, m) != 1 the inner power map,
@@ -280,12 +304,10 @@ def build_g(
         raise ValueError("k does not match the field context")
     if m < 1:
         raise ValueError("m must be positive")
-    sub, q1 = ctx.subfield_index, ctx.order - 1
+    q1 = ctx.order - 1
     y = L2.image  # the exponent reduced first: an int64 product would wrap for large m
     inner = np.where(y != 0, ctx.exp[ctx.log[y] * (((1 << m) - 1) % q1) % q1], 0)
-    table = np.zeros(ctx.order, dtype=np.int64)
-    table[sub] = L1.image[np.searchsorted(sub, inner)]
-    return _assembled(ctx, table)
+    return L1.image[_subfield_coords(ctx, inner)]
 
 
 def _power(ctx, a, e):  # a^e elementwise for e > 0
@@ -303,48 +325,34 @@ def _closed_form(ctx, gx, xd, indicator):  # g(x) + (g(x) + x^d) * indicator, by
     return gx ^ np.where((a != 0) & (indicator != 0), ctx.exp[(ctx.log[a] + ctx.log[indicator]) % q1], 0)
 
 
-def closed_form_eval(ctx: gf2n.FieldCtx, g: LutFunction, x):
-    """f(x) = g(x) + (g(x) + x^d)(x + x^(2^k))^(2^n - 1), evaluated directly.
-
-    x is one element or an integer array of them; the result has the same
-    form.  x^d and the indicator are computed here from the exp/log
-    tables, not read from vec_pow_all, so build_f's check compares two
-    independent paths.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    out = _closed_form(ctx, g.table[x], *_closed_form_parts(ctx, x))
-    return int(out) if out.ndim == 0 else out
-
-
-def build_f(ctx: gf2n.FieldCtx, k: int, g: LutFunction) -> LutFunction:
-    """Piecewise function: g on the subfield, x^d elsewhere.
+def build_f(ctx: gf2n.FieldCtx, k: int, g: np.ndarray) -> LutFunction:
+    """f = g on the subfield and x^d elsewhere, g given by its 2^k values
+    on the sorted subfield, as build_g returns them.
 
     g must map GF(2^k) into itself (ValueError naming the first point that
-    it does not, as LutFunction.patch).  The patch, the points of GF(2^k)
-    where g differs from x^d, comes from a 2^k compare and goes to f with
-    its table.  The table is checked against the closed-form evaluation on
-    64 deterministic sample points; the points, with x^d and the indicator
-    there, are drawn and computed once per context (its memo).
+    it does not, as LutFunction does).  f, which is g on GF(2^k) and x^d
+    from vec_pow_all off it, is checked against the closed-form evaluation
+    on 64 deterministic sample points; the points, their positions in
+    GF(2^k), and x^d and the indicator there are drawn and computed once
+    per context (its memo).
     """
     if k != ctx.k:
         raise ValueError("k does not match the field context")
-    sub = ctx.subfield_index
-    values = g.table[sub]
-    _refuse_values_off_subfield(ctx, sub, values)
-    table = gf2n.vec_pow_all(ctx, dobbertin_exponent(k)).copy()
-    patch = sub[values != table[sub]]
-    table[sub] = values
+    f = LutFunction(ctx, g)
 
     def samples() -> tuple:
         rng = random.Random(0x5B0C)
         xs = np.array([rng.randrange(ctx.order) for _ in range(64)], dtype=np.int64)
-        return xs, *_closed_form_parts(ctx, xs)
+        return xs, *_closed_form_parts(ctx, xs), ctx.subfield_mask[xs], _subfield_coords(ctx, xs)
 
-    xs, xd, indicator = ctx.memo("build_f_samples", samples)
-    bad = xs[table[xs] != _closed_form(ctx, g.table[xs], xd, indicator)]
+    xs, xd, indicator, inside, at = ctx.memo("build_f_samples", samples)
+    # off GF(2^k) the indicator is 1 and g(x) drops out of the closed form; 0 stands in
+    gx = np.where(inside, f.values.take(at, mode="clip"), 0)
+    piecewise = np.where(inside, gx, gf2n.vec_pow_all(ctx, dobbertin_exponent(k))[xs])
+    bad = xs[piecewise != _closed_form(ctx, gx, xd, indicator)]
     if len(bad):
         raise RuntimeError(f"piecewise and closed-form paths disagree at {bad[0]}")
-    return _assembled(ctx, table, patch)
+    return f
 
 
 def instance(ctx: gf2n.FieldCtx, m: int, l1: str, l2: str = "x") -> LutFunction:
@@ -383,5 +391,5 @@ def read_lut(path, ctx: gf2n.FieldCtx) -> LutFunction:
         raise ValueError(f"truncated lookup-table file: {len(body)} of {size} table bytes")
     if len(body) > size:
         raise ValueError(f"oversized lookup-table file: {len(body) - size} bytes past the table")
-    # 2^63 and above wrap to negative values, which LutFunction rejects
-    return LutFunction(ctx, np.frombuffer(body, dtype="<u8").astype(np.int64))
+    # 2^63 and above wrap to negative values, which from_table refuses
+    return LutFunction.from_table(ctx, np.frombuffer(body, dtype="<u8").astype(np.int64))

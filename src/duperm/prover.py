@@ -36,6 +36,7 @@ import numpy as np
 from . import analyzer, gf2n
 from .construct import (
     AffinePerm,
+    _subfield_coords,
     build_f,
     build_g,
     dobbertin_exponent,
@@ -269,24 +270,14 @@ def coset_intersection_check(ctx: gf2n.FieldCtx, trials: int = 64, seed: int = 0
 # Uniformity, degree and nonlinearity claims
 # ---------------------------------------------------------------------------
 
-def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
-    """Subfield elements as their indices in the sorted subfield, the linear
-    coordinates of construct.LutFunction.subfield_maps.  A map of GF(2^k)
-    written in them is a 2^k-entry table the analyzer kernels take as they are.
-    """
-    return np.searchsorted(ctx.subfield_index, values)
-
-
 def theorem1_check(f, label: str) -> ClaimResult:
     """delta_f stays within the bound set by delta_g, and f permutes for odd k."""
     t0 = time.perf_counter()
     ctx = f.ctx
     claim_id = f"theorem1.check.k{ctx.k}.{label.replace(' ', '')}"
-    # g = f on GF(2^k), in subfield coordinates; read first, so that a table
-    # off the construction is refused at every k
-    g = f.subfield_maps[0]
     if ctx.k % 2 == 0:
         return _result(claim_id, SKIPPED, {"note": "statement requires odd k"}, t0)
+    g = f.subfield_maps[0]  # g = f on GF(2^k), in subfield coordinates
     if np.bincount(g, minlength=len(g)).max() > 1:
         return _result(claim_id, SKIPPED, {"note": "g is not a subfield permutation"}, t0)
     delta_g = int(np.flatnonzero(analyzer.omega_counts(g)).max())

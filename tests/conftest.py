@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from duperm import gf2n
 from duperm.analyzer import DiffSpectrum, _walsh_rows
-from duperm.construct import AffinePerm, LutFunction
+from duperm.construct import AffinePerm, LutFunction, dobbertin_exponent
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,11 @@ def f10():
 @pytest.fixture(scope="session")
 def f15():
     return gf2n.mk_field(3)
+
+
+@pytest.fixture(scope="session")
+def f20():
+    return gf2n.mk_field(4)
 
 
 @functools.cache
@@ -42,8 +48,22 @@ def fresh_field(k):
 # ---------------------------------------------------------------------------
 
 def power_function(ctx, e):
-    """The power map x^e as a full table; 0^0 = 1 only when e = 0."""
-    return LutFunction(ctx, gf2n.vec_pow_all(ctx, e))
+    """The power map x^e as a full read-only table; 0^0 = 1 only when e = 0."""
+    return gf2n.vec_pow_all(ctx, e)
+
+
+def dobbertin_power(ctx):
+    """x^d, d the Dobbertin exponent of the field, admitted from its table."""
+    return LutFunction.from_table(ctx, power_function(ctx, dobbertin_exponent(ctx.k)))
+
+
+def closed_form_eval(ctx, g, x):
+    """f(x) = g(x) + (g(x) + x^d)(x + x^(2^k))^(2^n - 1) by scalar field
+    operations, g given by its values on the sorted subfield and taken as 0
+    off it: the oracle of build_f."""
+    gx = g[ctx.subfield_elems.index(x)] if ctx.subfield_mask[x] else 0
+    indicator = gf2n.pow(ctx, x ^ gf2n.pow(ctx, x, 1 << ctx.k), ctx.order - 1)
+    return gx ^ gf2n.mul(ctx, gx ^ gf2n.pow(ctx, x, dobbertin_exponent(ctx.k)), indicator)
 
 
 def is_bijective(table):
@@ -54,17 +74,17 @@ def is_bijective(table):
     return bool(seen.all())
 
 
-def ddt_row(f, a):
-    """counts[b] = #{x : f(x + a) + f(x) = b}."""
-    return np.bincount(f.table[np.arange(f.ctx.order) ^ a] ^ f.table, minlength=f.ctx.order)
+def ddt_row(table, a):
+    """counts[b] = #{x : t(x + a) + t(x) = b} for a table t of the field."""
+    return np.bincount(table[np.arange(len(table)) ^ a] ^ table, minlength=len(table))
 
 
-def ddt_row_spectrum(f):
+def ddt_row_spectrum(table):
     """The spectrum rebuilt from the DDT rows of every a != 0."""
-    q = f.ctx.order
+    q = len(table)
     omega = np.zeros(q + 1, dtype=np.int64)
     for a in range(1, q):
-        omega += np.bincount(ddt_row(f, a), minlength=q + 1)
+        omega += np.bincount(ddt_row(table, a), minlength=q + 1)
     delta = int(np.nonzero(omega[1:])[0].max()) + 1
     return DiffSpectrum({i: int(omega[i]) for i in range(0, delta + 1, 2)}, delta)
 
@@ -75,13 +95,13 @@ def walsh_rows(ctx, tab, vs):
     return np.concatenate(list(blocks))
 
 
-def walsh_table(f):
-    """The full table W[v - 1, u] of f over every nonzero v."""
-    return walsh_rows(f.ctx, f.table, np.arange(1, f.ctx.order))
+def walsh_table(ctx, table):
+    """The full table W[v - 1, u] of a table of the field over every nonzero v."""
+    return walsh_rows(ctx, table, np.arange(1, ctx.order))
 
 
-def walsh_max(f):
-    return int(np.abs(walsh_table(f)).max())
+def walsh_max(ctx, table):
+    return int(np.abs(walsh_table(ctx, table)).max())
 
 
 def affine_eval(L, a):
@@ -94,6 +114,16 @@ def affine_eval(L, a):
         if c:
             acc ^= gf2n.mul(L.ctx, c, gf2n.frobenius(L.ctx, a, i))
     return acc
+
+
+def every_affine_perm(ctx):
+    perms = []
+    for *coeffs, constant in itertools.product(ctx.subfield_elems, repeat=ctx.k + 1):
+        try:
+            perms.append(AffinePerm(ctx, tuple(coeffs), constant))
+        except ValueError:
+            continue
+    return perms
 
 
 def random_affine_perm(ctx, seed):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import ddt_row, power_function, walsh_table
+from conftest import ddt_row, dobbertin_power, power_function, walsh_table
 from duperm import gf2n, prover
 from duperm.analyzer import (
     algebraic_degree,
@@ -80,30 +80,29 @@ def _popcount_parity(v):
     return np.bitwise_count(v.astype(np.uint64)).astype(np.int64) & 1
 
 
-def oracle_spectrum(f):
+def oracle_spectrum(table):
     """Nonzero omega_i, counted over every (a, b) pair with a != 0."""
-    q = f.ctx.order
+    q = len(table)
     a = np.arange(1, q)[:, None]
     x = np.arange(q)[None, :]
-    b = f.table[a ^ x] ^ f.table[x]
+    b = table[a ^ x] ^ table[x]
     ddt = np.bincount((a * q + b).ravel(), minlength=q * q)[q:]
     return {i: int(w) for i, w in enumerate(np.bincount(ddt)) if w}
 
 
-def oracle_degree(f):
+def oracle_degree(ctx, table):
     """Max 2-weight of an exponent i with a nonzero univariate coefficient c_i.
 
     c_0 = f(0), c_(q-1) = sum of f over the field (the XOR of the table),
     and c_i = sum over a != 0 of f(a) a^(q-1-i) otherwise.
     """
-    ctx = f.ctx
     q = ctx.order
     coeffs = np.zeros(q, dtype=np.int64)
-    coeffs[0] = f.table[0]
-    coeffs[q - 1] = np.bitwise_xor.reduce(f.table)
-    a = np.nonzero(f.table[1:])[0] + 1
+    coeffs[0] = table[0]
+    coeffs[q - 1] = np.bitwise_xor.reduce(table)
+    a = np.nonzero(table[1:])[0] + 1
     log_a = ctx.log[a].astype(np.int64)
-    log_fa = ctx.log[f.table[a]].astype(np.int64)
+    log_fa = ctx.log[table[a]].astype(np.int64)
     i = np.arange(1, q - 1)[:, None]
     terms = ctx.exp[(log_fa[None, :] + (q - 1 - i) * log_a[None, :]) % (q - 1)]
     coeffs[1 : q - 1] = np.bitwise_xor.reduce(terms, axis=1)
@@ -111,16 +110,16 @@ def oracle_degree(f):
     return int(np.bitwise_count(support.astype(np.uint64)).max(initial=0))
 
 
-def oracle_nl(f):
+def oracle_nl(table):
     """Nonlinearity from a dense, basis-free Walsh transform.
 
     W[c, u] = sum over x of (-1)^(<c, f(x)> + <u, x>) for every nonzero
     output mask c, as one product with the Hadamard matrix.
     """
-    q = f.ctx.order
+    q = len(table)
     x = np.arange(q)
     hadamard = 1.0 - 2.0 * _popcount_parity(x[:, None] & x[None, :])
-    signs = 1.0 - 2.0 * _popcount_parity(np.arange(1, q)[:, None] & f.table[None, :])
+    signs = 1.0 - 2.0 * _popcount_parity(np.arange(1, q)[:, None] & table[None, :])
     return q // 2 - int(np.abs(signs @ hadamard).max()) // 2
 
 
@@ -141,7 +140,7 @@ def check_published_rows(ctx, m, rows, refuted):
     found = {}
     for l1, want_spec, want_deg, want_nl in rows:
         f = instance(ctx, m, l1)
-        omega, deg, nl = oracle_spectrum(f), oracle_degree(f), oracle_nl(f)
+        omega, deg, nl = oracle_spectrum(f.table), oracle_degree(ctx, f.table), oracle_nl(f.table)
         computed = differential_spectrum(f).spectrum
         assert {i: w for i, w in computed.items() if w} == omega, l1
         assert algebraic_degree(f) == deg, l1
@@ -178,10 +177,10 @@ def test_table2_exact_reproduction(f10):
 @checked("Dobbertin power map: delta(x^29) = 2 at n=5, delta(x^339) = 2 non-permutation at n=10")
 def test_dobbertin_apn(f5, f10):
     t0 = time.perf_counter()
-    assert differential_spectrum(power_function(f5, 29)).delta == 2
+    assert differential_spectrum(dobbertin_power(f5)).delta == 2
     assert time.perf_counter() - t0 < 1.0
     t0 = time.perf_counter()
-    f339 = power_function(f10, 339)
+    f339 = dobbertin_power(f10)
     assert differential_spectrum(f339).delta == 2
     assert not is_permutation(f339)
     assert time.perf_counter() - t0 < 5.0
@@ -218,7 +217,7 @@ def test_theorem1_k3(f15):
     # so f is the power map itself, of degree wt(4679) = 6.
     identity = instance(f15, 2, "x")
     assert is_permutation(identity)
-    assert np.array_equal(identity.table, power_function(f15, 4679).table)
+    assert np.array_equal(identity.table, power_function(f15, 4679))
     assert algebraic_degree(identity) == 6
 
 
@@ -268,40 +267,38 @@ def test_coset_intersection(f5, f10):
 # property suites (zero tolerance, exhaustive n=5 / sampled n=10)
 # ---------------------------------------------------------------------------
 
-def naive_walsh_entry(f, u, v):
-    ctx = f.ctx
+def naive_walsh_entry(ctx, table, u, v):
     acc = 0
     for x in range(ctx.order):
-        bit = ctx.trace_bits[gf2n.mul(ctx, u, x) ^ gf2n.mul(ctx, v, int(f.table[x]))]
+        bit = ctx.trace_bits[gf2n.mul(ctx, u, x) ^ gf2n.mul(ctx, v, int(table[x]))]
         acc += -1 if bit else 1
     return acc
 
 
-def naive_delta_and_spectrum(f):
-    q = f.ctx.order
+def naive_delta_and_spectrum(table):
+    q = len(table)
     omega = {}
     for a in range(1, q):
         for b in range(q):
-            c = sum(1 for x in range(q) if int(f.table[x ^ a]) ^ int(f.table[x]) == b)
+            c = sum(1 for x in range(q) if int(table[x ^ a]) ^ int(table[x]) == b)
             omega[c] = omega.get(c, 0) + 1
     return omega
 
 
-def naive_degree(f):
-    ctx = f.ctx
+def naive_degree(ctx, table):
     q = ctx.order
     deg = 0
     for i in range(q):
         if i == 0:
-            c = int(f.table[0])
+            c = int(table[0])
         elif i == q - 1:
             c = 0
             for a in range(q):
-                c ^= int(f.table[a])
+                c ^= int(table[a])
         else:
             c = 0
             for a in range(1, q):
-                c ^= gf2n.mul(ctx, int(f.table[a]), gf2n.pow(ctx, a, q - 1 - i))
+                c ^= gf2n.mul(ctx, int(table[a]), gf2n.pow(ctx, a, q - 1 - i))
         if c:
             deg = max(deg, bin(i).count("1"))
     return deg
@@ -315,19 +312,19 @@ def test_property_suite(f5, f10):
     perm10 = power_function(f10, 5)
 
     # Parseval, exhaustive at n=5
-    ws5 = walsh_table(perm5)
+    ws5 = walsh_table(f5, perm5.table)
     assert ((ws5.astype(np.int64) ** 2).sum(axis=1) == 1 << 10).all()
     # Parseval, sampled at n=10
-    ws10 = walsh_table(case10)
+    ws10 = walsh_table(f10, case10.table)
     rows = [rng.randrange(1023) for _ in range(64)]
     assert ((ws10[rows].astype(np.int64) ** 2).sum(axis=1) == 1 << 20).all()
 
     # DDT row sums and evenness: exhaustive n=5, sampled n=10
     for a in range(1, 32):
-        counts = ddt_row(perm5, a)
+        counts = ddt_row(perm5.table, a)
         assert counts.sum() == 32 and not (counts % 2).any()
     for a in [rng.randrange(1, 1024) for _ in range(64)]:
-        counts = ddt_row(case10, a)
+        counts = ddt_row(case10.table, a)
         assert counts.sum() == 1024 and not (counts % 2).any()
 
     # spectrum identities on both analyzed functions
@@ -339,7 +336,7 @@ def test_property_suite(f5, f10):
 
     # permutation balancedness W(0, v) = 0
     assert (ws5[:, 0] == 0).all()
-    wsp10 = walsh_table(perm10)
+    wsp10 = walsh_table(f10, perm10)
     for v in [rng.randrange(1, 1024) for _ in range(64)]:
         assert wsp10[v - 1, 0] == 0
 
@@ -348,25 +345,25 @@ def test_property_suite(f5, f10):
 def test_naive_oracle_equivalence(f5):
     f = instance(f5, 1, "x+1")
 
-    ws = walsh_table(f)
+    ws = walsh_table(f5, f.table)
     naive_max = 0
     for v in range(1, 32):
         for u in range(32):
-            entry = naive_walsh_entry(f, u, v)
+            entry = naive_walsh_entry(f5, f.table, u, v)
             assert ws[v - 1, u] == entry
             naive_max = max(naive_max, abs(entry))
-    assert oracle_nl(f) == 16 - naive_max // 2
+    assert oracle_nl(f.table) == 16 - naive_max // 2
     assert nonlinearity(f) == 16 - naive_max // 2
 
     ds = differential_spectrum(f)
-    naive = naive_delta_and_spectrum(f)
+    naive = naive_delta_and_spectrum(f.table)
     assert {i: w for i, w in naive.items() if w} == {
         i: w for i, w in ds.spectrum.items() if w
     }
     assert ds.delta == max(i for i, w in naive.items() if i and w)
-    assert oracle_spectrum(f) == {i: w for i, w in naive.items() if w}
+    assert oracle_spectrum(f.table) == {i: w for i, w in naive.items() if w}
 
-    assert algebraic_degree(f) == naive_degree(f)
+    assert algebraic_degree(f) == naive_degree(f5, f.table)
     # x^31 has a nonzero top coefficient, the case of the refuted degrees
-    for func in (f, power_function(f5, 31)):
-        assert oracle_degree(func) == naive_degree(func)
+    for table in (f.table, power_function(f5, 31)):
+        assert oracle_degree(f5, table) == naive_degree(f5, table)

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from conftest import (
     ddt_row,
     ddt_row_spectrum,
+    dobbertin_power,
+    every_affine_perm,
     fresh_field,
     is_bijective,
     power_function,
@@ -36,12 +38,13 @@ from duperm.analyzer import (
     _psi_table,
 )
 from duperm.construct import (
-    AffinePerm,
+    LUT_MAGIC,
     LutFunction,
     build_f,
     build_g,
     dobbertin_exponent,
     instance,
+    read_lut,
 )
 
 
@@ -49,47 +52,45 @@ from duperm.construct import (
 # naive oracles
 # ---------------------------------------------------------------------------
 
-def naive_ddt_counts(f, a):
-    q = f.ctx.order
+def naive_ddt_counts(table, a):
+    q = len(table)
     counts = [0] * q
     for x in range(q):
-        counts[int(f.table[x ^ a]) ^ int(f.table[x])] += 1
+        counts[int(table[x ^ a]) ^ int(table[x])] += 1
     return counts
 
 
-def naive_spectrum(f):
-    q = f.ctx.order
+def naive_spectrum(table):
+    q = len(table)
     omega = {}
     for a in range(1, q):
-        counts = naive_ddt_counts(f, a)
+        counts = naive_ddt_counts(table, a)
         for b in range(q):
             omega[counts[b]] = omega.get(counts[b], 0) + 1
     return omega
 
 
-def naive_walsh(f, u, v):
-    ctx = f.ctx
+def naive_walsh(ctx, table, u, v):
     acc = 0
     for x in range(ctx.order):
-        e = ctx.trace_bits[gf2n.mul(ctx, u, x) ^ gf2n.mul(ctx, v, int(f.table[x]))]
+        e = ctx.trace_bits[gf2n.mul(ctx, u, x) ^ gf2n.mul(ctx, v, int(table[x]))]
         acc += -1 if e else 1
     return acc
 
 
-def naive_degree_univariate(f):
+def naive_degree_univariate(ctx, table):
     """Lagrange interpolation: c_i = sum_a f(a) a^(q-1-i) for 0 < i < q-1."""
-    ctx = f.ctx
     q = ctx.order
     coeffs = [0] * q
-    coeffs[0] = int(f.table[0])
+    coeffs[0] = int(table[0])
     for i in range(1, q - 1):
         acc = 0
         for a in range(1, q):
-            acc ^= gf2n.mul(ctx, int(f.table[a]), gf2n.pow(ctx, a, q - 1 - i))
+            acc ^= gf2n.mul(ctx, int(table[a]), gf2n.pow(ctx, a, q - 1 - i))
         coeffs[i] = acc
     acc = 0
     for a in range(q):
-        acc ^= int(f.table[a])
+        acc ^= int(table[a])
     coeffs[q - 1] = acc
     # sanity: interpolation reproduces the table
     for x in (0, 1, 5, 17, 30):
@@ -97,7 +98,7 @@ def naive_degree_univariate(f):
         for i, c in enumerate(coeffs):
             if c:
                 val ^= gf2n.mul(ctx, c, gf2n.pow(ctx, x, i))
-        assert val == int(f.table[x])
+        assert val == int(table[x])
     return max((bin(i).count("1") for i, c in enumerate(coeffs) if c), default=0)
 
 
@@ -125,24 +126,24 @@ def test_ddt_rows_even_and_sum(f10):
 def test_ddt_row_matches_naive_exhaustive_n5(f5):
     f = instance(f5, 1, "x+1")
     for a in range(1, 32):
-        assert ddt_row(f, a).tolist() == naive_ddt_counts(f, a)
+        assert ddt_row(f.table, a).tolist() == naive_ddt_counts(f.table, a)
 
 
 def test_spectrum_matches_naive_n5(f5):
-    for f in (power_function(f5, 29), instance(f5, 1, "x+1")):
+    for f in (dobbertin_power(f5), instance(f5, 1, "x+1")):
         ds = differential_spectrum(f)
-        naive = naive_spectrum(f)
+        naive = naive_spectrum(f.table)
         for i, w in ds.spectrum.items():
             assert naive.get(i, 0) == w
         assert ds.delta == max(i for i in naive if i > 0 and naive[i] > 0)
     # omega_counts takes any table, here a random permutation of GF(32)
     table = np.random.default_rng(0).permutation(32)
     omega = omega_counts(table)
-    assert {i: int(w) for i, w in enumerate(omega) if w} == naive_spectrum(LutFunction(f5, table))
+    assert {i: int(w) for i, w in enumerate(omega) if w} == naive_spectrum(table)
 
 
 def test_dobbertin_apn_n5(f5):
-    ds = differential_spectrum(power_function(f5, 29))
+    ds = differential_spectrum(dobbertin_power(f5))
     assert ds.delta == 2
 
 
@@ -152,14 +153,11 @@ def test_structural_permutation_status_matches_the_scan(f5, f10, f15):
     # 2 placed on the subfield, and seeded ones at k = 1, 2, 3
     seen = {True: 0, False: 0}
     for ctx in (f5, f10):
-        p, sub = power_function(ctx, dobbertin_exponent(ctx.k)).table, list(ctx.subfield_elems)
-        maps = list(itertools.product(sub, repeat=len(sub)))
+        maps = list(itertools.product(ctx.subfield_elems, repeat=1 << ctx.k))
         assert len(maps) == {1: 4, 2: 256}[ctx.k]
         for values in maps:
-            table = p.copy()
-            table[sub] = values
-            f = LutFunction(ctx, table)
-            assert is_permutation(f) == is_bijective(table), (ctx.k, values)
+            f = LutFunction(ctx, np.array(values))
+            assert is_permutation(f) == is_bijective(f.table), (ctx.k, values)
             seen[is_permutation(f)] += 1
     for ctx in (f5, f10, f15):
         for seed in range(12):  # at k = 3 some permute
@@ -174,16 +172,16 @@ def test_structural_permutation_status_matches_the_scan(f5, f10, f15):
 
 
 def test_dobbertin_n10_apn_non_permutation(f10):
-    f = power_function(f10, 339)
+    f = dobbertin_power(f10)
     assert differential_spectrum(f).delta == 2
     assert not is_permutation(f)
 
 
 def test_spectrum_identities(f5, f10):
     cases = [
-        power_function(f5, 29),
+        dobbertin_power(f5),
         instance(f5, 1, "x+1"),
-        power_function(f10, 339),
+        dobbertin_power(f10),
         instance(f10, 2, "b^2*x^2"),
     ]
     for f in cases:
@@ -210,7 +208,7 @@ def test_structured_spectrum_matches_ddt_rows(k, m, seeds):
     ctx = fresh_field(k)
     L1, L2 = (random_affine_perm(ctx, seed) for seed in seeds)
     f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
-    assert differential_spectrum(f) == ddt_row_spectrum(f)
+    assert differential_spectrum(f) == ddt_row_spectrum(f.table)
 
 
 # (k, d): the Dobbertin exponent of GF(2^(5k)), the one power the criteria admit
@@ -219,14 +217,14 @@ SUBFIELD_EXPONENTS = [(k, dobbertin_exponent(k)) for k in (1, 2)]
 
 def power_off_subfield(ctx, seed, size):
     """x^d off GF(2^k) and other values of GF(2^k) on a set D of |D| = size
-    points of it."""
+    points of it; f and the positions of D in the sorted subfield."""
     rng = np.random.default_rng(seed)
-    table = power_function(ctx, dobbertin_exponent(ctx.k)).table.copy()
-    sub = np.flatnonzero(ctx.subfield_mask)
-    d = np.sort(rng.choice(sub, min(size, len(sub)), replace=False))
-    for s in d:
-        table[s] = rng.choice(sub[sub != table[s]])
-    return LutFunction(ctx, table), d
+    sub = ctx.subfield_index
+    values = power_function(ctx, dobbertin_exponent(ctx.k))[sub]
+    at = np.sort(rng.choice(len(sub), min(size, len(sub)), replace=False))
+    for i in at:
+        values[i] = rng.choice(sub[sub != values[i]])
+    return LutFunction(ctx, values), at
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -236,9 +234,9 @@ def power_off_subfield(ctx, seed, size):
     size=st.integers(0, 4),
 )
 def test_structured_spectrum_arbitrary_subfield_values(k, seed, size):
-    f, d = power_off_subfield(fresh_field(k), seed, size)
-    assert f.patch.tolist() == d.tolist()
-    assert differential_spectrum(f) == ddt_row_spectrum(f)
+    f, at = power_off_subfield(fresh_field(k), seed, size)
+    assert f.patch.tolist() == at.tolist()
+    assert differential_spectrum(f) == ddt_row_spectrum(f.table)
 
 
 def test_structured_spectrum_largest_cells():
@@ -246,13 +244,10 @@ def test_structured_spectrum_largest_cells():
     # lands in cell 0, the largest count a cell reaches here
     for k in (1, 2):
         ctx = fresh_field(k)
-        p = power_function(ctx, dobbertin_exponent(k)).table
         for c in ctx.subfield_elems:
-            table = p.copy()
-            table[ctx.subfield_mask] = c
-            f = LutFunction(ctx, table)
+            f = LutFunction(ctx, np.full(1 << k, c))
             ds = differential_spectrum(f)
-            assert ds == ddt_row_spectrum(f), (k, c)
+            assert ds == ddt_row_spectrum(f.table), (k, c)
             assert ds.delta >= 1 << k
 
 
@@ -261,7 +256,7 @@ def listing_collisions(f):
     f(s) + P(s + a), P = x^d, s in D, agree; found by sorting each row's
     cells, in blocks of rows so that n = 20 stays small."""
     ctx = f.ctx
-    p = power_function(ctx, dobbertin_exponent(ctx.k)).table
+    p = power_function(ctx, dobbertin_exponent(ctx.k))
     d = np.flatnonzero(f.table != p)
     outside = np.flatnonzero(~ctx.subfield_mask)
     rows = []
@@ -270,16 +265,6 @@ def listing_collisions(f):
         cells = np.sort(np.concatenate([p[d] ^ p[d ^ a], f.table[d] ^ p[d ^ a]], axis=1), axis=1)
         rows += a[(cells[:, 1:] == cells[:, :-1]).any(axis=1), 0].tolist()
     return rows
-
-
-def every_affine_perm(ctx):
-    perms = []
-    for *coeffs, constant in itertools.product(ctx.subfield_elems, repeat=ctx.k + 1):
-        try:
-            perms.append(AffinePerm(ctx, tuple(coeffs), constant))
-        except ValueError:
-            continue
-    return perms
 
 
 def test_constructed_functions_have_no_collision_rows(f5, f10, f15):
@@ -336,17 +321,11 @@ def test_lemma1_block_is_the_ddt_of_g(f5, f10, f15):
         tables = subfield_tables(ctx, 24, ctx.k)
         assert len(tables) == {1: 4, 2: 256, 3: 24}[ctx.k]
         for g in tables:
-            table = p.table.copy()
-            table[sub] = sub[g]
-            f = LutFunction(ctx, table)
+            f = LutFunction(ctx, sub[g])
             assert [t.tolist() for t in f.subfield_maps] == [g.tolist(), cube.tolist()]
             ddt = subfield_ddt(g)
             for a in range(1, q):
-                assert ddt_row(f, sub[a])[sub].tolist() == ddt[a].tolist(), (ctx.k, g, a)
-    # a value outside GF(2^k) leaves f without subfield tables
-    f = LutFunction(f10, refused_table(f10, "value-outside-subfield", "first"))
-    with pytest.raises(ValueError, match="outside GF"):
-        f.subfield_maps
+                assert ddt_row(f.table, sub[a])[sub].tolist() == ddt[a].tolist(), (ctx.k, g, a)
 
 
 # Full n = 15 spectra, captured once from the row-by-row exhaustive scan.
@@ -383,11 +362,6 @@ N20_CRITERIA = {
 }
 
 
-@pytest.fixture(scope="module")
-def f20():
-    return gf2n.mk_field(4)
-
-
 def test_structured_criteria_pinned_n20(f20):
     ctx = f20
     for (m, l1), (size, spectrum, delta, wmax, degree) in N20_CRITERIA.items():
@@ -406,7 +380,7 @@ def test_lemma1_and_no_collision_rows_n20(f20):
     assert prover.lemma1_exhaustive(f20).status == "pass"
     for m, l1 in N20_CRITERIA:
         f = instance(f20, m, l1)
-        assert f20.subfield_mask[f.table[f.patch]].all()
+        assert f20.subfield_mask[f.values].all()
         assert listing_collisions(f) == [], (m, l1)
 
 
@@ -416,25 +390,25 @@ def test_lemma1_and_no_collision_rows_n20(f20):
 
 def test_walsh_table_matches_naive_exhaustive_n5(f5):
     f = instance(f5, 1, "x+1")
-    ws = walsh_table(f)
+    ws = walsh_table(f5, f.table)
     for v in range(1, 32):
         for u in range(32):
-            assert ws[v - 1, u] == naive_walsh(f, u, v)
+            assert ws[v - 1, u] == naive_walsh(f5, f.table, u, v)
 
 
 def test_walsh_linear_function(f5):
     # the oracle on x, whose nonlinearity is 0: one component is constant
-    assert walsh_max(power_function(f5, 1)) == 32
+    assert walsh_max(f5, power_function(f5, 1)) == 32
 
 
 def test_parseval_exhaustive_n5(f5):
-    ws = walsh_table(instance(f5, 1, "x+1"))
+    ws = walsh_table(f5, instance(f5, 1, "x+1").table)
     sums = (ws.astype(np.int64) ** 2).sum(axis=1)
     assert (sums == 1 << 10).all()
 
 
 def test_parseval_sampled_n10(f10):
-    ws = walsh_table(power_function(f10, 339))
+    ws = walsh_table(f10, power_function(f10, 339))
     rng = random.Random(2)
     rows = [rng.randrange(1023) for _ in range(64)]
     sums = (ws[rows].astype(np.int64) ** 2).sum(axis=1)
@@ -444,11 +418,11 @@ def test_parseval_sampled_n10(f10):
 def test_permutation_balancedness(f5, f10):
     fperm5 = instance(f5, 1, "x+1")
     assert is_permutation(fperm5)
-    ws = walsh_table(fperm5)
+    ws = walsh_table(f5, fperm5.table)
     assert (ws[:, 0] == 0).all()
-    fperm10 = power_function(f10, 5)  # gcd(5, 1023) = 1; not x^d, so the oracle
-    assert is_bijective(fperm10.table)
-    ws10 = walsh_table(fperm10)
+    perm10 = power_function(f10, 5)  # gcd(5, 1023) = 1; not x^d, so the oracle
+    assert is_bijective(perm10)
+    ws10 = walsh_table(f10, perm10)
     rng = random.Random(3)
     for v in [rng.randrange(1, 1024) for _ in range(64)]:
         assert ws10[v - 1, 0] == 0
@@ -456,7 +430,7 @@ def test_permutation_balancedness(f5, f10):
 
 def test_walsh_max_matches_table_n10(f10):
     f = instance(f10, 2, "x+1")
-    assert walsh_max_abs(f) == walsh_max(f)
+    assert walsh_max_abs(f) == walsh_max(f10, f.table)
 
 
 def test_nl_consistency(f10):
@@ -478,7 +452,7 @@ def test_structured_walsh_matches_table(k, m, seeds):
     ctx = fresh_field(k)
     L1, L2 = (random_affine_perm(ctx, seed) for seed in seeds)
     f = build_f(ctx, k, build_g(ctx, k, m, L1, L2))
-    assert walsh_max_abs(f) == walsh_max(f)
+    assert walsh_max_abs(f) == walsh_max(ctx, f.table)
 
 
 def fwht_by_butterflies(a):
@@ -575,8 +549,8 @@ def test_power_walsh_scaling_identity(f10, e):
     # W_P(w c, gamma^j c^e) = W_P(w, gamma^j): g rows give the whole table
     g = np.gcd(e, 1023)
     p = power_function(f10, e)
-    table = walsh_table(p)
-    rows = walsh_rows(f10, p.table, f10.exp[:g])
+    table = walsh_table(f10, p)
+    rows = walsh_rows(f10, p, f10.exp[:g])
     assert np.array_equal(rows, table[f10.exp[:g] - 1])
     for c in (2, 77, 1000):
         wc = [gf2n.mul(f10, w, c) for w in range(1024)]
@@ -614,7 +588,6 @@ def test_walsh_correction_is_read_off_gf2k(f5, f10):
     # of every constructed (m, L1, L2), m <= 3, and 16 drawn maps of GF(4)
     for ctx in (f5, f10):
         sub, e = ctx.subfield_index, dobbertin_exponent(ctx.k)
-        p = power_function(ctx, e)
         field = np.arange(ctx.order)
         u, v = class_of(ctx, field), class_of(ctx, field[1:])
         if ctx.k == 1:
@@ -626,12 +599,10 @@ def test_walsh_correction_is_read_off_gf2k(f5, f10):
             rng = np.random.default_rng(5)
             tables |= {tuple(rng.integers(0, 4, 4).tolist()) for _ in range(16)}
         assert len(tables) >= {1: 4, 2: 40}[ctx.k]
-        wc = subfield_walsh(p.subfield_maps[1])
+        wc = subfield_walsh(dobbertin_power(ctx).subfield_maps[1])
         for g in sorted(tables):
-            table = p.table.copy()
-            table[sub] = sub[list(g)]
-            f = LutFunction(ctx, table)
-            full = walsh_table(f)
+            f = LutFunction(ctx, sub[list(g)])
+            full = walsh_table(ctx, f.table)
             delta = subfield_walsh(g) - wc
             assert np.array_equal(full - power_walsh_table(ctx, e), delta[v[:, None], u]), (ctx.k, g)
             assert walsh_max_abs(f) == int(np.abs(full).max()), (ctx.k, g)
@@ -670,11 +641,9 @@ def test_structured_walsh_arbitrary_subfield_values(k, seed):
     # x^d off GF(2^k) and any values of GF(2^k) on it
     ctx, e = fresh_field(k), dobbertin_exponent(k)
     rng = np.random.default_rng(seed)
-    table = power_function(ctx, e).table.copy()
-    sub = np.flatnonzero(ctx.subfield_mask)
-    table[sub] = rng.choice(sub, len(sub))
-    f = LutFunction(ctx, table)
-    full = walsh_table(f)
+    sub = ctx.subfield_index
+    f = LutFunction(ctx, rng.choice(sub, len(sub)))
+    full = walsh_table(ctx, f.table)
     assert walsh_max_abs(f) == int(np.abs(full).max())
     # the bound the kernel's choice of orbits rests on, |W_f - W_P| <= 2 |D|;
     # the maximum alone cannot check it, because on x^d the top orbits of
@@ -686,16 +655,16 @@ def test_structured_walsh_arbitrary_subfield_values(k, seed):
 
 @functools.cache
 def power_walsh_table(ctx, e):
-    return walsh_table(power_function(ctx, e))
+    return walsh_table(ctx, power_function(ctx, e))
 
 
 @pytest.mark.parametrize("k, e", SUBFIELD_EXPONENTS)
 def test_structured_walsh_plain_powers(f5, f10, k, e):
-    f = power_function(f5 if k == 1 else f10, e)
-    assert walsh_max_abs(f) == walsh_max(f)
+    ctx = f5 if k == 1 else f10
+    assert walsh_max_abs(dobbertin_power(ctx)) == walsh_max(ctx, power_function(ctx, e))
 
 
-# tables the criteria refuse: (field k, table kind, parameter)
+# tables refused where they enter, so that no criterion sees them: (field k, table kind, parameter)
 REFUSED = [
     (1, "random-permutation", 0),
     (2, "random-permutation", 1),
@@ -719,32 +688,40 @@ def refused_table(ctx, kind, arg):
     if kind == "one-point-changed":  # x^d with one point outside GF(2^k) changed
         outside = np.flatnonzero(~ctx.subfield_mask)
         x = {"generator": ctx.generator, "first": outside[0], "last": outside[-1]}[arg]
-        table = power_function(ctx, dobbertin_exponent(ctx.k)).table.copy()
+        table = power_function(ctx, dobbertin_exponent(ctx.k)).copy()
         table[x] ^= 1
         return table
     if kind == "value-outside-subfield":
-        table = power_function(ctx, dobbertin_exponent(ctx.k)).table.copy()
+        table = power_function(ctx, dobbertin_exponent(ctx.k)).copy()
         table[subfield_point(ctx, arg)] = ctx.generator
         return table
-    table = power_function(ctx, arg).table.copy()  # x^e, e != d
+    table = power_function(ctx, arg).copy()  # x^e, e != d
     if kind == "power-subfield-changed":
         table[ctx.subfield_mask] ^= 1
     return table
 
 
+def lut_file(path, table):
+    """A lookup-table file holding the table as it stands, unchecked."""
+    path.write_bytes(LUT_MAGIC + bytes([len(table).bit_length() - 1]) + table.astype("<u8").tobytes())
+    return path
+
+
 @pytest.mark.parametrize("k, kind, arg", REFUSED, ids=[f"k{k}-{kind}-{a}" for k, kind, a in REFUSED])
-def test_criteria_refuse_tables_off_the_construction(f5, f10, k, kind, arg):
+def test_criteria_refuse_tables_off_the_construction(f5, f10, tmp_path, k, kind, arg):
+    # a table enters by from_table alone, read_lut included, and no
+    # LutFunction off the construction exists for a criterion to read
     ctx = f5 if k == 1 else f10
-    f = LutFunction(ctx, refused_table(ctx, kind, arg))
+    table = refused_table(ctx, kind, arg)
     pattern = f"x\\^{dobbertin_exponent(k)}"
     if kind == "value-outside-subfield":  # the message names the point and the value
         pattern = f"value {ctx.generator} at {subfield_point(ctx, arg)} .*" + pattern
-    for criterion in (
-        differential_spectrum, walsh_max_abs, nonlinearity, algebraic_degree, is_permutation, analyze,
-        lambda f: prover.theorem1_check(f, "refused"),
-    ):
+    elif kind == "one-point-changed":  # the message names the point
+        pattern = f"{pattern} at {np.flatnonzero(table != power_function(ctx, dobbertin_exponent(k)))[0]},"
+    path = lut_file(tmp_path / "refused.lut", table)
+    for admit in (lambda: LutFunction.from_table(ctx, table), lambda: read_lut(path, ctx)):
         with pytest.raises(ValueError, match=pattern):
-            criterion(f)
+            admit()
 
 
 # max |W_f| at n = 15, captured once from the exhaustive per-component scan
@@ -773,7 +750,7 @@ ACCEPTANCE_WALSH_KERNEL = {
 def test_structured_walsh_pinned_acceptance_instances(f5, f10):
     for (k, m, l1), want in ACCEPTANCE_WALSH_KERNEL.items():
         f = instance(f5 if k == 1 else f10, m, l1)
-        assert walsh_max_abs(f) == want == walsh_max(f), (k, m, l1)
+        assert walsh_max_abs(f) == want == walsh_max(f.ctx, f.table), (k, m, l1)
 
 
 # ---------------------------------------------------------------------------
@@ -781,24 +758,21 @@ def test_structured_walsh_pinned_acceptance_instances(f5, f10):
 # ---------------------------------------------------------------------------
 
 def test_degree_power_functions(f5, f10):
-    assert algebraic_degree(power_function(f5, 29)) == 4  # 2-weight of 29
-    assert algebraic_degree(power_function(f10, 339)) == 5
-    assert anf_degree(power_function(f5, 3).table) == 2
+    assert algebraic_degree(dobbertin_power(f5)) == 4  # 2-weight of 29
+    assert algebraic_degree(dobbertin_power(f10)) == 5
+    assert anf_degree(power_function(f5, 3)) == 2
     assert anf_degree(np.zeros(32, dtype=np.int64)) == 0
 
 
 def test_degree_matches_lagrange_oracle_n5(f5):
     rng = random.Random(4)
-    cases = [
-        power_function(f5, 29),
-        instance(f5, 1, "x+1"),
-        LutFunction(f5, np.array([rng.randrange(32) for _ in range(32)])),
-    ]
-    for f in cases[:2]:
-        assert algebraic_degree(f) == naive_degree_univariate(f)
+    built = [dobbertin_power(f5), instance(f5, 1, "x+1")]
+    for f in built:
+        assert algebraic_degree(f) == naive_degree_univariate(f5, f.table)
     # a stack of tables, as the prover scores its candidate maps
-    stacked = anf_degree(np.stack([f.table for f in cases] * 2).reshape(2, 3, 32))
-    assert stacked.tolist() == [[naive_degree_univariate(f) for f in cases]] * 2
+    tables = [f.table for f in built] + [np.array([rng.randrange(32) for _ in range(32)])]
+    stacked = anf_degree(np.stack(tables * 2).reshape(2, 3, 32))
+    assert stacked.tolist() == [[naive_degree_univariate(f5, t) for t in tables]] * 2
 
 
 def test_degree_of_permutation_at_most_n_minus_1(f5):
@@ -813,7 +787,7 @@ def test_degree_of_power_map_is_binary_weight():
     # that dies with the test, not on the shared one
     ctx = fresh_field(2)
     for e in range(1, ctx.order):
-        assert anf_degree(power_function(ctx, e).table) == e.bit_count(), e
+        assert anf_degree(power_function(ctx, e)) == e.bit_count(), e
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -832,15 +806,12 @@ def test_degree_tie_takes_whole_table(monkeypatch):
     # context per table, so that no orbit entry answers
     moebius, lengths = anf_degree, []
     monkeypatch.setattr(analyzer, "anf_degree", lambda t: lengths.append(t.shape[-1]) or moebius(t))
-    p = power_function(fresh_field(1), 29).table
-    table = p.copy()
-    table[[0, 1]] ^= 1
-    assert algebraic_degree(LutFunction(fresh_field(1), table)) == moebius(table)
+    f = LutFunction(fresh_field(1), np.array([1, 0]))  # x^29 on GF(2) plus 1
+    assert algebraic_degree(f) == moebius(f.table)
     assert lengths.count(32) == 1
     # H non-constant: 4 + 1 > wt(29) decides without the whole table
-    table = p.copy()
-    table[1] ^= 1
-    assert algebraic_degree(LutFunction(fresh_field(1), table)) == 5 == moebius(table)
+    f = LutFunction(fresh_field(1), np.array([0, 0]))
+    assert algebraic_degree(f) == 5 == moebius(f.table)
     assert lengths.count(32) == 1
 
 
@@ -865,11 +836,10 @@ def test_fingerprint_invariant_under_affine_composition(f10):
     """
     f = instance(f10, 2, "x+b")
     c, e = 77, 513
-    table = np.array([int(f.table[gf2n.mul(f10, c, x) ^ e]) for x in range(1024)])
-    composed = LutFunction(f10, table)
+    composed = np.array([int(f.table[gf2n.mul(f10, c, x) ^ e]) for x in range(1024)])
     assert ddt_row_spectrum(composed) == differential_spectrum(f)
-    assert walsh_max(composed) == walsh_max_abs(f)
-    assert anf_degree(composed.table) == algebraic_degree(f)
+    assert walsh_max(f10, composed) == walsh_max_abs(f)
+    assert anf_degree(composed) == algebraic_degree(f)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +851,7 @@ def test_analyze_report(f5):
     rep = analyze(f, k=1, construction="k=1 x+1")
     assert rep.delta == 4
     assert rep.is_permutation
-    assert rep.nl == 16 - walsh_max(f) // 2
+    assert rep.nl == 16 - walsh_max(f5, f.table) // 2
     assert rep.lb == 6
     assert set(rep.runtime_ms) == {"spectrum", "walsh", "degree", "permutation"}
     payload = json.loads(rep.to_json())
@@ -904,7 +874,7 @@ def test_analyze_takes_k_from_the_field(f10):
 
 
 def test_analyze_without_walsh(f5):
-    rep = analyze(power_function(f5, 29), k=1, walsh=False)
+    rep = analyze(dobbertin_power(f5), k=1, walsh=False)
     assert rep.nl is None and "walsh" not in rep.runtime_ms
     assert json.loads(rep.to_json())["nl"] is None
 
@@ -1006,7 +976,7 @@ def orbit_images(f, points):
             for x in points:
                 y = int(f.table[gf2n.mul(ctx, c, gf2n.frobenius(ctx, x, i))])
                 table[x] = gf2n.frobenius(ctx, gf2n.mul(ctx, c_e, y), (ctx.n - i) % ctx.n)
-            images.append(LutFunction(ctx, table))
+            images.append(LutFunction.from_table(ctx, table))
     return images
 
 
@@ -1017,7 +987,7 @@ def cold_report(f):
 
 def test_orbit_maps_keep_x_d_off_the_subfield(f10):
     # A (x^d) B = x^d on the whole field, so A f B is admitted again
-    p = power_function(f10, 339)
+    p = dobbertin_power(f10)
     for image in orbit_images(p, range(f10.order))[::7]:
         assert np.array_equal(image.table, p.table)
 
@@ -1026,17 +996,11 @@ def test_orbit_maps_keep_x_d_off_the_subfield(f10):
 def test_every_subfield_table_reads_its_cold_report(k, orbits):
     # every table with values in GF(2^k): through one context, forward and
     # backward, each report equals the report of a fresh context
-    ctx = fresh_field(k)
-    p, sub = power_function(ctx, dobbertin_exponent(k)).table, list(ctx.subfield_elems)
-    tables = []
-    for values in itertools.product(sub, repeat=len(sub)):
-        table = p.copy()
-        table[sub] = values
-        tables.append(table)
-    cold = [analyze(LutFunction(fresh_field(k), t)).to_json() for t in tables]
+    maps = [np.array(values) for values in itertools.product(fresh_field(k).subfield_elems, repeat=1 << k)]
+    cold = [analyze(LutFunction(fresh_field(k), g)).to_json() for g in maps]
     for step in (1, -1):
         ctx = fresh_field(k)
-        warm = [analyze(LutFunction(ctx, t)).to_json() for t in tables[::step]]
+        warm = [analyze(LutFunction(ctx, g)).to_json() for g in maps[::step]]
         assert warm[::step] == cold
         # one spectrum per orbit: a key that merged two orbits or missed a
         # symmetry would count fewer or more
@@ -1052,7 +1016,7 @@ def test_orbit_images_share_key_and_report(k, seed):
     sub = list(ctx.subfield_elems)
     images = orbit_images(f, sub)
     assert len(images) == ctx.n * ((1 << k) - 1)
-    least = min(image.table[sub].tolist() for image in images)
+    least = min(image.values.tolist() for image in images)
     assert {image.orbit_key for image in images} == {
         np.array(least, dtype=np.int64).tobytes()
     }
@@ -1085,28 +1049,27 @@ def spy_on_patch_and_key(monkeypatch):
 
 def test_one_instance_is_compared_and_keyed_once(monkeypatch):
     # theorem 1 reads the spectrum, proposition 2 the nonlinearity and
-    # analyze all three criteria: build_f hands f its patch, so a built f
-    # is never compared with x^d, and it is keyed once in all
+    # analyze all three criteria: f is keyed once, by the first criterion,
+    # and compared with x^d on GF(2^k) once, by the spectrum kernel
     calls = spy_on_patch_and_key(monkeypatch)
     f = instance(fresh_field(2), 2, "x+b")
     prover.theorem1_check(f, "k2 m2 x+b")
     prover.prop2_bound_check(f, "k2 m2 x+b")
     analyze(f)
     analyze(f)
-    assert calls == ["orbit_key"]
+    assert calls == ["orbit_key", "patch"]
 
 
-def test_refused_table_raises_on_every_call_and_is_never_keyed(f10, monkeypatch):
-    # cached_property keeps no exception: each call compares again and refuses
+def test_refused_table_raises_on_every_call_and_is_never_keyed(f10, tmp_path, monkeypatch):
+    # admission keeps nothing between calls: each one compares again and
+    # refuses, and no function is made, so none is compared or keyed
     calls = spy_on_patch_and_key(monkeypatch)
-    f = LutFunction(f10, refused_table(f10, "one-point-changed", "generator"))
-    criteria = (differential_spectrum, walsh_max_abs, nonlinearity, algebraic_degree, analyze)
-    for criterion in criteria * 2:
-        with pytest.raises(ValueError, match=f"x\\^{dobbertin_exponent(2)}"):
-            criterion(f)
-    assert calls == ["patch"] * 2 * len(criteria)
-    with pytest.raises(ValueError, match="outside GF"):
-        f.orbit_key
+    table = refused_table(f10, "one-point-changed", "generator")
+    path = lut_file(tmp_path / "refused.lut", table)
+    for admit in (lambda: LutFunction.from_table(f10, table), lambda: read_lut(path, f10)) * 2:
+        with pytest.raises(ValueError, match=f"x\\^{dobbertin_exponent(2)} at {f10.generator}, outside GF"):
+            admit()
+    assert calls == []
 
 
 def test_another_exponents_table_evicts_nothing(monkeypatch):

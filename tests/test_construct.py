@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 import re
@@ -7,16 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_eval, fresh_field, power_function, random_affine_perm
+from conftest import (
+    affine_eval,
+    closed_form_eval,
+    dobbertin_power,
+    every_affine_perm,
+    fresh_field,
+    power_function,
+    random_affine_perm,
+)
 from duperm import construct, gf2n
-from duperm.analyzer import analyze
+from duperm.analyzer import algebraic_degree, analyze, differential_spectrum, is_permutation
 from duperm.construct import (
     AffinePerm,
     LutFunction,
     build_f,
     build_g,
-    closed_form_eval,
     dobbertin_exponent,
+    instance,
     parse_affine_expr,
     read_lut,
     write_lut,
@@ -60,20 +70,18 @@ def test_dobbertin_diagnostics():
 # ---------------------------------------------------------------------------
 
 def test_power_function_identity(f5):
-    f = power_function(f5, 1)
-    assert np.array_equal(f.table, np.arange(32))
+    assert np.array_equal(power_function(f5, 1), np.arange(32))
 
 
 def test_power_function_zero_exponent(f5):
-    f = power_function(f5, 0)
-    assert set(f.table.tolist()) == {1}  # 0^0 = 1 when d = 0
+    assert set(power_function(f5, 0).tolist()) == {1}  # 0^0 = 1 when d = 0
 
 
 def test_power_function_matches_square_multiply(f5):
-    f = power_function(f5, 29)
+    table = power_function(f5, 29)
     for a in range(32):
-        assert int(f.table[a]) == ref_pow(f5, a, 29)
-    assert f.table[0] == 0
+        assert int(table[a]) == ref_pow(f5, a, 29)
+    assert table[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +183,15 @@ def test_table_l1_matches_canonical_beta(f10):
 def test_build_g_m1_is_affine_composition(f10):
     L1 = parse_affine_expr(f10, "b*x+b")
     L2 = parse_affine_expr(f10, "x+1")
-    g = build_g(f10, 2, 1, L1, L2)
-    for a in f10.subfield_elems:
-        assert int(g.table[a]) == affine_eval(L1, affine_eval(L2, a))
-    assert not g.table[~f10.subfield_mask].any()
+    g = build_g(f10, 2, 1, L1, L2)  # g's values on the sorted subfield
+    assert g.tolist() == [affine_eval(L1, affine_eval(L2, a)) for a in f10.subfield_elems]
 
 
 def test_build_g_direct_composition(f10):
     L1 = parse_affine_expr(f10, "x+1")
     L2 = parse_affine_expr(f10, "x")
     g = build_g(f10, 2, 2, L1, L2)  # gcd(2, 2) != 1
-    for a in f10.subfield_elems:
-        assert int(g.table[a]) == gf2n.pow(f10, a, 3) ^ 1
+    assert g.tolist() == [gf2n.pow(f10, a, 3) ^ 1 for a in f10.subfield_elems]
 
 
 @pytest.mark.parametrize("m", [60, 64, 100])
@@ -195,20 +200,20 @@ def test_build_g_large_m_matches_scalar_powers(f10, m):
     L1 = parse_affine_expr(f10, "b*x+1")
     L2 = parse_affine_expr(f10, "x^2+b")
     g = build_g(f10, 2, m, L1, L2)
-    for a in f10.subfield_elems:
-        assert int(g.table[a]) == affine_eval(L1, gf2n.pow(f10, affine_eval(L2, a), (1 << m) - 1))
+    want = [affine_eval(L1, gf2n.pow(f10, affine_eval(L2, a), (1 << m) - 1)) for a in f10.subfield_elems]
+    assert g.tolist() == want
 
 
 def test_build_g_inner_map_apn_on_subfield(f15):
     ident = parse_affine_expr(f15, "x")
-    g = build_g(f15, 3, 2, ident, ident)
     sub = f15.subfield_elems
+    g = dict(zip(sub, build_g(f15, 3, 2, ident, ident).tolist()))
     best = 0
     for a in sub:
         if a == 0:
             continue
         for b in sub:
-            count = sum(1 for c in sub if int(g.table[c ^ a]) ^ int(g.table[c]) == b)
+            count = sum(1 for c in sub if g[c ^ a] ^ g[c] == b)
             best = max(best, count)
     assert best == 2  # x^3 is APN on GF(2^3)
 
@@ -219,7 +224,7 @@ def test_build_g_permutation_iff_gcd(f10, f15):
         sub = ctx.subfield_elems
         for m in range(1, k + 1):
             g = build_g(ctx, k, m, ident, ident)
-            bijective = len({int(g.table[c]) for c in sub}) == len(sub)
+            bijective = len(set(g.tolist())) == len(sub)
             assert bijective == (math.gcd(m, k) == 1)
 
 
@@ -227,27 +232,21 @@ def test_build_f_restriction_and_outside(f10):
     L1 = parse_affine_expr(f10, "x+b")
     g = build_g(f10, 2, 2, L1, parse_affine_expr(f10, "x"))
     f = build_f(f10, 2, g)
-    d = dobbertin_exponent(2)
+    assert f.values.tolist() == g.tolist()
+    d, on_subfield = dobbertin_exponent(2), dict(zip(f10.subfield_elems, g.tolist()))
     for a in range(f10.order):
+        assert f(a) == int(f.table[a])
         if f10.subfield_mask[a]:
-            assert int(f.table[a]) == int(g.table[a])
+            assert int(f.table[a]) == on_subfield[a]
         else:
             assert int(f.table[a]) == gf2n.pow(f10, a, d)
 
 
 def test_build_f_closed_form_agrees_exhaustively(f5, f10):
-    L1 = parse_affine_expr(f5, "x+1")
-    g = build_g(f5, 1, 1, L1, parse_affine_expr(f5, "x"))
-    f = build_f(f5, 1, g)
-    for x in range(32):
-        assert int(f.table[x]) == closed_form_eval(f5, g, x)
-    g10 = build_g(f10, 2, 2, parse_affine_expr(f10, "x+b"), parse_affine_expr(f10, "x"))
-    f10_fun = build_f(f10, 2, g10)
-    for x in range(f10.order):
-        assert int(f10_fun.table[x]) == closed_form_eval(f10, g10, x)
-    # the array form, as build_f calls it, and the int form agree
-    assert type(closed_form_eval(f10, g10, 5)) is int
-    assert np.array_equal(closed_form_eval(f10, g10, np.arange(f10.order)), f10_fun.table)
+    for ctx, m, l1 in ((f5, 1, "x+1"), (f10, 2, "x+b")):
+        g = build_g(ctx, ctx.k, m, parse_affine_expr(ctx, l1), parse_affine_expr(ctx, "x"))
+        f = build_f(ctx, ctx.k, g)
+        assert f.table.tolist() == [closed_form_eval(ctx, g, x) for x in range(ctx.order)]
 
 
 def test_build_f_closed_form_catches_a_wrong_power_table(f10, monkeypatch):
@@ -273,19 +272,17 @@ def test_build_f_closed_form_catches_a_wrong_power_table(f10, monkeypatch):
 def test_build_f_refuses_g_with_values_outside_the_subfield(f10):
     # g with the values [0, 1, 5, 700] on the sorted subfield [0, 1, 236,
     # 237] of GF(2^10): f would take values outside GF(4) there, which no
-    # criterion admits, so build_f refuses g as LutFunction.patch would f
+    # LutFunction holds, so build_f refuses g
     sub = f10.subfield_index
-    table = np.zeros(f10.order, dtype=np.int64)
-    table[sub] = [0, 1, 5, 700]
     with pytest.raises(ValueError, match=rf"value 5 at {sub[2]} lies outside GF\(2\^2\).*x\^339"):
-        build_f(f10, 2, LutFunction(f10, table))
+        build_f(f10, 2, np.array([0, 1, 5, 700]))
 
 
 def test_build_f_identity_g_gives_power_map(f5):
     ident = parse_affine_expr(f5, "x")
     g = build_g(f5, 1, 1, ident, ident)
     f = build_f(f5, 1, g)
-    assert np.array_equal(f.table, power_function(f5, 29).table)
+    assert np.array_equal(f.table, power_function(f5, 29))
 
 
 @pytest.mark.parametrize("k,m", [(1, 1), (3, 2)])
@@ -300,62 +297,129 @@ def test_build_f_is_permutation_for_odd_k(k, m):
 
 
 def test_lut_function_rejects_tables_outside_the_field(f5):
-    # a -1 entry would index the last slot of a numpy scan and pass unseen
-    for table in (np.arange(32) - 1, np.arange(32) + 1):
-        with pytest.raises(ValueError, match="outside the field"):
-            LutFunction(f5, table)
+    # an entry outside the field differs from x^d off GF(2^k) and lies
+    # outside GF(2^k) on it; a -1 entry would index the last slot of a
+    # numpy scan, and 2^63 and 2^64 - 1 wrap to negative int64 values
+    for table in (np.arange(32) - 1, np.arange(32) + 1, np.full(32, 2**63, dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"differs from x\^29 at 2, outside GF\(2\^1\)"):
+            LutFunction.from_table(f5, table)
+    for value, wrapped in ((-1, -1), (32, 32), (2**64 - 1, -1), (2**63, -(2**63))):
+        table = power_function(f5, 29).astype(np.uint64 if value >= 2**63 else np.int64)
+        table[1] = value
+        with pytest.raises(ValueError, match=rf"the value {wrapped} at 1 lies outside GF\(2\^1\)"):
+            LutFunction.from_table(f5, table)
     with pytest.raises(ValueError, match="integers"):
-        LutFunction(f5, np.arange(32, dtype=float))
-    # 2^63 would wrap to a negative int64 if converted before the check
-    with pytest.raises(ValueError, match="outside the field"):
-        LutFunction(f5, np.full(32, 2**63, dtype=np.uint64))
+        LutFunction.from_table(f5, np.arange(32, dtype=float))
+
+
+def test_lut_function_admits_only_subfield_values(f10):
+    # the 2^k values are the check LutFunction runs on every f
+    sub = f10.subfield_index
+    with pytest.raises(ValueError, match=r"values length must be 2\^2, not 3"):
+        LutFunction(f10, sub[:3])
+    with pytest.raises(ValueError, match="values must hold integers, not float64"):
+        LutFunction(f10, sub.astype(float))
+    for i, value in ((0, 2), (1, 5), (2, -1), (3, 1024)):
+        values = sub.copy()
+        values[i] = value
+        with pytest.raises(ValueError, match=rf"the value {value} at {sub[i]} lies outside GF\(2\^2\).*x\^339"):
+            LutFunction(f10, values)
+    assert LutFunction(f10, sub).patch.tolist() == [2, 3]  # x^339 = x^3 swaps 236 and 237
 
 
 @pytest.mark.parametrize("dtype", [np.uint64, np.int32, np.uint16])
 def test_lut_function_stores_int64(dtype):
     # the kernels index and XOR in int64: a uint64 table made the spectrum
     # index the log table with floats and the degree XOR uint64 with int64;
-    # fresh contexts, so that the kernels run on the converted table
+    # fresh contexts, so that the kernels run on the converted arrays
     built = construct.instance(fresh_field(2), 2, "b^2*x^2+b", "b*x+1")
-    f = LutFunction(fresh_field(2), built.table.astype(dtype))
-    assert f.table.dtype == np.int64 and not f.table.flags.writeable
-    assert analyze(f).to_json() == analyze(built).to_json()
+    for f in (LutFunction.from_table(fresh_field(2), built.table.astype(dtype)),
+              LutFunction(fresh_field(2), built.values.astype(dtype))):
+        for a in (f.table, f.values):
+            assert a.dtype == np.int64 and not a.flags.writeable
+        assert analyze(f).to_json() == analyze(built).to_json()
 
 
 def test_lut_function_rejects_tables_not_one_dimensional(f5):
     # a (32, 2) table has 32 rows and passed the length check
-    for shape in ((32, 2), (2, 32), (1, 32), ()):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            LutFunction(f5, np.zeros(shape, dtype=np.int64))
+    for admit, size in ((LutFunction.from_table, 32), (LutFunction, 2)):
+        for shape in ((size, 2), (2, size), (1, size), ()):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                admit(f5, np.zeros(shape, dtype=np.int64))
 
 
 def test_lut_function_tables_are_read_only(tmp_path, f10):
-    table = np.arange(1024)
+    table = power_function(f10, 339).copy()
     path = tmp_path / "f.lut"
     built = construct.instance(f10, 2, "x+b")
     write_lut(built, path)
-    for f in (built, read_lut(path, f10), LutFunction(f10, table)):
-        with pytest.raises(ValueError, match="read-only"):
-            f.table[0] = 1
+    for f in (built, read_lut(path, f10), LutFunction.from_table(f10, table)):
+        for a in (f.table, f.values):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
     assert not table.flags.writeable  # the array handed in, not a copy
     assert not built.patch.flags.writeable  # shared by every criterion that reads it
 
 
 def test_lut_function_copies_a_view(f5):
     # a view's base stays writeable: a write through it must not reach
-    # f.table after patch was cached
-    base = power_function(f5, 29).table.copy()
-    f = LutFunction(f5, base[:])
+    # f.table or f.values
+    base = power_function(f5, 29).copy()
+    f = LutFunction.from_table(f5, base[:])
     assert f.patch.tolist() == []
+    base[1] ^= 1
     base[3] ^= 1
     assert int(f.table[3]) == gf2n.pow(f5, 3, 29)
-    assert f.patch.tolist() == []
+    assert f.values.tolist() == [0, 1]
     assert base.flags.writeable  # the base is not made read-only either
 
 
 def test_lut_function_refuses_what_is_not_an_array(f5):
-    with pytest.raises(ValueError, match="numpy array, not list"):
-        LutFunction(f5, [0] * 32)
+    with pytest.raises(ValueError, match="table must be a numpy array, not list"):
+        LutFunction.from_table(f5, [0] * 32)
+    with pytest.raises(ValueError, match="values must be a numpy array, not list"):
+        LutFunction(f5, [0, 1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_from_table_round_trip(k):
+    # f read back from its own table is f: every (m, L1, L2), m <= 3, at
+    # k = 1 and 2, a seeded sample at k = 3; each side on its own context,
+    # so that the kernels run for both
+    built_ctx, read_ctx = fresh_field(k), fresh_field(k)
+    perms = every_affine_perm(built_ctx) if k <= 2 else [random_affine_perm(built_ctx, s) for s in range(6)]
+    cases = list(itertools.product((1, 2, 3), perms, perms))
+    assert len(cases) == {1: 12, 2: 1728, 3: 108}[k]
+    for m, L1, L2 in cases:
+        f = build_f(built_ctx, k, build_g(built_ctx, k, m, L1, L2))
+        back = LutFunction.from_table(read_ctx, f.table)
+        assert back.values.tolist() == f.values.tolist()
+        assert back.patch.tolist() == f.patch.tolist()
+        assert back.orbit_key == f.orbit_key
+        assert analyze(back).to_json() == analyze(f).to_json(), (m, L1, L2)
+
+
+# sha256 of the 2^n table, as `duperm construct` prints it
+LAZY_TABLE_DIGESTS = {
+    (3, 2, "x^4"): "50480e3b7c6c0c1f544091173ab36ee6d63efbc98ecd16732c866f0a151da56c",
+    (4, 3, "x+1"): "992db9d9443924b075cb1caab3279d4e43586061756b8fdae7baef35eadec00d",
+}
+
+
+@pytest.mark.parametrize("k, m, l1", sorted(LAZY_TABLE_DIGESTS))
+def test_built_function_holds_no_table(request, tmp_path, k, m, l1):
+    # keying, degree, permutation status and, at n = 15, the spectrum read
+    # the 2^k values alone; the table is built for write_lut
+    ctx = request.getfixturevalue(f"f{5 * k}")
+    f = instance(ctx, m, l1)
+    f.orbit_key, algebraic_degree(f), is_permutation(f)
+    if k == 3:
+        differential_spectrum(f)
+    assert "table" not in f.__dict__
+    path = tmp_path / "f.lut"
+    write_lut(f, path)
+    for table in (f.table, read_lut(path, ctx).table):
+        assert hashlib.sha256(table.astype("<u8").tobytes()).hexdigest() == LAZY_TABLE_DIGESTS[k, m, l1]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +427,7 @@ def test_lut_function_refuses_what_is_not_an_array(f5):
 # ---------------------------------------------------------------------------
 
 def test_lut_roundtrip(tmp_path, f10):
-    f = power_function(f10, 339)
+    f = instance(f10, 2, "x+b")
     path = tmp_path / "f.lut"
     write_lut(f, path)
     back = read_lut(path, f10)
@@ -379,9 +443,8 @@ def test_lut_errors(tmp_path, f5, f10):
     path.write_bytes(b"NOTMAGIC" + bytes([5]) + b"\x00" * 256)
     with pytest.raises(ValueError):
         read_lut(path, f5)
-    f = power_function(f10, 3)
     good = tmp_path / "good.lut"
-    write_lut(f, good)
+    write_lut(dobbertin_power(f10), good)
     with pytest.raises(ValueError):
         read_lut(good, f5)  # wrong field degree
     truncated = tmp_path / "short.lut"
@@ -395,17 +458,19 @@ def test_lut_errors(tmp_path, f5, f10):
 
 def test_lut_oversized_file(tmp_path, f10):
     path = tmp_path / "long.lut"
-    write_lut(power_function(f10, 3), path)
+    write_lut(dobbertin_power(f10), path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ValueError, match="oversized"):
         read_lut(path, f10)
 
 
 def test_lut_entry_beyond_int64(tmp_path, f5):
-    # 2^64 - 1 would wrap to -1 in a signed table and pass an upper-bound check
-    table = power_function(f5, 3).table.astype("<u8")
-    table[3] = 2**64 - 1
+    # 2^64 - 1 would wrap to -1 in a signed table and pass an upper-bound
+    # check; off GF(2) it differs from x^29, on it it lies outside GF(2)
     path = tmp_path / "wide.lut"
-    path.write_bytes(construct.LUT_MAGIC + bytes([5]) + table.tobytes())
-    with pytest.raises(ValueError, match="outside the field"):
-        read_lut(path, f5)
+    for x, message in ((3, r"differs from x\^29 at 3,"), (1, r"the value -1 at 1 lies outside")):
+        table = power_function(f5, 29).astype("<u8")
+        table[x] = 2**64 - 1
+        path.write_bytes(construct.LUT_MAGIC + bytes([5]) + table.tobytes())
+        with pytest.raises(ValueError, match=message):
+            read_lut(path, f5)

@@ -25,7 +25,7 @@ def bench():
     return tracer, workloads, pinned
 
 
-@pytest.mark.parametrize("name", ["verify-all", "sweep-n10"])
+@pytest.mark.parametrize("name", ["verify-all", "sweep-n10", "field-n20"])
 def test_workload_pass_meets_contract(bench, tmp_path, name):
     tracer, workloads, pinned = bench
     seed = workloads.DEFAULT_SEED

@@ -179,15 +179,16 @@ def test_theorem1_check_k1(f5):
     assert degenerate.witness["attained"] is False
 
 
-def test_theorem1_check_g_off_subfield_skipped(f5, f10):
+def test_theorem1_check_g_off_subfield_refused(f5, f10):
     # x + 1 with the image of 1 moved outside the subfield: g is no map of
-    # the subfield, and the check refuses f as the criteria do, at odd and
-    # even k alike
+    # the subfield, so f is refused where it enters, as a table or as its
+    # values, at odd and even k alike, and theorem1_check never sees it
     for ctx in (f5, f10):
         table = instance(ctx, 1, "x+1").table.copy()
         table[1] = 2
-        with pytest.raises(ValueError, match=f"value 2 at 1 lies outside GF\\(2\\^{ctx.k}\\)"):
-            theorem1_check(LutFunction(ctx, table), "m1.x+1")
+        for admit in (LutFunction.from_table, lambda ctx, t: LutFunction(ctx, t[ctx.subfield_index])):
+            with pytest.raises(ValueError, match=f"value 2 at 1 lies outside GF\\(2\\^{ctx.k}\\)"):
+                admit(ctx, table)
 
 
 def test_theorem1_check_even_k_skipped(f10):
