@@ -98,7 +98,6 @@ from . import gf2n
 from .construct import LutFunction, dobbertin_exponent
 
 __all__ = [
-    "DiffSpectrum",
     "CriteriaReport",
     "differential_spectrum",
     "omega_counts",
@@ -110,14 +109,6 @@ __all__ = [
     "nl_lower_bound",
     "analyze",
 ]
-
-
-@dataclass(frozen=True)
-class DiffSpectrum:
-    """omega_i counts and their maximum."""
-
-    spectrum: dict
-    delta: int
 
 
 def omega_counts(table: np.ndarray) -> np.ndarray:
@@ -139,10 +130,11 @@ def _per_orbit(f: LutFunction, criterion: str, kernel) -> np.ndarray:
     return f.ctx.memo((criterion, f.orbit_key), lambda: np.atleast_1d(kernel(f)))
 
 
-def differential_spectrum(f: LutFunction) -> DiffSpectrum:
-    """omega_i counts over all (a, b) pairs with a != 0, plus the maximum."""
+def differential_spectrum(f: LutFunction) -> dict:
+    """{i: omega_i} for even i up to delta, the largest key: omega_i counts
+    the pairs (a, b), a != 0, with i solutions of f(x + a) + f(x) = b."""
     omega = _per_orbit(f, "spectrum", _spectrum)
-    return DiffSpectrum({i: int(omega[i]) for i in range(0, len(omega), 2)}, len(omega) - 1)
+    return {i: int(omega[i]) for i in range(0, len(omega), 2)}
 
 
 def _spectrum(f: LutFunction) -> np.ndarray:
@@ -429,17 +421,17 @@ def _degree(f: LutFunction) -> int:
     f = P + Delta with P = x^d and Delta zero off GF(2^k).
     deg P = wt(d), the binary weight of d.  In coordinates whose last
     n - k vanish on GF(2^k), Delta is H(y) times the indicator prod
-    (z_i + 1), so deg Delta = (n - k) + deg H, H = (f + x^d) on GF(2^k) in
-    sorted-subfield coordinates (a linear coordinate system).  The
+    (z_i + 1), so deg Delta = (n - k) + deg H, H = G + C = f + x^d on
+    GF(2^k) in sorted-subfield coordinates (f.subfield_maps, a linear
+    coordinate system of inputs and outputs alike).  The
     degree of the sum is the larger of the two unless they tie; a tie
     takes the Moebius transform of the whole table.
     """
-    ctx, e = f.ctx, dobbertin_exponent(f.ctx.k)
-    weight = e.bit_count()
+    ctx, weight = f.ctx, dobbertin_exponent(f.ctx.k).bit_count()
     if not len(f.patch):
         return weight
-    sub = ctx.subfield_index
-    deg_delta = ctx.n - ctx.k + int(anf_degree(f.values ^ gf2n.vec_pow_all(ctx, e)[sub]))
+    g, c = f.subfield_maps
+    deg_delta = ctx.n - ctx.k + int(anf_degree(g ^ c))
     return max(weight, deg_delta) if deg_delta != weight else int(anf_degree(f.table))
 
 
@@ -489,7 +481,7 @@ class CriteriaReport:
     construction: str | None
     spectrum: dict
     delta: int
-    nl: int | None
+    nl: int
     degree: int
     is_permutation: bool
     lb: int
@@ -525,7 +517,7 @@ class CriteriaReport:
             label,
             "{%d, %d, %d}" % (w0, w2, w4),
             str(self.degree),
-            str(self.nl) if self.nl is not None else "",
+            str(self.nl),
             str(self.lb),
         ]
 
@@ -542,38 +534,35 @@ def analyze(
     f keeps its patch and orbit key, taken by the first criterion that
     reads them; each criterion then runs for the first f of its orbit met
     on the context and is a memo lookup for the rest.  The report's k is
-    f.ctx.k.  k and workers are accepted only because
-    perfbench/workloads.py still passes k=ctx.k and workers=1; a k that
-    disagrees with the field raises ValueError.
+    f.ctx.k.  k, walsh and workers are accepted only because
+    perfbench/workloads.py still passes k=ctx.k, walsh=True and
+    workers=1; a k that disagrees with the field, or walsh=False, raises
+    ValueError.
     """
     if k is not None and k != f.ctx.k:
         raise ValueError("k does not match the field context")
+    if not walsh:
+        raise ValueError("every report carries the nonlinearity; walsh=False is refused")
     runtime: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    ds = differential_spectrum(f)
-    runtime["spectrum"] = (time.perf_counter() - t0) * 1e3
-
-    nl = None
-    if walsh:
+    def timed(name: str, criterion):
         t0 = time.perf_counter()
-        nl = nonlinearity(f)
-        runtime["walsh"] = (time.perf_counter() - t0) * 1e3
+        value = criterion(f)
+        runtime[name] = (time.perf_counter() - t0) * 1e3
+        return value
 
-    t0 = time.perf_counter()
-    degree = algebraic_degree(f)
-    runtime["degree"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    perm = is_permutation(f)
-    runtime["permutation"] = (time.perf_counter() - t0) * 1e3
-
+    # each criterion is looked up by its module-level name on every call,
+    # so a wrapper set on the module is the one that runs and is timed
+    spectrum = timed("spectrum", differential_spectrum)
+    nl = timed("walsh", nonlinearity)
+    degree = timed("degree", algebraic_degree)
+    perm = timed("permutation", is_permutation)
     return CriteriaReport(
         n=f.ctx.n,
         k=f.ctx.k,
         construction=construction,
-        spectrum=ds.spectrum,
-        delta=ds.delta,
+        spectrum=spectrum,
+        delta=max(spectrum),
         nl=nl,
         degree=degree,
         is_permutation=perm,

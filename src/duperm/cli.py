@@ -70,9 +70,8 @@ def _emit(text: str, out) -> None:
 
 def cmd_analyze(args) -> int:
     _check_out(args.out)
-    ctx, f = _build_function(args)
-    walsh = args.walsh == "on" or (args.walsh == "auto" and ctx.n <= 10)
-    report = analyzer.analyze(f, construction=_construction_label(args), walsh=walsh)
+    _, f = _build_function(args)
+    report = analyzer.analyze(f, construction=_construction_label(args))
     if args.format == "csv":
         lines = [",".join(_CSV_HEADER)]
         lines.append(",".join('"%s"' % c if "," in c else c for c in report.csv_row(args.l1)))
@@ -195,7 +194,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="criteria report for one constructed function")
     _add_function_args(p)
-    p.add_argument("--walsh", choices=("auto", "on", "off"), default="auto")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--timings", action="store_true", help="include runtime_ms in JSON")
     p.add_argument("--out")

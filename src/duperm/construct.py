@@ -103,8 +103,10 @@ class LutFunction:
 
     @functools.cached_property
     def patch(self) -> np.ndarray:
-        """The positions i, ascending, where f differs from x^d: f(sub[i]) != sub[i]^d."""
-        i = (self.values != _subfield_power(self.ctx)[0]).nonzero()[0]
+        """The positions i, ascending, where f differs from x^d: G[i] != C[i]
+        in subfield_maps, that is f(sub[i]) != sub[i]^d."""
+        g, c = self.subfield_maps
+        i = (g != c).nonzero()[0]
         i.flags.writeable = False  # every criterion reads this one array
         return i
 
@@ -153,10 +155,7 @@ class LutFunction:
         """
         coords = _subfield_coords(self.ctx, self.values)
         coords.flags.writeable = False
-        return coords, _subfield_power(self.ctx)[1]
-
-    def __call__(self, x: int) -> int:
-        return int(self.table[x])
+        return coords, _subfield_power(self.ctx)
 
 
 def _int64(array: np.ndarray, bits: int, name: str) -> np.ndarray:
@@ -188,13 +187,11 @@ def _subfield_coords(ctx: gf2n.FieldCtx, values) -> np.ndarray:
     return np.searchsorted(ctx.subfield_index, values)
 
 
-def _subfield_power(ctx: gf2n.FieldCtx) -> tuple:
-    """x^d on the sorted subfield: its values there, and C, the same in
-    subfield coordinates; kept in the memo."""
+def _subfield_power(ctx: gf2n.FieldCtx) -> np.ndarray:
+    """C, x^d on the sorted subfield in subfield coordinates; kept in the memo."""
 
-    def build() -> tuple:
-        values = _power(ctx, ctx.subfield_index, dobbertin_exponent(ctx.k))
-        return values, _subfield_coords(ctx, values)
+    def build() -> np.ndarray:
+        return _subfield_coords(ctx, _power(ctx, ctx.subfield_index, dobbertin_exponent(ctx.k)))
 
     return ctx.memo("subfield_power", build)
 

@@ -356,7 +356,7 @@ def subfield_coset_rep(ctx: FieldCtx, a):
 
 
 # ---------------------------------------------------------------------------
-# Vectorised helpers for the exhaustive-scan modules
+# Power-map tables: x^e at every field element, memoised
 # ---------------------------------------------------------------------------
 
 def vec_pow_all(ctx: FieldCtx, e: int) -> np.ndarray:

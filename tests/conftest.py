@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from duperm import gf2n
-from duperm.analyzer import DiffSpectrum, _walsh_rows
+from duperm.analyzer import _walsh_rows
 from duperm.construct import AffinePerm, LutFunction, dobbertin_exponent
 
 
@@ -80,13 +80,14 @@ def ddt_row(table, a):
 
 
 def ddt_row_spectrum(table):
-    """The spectrum rebuilt from the DDT rows of every a != 0."""
+    """The spectrum rebuilt from the DDT rows of every a != 0, as
+    differential_spectrum returns it: {i: omega_i} for even i up to delta."""
     q = len(table)
     omega = np.zeros(q + 1, dtype=np.int64)
     for a in range(1, q):
         omega += np.bincount(ddt_row(table, a), minlength=q + 1)
     delta = int(np.nonzero(omega[1:])[0].max()) + 1
-    return DiffSpectrum({i: int(omega[i]) for i in range(0, delta + 1, 2)}, delta)
+    return {i: int(omega[i]) for i in range(0, delta + 1, 2)}
 
 
 def walsh_rows(ctx, tab, vs):

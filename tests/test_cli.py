@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -89,10 +90,11 @@ def test_analyze_csv_format():
     assert lines[1].startswith('"') or lines[1].startswith("x+1")
 
 
-def test_analyze_walsh_off():
-    code, out, _ = run_cli(["analyze", "--k", "1", "--walsh", "off"])
+def test_analyze_reports_nl_at_every_k():
+    # NL is part of every report, n = 15 included: 2^14 - max |W| / 2, max |W| = 584
+    code, out, _ = run_cli(["analyze", "--k", "3", "--m", "2", "--l1", "x^4"])
     assert code == 0
-    assert json.loads(out)["nl"] is None
+    assert json.loads(out)["nl"] == 16092
 
 
 def test_usage_errors():
@@ -105,9 +107,11 @@ def test_usage_errors():
     code, _, err = run_cli(["verify", "--trials", "0"])  # a coset check of no a
     assert code == 2
     assert "trials" in err
-    # --workers is accepted only by verify and reproduce-tables, --seed only by verify
+    # --workers is accepted only by verify and reproduce-tables, --seed only
+    # by verify, and no command takes --walsh
     for argv in (["no-such-command"], ["analyze", "--k", "1", "--workers", "2"],
-                 ["analyze", "--k", "1", "--seed", "0"], ["verify", "--walsh", "on"]):
+                 ["analyze", "--k", "1", "--seed", "0"], ["analyze", "--k", "1", "--walsh", "on"],
+                 ["verify", "--walsh", "on"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2
@@ -124,6 +128,21 @@ def test_usage_error_leaves_the_parser_usable():
         assert main(["verify", "--claims", "lemma1.exhaustive.k1"]) == 0
     assert "unrecognized arguments: --no-such-option" in err.getvalue()
     assert json.loads(out.getvalue())["claim_id"] == "lemma1.exhaustive.k1"
+
+
+def test_readme_cli_block_parses():
+    # each command line under "## CLI" in README.md, its trailing "# ..."
+    # comment dropped, is one the parser accepts, and every subcommand shows
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```")[1]
+    commands = set()
+    for line in block.strip().splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "duperm", line
+        commands.add(cli._parser().parse_args(argv[1:]).command)
+    assert commands == {"analyze", "construct", "export-lut", "verify", "replay-proof",
+                        "reproduce-tables"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

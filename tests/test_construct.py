@@ -235,7 +235,6 @@ def test_build_f_restriction_and_outside(f10):
     assert f.values.tolist() == g.tolist()
     d, on_subfield = dobbertin_exponent(2), dict(zip(f10.subfield_elems, g.tolist()))
     for a in range(f10.order):
-        assert f(a) == int(f.table[a])
         if f10.subfield_mask[a]:
             assert int(f.table[a]) == on_subfield[a]
         else:
