@@ -6,10 +6,7 @@ map g of GF(2^k) into itself, so g's 2^k values fix f:
 
 * build_g gives g = L1 o x^(2^m - 1) o L2, for affine permutations L1,
   L2 of GF(2^k), as its values on the sorted subfield;
-* build_f gives f for any such g.  The closed form
-  f(x) = g(x) + (g(x) + x^d) (x + x^(2^k))^(2^n - 1)
-  is implemented as an independent evaluation path and cross-checked
-  against the piecewise definition on a fixed sample of points.
+* build_f gives f for any such g, as the LutFunction of its values.
 
 A LutFunction holds f as those 2^k values, read-only int64, and
 LutFunction(ctx, values) is its one constructor, which refuses a value
@@ -29,7 +26,6 @@ of its orbit under those maps (orbit_key).
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,25 +297,12 @@ def build_g(
         raise ValueError("k does not match the field context")
     if m < 1:
         raise ValueError("m must be positive")
-    q1 = ctx.order - 1
-    y = L2.image  # the exponent reduced first: an int64 product would wrap for large m
-    inner = np.where(y != 0, ctx.exp[ctx.log[y] * (((1 << m) - 1) % q1) % q1], 0)
-    return L1.image[_subfield_coords(ctx, inner)]
+    return L1.image[_subfield_coords(ctx, _power(ctx, L2.image, (1 << m) - 1))]
 
 
 def _power(ctx, a, e):  # a^e elementwise for e > 0
-    return np.where(a != 0, ctx.exp[ctx.log[a] * e % (ctx.order - 1)], 0)
-
-
-def _closed_form_parts(ctx: gf2n.FieldCtx, x: np.ndarray) -> tuple:
-    """x^d and the indicator (x + x^(2^k))^(2^n - 1), from the exp/log tables."""
-    indicator = _power(ctx, x ^ _power(ctx, x, 1 << ctx.k), ctx.order - 1)
-    return _power(ctx, x, dobbertin_exponent(ctx.k)), indicator
-
-
-def _closed_form(ctx, gx, xd, indicator):  # g(x) + (g(x) + x^d) * indicator, by exp/log
-    a, q1 = gx ^ xd, ctx.order - 1
-    return gx ^ np.where((a != 0) & (indicator != 0), ctx.exp[(ctx.log[a] + ctx.log[indicator]) % q1], 0)
+    q1 = ctx.order - 1  # e reduced first: an int64 product would wrap for large e
+    return np.where(a != 0, ctx.exp[ctx.log[a] * (e % q1) % q1], 0)
 
 
 def build_f(ctx: gf2n.FieldCtx, k: int, g: np.ndarray) -> LutFunction:
@@ -327,29 +310,11 @@ def build_f(ctx: gf2n.FieldCtx, k: int, g: np.ndarray) -> LutFunction:
     on the sorted subfield, as build_g returns them.
 
     g must map GF(2^k) into itself (ValueError naming the first point that
-    it does not, as LutFunction does).  f, which is g on GF(2^k) and x^d
-    from vec_pow_all off it, is checked against the closed-form evaluation
-    on 64 deterministic sample points; the points, their positions in
-    GF(2^k), and x^d and the indicator there are drawn and computed once
-    per context (its memo).
+    it does not, as LutFunction does).
     """
     if k != ctx.k:
         raise ValueError("k does not match the field context")
-    f = LutFunction(ctx, g)
-
-    def samples() -> tuple:
-        rng = random.Random(0x5B0C)
-        xs = np.array([rng.randrange(ctx.order) for _ in range(64)], dtype=np.int64)
-        return xs, *_closed_form_parts(ctx, xs), ctx.subfield_mask[xs], _subfield_coords(ctx, xs)
-
-    xs, xd, indicator, inside, at = ctx.memo("build_f_samples", samples)
-    # off GF(2^k) the indicator is 1 and g(x) drops out of the closed form; 0 stands in
-    gx = np.where(inside, f.values.take(at, mode="clip"), 0)
-    piecewise = np.where(inside, gx, gf2n.vec_pow_all(ctx, dobbertin_exponent(k))[xs])
-    bad = xs[piecewise != _closed_form(ctx, gx, xd, indicator)]
-    if len(bad):
-        raise RuntimeError(f"piecewise and closed-form paths disagree at {bad[0]}")
-    return f
+    return LutFunction(ctx, g)
 
 
 def instance(ctx: gf2n.FieldCtx, m: int, l1: str, l2: str = "x") -> LutFunction:

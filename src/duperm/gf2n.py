@@ -13,8 +13,8 @@ held once, as a numpy array; the scalar operations index it with
 .item, so they return Python ints.
 
 Each context also carries a memo (FieldCtx.memo) of read-only tables
-derived from the field; vec_pow_all, build_f and the analyzer's kernels
-keep their tables there.  It is a cache that never changes a result.
+derived from the field; vec_pow_all, LutFunction and the analyzer's
+kernels keep their tables there.  It is a cache that never changes a result.
 
 The subfield is found without Frobenius passes over the field:
 GF(2^k)* is the unique subgroup of order 2^k - 1 of the cyclic group

@@ -14,10 +14,7 @@ total degree past _MAX_DEGREE raises OverflowError before any field
 could carry into its neighbour, and exact_divide tests divisibility
 with one subtraction against those clear bits.
 
-A product toggles each sum of two monomials in one set; from
-_NUMPY_PAIRS pairs of terms up, where a Python loop costs more than a
-numpy call, it counts the sums in numpy and keeps those met an odd
-number of times.
+A product toggles each sum of two monomials in one set.
 
 resultant_wrt eliminates one variable from two MultiPolys, one of them
 linear in it: the Sylvester determinant expanded along the other's row,
@@ -31,8 +28,6 @@ from __future__ import annotations
 import heapq
 from typing import Iterable
 
-import numpy as np
-
 __all__ = [
     "VARS",
     "MultiPoly",
@@ -45,7 +40,6 @@ VARS = ("x", "y", "z", "u", "v", "b")
 
 _MAX_DEGREE = 127  # largest total degree: each byte field keeps its top bit clear
 _TOP = 8 * len(VARS)  # bit offset of the total-degree byte
-_NUMPY_PAIRS = 64  # products of at least this many pairs of terms are summed in numpy
 
 # _FACTORS[i][e] prints VARS[i]^e and a trailing "*", or nothing for e = 0
 _FACTORS = tuple(
@@ -133,11 +127,6 @@ class MultiPoly:
         if not a or not b:
             return MultiPoly._raw(frozenset())
         _check_degree((max(a) >> _TOP) + (max(b) >> _TOP))
-        if len(a) * len(b) >= _NUMPY_PAIRS:
-            # every monomial fits in an int64; a sum met an even number of times cancels
-            sums = np.fromiter(a, np.int64, len(a))[:, None] + np.fromiter(b, np.int64, len(b))
-            values, counts = np.unique(sums, return_counts=True)
-            return MultiPoly._raw(frozenset(values[counts & 1 == 1].tolist()))
         acc: set[int] = set()
         toggle_off, toggle_on = acc.remove, acc.add
         for s in a:

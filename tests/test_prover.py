@@ -191,6 +191,12 @@ def test_theorem1_check_g_off_subfield_refused(f5, f10):
                 admit(ctx, table)
 
 
+def test_theorem1_check_skips_g_that_does_not_permute(f15):
+    # m = 3 = k: x^7 sends every nonzero y of GF(8) to 1
+    r = theorem1_check(instance(f15, 3, "x"), "m3.x")
+    assert (r.status, r.witness) == ("skipped", {"note": "g is not a subfield permutation"})
+
+
 def test_theorem1_check_even_k_skipped(f10):
     r = theorem1_check(instance(f10, 1, "x+1"), "m1.x+1")
     assert r.status == "skipped"
@@ -308,12 +314,12 @@ def test_prop1_term_tables_match_scalar_arithmetic(f5, f10, f15, k):
     ctx = (f5, f10, f15)[k - 1]
     sub = ctx.subfield_elems
     coords = {c: i for i, c in enumerate(sub)}
-    terms, cube = prover._term_tables(ctx)
+    terms = prover._term_tables(ctx)
     assert len(terms) == k
     for i, table in enumerate(terms):
         want = [[coords[gf2n.mul(ctx, c, gf2n.frobenius(ctx, y, i))] for y in sub] for c in sub]
         assert table.tolist() == want, i
-    assert cube.tolist() == [coords[gf2n.pow(ctx, y, 3)] for y in sub]
+    assert prover._subfield_power(ctx).tolist() == [coords[gf2n.pow(ctx, y, 3)] for y in sub]
 
 
 def test_failing_claim_requires_witness():
