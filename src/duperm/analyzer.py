@@ -10,11 +10,12 @@ ctx.k (as e, since d names the points D in the code) and P from
 vec_pow_all.  f then differs from P only on the points D of GF(2^k) at
 the positions f.patch, and each criterion has one kernel:
 
-* differential spectrum: DDT row 1 of P gives every row, and only the
-  pairs through D move a cell; memoised histograms move the rows outside
-  GF(2^k) (generic rows), and the rows of GF(2^k)* come from GF(2^k)
-  (below).  A cell counts at most max(row 1) + 2 |D|, so omega is that
-  long (at least 2^k + 1), not 2^n + 1;
+* differential spectrum, in closed form: P is APN, so row 1 holds 2 on
+  Im Delta, Delta(x) = P(x) + P(x + 1), and 0 elsewhere, and only the
+  pairs through D move a cell.  In the rows outside GF(2^k) (generic
+  rows) each point of D moves 2^n - 2^k cells from 2 to 0 and as many
+  from 0 or 2 up by 2, and one memoised count per (r, shift) says how
+  many land on 2; the rows of GF(2^k)* come from GF(2^k) (below);
 * Walsh maximum max |W(u, v)|, read by nonlinearity: gcd(d, 2^n - 1),
   which is 1 or 3, fast transforms of P give W_P on every orbit of
   (u, v); the few orbits that can still hold the maximum are kept, and
@@ -68,10 +69,10 @@ Everything runs in one process.
 
 What depends on the field and x^d alone is kept in the context's memo
 (gf2n.FieldCtx.memo), keyed by name alone, since x^d is the only power
-map admitted: x^d, DDT row 1 with its histogram, the generic
-histograms (at most 2 * 2^n, one per value met), C with its omega, psi,
-the orbits any f over the field could keep and top and bottom of each
-class on them.
+map admitted: x^d, the bool mask of Im Delta, d log w and P(w + 1)
+over w outside GF(2^k), the generic counts (at most 2 * 2^k, one per
+(r, shift) met), C with its omega, psi, the orbits any f over the field
+could keep and top and bottom of each class on them.
 
 What depends on f is kept per orbit of the linear equivalences
 f -> A f B that fix x^d (see construct): f and A f B have the same
@@ -138,21 +139,25 @@ def differential_spectrum(f: LutFunction) -> dict:
 
 
 def _spectrum(f: LutFunction) -> np.ndarray:
-    """omega_0 .. omega_delta of f.
+    """omega_0 .. omega_delta of f, in closed form.
 
-    For P = x^d, delta_P(a, b) = delta_P(1, b a^(-d)): omega starts
-    as 2^n - 1 times the histogram of row 1, and each pair {s, s + a}, s
-    in D, moves its cell P(s) + P(s + a) down and f(s) + f(s + a) up.
-    A cell counts at most max(row 1) + 2 |D|: each of the at most |D|
-    pairs through D adds at most 2 to the count row 1 gives it.  So omega
-    is kept that long (and at least 2^k + 1), which also holds a
-    histogram's move up by 2 when D is not empty.
-    * Generic rows, a outside GF(2^k): with a = s u (a = u for s = 0)
-      the old counts are row1[(r + P(u + 1)) / u^d], r = 1 before and
-      r = f(s) / s^d after (row1[(r + P(u)) / u^d], r = 0 and f(0), for
-      s = 0); memoised histograms over u move all those rows at once,
-      the moves of every s summed and applied together.  No two pairs of
-      a generic row share a cell (module docstring), so each move is exact.
+    x^d is APN (Dobbertin), so row 1 of P = x^d holds 2 on the 2^(n-1)
+    cells of Im Delta, Delta(x) = P(x) + P(x + 1), and 0 elsewhere; the
+    mask of Im Delta is built once per field, and its size checks that x^d
+    is APN.  As delta_P(a, b) = delta_P(1, b a^(-d)), omega_P is 2^(n-1)
+    (2^n - 1) at i = 0 and at i = 2.  Each pair {s, s + a}, s in D, moves
+    its cell P(s) + P(s + a) down by 2 and f(s) + f(s + a) up by 2.
+    * Generic rows, a outside GF(2^k): with a = s / w (a = 1 / w for
+      s = 0) the down cell is row1[P(w) + P(w + 1)] (row1[1] for s = 0),
+      which is 2, and the up cell row1[r P(w) + P(w + 1)] (row1[r P(w) +
+      1] for s = 0), r = f(s) / s^d (f(0) for s = 0).  So a point s moves
+      N = 2^n - 2^k cells down from 2 to 0 and N up: c(r, [s != 0]), the
+      count of w outside GF(2^k) whose up cell lies in Im Delta, from 2
+      to 4, and N - c from 0 to 2.  C = sum over D of c gives omega_P +
+      C (1, -2, 1) on i = 0, 2, 4.  No two pairs of a generic row share
+      a cell (module docstring), so each move is exact.  c is memoised
+      per (r, shift); f(s) != P(s) makes r != 0 at s = 0 and r != 1 at
+      s != 0.
     * Rows of GF(2^k)*: omega trades omega_counts(C) for omega_counts(G)
       (see the module docstring).
     """
@@ -161,17 +166,21 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
     p = gf2n.vec_pow_all(ctx, e)
 
-    def ddt_row1() -> tuple:
+    def im_delta() -> np.ndarray:
+        mask = np.zeros(q, dtype=bool)
         pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
-        row1 = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=q)
-        return row1, np.bincount(row1) * q1
+        mask[pairs[:, 0] ^ pairs[:, 1]] = True
+        if np.count_nonzero(mask) != q >> 1:
+            raise ValueError(f"x^{e} is not APN on GF(2^{ctx.n}): |Im Delta| != 2^{ctx.n - 1}")
+        return mask
 
     def outside() -> tuple:  # for w outside GF(2^k): d log w and P(w + 1)
         w = np.flatnonzero(~ctx.subfield_mask)
         return (e * log[w] % q1).astype(np.int32), p[w ^ 1].astype(np.int32)
 
-    def hist(r: int, shift: int) -> np.ndarray:
-        # w = 1 / u: counts row1[r P(w) + P(w + 1)], row1[r P(w) + 1] for s = 0
+    def count(r: int, shift: int) -> int:
+        # c(r, shift) = #{w outside GF(2^k) : r P(w) + P(w + 1), or r P(w) + 1
+        # for shift 0, in Im Delta}
         def build() -> np.ndarray:
             elog, p1 = ctx.memo("outside", outside)
             if r:  # in place: at n = 20 each fresh temporary can cost 2^n / 512 page faults
@@ -179,33 +188,22 @@ def _spectrum(f: LutFunction) -> np.ndarray:
                 t %= q1
                 cell = ctx.exp[t]
                 cell ^= p1 if shift else 1
-            else:
-                cell = p1 if shift else np.ones_like(elog)
-            return np.bincount(row1[cell])
+            else:  # r = f(s) = 0 at s != 0
+                cell = p1
+            return np.array([np.count_nonzero(mask[cell])])
 
-        return ctx.memo(("hist", r, shift), build)
+        return int(ctx.memo(("count", r, shift), build)[0])
 
-    row1, omega_p = ctx.memo("ddt_row1", ddt_row1)
-    size = max(len(omega_p) + 2 * len(d), (1 << ctx.k) + 1)
-    omega = np.zeros(size, dtype=np.int64)
-    omega[: len(omega_p)] = omega_p
-    # h[i] cells move from count i down to i - 2 (a before cell counts >= 2)
-    # or up to i + 2
-    down, up = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+    mask = ctx.memo("im_delta", im_delta)
     # r = f(s) / s^d, and f(0) for s = 0
     r = np.where((d != 0) & (fd != 0), ctx.exp[(log[fd] - e * log[d]) % q1], fd)
-    for s, rs in zip(d.tolist(), r.tolist()):
-        shift = int(s != 0)
-        h = hist(shift, shift)
-        down[: len(h)] += h
-        h = hist(rs, shift)
-        up[: len(h)] += h
-    omega -= down + up
-    omega[:-2] += down[2:]
-    omega[2:] += up[:-2]
+    c = sum(count(rs, int(s != 0)) for s, rs in zip(d.tolist(), r.tolist()))
+    half = (q >> 1) * q1
+    omega = np.zeros(max(5, (1 << ctx.k) + 1), dtype=np.int64)
+    omega[0:5:2] = half + c, half - 2 * c, c
 
-    g, c = f.subfield_maps
-    omega[: len(g) + 1] += omega_counts(g) - ctx.memo("subfield_omega", lambda: omega_counts(c))
+    g, cmap = f.subfield_maps
+    omega[: len(g) + 1] += omega_counts(g) - ctx.memo("subfield_omega", lambda: omega_counts(cmap))
     return omega[: np.flatnonzero(omega)[-1] + 1]
 
 

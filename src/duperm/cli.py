@@ -3,9 +3,7 @@
 Subcommands:
   analyze           build one function and print its criteria report
   construct         build one function and print a table digest
-  export-lut        write the function's lookup table in the binary format
   verify            run the claim checks, emit a JSON-lines transcript
-  replay-proof      run only the symbolic elimination replay
   reproduce-tables  rebuild the reference rows and compare exactly
 
 Exit codes: 0 success / all pass, 1 claim or table mismatch, 2 usage
@@ -98,13 +96,6 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_export_lut(args) -> int:
-    _check_out(args.out)
-    _, f = _build_function(args)
-    write_lut(f, args.out)
-    return 0
-
-
 def cmd_verify(args) -> int:
     _check_out(args.out)
     results = prover.run_claims(pattern=args.claims, seed=args.seed, trials=args.trials)
@@ -121,18 +112,6 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"no claims match pattern {args.claims!r}\n")
         return 2
     return 1 if counts["fail"] else 0
-
-
-def cmd_replay_proof(args) -> int:
-    results = prover.lemma1_replay()
-    ok = True
-    for r in results:
-        sys.stdout.write(f"{r.claim_id}: {r.status}\n")
-        if args.verbose and r.witness:
-            for key, val in r.witness.items():
-                sys.stdout.write(f"  {key}: {val}\n")
-        ok = ok and r.status == prover.PASS
-    return 0 if ok else 1
 
 
 def cmd_reproduce_tables(args) -> int:
@@ -204,11 +183,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the binary lookup table here")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("export-lut", help="write the binary lookup table")
-    _add_function_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_lut)
-
     p = sub.add_parser("verify", help="run claim checks")
     p.add_argument("--claims", default="*", help="glob over claim ids, e.g. 'lemma1.*'")
     p.add_argument("--seed", type=int, default=0)
@@ -217,10 +191,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="ignored; accepted only because perfbench/workloads.py passes it")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("replay-proof", help="symbolic elimination replay only")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_replay_proof)
 
     p = sub.add_parser("reproduce-tables", help="rebuild reference rows and compare")
     p.add_argument("--out", help="directory for table1.csv / table2.csv (default .)")

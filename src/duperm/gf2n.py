@@ -222,8 +222,8 @@ class FieldCtx:
         maps that fix x^d (construct.LutFunction.orbit_key), whose
         members share every criterion; so the memo changes when a result
         is computed, never the result.  A tuple key also names a
-        parameter of build: an exponent, a field element, a residue mod
-        gcd(d, 2^n - 1) or an orbit key.  Nothing is evicted; the memo
+        parameter of build: an exponent, a field element and a shift
+        (the spectrum's counts) or an orbit key.  Nothing is evicted; the memo
         is freed with the context.  build returns an array or a tuple of
         arrays.
         """

@@ -250,6 +250,118 @@ def test_structured_spectrum_largest_cells():
             assert max(ds) >= 1 << k
 
 
+def walsh_counts(ctx):
+    """c(r, shift) for every r in GF(2^k) and both shifts, from the Walsh rows
+    W_j(u) = W_P(u, gamma^j), j < g = gcd(d, 2^n - 1), in exact integers.
+
+    C(r, shift) counts every w of the field whose cell, r P(w) + P(w + 1)
+    (r P(w) + 1 for shift 0), lies in Im Delta; with q = 2^n and j' = (j +
+    log r) mod g:
+    * shift 0: C = q for r = 0, and for r != 0
+      2 q^2 g C = q^3 g + sum_j W_j'(0) (sum_u W_j(u)^3 - q^2);
+    * shift 1: for r = 0, 2 q^2 g C = q^3 g + q sum_j W_j(0) (W_j(0)^2 - q),
+      and for r != 0
+      2 q^2 g C = q^3 g + sum_j sum_u (W_j(u)^3 - q W_j(u)) W_j'(u / lambda_j),
+      lambda_j^d = gamma^(j + log r - j'), so that W_P(u, gamma^j r) =
+      W_j'(u / lambda_j): in log order, row j' rolled by log lambda_j.
+    c is C less the points w of GF(2^k), counted directly.
+    """
+    q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
+    g = math.gcd(e, q1)
+    p = power_function(ctx, e)
+    rows = walsh_rows(ctx, p, ctx.exp[:g]).astype(object)  # Python ints: exact at any n
+    w0, by_log = rows[:, 0], rows[:, ctx.exp[:q1]]  # by_log[j, i] = W_j(gamma^i)
+    cubes = [(row**3).sum() for row in rows]
+    inv = pow(e // g, -1, q1 // g)
+    im_delta = np.zeros(q, dtype=bool)
+    im_delta[p[0::2] ^ p[1::2]] = True
+    sub = ctx.subfield_index
+    counts = {}
+    for r in ctx.subfield_elems:
+        lr = int(ctx.log[r])
+        for shift in (0, 1):
+            total = q**3 * g
+            for j in range(g):
+                jr = (j + lr) % g
+                if not r:  # 2 q^3 g in all for shift 0: C = q
+                    total += q * w0[j] * (w0[j] ** 2 - q) if shift else q**3
+                elif not shift:
+                    total += w0[jr] * (cubes[j] - q**2)
+                else:
+                    lagged = np.roll(by_log[jr], (j + lr - jr) % q1 // g * inv % (q1 // g))
+                    total += (w0[j] ** 3 - q * w0[j]) * w0[jr] + ((by_log[j] ** 3 - q * by_log[j]) * lagged).sum()
+            big, rest = divmod(total, 2 * q**2 * g)
+            assert rest == 0, (r, shift)
+            pw = p[sub]
+            cell = np.where(pw != 0, ctx.exp[(ctx.log[pw] + lr) % q1], 0) if r else 0 * pw
+            counts[r, shift] = big - int(np.count_nonzero(im_delta[cell ^ (p[sub ^ 1] if shift else 1)]))
+    return counts
+
+
+def closed_form_spectrum(f, counts):
+    """omega_P + C (1, -2, 1) + omega(G) - omega(C) as differential_spectrum
+    returns it, C the sum of counts[r_s, s != 0] over the points s of D,
+    r_s = f(s) / s^d (f(0) for s = 0) by scalar field operations."""
+    ctx = f.ctx
+    q, e = ctx.order, dobbertin_exponent(ctx.k)
+    c = 0
+    for i in f.patch.tolist():
+        s, fs = int(ctx.subfield_index[i]), int(f.values[i])
+        r = gf2n.mul(ctx, fs, gf2n.pow(ctx, s, q - 1 - e)) if s else fs
+        c += counts[r, int(s != 0)]
+    half = q // 2 * (q - 1)
+    omega = np.zeros(max(5, (1 << ctx.k) + 1), dtype=np.int64)
+    omega[0:5:2] = half + c, half - 2 * c, c
+    g, cmap = f.subfield_maps
+    omega[: len(g) + 1] += omega_counts(g) - omega_counts(cmap)
+    return {i: int(omega[i]) for i in range(0, int(np.flatnonzero(omega)[-1]) + 1, 2)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_walsh_counts_give_every_spectrum(k):
+    # the counts from the Walsh rows, which share no gather with the
+    # kernel's, rebuild the spectrum of every map of GF(2) and GF(4) and of
+    # seeded maps of GF(8), and equal the counts the kernel memoised
+    ctx = fresh_field(k)
+    counts = walsh_counts(ctx)
+    sub = ctx.subfield_elems
+    if k < 3:
+        maps = itertools.product(sub, repeat=1 << k)
+    else:
+        rng = random.Random(k)
+        maps = [tuple(rng.choice(sub) for _ in range(8)) for _ in range(300)]
+    for values in maps:
+        f = LutFunction(ctx, np.array(values))
+        assert differential_spectrum(f) == closed_form_spectrum(f, counts), values
+    memo = {key[1:]: int(v[0]) for key, v in ctx._memo.items() if isinstance(key, tuple) and key[0] == "count"}
+    assert memo and memo == {key: counts[key] for key in memo}
+
+
+def test_spectrum_memo_holds_x_d_the_im_delta_mask_and_counts():
+    # after every spectrum of GF(4): x^d is the one int64 table of the
+    # field, Im Delta a bool mask, and no count was taken for (0, 0) or
+    # (1, 1), which APN fixes at 2^n - 2^k
+    ctx = fresh_field(2)
+    for values in itertools.product(ctx.subfield_elems, repeat=4):
+        differential_spectrum(LutFunction(ctx, np.array(values)))
+    full = [a for a in _memo_arrays(ctx) if a.dtype == np.int64 and a.size == ctx.order]
+    assert len(full) == 1 and full[0] is gf2n.vec_pow_all(ctx, dobbertin_exponent(2))
+    im_delta = ctx._memo["im_delta"]
+    assert im_delta.dtype == bool and im_delta.shape == (ctx.order,)
+    counts = {key[1:] for key in ctx._memo if isinstance(key, tuple) and key[0] == "count"}
+    assert counts and not counts & {(0, 0), (1, 1)}
+
+
+def test_spectrum_refuses_a_power_map_that_is_not_apn(monkeypatch):
+    # the closed form holds for an APN x^d alone: Im Delta of the identity
+    # is {1}, not 2^(n - 1) points
+    ctx = fresh_field(2)
+    f = instance(ctx, 2, "x+b")
+    monkeypatch.setattr(gf2n, "vec_pow_all", lambda ctx, e: np.arange(ctx.order))
+    with pytest.raises(ValueError, match=f"x\\^{dobbertin_exponent(2)} is not APN on GF\\(2\\^10\\)"):
+        differential_spectrum(f)
+
+
 def listing_collisions(f):
     """Rows a outside GF(2^k) where two of the cells P(s) + P(s + a) and
     f(s) + P(s + a), P = x^d, s in D, agree; found by sorting each row's
@@ -524,23 +636,23 @@ def test_psi_doubling_matches_parity_passes(f5, f10, f15):
 
 
 def test_histogram_cells_match_rolled_exp():
-    # a histogram build gathers exp[(e log w + log r) mod (2^n - 1)], which is
+    # a count gathers exp[(e log w + log r) mod (2^n - 1)], which is
     # np.roll(exp, -log r)[e log w], without the 2^n copy
     ctx = fresh_field(2)
     differential_spectrum(instance(ctx, 2, "x+b"))
     memo = ctx._memo
     elog, p1 = memo["outside"]
-    row1 = memo["ddt_row1"][0]
+    im_delta = memo["im_delta"]
     q1 = ctx.order - 1
     for r in range(1, ctx.order):
         rolled = np.roll(ctx.exp, -int(ctx.log[r]))[elog]
         assert np.array_equal(ctx.exp[(elog + int(ctx.log[r])) % q1], rolled), r
-    hists = [key for key in memo if isinstance(key, tuple) and key[0] == "hist"]
-    assert len(hists) > 2
-    for key in hists:
+    counts = [key for key in memo if isinstance(key, tuple) and key[0] == "count"]
+    assert counts
+    for key in counts:
         _, r, shift = key
         cell = np.roll(ctx.exp, -int(ctx.log[r]))[elog] if r else np.zeros_like(elog)
-        assert np.array_equal(memo[key], np.bincount(row1[cell ^ (p1 if shift else 1)])), key
+        assert memo[key].tolist() == [np.count_nonzero(im_delta[cell ^ (p1 if shift else 1)])], key
 
 
 @pytest.mark.parametrize("e", [339, 33])
@@ -917,9 +1029,9 @@ def test_memo_never_changes_a_report():
             warm[inst] = _report(ctx, inst)
             gf2n.vec_pow_all(ctx, 7)
         assert warm == cold
-    # one context through all of them keeps one power map, each histogram
-    # the spectrum met, trimmed, and three small entries per orbit met:
-    # under ten int64 tables of the field in all
+    # one context through all of them keeps one power map, the Im Delta
+    # mask, each count the spectrum met and three small entries per orbit
+    # met: under ten int64 tables of the field in all
     ctx = fresh_field(2)
     assert {inst: _report(ctx, inst) for inst in SWEEP_INSTANCES} == cold
     # a view keeps its whole base alive, so count the base
@@ -934,7 +1046,7 @@ def test_memo_arrays_are_read_only():
     ctx = fresh_field(2)
     f = instance(ctx, 2, "x+b")
     analyze(f, k=2)
-    # x^d, DDT row 1 and its histogram, x^d on GF(4) with its omega, psi,
+    # x^d, the Im Delta mask and the counts, x^d on GF(4) with its omega, psi,
     # orbits with their class extremes, the orbit maps and the three
     # criteria of f's orbit
     arrays = _memo_arrays(ctx)

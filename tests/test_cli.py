@@ -141,8 +141,7 @@ def test_readme_cli_block_parses():
         argv = shlex.split(line, comments=True)
         assert argv[0] == "duperm", line
         commands.add(cli._parser().parse_args(argv[1:]).command)
-    assert commands == {"analyze", "construct", "export-lut", "verify", "replay-proof",
-                        "reproduce-tables"}
+    assert commands == {"analyze", "construct", "verify", "reproduce-tables"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -199,7 +198,7 @@ def test_construct_digest_pinned(k, m, l1, l2):
 def test_export_lut_roundtrip(tmp_path):
     path = tmp_path / "export.lut"
     code, _, _ = run_cli(
-        ["export-lut", "--k", "2", "--m", "2", "--l1", "x+b", "--out", str(path)]
+        ["construct", "--k", "2", "--m", "2", "--l1", "x+b", "--out", str(path)]
     )
     assert code == 0
     ctx = gf2n.mk_field(2)
@@ -292,21 +291,24 @@ def test_verify_unknown_pattern():
     assert "no claims match" in err
 
 
-def test_replay_proof_command():
-    code, out, _ = run_cli(["replay-proof"])
-    assert code == 0
-    assert len(out.strip().splitlines()) == 8
-
-
-# sha256 of `replay-proof --verbose` stdout: every step's polynomials as
-# text, printed before the resultant and printing kernels were rewritten
+# sha256 of the eight replay steps as text in the order of the proof chain:
+# per step a "claim: status" line, then a "  key: value" line per witness
+# entry, every polynomial among them; pinned before the resultant and
+# printing kernels were rewritten
 REPLAY_VERBOSE_SHA256 = "cdfcac4c78d7613c8b40ddd447851f08fd234750ba9d3bc96c0c6864177f7c04"
+REPLAY_ORDER = ("2b", "2c", "2d", "2a", "3a", "3b", "3c", "5")
 
 
-def test_replay_proof_verbose_stdout_pinned():
-    code, out, _ = run_cli(["replay-proof", "--verbose"])
+def test_verify_replay_witnesses_hold_the_pinned_polynomials():
+    code, out, _ = run_cli(["verify", "--claims", "lemma1.replay.*"])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == REPLAY_VERBOSE_SHA256
+    records = {rec["claim_id"]: rec for rec in map(json.loads, out.splitlines())}
+    text = "".join(
+        f"{rec['claim_id']}: {rec['status']}\n"
+        + "".join(f"  {key}: {val}\n" for key, val in rec["witness"].items())
+        for rec in (records[f"lemma1.replay.step1.{step}"] for step in REPLAY_ORDER)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == REPLAY_VERBOSE_SHA256
 
 
 def test_reproduce_tables(tmp_path):
@@ -346,8 +348,8 @@ def test_reproduce_tables_missing_out_directory(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", [
     ["analyze", "--k", "1"],
     ["construct", "--k", "1"],
-    ["export-lut", "--k", "1"],
     ["verify", "--claims", "*"],
+    ["construct", "--k", "2", "--m", "2", "--l1", "x+b"],
 ])
 def test_out_in_missing_directory_fails_before_any_field(tmp_path, monkeypatch, command):
     built = []
