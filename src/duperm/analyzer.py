@@ -15,11 +15,14 @@ the positions f.patch, and each criterion has one kernel:
   pairs through D move a cell.  In the rows outside GF(2^k) (generic
   rows) each point of D moves 2^n - 2^k cells from 2 to 0 and as many
   from 0 or 2 up by 2, and one memoised count per (r, shift) says how
-  many land on 2; the rows of GF(2^k)* come from GF(2^k) (below);
-* Walsh maximum max |W(u, v)|, read by nonlinearity: gcd(d, 2^n - 1),
-  which is 1 or 3, fast transforms of P give W_P on every orbit of
-  (u, v); the few orbits that can still hold the maximum are kept, and
-  the correction W_f - W_P comes from GF(2^k) (below);
+  many land on 2: a moment of the Walsh rows of P, one row and one dot
+  product at odd k, three at even k (_spectrum); the rows of GF(2^k)*
+  come from GF(2^k) (below);
+* Walsh maximum max |W(u, v)|, read by nonlinearity: the g = gcd(d,
+  2^n - 1) rows W_P(u, gamma^j), j < g, one fast transform each per
+  field, shared with the spectrum, give W_P on every orbit of (u, v);
+  the few orbits that can still hold the maximum are kept, and the
+  correction W_f - W_P comes from GF(2^k) (below);
 * algebraic degree: the paper's degree formula, max(wt(d), (n - k) +
   deg H) with H = f + x^d on GF(2^k), a 2^k-entry transform; on a tie
   of the two terms the subset-XOR (Moebius) transform of the whole
@@ -69,10 +72,10 @@ Everything runs in one process.
 
 What depends on the field and x^d alone is kept in the context's memo
 (gf2n.FieldCtx.memo), keyed by name alone, since x^d is the only power
-map admitted: x^d, the bool mask of Im Delta, d log w and P(w + 1)
-over w outside GF(2^k), the generic counts (at most 2 * 2^k, one per
-(r, shift) met), C with its omega, psi, the orbits any f over the field
-could keep and top and bottom of each class on them.
+map admitted: x^d, the bool mask of Im Delta, the Walsh rows of P and
+their cubic terms, the generic counts (at most 2 * 2^k, one per (r,
+shift) met), C with its omega, the orbits any f over the field could
+keep and top and bottom of each class on them.
 
 What depends on f is kept per orbit of the linear equivalences
 f -> A f B that fix x^d (see construct): f and A f B have the same
@@ -147,23 +150,39 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     is APN.  As delta_P(a, b) = delta_P(1, b a^(-d)), omega_P is 2^(n-1)
     (2^n - 1) at i = 0 and at i = 2.  Each pair {s, s + a}, s in D, moves
     its cell P(s) + P(s + a) down by 2 and f(s) + f(s + a) up by 2.
-    * Generic rows, a outside GF(2^k): with a = s / w (a = 1 / w for
-      s = 0) the down cell is row1[P(w) + P(w + 1)] (row1[1] for s = 0),
-      which is 2, and the up cell row1[r P(w) + P(w + 1)] (row1[r P(w) +
-      1] for s = 0), r = f(s) / s^d (f(0) for s = 0).  So a point s moves
-      N = 2^n - 2^k cells down from 2 to 0 and N up: c(r, [s != 0]), the
-      count of w outside GF(2^k) whose up cell lies in Im Delta, from 2
-      to 4, and N - c from 0 to 2.  C = sum over D of c gives omega_P +
-      C (1, -2, 1) on i = 0, 2, 4.  No two pairs of a generic row share
-      a cell (module docstring), so each move is exact.  c is memoised
-      per (r, shift); f(s) != P(s) makes r != 0 at s = 0 and r != 1 at
-      s != 0.
+    * Generic rows, a outside GF(2^k): with a = s / w (a = 1 / w for s =
+      0) the down cell is row1[P(w) + P(w + 1)] = 2 (row1[1] for s = 0),
+      and the up cell row1[r P(w) + P(w + 1)] (row1[r P(w) + 1] for s =
+      0), r = f(s) / s^d (f(0) for s = 0).  So s moves N = 2^n - 2^k
+      cells down from 2 to 0 and N up: c(r, [s != 0]), the w outside
+      GF(2^k) whose up cell lies in Im Delta, from 2 to 4, and N - c from
+      0 to 2, each move exact (module docstring).  C = sum over D of c
+      gives omega_P + C (1, -2, 1) on i = 0, 2, 4.  f(s) != P(s) makes r
+      != 0 at s = 0 and r != 1 at s != 0.
+    * Counts, q = 2^n: c is half the pairs (x, w) with Delta(x) the up
+      cell of w, less the 2^k w of GF(2^k), counted on the mask.  Put v =
+      gamma^j t^d (j < g = gcd(d, q - 1); each v != 0 is met g times over
+      t != 0) and W_j(u) = W_P(u, gamma^j).  Over x, (-1)^Tr(v Delta(x))
+      sums to sum_u W_j(u)^2 (-1)^Tr(u t) / q; over w, (-1)^Tr(v cell)
+      sums to sum_u W_j(u) X_j(u) (-1)^Tr(u t) / q, X_j(u) = W_P(u,
+      gamma^j r) at shift 1 (q [u = 0] for r = 0) and W_P(0, gamma^j r)
+      at shift 0 (Tr(v) = Tr(gamma^j P(t))).  Summing over t != 0, with
+      Parseval: 2 q^2 g C = q^3 g + sum_j sum_u (W_j^3 - q W_j)(u) X_j(u).
+      With j' = (j + log r) mod g and l^d = gamma^(j + log r - j'),
+      W_P(u, gamma^j r) = W_j'(u / l), row j' of _walsh_rows (log order)
+      rotated by log l, so a count is g contiguous dot products.  Odd k:
+      g = 1 and x^d permutes, so W(0) = 0, and C = q / 2 except at shift
+      1, r != 0: 2 q^2 C = q^3 + sum_u W(u)^3 W(u / l).  Even k: g = 3,
+      and the W_j(0) enter.  Each W_j(u), u != 0, is a multiple of 2^(2k)
+      (Canteaut, Charpin, Dobbertin), checked here, so the sums over u !=
+      0 run exactly in int64 on (W^3 - q W) / 2^(6k).
     * Rows of GF(2^k)*: omega trades omega_counts(C) for omega_counts(G)
       (see the module docstring).
     """
     ctx, log = f.ctx, f.ctx.log
     d, fd = ctx.subfield_index[f.patch], f.values[f.patch]
-    q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
+    k, q, q1, e = ctx.k, ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
+    g = math.gcd(e, q1)
     p = gf2n.vec_pow_all(ctx, e)
 
     def im_delta() -> np.ndarray:
@@ -174,23 +193,29 @@ def _spectrum(f: LutFunction) -> np.ndarray:
             raise ValueError(f"x^{e} is not APN on GF(2^{ctx.n}): |Im Delta| != 2^{ctx.n - 1}")
         return mask
 
-    def outside() -> tuple:  # for w outside GF(2^k): d log w and P(w + 1)
-        w = np.flatnonzero(~ctx.subfield_mask)
-        return (e * log[w] % q1).astype(np.int32), p[w ^ 1].astype(np.int32)
+    def cubic() -> np.ndarray:  # (W_j(u)^3 - q W_j(u)) / 2^(6k) over u != 0, in log order
+        rows = _walsh_rows(ctx)[:, :-1]
+        if (rows & ((1 << 2 * k) - 1)).any():
+            raise ValueError(f"a Walsh value of x^{e} on GF(2^{ctx.n}) is not a multiple of 2^{2 * k}")
+        w = rows >> 2 * k
+        return w * (w * w - (1 << k))
 
     def count(r: int, shift: int) -> int:
-        # c(r, shift) = #{w outside GF(2^k) : r P(w) + P(w + 1), or r P(w) + 1
-        # for shift 0, in Im Delta}
         def build() -> np.ndarray:
-            elog, p1 = ctx.memo("outside", outside)
-            if r:  # in place: at n = 20 each fresh temporary can cost 2^n / 512 page faults
-                t = elog + int(log[r])
-                t %= q1
-                cell = ctx.exp[t]
-                cell ^= p1 if shift else 1
-            else:  # r = f(s) = 0 at s != 0
-                cell = p1
-            return np.array([np.count_nonzero(mask[cell])])
+            rows, lr, total = _walsh_rows(ctx), int(log[r]), q**3 * g
+            for j, a in enumerate(ctx.memo("cubic", cubic)):
+                jr, w0 = (j + lr) % g, int(rows[j, -1])
+                x0 = int(rows[jr, -1]) if r else q  # X_j(0)
+                if r and shift:  # row j' rotated by log l, l^d = gamma^(j + log r - j')
+                    s = (j + lr - jr) // g * pow(e // g, -1, q1 // g) % (q1 // g)
+                    dot = int(a[s:] @ rows[jr, : q1 - s]) + int(a[:s] @ rows[jr, q1 - s : q1])
+                else:  # X_j(u) is X_j(0) on every u != 0, or 0 for r = 0
+                    dot = int(a.sum()) * x0 if r else 0
+                total += (w0**3 - q * w0) * x0 + (dot << 6 * k)
+            sub = ctx.subfield_index  # the w of GF(2^k), counted on the mask
+            up = np.where((p[sub] != 0) & (r != 0), ctx.exp[(log[p[sub]] + lr) % q1], 0)
+            up ^= p[sub ^ 1] if shift else 1
+            return np.array([total // (2 * q * q * g) - np.count_nonzero(mask[up])])
 
         return int(ctx.memo(("count", r, shift), build)[0])
 
@@ -199,11 +224,11 @@ def _spectrum(f: LutFunction) -> np.ndarray:
     r = np.where((d != 0) & (fd != 0), ctx.exp[(log[fd] - e * log[d]) % q1], fd)
     c = sum(count(rs, int(s != 0)) for s, rs in zip(d.tolist(), r.tolist()))
     half = (q >> 1) * q1
-    omega = np.zeros(max(5, (1 << ctx.k) + 1), dtype=np.int64)
+    omega = np.zeros(max(5, (1 << k) + 1), dtype=np.int64)
     omega[0:5:2] = half + c, half - 2 * c, c
 
-    g, cmap = f.subfield_maps
-    omega[: len(g) + 1] += omega_counts(g) - ctx.memo("subfield_omega", lambda: omega_counts(cmap))
+    gmap, cmap = f.subfield_maps
+    omega[: len(gmap) + 1] += omega_counts(gmap) - ctx.memo("subfield_omega", lambda: omega_counts(cmap))
     return omega[: np.flatnonzero(omega)[-1] + 1]
 
 
@@ -257,42 +282,47 @@ def _psi_table(ctx: gf2n.FieldCtx) -> np.ndarray:
 
     Bit j of psi(u) is Tr(u x^j), which is GF(2)-linear in u, so the
     table doubles one basis element at a time: psi[h:2h] = psi[:h] ^
-    psi(x^i) for h = 2^i, where bit j of psi(x^i) is Tr(x^(i+j)).  It
-    depends on the field alone and is kept in the context's memo.
+    psi(x^i) for h = 2^i, where bit j of psi(x^i) is Tr(x^(i+j)).
+    """
+    n = ctx.n
+    powers = [1]  # x^t for t <= 2n - 2, reduced by the modulus
+    for _ in range(2 * n - 2):
+        t = powers[-1] << 1
+        powers.append(t ^ ctx.modulus if t >> n else t)
+    tr = ctx.trace_bits[powers].astype(np.int64)
+    bits = np.arange(n)
+    psi = np.zeros(ctx.order, dtype=np.int64)
+    for i in range(n):
+        h = 1 << i
+        np.bitwise_xor(psi[:h], int((tr[i : i + n] << bits).sum()), out=psi[h : 2 * h])
+    return psi
+
+
+def _walsh_rows(ctx: gf2n.FieldCtx) -> np.ndarray:
+    """The g = gcd(d, 2^n - 1) Walsh rows of P = x^d in log order, in the
+    memo: rows[j, i] = W_P(gamma^i, gamma^j), rows[j, -1] = W_P(0, gamma^j).
+
+    Tr(gamma^j x^d) is trace_bits[exp] rotated by j, read at d log x (0 at
+    x = 0).  A fast transform per row gives W_P at psi(u) (_psi_table).
     """
 
     def build() -> np.ndarray:
-        n = ctx.n
-        powers = [1]  # x^t for t <= 2n - 2, reduced by the modulus
-        for _ in range(2 * n - 2):
-            t = powers[-1] << 1
-            powers.append(t ^ ctx.modulus if t >> n else t)
-        tr = ctx.trace_bits[powers].astype(np.int64)
-        bits = np.arange(n)
-        psi = np.zeros(ctx.order, dtype=np.int64)
-        for i in range(n):
-            h = 1 << i
-            np.bitwise_xor(psi[:h], int((tr[i : i + n] << bits).sum()), out=psi[h : 2 * h])
-        return psi
+        q1, e = ctx.order - 1, dobbertin_exponent(ctx.k)
+        tr, at = ctx.trace_bits[ctx.exp], ctx.log[1:] * e
+        at %= q1
+        signs = np.zeros((math.gcd(e, q1), ctx.order), dtype=np.int32)
+        for j, row in enumerate(signs):
+            row[1:] = np.roll(tr, -j)[at]
+        del at
+        signs *= -2
+        signs += 1
+        by_log = _psi_table(ctx)[np.append(ctx.exp, 0)]  # psi(gamma^i), and psi(0) last
+        rows = np.empty(signs.shape, dtype=np.int64)
+        for out, row in zip(rows, _fwht_lastaxis(signs)):  # row by row, the int32 gathers stay in cache
+            out[:] = row[by_log]
+        return rows
 
-    return ctx.memo("psi", build)
-
-
-def _walsh_rows(ctx: gf2n.FieldCtx, tab: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Rows W[i, u] = sum_x (-1)^(Tr(vs[i] tab[x]) + Tr(u x)), u in field coordinates.
-
-    One fast transform per row gives the sums at t = psi(u), the
-    standard-basis index of the character; _psi_table reindexes them.
-    """
-    nz = tab != 0
-    logs = ctx.log[tab[nz]]
-    signs = np.zeros((len(vs), ctx.order), dtype=np.int32)
-    for row, lv in zip(signs, ctx.log[vs].tolist()):  # one row of temporaries at a time
-        row[nz] = ctx.trace_bits[ctx.exp[(logs + lv) % (ctx.order - 1)]]
-    del logs
-    signs *= -2
-    signs += 1
-    return _fwht_lastaxis(signs)[:, _psi_table(ctx)]
+    return ctx.memo("walsh_rows", build)
 
 
 def _walsh_cover(ctx: gf2n.FieldCtx, orbits: np.ndarray, wp: np.ndarray) -> tuple:
@@ -346,8 +376,8 @@ def _walsh(f: LutFunction) -> int:
 
     With g = gcd(d, 2^n - 1), 1 or 3, and gamma the generator, every
     nonzero v is gamma^j c^d with j < g, and W_P(u, gamma^j c^d) =
-    W_P(u / c, gamma^j).  So g transforms give wp[j, w] = W_P(w, gamma^j),
-    and on the orbit {(w c, gamma^j c^d)} W_f = wp[j, w] + E, where E =
+    W_P(u / c, gamma^j).  So the g rows wp[j, w] = W_P(w, gamma^j) of
+    _walsh_rows cover every (u, v), and on the orbit {(w c, gamma^j c^d)} W_f = wp[j, w] + E, where E =
     sum_s ((-1)^Tr(v f(s)) - (-1)^Tr(v s^d)) (-1)^Tr(u s) over s in D and
     |E| <= 2 |D|.  Only the orbits with |wp| >= max |wp| - 4 |D| can hold
     max |W_f|; the memo keeps the orbits any f over the field could keep
@@ -357,15 +387,14 @@ def _walsh(f: LutFunction) -> int:
     and _walsh_cover), and max |W_f| is the largest of top + Delta and
     -(bottom + Delta) over the classes.
     """
-    ctx, e = f.ctx, dobbertin_exponent(f.ctx.k)
-    g = math.gcd(e, ctx.order - 1)
+    ctx, q1 = f.ctx, f.ctx.order - 1
 
     def candidates() -> tuple:
         # no f over this field keeps an orbit below max |wp| - 4 * 2^k
-        wp = _walsh_rows(ctx, gf2n.vec_pow_all(ctx, e), ctx.exp[:g]).ravel()
+        wp = _walsh_rows(ctx)
         mag = np.abs(wp)
-        keep = np.flatnonzero(mag >= mag.max() - (4 << ctx.k))
-        return keep, wp[keep]
+        j, i = np.nonzero(mag >= mag.max() - (4 << ctx.k))
+        return j * ctx.order + ctx.exp[i % q1] * (i < q1), wp[j, i]
 
     gmap, cmap = f.subfield_maps
     orbits, wp = ctx.memo("walsh_orbits", candidates)
@@ -503,21 +532,10 @@ class CriteriaReport:
         return json.dumps(self.to_json_dict(include_runtime))
 
     def spectrum_triple(self) -> tuple:
-        return (
-            self.spectrum.get(0, 0),
-            self.spectrum.get(2, 0),
-            self.spectrum.get(4, 0),
-        )
+        return tuple(self.spectrum.get(i, 0) for i in (0, 2, 4))
 
     def csv_row(self, label: str) -> list:
-        w0, w2, w4 = self.spectrum_triple()
-        return [
-            label,
-            "{%d, %d, %d}" % (w0, w2, w4),
-            str(self.degree),
-            str(self.nl),
-            str(self.lb),
-        ]
+        return [label, "{%d, %d, %d}" % self.spectrum_triple(), str(self.degree), str(self.nl), str(self.lb)]
 
 
 def analyze(

@@ -58,10 +58,12 @@ def _check_degree(total: int) -> None:
 
 
 def _pack(exponents: tuple) -> int:
-    if min(exponents, default=0) < 0:
+    x, y, z, u, v, b = exponents
+    if (x | y | z | u | v | b) < 0:  # an OR of ints is negative when one of them is
         raise ValueError(f"negative exponent in {exponents}")
-    _check_degree(sum(exponents))
-    return int.from_bytes(bytes((sum(exponents), *exponents)), "big")
+    total = x + y + z + u + v + b
+    _check_degree(total)
+    return total << _TOP | x << 40 | y << 32 | z << 24 | u << 16 | v << 8 | b
 
 
 def _unpack(m: int) -> bytes:

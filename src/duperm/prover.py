@@ -110,18 +110,8 @@ def lemma1_exhaustive(ctx: gf2n.FieldCtx) -> ClaimResult:
     if any(per_b.values()):
         bad_b = int(next(b for b, c in per_b.items() if c))
         xs = np.nonzero(outside & (lhs == bad_b))[0]
-        return _result(
-            claim_id,
-            FAIL,
-            {"b": bad_b, "x": 2 * int(xs[0]), "solutions_per_b": per_b},
-            t0,
-        )
-    return _result(
-        claim_id,
-        PASS,
-        {"candidates": 2 * int(outside.sum()), "solutions_per_b": per_b},
-        t0,
-    )
+        return _result(claim_id, FAIL, {"b": bad_b, "x": 2 * int(xs[0]), "solutions_per_b": per_b}, t0)
+    return _result(claim_id, PASS, {"candidates": 2 * int(outside.sum()), "solutions_per_b": per_b}, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +189,13 @@ def lemma1_replay() -> list:
             reduced[i] = sysd["cofactors_2"][i]
             results.append(_result(claim_id, FAIL, witness, t0))
 
-    for claim_id, i in (
-        ("lemma1.replay.step1.3a", 0),
-        ("lemma1.replay.step1.3b", 1),
-        ("lemma1.replay.step1.3c", 2),
-    ):
+    for i, step in enumerate("abc"):
         t0 = time.perf_counter()
         computed = resultant_wrt(reduced[i], reduced[3], "u")
         published = sysd["published_3"][i]
         witness = _replay_witness(computed, published)
-        results.append(
-            _result(claim_id, PASS if computed == published else FAIL, witness, t0)
-        )
+        status = PASS if computed == published else FAIL
+        results.append(_result(f"lemma1.replay.step1.3{step}", status, witness, t0))
 
     t0 = time.perf_counter()
     shared = sysd["shared"]
@@ -256,9 +241,7 @@ def coset_intersection_check(ctx: gf2n.FieldCtx, trials: int = 64, seed: int = 0
     bad = np.flatnonzero(distinct != len(sub))
     if len(bad):
         i = int(bad[0])
-        return _result(
-            claim_id, FAIL, {"a": int(outside[i]), "images": vals[i].tolist()}, t0
-        )
+        return _result(claim_id, FAIL, {"a": int(outside[i]), "images": vals[i].tolist()}, t0)
     return _result(
         claim_id,
         PASS,
@@ -368,18 +351,9 @@ def prop1_hypothesis_search(ctx: gf2n.FieldCtx) -> ClaimResult:
         *coeffs, const = np.unravel_index(index, (q,) * (k + 1))
         L1 = AffinePerm(ctx, tuple(sub[c] for c in coeffs), sub[const])
         f = build_f(ctx, k, build_g(ctx, k, 2, L1, ident))
-        examples.append(
-            {
-                "coeffs": list(L1.linear_coeffs),
-                "constant": L1.constant,
-                "deg_f": analyzer.algebraic_degree(f),
-            }
-        )
-    witness = {
-        "satisfying_l1_count": len(satisfying),
-        "found": bool(len(satisfying)),
-        "examples": examples,
-    }
+        deg_f = analyzer.algebraic_degree(f)
+        examples.append({"coeffs": list(L1.linear_coeffs), "constant": L1.constant, "deg_f": deg_f})
+    witness = {"satisfying_l1_count": len(satisfying), "found": bool(len(satisfying)), "examples": examples}
     return _result(claim_id, PASS, witness, t0)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from duperm import gf2n
-from duperm.analyzer import _walsh_rows
+from duperm.analyzer import _fwht_lastaxis, _psi_table
 from duperm.construct import AffinePerm, LutFunction, dobbertin_exponent
 
 
@@ -91,9 +91,22 @@ def ddt_row_spectrum(table):
 
 
 def walsh_rows(ctx, tab, vs):
-    """Rows W[i, u] = W(u, vs[i]) of tab, u in field coordinates, 256 components at a time."""
-    blocks = (_walsh_rows(ctx, tab, vs[lo : lo + 256]) for lo in range(0, len(vs), 256))
-    return np.concatenate(list(blocks))
+    """Rows W[i, u] = sum_x (-1)^(Tr(vs[i] tab[x]) + Tr(u x)) of any table,
+    u in field coordinates, 256 components at a time.
+
+    One fast transform per row gives the sums at t = psi(u), the
+    standard-basis index of the character; psi reindexes them.
+    """
+    nz = tab != 0
+    logs, psi = ctx.log[tab[nz]], _psi_table(ctx)
+    blocks = []
+    for lo in range(0, len(vs), 256):
+        block = ctx.log[vs[lo : lo + 256]].tolist()
+        signs = np.zeros((len(block), ctx.order), dtype=np.int32)
+        for row, lv in zip(signs, block):
+            row[nz] = ctx.trace_bits[ctx.exp[(logs + lv) % (ctx.order - 1)]]
+        blocks.append(_fwht_lastaxis(1 - 2 * signs)[:, psi])
+    return np.concatenate(blocks)
 
 
 def walsh_table(ctx, table):

@@ -250,51 +250,22 @@ def test_structured_spectrum_largest_cells():
             assert max(ds) >= 1 << k
 
 
-def walsh_counts(ctx):
-    """c(r, shift) for every r in GF(2^k) and both shifts, from the Walsh rows
-    W_j(u) = W_P(u, gamma^j), j < g = gcd(d, 2^n - 1), in exact integers.
-
-    C(r, shift) counts every w of the field whose cell, r P(w) + P(w + 1)
-    (r P(w) + 1 for shift 0), lies in Im Delta; with q = 2^n and j' = (j +
-    log r) mod g:
-    * shift 0: C = q for r = 0, and for r != 0
-      2 q^2 g C = q^3 g + sum_j W_j'(0) (sum_u W_j(u)^3 - q^2);
-    * shift 1: for r = 0, 2 q^2 g C = q^3 g + q sum_j W_j(0) (W_j(0)^2 - q),
-      and for r != 0
-      2 q^2 g C = q^3 g + sum_j sum_u (W_j(u)^3 - q W_j(u)) W_j'(u / lambda_j),
-      lambda_j^d = gamma^(j + log r - j'), so that W_P(u, gamma^j r) =
-      W_j'(u / lambda_j): in log order, row j' rolled by log lambda_j.
-    c is C less the points w of GF(2^k), counted directly.
-    """
-    q, q1, e = ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
-    g = math.gcd(e, q1)
+def gathered_counts(ctx):
+    """c(r, shift) for every r in GF(2^k) and both shifts, one gather each:
+    the up cell exp[(d log w + log r) mod (2^n - 1)] + P(w + 1) (+ 1 for
+    shift 0; P(w + 1) or 1 for r = 0) of every w outside GF(2^k), counted
+    by count_nonzero on a mask of Im Delta built here."""
+    q1, e = ctx.order - 1, dobbertin_exponent(ctx.k)
     p = power_function(ctx, e)
-    rows = walsh_rows(ctx, p, ctx.exp[:g]).astype(object)  # Python ints: exact at any n
-    w0, by_log = rows[:, 0], rows[:, ctx.exp[:q1]]  # by_log[j, i] = W_j(gamma^i)
-    cubes = [(row**3).sum() for row in rows]
-    inv = pow(e // g, -1, q1 // g)
-    im_delta = np.zeros(q, dtype=bool)
+    im_delta = np.zeros(ctx.order, dtype=bool)
     im_delta[p[0::2] ^ p[1::2]] = True
-    sub = ctx.subfield_index
+    w = np.flatnonzero(~ctx.subfield_mask)
+    elog = e * ctx.log[w] % q1
     counts = {}
     for r in ctx.subfield_elems:
-        lr = int(ctx.log[r])
+        up = ctx.exp[(elog + ctx.log[r]) % q1] if r else np.zeros_like(w)
         for shift in (0, 1):
-            total = q**3 * g
-            for j in range(g):
-                jr = (j + lr) % g
-                if not r:  # 2 q^3 g in all for shift 0: C = q
-                    total += q * w0[j] * (w0[j] ** 2 - q) if shift else q**3
-                elif not shift:
-                    total += w0[jr] * (cubes[j] - q**2)
-                else:
-                    lagged = np.roll(by_log[jr], (j + lr - jr) % q1 // g * inv % (q1 // g))
-                    total += (w0[j] ** 3 - q * w0[j]) * w0[jr] + ((by_log[j] ** 3 - q * by_log[j]) * lagged).sum()
-            big, rest = divmod(total, 2 * q**2 * g)
-            assert rest == 0, (r, shift)
-            pw = p[sub]
-            cell = np.where(pw != 0, ctx.exp[(ctx.log[pw] + lr) % q1], 0) if r else 0 * pw
-            counts[r, shift] = big - int(np.count_nonzero(im_delta[cell ^ (p[sub ^ 1] if shift else 1)]))
+            counts[r, shift] = int(np.count_nonzero(im_delta[up ^ (p[w ^ 1] if shift else 1)]))
     return counts
 
 
@@ -319,11 +290,12 @@ def closed_form_spectrum(f, counts):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_walsh_counts_give_every_spectrum(k):
-    # the counts from the Walsh rows, which share no gather with the
-    # kernel's, rebuild the spectrum of every map of GF(2) and GF(4) and of
-    # seeded maps of GF(8), and equal the counts the kernel memoised
+    # the kernel's counts come from the Walsh rows; the gathered counts,
+    # which share no code with it, rebuild the spectrum of every map of
+    # GF(2) and GF(4) and of seeded maps of GF(8), and equal the counts the
+    # kernel memoised
     ctx = fresh_field(k)
-    counts = walsh_counts(ctx)
+    counts = gathered_counts(ctx)
     sub = ctx.subfield_elems
     if k < 3:
         maps = itertools.product(sub, repeat=1 << k)
@@ -339,8 +311,9 @@ def test_walsh_counts_give_every_spectrum(k):
 
 def test_spectrum_memo_holds_x_d_the_im_delta_mask_and_counts():
     # after every spectrum of GF(4): x^d is the one int64 table of the
-    # field, Im Delta a bool mask, and no count was taken for (0, 0) or
-    # (1, 1), which APN fixes at 2^n - 2^k
+    # field, Im Delta a bool mask, the g = 3 Walsh rows and their cubic
+    # terms the only other arrays of 2^n entries or more, and no count was
+    # taken for (0, 0) or (1, 1), which APN fixes at 2^n - 2^k
     ctx = fresh_field(2)
     for values in itertools.product(ctx.subfield_elems, repeat=4):
         differential_spectrum(LutFunction(ctx, np.array(values)))
@@ -348,8 +321,41 @@ def test_spectrum_memo_holds_x_d_the_im_delta_mask_and_counts():
     assert len(full) == 1 and full[0] is gf2n.vec_pow_all(ctx, dobbertin_exponent(2))
     im_delta = ctx._memo["im_delta"]
     assert im_delta.dtype == bool and im_delta.shape == (ctx.order,)
+    rows, cubic = ctx._memo["walsh_rows"], ctx._memo["cubic"]
+    assert (rows.dtype, rows.shape) == (np.int64, (3, ctx.order))
+    assert (cubic.dtype, cubic.shape) == (np.int64, (3, ctx.order - 1))
+    large = [a for a in _memo_arrays(ctx) if a.size >= ctx.order]
+    assert len(large) == 4 and {id(a) for a in large} == {id(full[0]), id(im_delta), id(rows), id(cubic)}
     counts = {key[1:] for key in ctx._memo if isinstance(key, tuple) and key[0] == "count"}
     assert counts and not counts & {(0, 0), (1, 1)}
+
+
+def test_a_walsh_value_off_the_multiples_of_4_to_the_k_is_refused(monkeypatch):
+    # the counts divide every W_j(u), u != 0, by 2^(2k) before their int64
+    # sums; a row holding W + 1 at one u != 0 is refused, not rounded
+    ctx = fresh_field(2)
+    rows = analyzer._walsh_rows(ctx).copy()
+    rows[1, 7] += 1
+    monkeypatch.setattr(analyzer, "_walsh_rows", lambda ctx: rows)
+    with pytest.raises(ValueError, match=f"x\\^{dobbertin_exponent(2)} on GF\\(2\\^10\\) is not a multiple of 2\\^4"):
+        differential_spectrum(instance(ctx, 2, "x+b"))
+
+
+def test_one_transform_per_field_and_none_for_x_d(monkeypatch):
+    # the g Walsh rows are transformed once per field and read by both
+    # criteria, through several orbits; the spectrum of x^d (empty patch)
+    # needs no count, so it starts no transform
+    calls = []
+    fwht = analyzer._fwht_lastaxis
+    monkeypatch.setattr(analyzer, "_fwht_lastaxis", lambda a: calls.append(a.shape) or fwht(a))
+    for k in (1, 2, 3):
+        ctx = fresh_field(k)
+        differential_spectrum(dobbertin_power(ctx))
+        assert calls == [], k
+        for l1 in ("x+1", "x", "b*x+b", "x^2")[: 2 if k == 1 else 4]:
+            analyze(instance(ctx, 1, l1))
+        assert calls == [(math.gcd(dobbertin_exponent(k), ctx.order - 1), ctx.order)], k
+        calls.clear()
 
 
 def test_spectrum_refuses_a_power_map_that_is_not_apn(monkeypatch):
@@ -458,9 +464,9 @@ def test_structured_spectrum_pinned_n15(f15, m, l1):
     assert_spectrum_identities(ds, f15.order)
 
 
-# n = 20 (m, L1): |D|, spectrum, delta and max |W_f|, captured once from the
+# n = 20 (m, L1): |D|, spectrum, delta and max |W_f|, captured once from
 # earlier kernels, which listed every row in blocks and summed each Walsh
-# orbit by modulo gathers, independently of the histograms and slices here
+# orbit by modulo gathers, independently of the Walsh-row counts here
 N20_CRITERIA = {
     (3, "x+1"): (16, {0: 549763683195, 2: 549738502410, 4: 8393595}, 4, 4364, 19),
     (1, "x"): (
@@ -635,24 +641,28 @@ def test_psi_doubling_matches_parity_passes(f5, f10, f15):
         assert np.array_equal(psi, psi_by_parity_passes(ctx)), ctx.n
 
 
-def test_histogram_cells_match_rolled_exp():
-    # a count gathers exp[(e log w + log r) mod (2^n - 1)], which is
-    # np.roll(exp, -log r)[e log w], without the 2^n copy
-    ctx = fresh_field(2)
-    differential_spectrum(instance(ctx, 2, "x+b"))
-    memo = ctx._memo
-    elog, p1 = memo["outside"]
-    im_delta = memo["im_delta"]
-    q1 = ctx.order - 1
-    for r in range(1, ctx.order):
-        rolled = np.roll(ctx.exp, -int(ctx.log[r]))[elog]
-        assert np.array_equal(ctx.exp[(elog + int(ctx.log[r])) % q1], rolled), r
-    counts = [key for key in memo if isinstance(key, tuple) and key[0] == "count"]
-    assert counts
-    for key in counts:
-        _, r, shift = key
-        cell = np.roll(ctx.exp, -int(ctx.log[r]))[elog] if r else np.zeros_like(elog)
-        assert memo[key].tolist() == [np.count_nonzero(im_delta[cell ^ (p1 if shift else 1)])], key
+def test_log_rows_rotate_into_the_rows_of_every_multiple():
+    # the kernel's rows, built by rotation in the log domain, are the
+    # transform rows of x^d read in log order with u = 0 last; and for each
+    # r in GF(2^k)* and j < g, W_P(u, gamma^j r) is row j' = (j + log r) mod
+    # g rolled by log l, l^d = gamma^(j + log r - j'), l found by search
+    for k in (1, 2):
+        ctx = fresh_field(k)
+        q1, e = ctx.order - 1, dobbertin_exponent(k)
+        p, g = power_function(ctx, e), math.gcd(e, q1)
+        rows = analyzer._walsh_rows(ctx)
+        want = walsh_rows(ctx, p, ctx.exp[:g])
+        assert rows.shape == (g, ctx.order)
+        assert np.array_equal(rows[:, :-1], want[:, ctx.exp]) and np.array_equal(rows[:, -1], want[:, 0])
+        powers = [gf2n.pow(ctx, x, e) for x in range(ctx.order)]
+        for r in ctx.subfield_elems[1:]:
+            lr = int(ctx.log[r])
+            direct = walsh_rows(ctx, p, np.array([gf2n.mul(ctx, int(ctx.exp[j]), r) for j in range(g)]))
+            for j in range(g):
+                jr = (j + lr) % g
+                lam = powers.index(int(ctx.exp[(j + lr - jr) % q1]))
+                assert rows[jr, -1] == direct[j, 0], (k, r, j)
+                assert np.array_equal(np.roll(rows[jr, :-1], int(ctx.log[lam])), direct[j, ctx.exp]), (k, r, j)
 
 
 @pytest.mark.parametrize("e", [339, 33])
@@ -1030,8 +1040,9 @@ def test_memo_never_changes_a_report():
             gf2n.vec_pow_all(ctx, 7)
         assert warm == cold
     # one context through all of them keeps one power map, the Im Delta
-    # mask, each count the spectrum met and three small entries per orbit
-    # met: under ten int64 tables of the field in all
+    # mask, the three Walsh rows and their cubic terms, each count the
+    # spectrum met and three small entries per orbit met: under ten int64
+    # tables of the field in all
     ctx = fresh_field(2)
     assert {inst: _report(ctx, inst) for inst in SWEEP_INSTANCES} == cold
     # a view keeps its whole base alive, so count the base
@@ -1046,11 +1057,12 @@ def test_memo_arrays_are_read_only():
     ctx = fresh_field(2)
     f = instance(ctx, 2, "x+b")
     analyze(f, k=2)
-    # x^d, the Im Delta mask and the counts, x^d on GF(4) with its omega, psi,
-    # orbits with their class extremes, the orbit maps and the three
-    # criteria of f's orbit
+    # x^d, the Im Delta mask, the Walsh rows and their cubic terms, the
+    # counts, x^d on GF(4) with its omega, orbits with their class extremes,
+    # the orbit maps and the three criteria of f's orbit
     arrays = _memo_arrays(ctx)
     assert len(arrays) >= 14
+    assert {"im_delta", "walsh_rows", "cubic", "walsh_orbits", "walsh_cover"} <= set(ctx._memo)
     assert any(a is gf2n.vec_pow_all(ctx, dobbertin_exponent(2)) for a in arrays)
     per_orbit = [key[0] for key in ctx._memo
                  if isinstance(key, tuple) and key[0] in ("spectrum", "walsh", "degree")]
