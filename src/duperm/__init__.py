@@ -17,8 +17,8 @@ from .analyzer import (
     nonlinearity,
 )
 from .construct import (
-    AffinePerm,
     LutFunction,
+    affine_map,
     build_f,
     build_g,
     dobbertin_exponent,

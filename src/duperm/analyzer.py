@@ -334,8 +334,8 @@ def _walsh_cover(ctx: gf2n.FieldCtx, orbits: np.ndarray, wp: np.ndarray) -> tupl
     one gather of it.
     """
     k, q1, cells, e = ctx.k, ctx.order - 1, 1 << 2 * ctx.k, dobbertin_exponent(ctx.k)
-    tr = ctx.trace_bits[ctx.exp]
-    useq = tr.astype(np.int64)  # U(gamma^i), bit 0 Tr(gamma^i) since sub[1] = 1
+    tr = ctx.trace_bits[ctx.exp]  # Tr(gamma^i), bit 0 of U(gamma^i) since sub[1] = 1
+    useq = tr.astype(np.min_scalar_type(cells - 1))  # U(gamma^i); the dtype holds U + 2^k V < 4^k
     for t in range(1, k):
         lt = int(ctx.log[ctx.subfield_index[1 << t]])
         useq |= np.concatenate((tr[lt:], tr[:lt])) << t
@@ -345,12 +345,15 @@ def _walsh_cover(ctx: gf2n.FieldCtx, orbits: np.ndarray, wp: np.ndarray) -> tupl
         if i not in held:
             j, w = divmod(int(orbits[i]), ctx.order)
             if j not in vseq:
-                vseq[j] = useq[np.arange(j, j + e * q1, e) % q1] << k
+                at = np.arange(j, j + e * q1, e)
+                at %= q1  # in place: one int64 2^n temporary, not two
+                vseq[j] = useq[at] << k
             cls = vseq[j]
             if w:
                 lw = int(ctx.log[w])
                 cls = cls + np.concatenate((useq[lw:], useq[:lw]))
-            held[i] = np.bincount(cls, minlength=cells) > 0
+            held[i] = np.zeros(cells, dtype=bool)
+            held[i][cls] = True  # bincount would cast cls to a 2^n int64 array
         return held[i]
 
     sides = []

@@ -2,10 +2,12 @@
 
 For the Dobbertin exponent d = 2^(4k) + 2^(3k) + 2^(2k) + 2^k - 1, the
 analysed f is g on the subfield GF(2^k) and x^d everywhere else, for a
-map g of GF(2^k) into itself, so g's 2^k values fix f:
+map g of GF(2^k) into itself, so g's 2^k values fix f.  Every map of
+GF(2^k) here is its 2^k values on the sorted subfield, as int64:
 
-* build_g gives g = L1 o x^(2^m - 1) o L2, for affine permutations L1,
-  L2 of GF(2^k), as its values on the sorted subfield;
+* affine_map gives an affine permutation sum c_i x^(2^i) + e of GF(2^k)
+  from its coefficients, and parse_affine_expr from text like "b*x + 1";
+* build_g gives g = L1 o x^(2^m - 1) o L2 from two of them;
 * build_f gives f for any such g, as the LutFunction of its values.
 
 A LutFunction holds f as those 2^k values, read-only int64, and
@@ -34,7 +36,7 @@ from . import gf2n
 
 __all__ = [
     "LutFunction",
-    "AffinePerm",
+    "affine_map",
     "dobbertin_exponent",
     "parse_affine_expr",
     "build_g",
@@ -192,40 +194,34 @@ def _subfield_power(ctx: gf2n.FieldCtx) -> np.ndarray:
     return ctx.memo("subfield_power", build)
 
 
-@dataclass(frozen=True)
-class AffinePerm:
-    """Affine permutation of the subfield GF(2^k): sum c_i x^(2^i) + constant.
+def affine_map(ctx: gf2n.FieldCtx, linear_coeffs, constant: int) -> np.ndarray:
+    """The affine permutation sum c_i x^(2^i) + constant of GF(2^k), c_i the
+    k linear coefficients, as its values on the sorted subfield, read-only int64.
 
-    image[i] is the image of the i-th element of the sorted subfield, a
-    read-only array computed once from the exp/log tables.
+    ValueError unless there are exactly k coefficients, each of them and
+    the constant lie in GF(2^k), and the map is a bijection.
     """
-
-    ctx: gf2n.FieldCtx
-    linear_coeffs: tuple
-    constant: int
-    image: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ctx, k = self.ctx, self.ctx.k
-        if len(self.linear_coeffs) != k:
-            raise ValueError(f"need exactly {k} linear coefficients")
-        for c in (*self.linear_coeffs, self.constant):
-            if not (0 <= c < ctx.order and ctx.subfield_mask[c]):  # c < 0 would wrap
-                raise ValueError(f"coefficient {c} lies outside GF(2^{k})")
-        logs = ctx.log[ctx.subfield_index[1:]]
-        image = np.zeros(len(logs) + 1, dtype=np.int64)
-        for i, c in enumerate(self.linear_coeffs):
-            if c:  # c a^(2^i) = gamma^(log c + 2^i log a)
-                image[1:] ^= ctx.exp[(ctx.log.item(c) + (logs << i)) % (ctx.order - 1)]
-        image ^= self.constant
-        if len(set(image.tolist())) != len(image):  # the values lie in GF(2^k)
-            raise ValueError("affine map is not a bijection of the subfield")
-        image.flags.writeable = False
-        object.__setattr__(self, "image", image)
+    k = ctx.k
+    if len(linear_coeffs) != k:
+        raise ValueError(f"need exactly {k} linear coefficients")
+    for c in (*linear_coeffs, constant):
+        if not (0 <= c < ctx.order and ctx.subfield_mask[c]):  # c < 0 would wrap
+            raise ValueError(f"coefficient {c} lies outside GF(2^{k})")
+    logs = ctx.log[ctx.subfield_index[1:]]
+    image = np.zeros(len(logs) + 1, dtype=np.int64)
+    for i, c in enumerate(linear_coeffs):
+        if c:  # c a^(2^i) = gamma^(log c + 2^i log a)
+            image[1:] ^= ctx.exp[(ctx.log.item(c) + (logs << i)) % (ctx.order - 1)]
+    image ^= constant
+    if len(set(image.tolist())) != len(image):  # the values lie in GF(2^k)
+        raise ValueError("affine map is not a bijection of the subfield")
+    image.flags.writeable = False
+    return image
 
 
-def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
-    """Parse 'c*x^(2^i)' sums like "x+1", "b*x+b" or "b^2*x^2 + b".
+def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> np.ndarray:
+    """Parse 'c*x^(2^i)' sums like "x+1", "b*x+b" or "b^2*x^2 + b" into
+    the map's values on the sorted subfield, as affine_map gives them.
 
     Coefficients are 0, 1 or powers b^j of the canonical subfield
     generator; x exponents must be powers of two below 2^k.
@@ -267,7 +263,7 @@ def parse_affine_expr(ctx: gf2n.FieldCtx, text: str) -> AffinePerm:
                 f"x exponent {exp} is not a power of two below 2^{k} in {text!r}"
             )
         coeffs[i] ^= coef
-    return AffinePerm(ctx, tuple(coeffs), constant)
+    return affine_map(ctx, coeffs, constant)
 
 
 _DOB_TERMS = (4, 3, 2, 1)
@@ -283,21 +279,22 @@ def build_g(
     ctx: gf2n.FieldCtx,
     k: int,
     m: int,
-    L1: AffinePerm,
-    L2: AffinePerm,
+    L1: np.ndarray,
+    L2: np.ndarray,
 ) -> np.ndarray:
     """g = L1 o x^(2^m - 1) o L2 as its 2^k values on the sorted subfield.
 
-    Composes the images of L2 and L1 with the inner power map, all on
-    the 2^k subfield points.  For gcd(k, m) != 1 the inner power map,
-    and so g, is not a subfield permutation.  Those instances are built
-    and analysed all the same; is_permutation reports the property.
+    L1 and L2 are affine permutations as affine_map gives them; g composes
+    their values with the inner power map, all on the 2^k subfield points.
+    For gcd(k, m) != 1 the inner power map, and so g, is not a subfield
+    permutation.  Those instances are built and analysed all the same;
+    is_permutation reports the property.
     """
     if k != ctx.k:
         raise ValueError("k does not match the field context")
     if m < 1:
         raise ValueError("m must be positive")
-    return L1.image[_subfield_coords(ctx, _power(ctx, L2.image, (1 << m) - 1))]
+    return L1[_subfield_coords(ctx, _power(ctx, L2, (1 << m) - 1))]
 
 
 def _power(ctx, a, e):  # a^e elementwise for e > 0

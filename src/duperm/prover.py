@@ -35,14 +35,13 @@ import numpy as np
 
 from . import analyzer, gf2n
 from .construct import (
-    AffinePerm,
     _subfield_coords,
     _subfield_power,
+    affine_map,
     build_f,
     build_g,
     dobbertin_exponent,
     instance,
-    parse_affine_expr,
 )
 from .polysym import MultiPoly, exact_divide, resultant_wrt
 
@@ -346,13 +345,13 @@ def prop1_hypothesis_search(ctx: gf2n.FieldCtx) -> ClaimResult:
     satisfying = np.flatnonzero(np.repeat(bijective & degree2, q))
 
     examples = []
-    ident = parse_affine_expr(ctx, "x")
     for index in satisfying[:_HYPOTHESIS_EXAMPLES]:
-        *coeffs, const = np.unravel_index(index, (q,) * (k + 1))
-        L1 = AffinePerm(ctx, tuple(sub[c] for c in coeffs), sub[const])
-        f = build_f(ctx, k, build_g(ctx, k, 2, L1, ident))
+        *coeffs, constant = (sub[c] for c in np.unravel_index(index, (q,) * (k + 1)))
+        L1 = affine_map(ctx, coeffs, constant)
+        # L2 = x: the identity's values on the sorted subfield are the subfield itself
+        f = build_f(ctx, k, build_g(ctx, k, 2, L1, ctx.subfield_index))
         deg_f = analyzer.algebraic_degree(f)
-        examples.append({"coeffs": list(L1.linear_coeffs), "constant": L1.constant, "deg_f": deg_f})
+        examples.append({"coeffs": coeffs, "constant": constant, "deg_f": deg_f})
     witness = {"satisfying_l1_count": len(satisfying), "found": bool(len(satisfying)), "examples": examples}
     return _result(claim_id, PASS, witness, t0)
 

@@ -8,7 +8,7 @@ import pytest
 
 from duperm import gf2n
 from duperm.analyzer import _fwht_lastaxis, _psi_table
-from duperm.construct import AffinePerm, LutFunction, dobbertin_exponent
+from duperm.construct import LutFunction, affine_map, dobbertin_exponent
 
 
 @pytest.fixture(scope="session")
@@ -118,37 +118,46 @@ def walsh_max(ctx, table):
     return int(np.abs(walsh_table(ctx, table)).max())
 
 
-def affine_eval(L, a):
-    """L(a) for one subfield element, by scalar field operations: the
-    oracle of AffinePerm.image."""
-    if not (0 <= a < L.ctx.order and L.ctx.subfield_mask[a]):
+def affine_eval(ctx, coeffs, constant, a):
+    """sum coeffs[i] a^(2^i) + constant for one subfield element a, by scalar
+    field operations: the oracle of affine_map."""
+    if not (0 <= a < ctx.order and ctx.subfield_mask[a]):
         raise ValueError(f"{a} is not a subfield element")
-    acc = L.constant
-    for i, c in enumerate(L.linear_coeffs):
+    acc = constant
+    for i, c in enumerate(coeffs):
         if c:
-            acc ^= gf2n.mul(L.ctx, c, gf2n.frobenius(L.ctx, a, i))
+            acc ^= gf2n.mul(ctx, c, gf2n.frobenius(ctx, a, i))
     return acc
 
 
 def every_affine_perm(ctx):
+    """The values of every affine permutation of GF(2^k), one array per
+    (coefficients, constant), in itertools.product order."""
     perms = []
     for *coeffs, constant in itertools.product(ctx.subfield_elems, repeat=ctx.k + 1):
         try:
-            perms.append(AffinePerm(ctx, tuple(coeffs), constant))
+            perms.append(affine_map(ctx, coeffs, constant))
         except ValueError:
             continue
     return perms
 
 
-def random_affine_perm(ctx, seed):
-    """Seed-deterministic affine permutation of GF(2^k), k = ctx.k."""
+def random_affine_form(ctx, seed):
+    """Seed-deterministic (coefficients, constant) of an affine permutation
+    of GF(2^k), k = ctx.k."""
     rng = random.Random(seed)
     sub = ctx.subfield_elems
     for _ in range(4096):
         coeffs = tuple(rng.choice(sub) for _ in range(ctx.k))
         constant = rng.choice(sub)
         try:
-            return AffinePerm(ctx, coeffs, constant)
+            affine_map(ctx, coeffs, constant)
         except ValueError:
             continue
+        return coeffs, constant
     raise RuntimeError("could not draw a bijective affine map within budget")
+
+
+def random_affine_perm(ctx, seed):
+    """The values of the affine permutation random_affine_form draws."""
+    return affine_map(ctx, *random_affine_form(ctx, seed))

@@ -20,7 +20,7 @@ from duperm.analyzer import (
     nl_lower_bound,
     nonlinearity,
 )
-from duperm.construct import instance, parse_affine_expr
+from duperm.construct import affine_map, instance, parse_affine_expr
 
 TABLE1 = (
     ("x+1", (523776, 523776, 0), 8, 472),
@@ -203,8 +203,7 @@ def test_theorem1_k3(f15):
     # outer map the prop1.hypothesis.k3 claim finds with that property.
     L1 = parse_affine_expr(f15, "x^4")
     first = prover.prop1_hypothesis_search(f15).witness["examples"][0]
-    assert first["coeffs"] == [int(c) for c in L1.linear_coeffs]
-    assert first["constant"] == L1.constant
+    assert affine_map(f15, first["coeffs"], first["constant"]).tolist() == L1.tolist()
     f = instance(f15, 2, "x^4")
     assert is_permutation(f)
     t0 = time.perf_counter()

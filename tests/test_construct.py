@@ -15,13 +15,14 @@ from conftest import (
     every_affine_perm,
     fresh_field,
     power_function,
+    random_affine_form,
     random_affine_perm,
 )
 from duperm import construct, gf2n
 from duperm.analyzer import algebraic_degree, analyze, differential_spectrum, is_permutation
 from duperm.construct import (
-    AffinePerm,
     LutFunction,
+    affine_map,
     build_f,
     build_g,
     dobbertin_exponent,
@@ -88,44 +89,46 @@ def test_power_function_matches_square_multiply(f5):
 # ---------------------------------------------------------------------------
 
 def test_affine_xor_constant_permutes(f10):
-    L = AffinePerm(f10, (1, 0), 1)
+    L = affine_map(f10, (1, 0), 1)
     sub = f10.subfield_elems
-    assert {affine_eval(L, a) for a in sub} == set(sub)
+    assert {affine_eval(f10, (1, 0), 1, a) for a in sub} == set(sub)
     for a in sub:
-        assert affine_eval(L, a) == a ^ 1
+        assert affine_eval(f10, (1, 0), 1, a) == a ^ 1
+    assert L.tolist() == [a ^ 1 for a in sub]
 
 
 def test_affine_frobenius_scaling_permutes(f10):
     b2 = gf2n.mul(f10, f10.subfield_generator, f10.subfield_generator)
-    L = AffinePerm(f10, (0, b2), 0)  # b^2 * x^2
+    L = affine_map(f10, (0, b2), 0)  # b^2 * x^2
     sub = f10.subfield_elems
-    assert {affine_eval(L, a) for a in sub} == set(sub)
+    assert {affine_eval(f10, (0, b2), 0, a) for a in sub} == set(sub)
+    assert set(L.tolist()) == set(sub)
 
 
 def test_affine_image_matches_scalar_evaluation(f5, f10, f15):
-    # AffinePerm.image, by exp/log tables, against the scalar oracle
+    # affine_map, by exp/log tables, against the scalar oracle
     for ctx in (f5, f10, f15):
         for seed in range(8):
-            L = random_affine_perm(ctx, seed)
-            assert L.image.tolist() == [affine_eval(L, a) for a in ctx.subfield_elems]
+            coeffs, constant = random_affine_form(ctx, seed)
+            want = [affine_eval(ctx, coeffs, constant, a) for a in ctx.subfield_elems]
+            assert random_affine_perm(ctx, seed).tolist() == want
 
 
 def test_affine_rejects_non_bijections(f10):
     with pytest.raises(ValueError):
-        AffinePerm(f10, (0, 0), 0)  # constant map
+        affine_map(f10, (0, 0), 0)  # constant map
     with pytest.raises(ValueError):
-        AffinePerm(f10, (2, 0), 0)  # coefficient outside the subfield
+        affine_map(f10, (2, 0), 0)  # coefficient outside the subfield
 
 
 def test_affine_coefficient_count_is_the_field_k(f10):
     with pytest.raises(ValueError, match="exactly 2 linear coefficients"):
-        AffinePerm(f10, (0, 0, 1), 0)  # x^4, a k = 3 map, on GF(4)
+        affine_map(f10, (0, 0, 1), 0)  # x^4, a k = 3 map, on GF(4)
 
 
 def test_affine_eval_outside_subfield(f10):
-    L = parse_affine_expr(f10, "x")
     with pytest.raises(ValueError):
-        affine_eval(L, 2)
+        affine_eval(f10, (1, 0), 0, 2)
 
 
 @pytest.mark.parametrize("value", [5000, 1024, -1, -1023])
@@ -133,21 +136,21 @@ def test_values_outside_the_field_are_refused(f10, value):
     # a negative value would index subfield_mask from the end (-1023 reads
     # slot 1, which is in GF(4)), a large one past it
     with pytest.raises(ValueError, match=f"coefficient {value} lies outside"):
-        AffinePerm(f10, (1, 0), value)
+        affine_map(f10, (1, 0), value)
     with pytest.raises(ValueError, match=f"coefficient {value} lies outside"):
-        AffinePerm(f10, (value, 0), 0)
+        affine_map(f10, (value, 0), 0)
     with pytest.raises(ValueError, match=f"^{value} is not a subfield element"):
-        affine_eval(parse_affine_expr(f10, "x"), value)
+        affine_eval(f10, (1, 0), 0, value)
 
 
 def test_parse_affine_expr(f10):
     beta = f10.subfield_generator
     b2 = gf2n.mul(f10, beta, beta)
+    # a sum c_i x^(2^i) + e with i < k is fixed by its values on GF(2^k)
     L = parse_affine_expr(f10, "b^2*x^2 + b")
-    assert L.linear_coeffs == (0, b2)
-    assert L.constant == beta
-    assert parse_affine_expr(f10, "x+1").constant == 1
-    assert parse_affine_expr(f10, "b*x").linear_coeffs == (beta, 0)
+    assert L.tolist() == affine_map(f10, (0, b2), beta).tolist()
+    assert parse_affine_expr(f10, "x+1").tolist() == affine_map(f10, (1, 0), 1).tolist()
+    assert parse_affine_expr(f10, "b*x").tolist() == affine_map(f10, (beta, 0), 0).tolist()
     # each refusal names the expression, whichever term is bad
     for bad in ("x^3", "x^4", "q+1", "", "x+", "b^", "x^y", "b^-1*x", "x^-2"):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
@@ -161,18 +164,20 @@ AFFINE_ALPHABET = "xb^+*0123456789 -"
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=st.text(alphabet=AFFINE_ALPHABET, max_size=16))
 def test_parse_affine_expr_fuzz(f10, text):
-    # any text parses to an affine permutation or is refused by ValueError
+    # any text parses to an affine permutation, read-only int64 values that
+    # are the 2^k distinct subfield elements, or is refused by ValueError
     try:
         L = parse_affine_expr(f10, text)
     except ValueError:
         return
-    assert isinstance(L, AffinePerm)
+    assert isinstance(L, np.ndarray) and L.dtype == np.int64 and not L.flags.writeable
+    assert sorted(L.tolist()) == list(f10.subfield_elems)
 
 
 def test_table_l1_matches_canonical_beta(f10):
     # "x + b" row: constant is the canonical subfield generator
     L = parse_affine_expr(f10, "x+b")
-    assert L.constant == f10.subfield_generator
+    assert L.tolist() == affine_map(f10, (1, 0), f10.subfield_generator).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,9 @@ def test_build_g_m1_is_affine_composition(f10):
     L1 = parse_affine_expr(f10, "b*x+b")
     L2 = parse_affine_expr(f10, "x+1")
     g = build_g(f10, 2, 1, L1, L2)  # g's values on the sorted subfield
-    assert g.tolist() == [affine_eval(L1, affine_eval(L2, a)) for a in f10.subfield_elems]
+    beta = f10.subfield_generator
+    want = [affine_eval(f10, (beta, 0), beta, affine_eval(f10, (1, 0), 1, a)) for a in f10.subfield_elems]
+    assert g.tolist() == want
 
 
 def test_build_g_direct_composition(f10):
@@ -199,7 +206,9 @@ def test_build_g_large_m_matches_scalar_powers(f10, m):
     L1 = parse_affine_expr(f10, "b*x+1")
     L2 = parse_affine_expr(f10, "x^2+b")
     g = build_g(f10, 2, m, L1, L2)
-    want = [affine_eval(L1, gf2n.pow(f10, affine_eval(L2, a), (1 << m) - 1)) for a in f10.subfield_elems]
+    beta = f10.subfield_generator
+    inner = [gf2n.pow(f10, affine_eval(f10, (0, 1), beta, a), (1 << m) - 1) for a in f10.subfield_elems]
+    want = [affine_eval(f10, (beta, 0), 1, y) for y in inner]
     assert g.tolist() == want
 
 
