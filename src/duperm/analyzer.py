@@ -7,17 +7,16 @@ that is not of this shape is refused where it enters
 (LutFunction.from_table, which read_lut calls), before any criterion
 sees it.  So d is fixed by the field, and every kernel reads it from
 ctx.k (as e, since d names the points D in the code) and P from
-vec_pow_all.  f then differs from P only on the points D of GF(2^k) at
-the positions f.patch, and each criterion has one kernel:
+vec_pow_all.  f then differs from P only on the points D of GF(2^k)
+where G != C (below), and each criterion has one kernel:
 
 * differential spectrum, in closed form: P is APN, so row 1 holds 2 on
   Im Delta, Delta(x) = P(x) + P(x + 1), and 0 elsewhere, and only the
   pairs through D move a cell.  In the rows outside GF(2^k) (generic
   rows) each point of D moves 2^n - 2^k cells from 2 to 0 and as many
-  from 0 or 2 up by 2, and one memoised count per (r, shift) says how
-  many land on 2: a moment of the Walsh rows of P, one row and one dot
-  product at odd k, three at even k (_spectrum); the rows of GF(2^k)*
-  come from GF(2^k) (below);
+  from 0 or 2 up by 2, and a table of the field, read at G, says how
+  many land on 2: moments of the Walsh rows of P (_spectrum, _counts);
+  the rows of GF(2^k)* come from GF(2^k) (below);
 * Walsh maximum max |W(u, v)|, read by nonlinearity: the g = gcd(d,
   2^n - 1) rows W_P(u, gamma^j), j < g, one fast transform each per
   field, shared with the spectrum, give W_P on every orbit of (u, v);
@@ -72,19 +71,17 @@ Everything runs in one process.
 
 What depends on the field and x^d alone is kept in the context's memo
 (gf2n.FieldCtx.memo), keyed by name alone, since x^d is the only power
-map admitted: x^d, the bool mask of Im Delta, the Walsh rows of P and
-their cubic terms, the generic counts (at most 2 * 2^k, one per (r,
-shift) met), C with its omega, the orbits any f over the field could
-keep and top and bottom of each class on them.
+map admitted: x^d, the bool mask of Im Delta, the Walsh rows of P, the
+2^k x 2^k count table, C with its omega, and top and bottom of each
+class over the orbits any f over the field could keep.
 
 What depends on f is kept per orbit of the linear equivalences
 f -> A f B that fix x^d (see construct): f and A f B have the same
 spectrum, max |W| and degree.  Each criterion is computed for the
 first f of an orbit met on a context and stored in the memo under
 (criterion, f.orbit_key): the spectrum up to delta, max |W|, the
-degree.  A later f of the orbit reads them.  f finds its patch and its
-orbit key on first use and keeps them, so one f read by several
-criteria or claims is compared with x^d on GF(2^k) at most once and
+degree.  A later f of the orbit reads them.  f finds its orbit key on
+first use and keeps it, so one f read by several criteria or claims is
 keyed once.  A cold context gives the same reports.
 """
 
@@ -157,79 +154,92 @@ def _spectrum(f: LutFunction) -> np.ndarray:
       cells down from 2 to 0 and N up: c(r, [s != 0]), the w outside
       GF(2^k) whose up cell lies in Im Delta, from 2 to 4, and N - c from
       0 to 2, each move exact (module docstring).  C = sum over D of c
-      gives omega_P + C (1, -2, 1) on i = 0, 2, 4.  f(s) != P(s) makes r
-      != 0 at s = 0 and r != 1 at s != 0.
-    * Counts, q = 2^n: c is half the pairs (x, w) with Delta(x) the up
-      cell of w, less the 2^k w of GF(2^k), counted on the mask.  Put v =
-      gamma^j t^d (j < g = gcd(d, q - 1); each v != 0 is met g times over
-      t != 0) and W_j(u) = W_P(u, gamma^j).  Over x, (-1)^Tr(v Delta(x))
-      sums to sum_u W_j(u)^2 (-1)^Tr(u t) / q; over w, (-1)^Tr(v cell)
-      sums to sum_u W_j(u) X_j(u) (-1)^Tr(u t) / q, X_j(u) = W_P(u,
-      gamma^j r) at shift 1 (q [u = 0] for r = 0) and W_P(0, gamma^j r)
-      at shift 0 (Tr(v) = Tr(gamma^j P(t))).  Summing over t != 0, with
-      Parseval: 2 q^2 g C = q^3 g + sum_j sum_u (W_j^3 - q W_j)(u) X_j(u).
-      With j' = (j + log r) mod g and l^d = gamma^(j + log r - j'),
-      W_P(u, gamma^j r) = W_j'(u / l), row j' of _walsh_rows (log order)
-      rotated by log l, so a count is g contiguous dot products.  Odd k:
-      g = 1 and x^d permutes, so W(0) = 0, and C = q / 2 except at shift
-      1, r != 0: 2 q^2 C = q^3 + sum_u W(u)^3 W(u / l).  Even k: g = 3,
-      and the W_j(0) enter.  Each W_j(u), u != 0, is a multiple of 2^(2k)
-      (Canteaut, Charpin, Dobbertin), checked here, so the sums over u !=
-      0 run exactly in int64 on (W^3 - q W) / 2^(6k).
+      gives omega_P + C (1, -2, 1) on i = 0, 2, 4.  c depends on s only
+      through (f(s), s), so the count table T of the field (_counts)
+      gives C = sum_i T[G[i], i]; T is 0 where f(s) = s^d, s outside D.
+      f = x^d (G = C) has C = 0, so it builds no T and no transform.
     * Rows of GF(2^k)*: omega trades omega_counts(C) for omega_counts(G)
       (see the module docstring).
     """
-    ctx, log = f.ctx, f.ctx.log
-    d, fd = ctx.subfield_index[f.patch], f.values[f.patch]
-    k, q, q1, e = ctx.k, ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
-    g = math.gcd(e, q1)
-    p = gf2n.vec_pow_all(ctx, e)
+    gmap, cmap = f.subfield_maps
+    ctx, k, q, e = f.ctx, f.ctx.k, f.ctx.order, dobbertin_exponent(f.ctx.k)
 
     def im_delta() -> np.ndarray:
         mask = np.zeros(q, dtype=bool)
-        pairs = p.reshape(-1, 2)  # x and x + 1 differ in bit 0 only
+        pairs = gf2n.vec_pow_all(ctx, e).reshape(-1, 2)  # x and x + 1 differ in bit 0 only
         mask[pairs[:, 0] ^ pairs[:, 1]] = True
         if np.count_nonzero(mask) != q >> 1:
             raise ValueError(f"x^{e} is not APN on GF(2^{ctx.n}): |Im Delta| != 2^{ctx.n - 1}")
         return mask
 
-    def cubic() -> np.ndarray:  # (W_j(u)^3 - q W_j(u)) / 2^(6k) over u != 0, in log order
-        rows = _walsh_rows(ctx)[:, :-1]
-        if (rows & ((1 << 2 * k) - 1)).any():
-            raise ValueError(f"a Walsh value of x^{e} on GF(2^{ctx.n}) is not a multiple of 2^{2 * k}")
-        w = rows >> 2 * k
-        return w * (w * w - (1 << k))
+    mask = ctx.memo("im_delta", im_delta)
+    c = 0
+    if not np.array_equal(gmap, cmap):
+        c = int(ctx.memo("counts", lambda: _counts(ctx, mask, cmap))[gmap, np.arange(len(gmap))].sum())
+    half = (q >> 1) * (q - 1)
+    omega = np.zeros(max(5, (1 << k) + 1), dtype=np.int64)
+    omega[0:5:2] = half + c, half - 2 * c, c
+    omega[: len(gmap) + 1] += omega_counts(gmap) - ctx.memo("subfield_omega", lambda: omega_counts(cmap))
+    return omega[: np.flatnonzero(omega)[-1] + 1]
 
-    def count(r: int, shift: int) -> int:
-        def build() -> np.ndarray:
-            rows, lr, total = _walsh_rows(ctx), int(log[r]), q**3 * g
-            for j, a in enumerate(ctx.memo("cubic", cubic)):
-                jr, w0 = (j + lr) % g, int(rows[j, -1])
-                x0 = int(rows[jr, -1]) if r else q  # X_j(0)
+
+def _counts(ctx: gf2n.FieldCtx, mask: np.ndarray, cmap: np.ndarray) -> np.ndarray:
+    """The count table T of _spectrum, 2^k x 2^k int64: T[y, i] = c(sub[y]
+    / sub[i]^d, 1) for i != 0, c(sub[y], 0) at i = 0, 0 where y = C[i].
+
+    q = 2^n.  c is half the pairs (x, w) with Delta(x) the up cell of w,
+    less the 2^k w of GF(2^k), counted on the mask.  Put v = gamma^j t^d
+    (j < g = gcd(d, q - 1); each v != 0 is met g times over t != 0) and
+    W_j(u) = W_P(u, gamma^j).  Over x, (-1)^Tr(v Delta(x)) sums to sum_u
+    W_j(u)^2 (-1)^Tr(u t) / q; over w, (-1)^Tr(v cell) sums to sum_u W_j(u)
+    X_j(u) (-1)^Tr(u t) / q, X_j(u) = W_P(u, gamma^j r) at shift 1 (q [u =
+    0] for r = 0) and W_P(0, gamma^j r) at shift 0 (Tr(v) = Tr(gamma^j
+    P(t))).  Summing over t != 0, with Parseval: 2 q^2 g c = q^3 g + sum_j
+    sum_u (W_j^3 - q W_j)(u) X_j(u).  With j' = (j + log r) mod g and l^d =
+    gamma^(j + log r - j'), W_P(u, gamma^j r) = W_j'(u / l), row j' of
+    _walsh_rows (log order) rotated by log l, so a count at shift 1 is g
+    contiguous dot products, and at shift 0 reads each row's sum.  Odd k:
+    g = 1 and x^d permutes, so W(0) = 0, and c = q / 2 except at shift 1,
+    r != 0: 2 q^2 c = q^3 + sum_u W(u)^3 W(u / l).  Even k: g = 3, and the
+    W_j(0) enter.  Each W_j(u), u != 0, is a multiple of 2^(2k) (Canteaut,
+    Charpin, Dobbertin), checked here, so the sums over u != 0 run exactly
+    in int64 on (W^3 - q W) / 2^(6k), built in place one row at a time.
+    """
+    k, q, q1, e = ctx.k, ctx.order, ctx.order - 1, dobbertin_exponent(ctx.k)
+    g = math.gcd(e, q1)
+    p = gf2n.vec_pow_all(ctx, e)
+    rows, sub = _walsh_rows(ctx), ctx.subfield_index
+    logs = ctx.log[sub]
+    totals = [[q**3 * g] * len(sub) for _ in (0, 1)]  # 2 q^2 g c(sub[y], shift) before the w of GF(2^k)
+    for j in range(g):
+        if (rows[j, :-1] & ((1 << 2 * k) - 1)).any():
+            raise ValueError(f"a Walsh value of x^{e} on GF(2^{ctx.n}) is not a multiple of 2^{2 * k}")
+        w = rows[j, :-1] >> 2 * k
+        a = w * w  # (W_j(u)^3 - q W_j(u)) / 2^(6k) over u != 0, in log order
+        a -= 1 << k
+        a *= w
+        del w
+        a_sum, w0 = int(a.sum()), int(rows[j, -1])
+        for y, (r, lr) in enumerate(zip(sub.tolist(), logs.tolist())):
+            jr = (j + lr) % g
+            x0 = int(rows[jr, -1]) if r else q  # X_j(0)
+            for shift in (0, 1):
                 if r and shift:  # row j' rotated by log l, l^d = gamma^(j + log r - j')
                     s = (j + lr - jr) // g * pow(e // g, -1, q1 // g) % (q1 // g)
                     dot = int(a[s:] @ rows[jr, : q1 - s]) + int(a[:s] @ rows[jr, q1 - s : q1])
                 else:  # X_j(u) is X_j(0) on every u != 0, or 0 for r = 0
-                    dot = int(a.sum()) * x0 if r else 0
-                total += (w0**3 - q * w0) * x0 + (dot << 6 * k)
-            sub = ctx.subfield_index  # the w of GF(2^k), counted on the mask
-            up = np.where((p[sub] != 0) & (r != 0), ctx.exp[(log[p[sub]] + lr) % q1], 0)
-            up ^= p[sub ^ 1] if shift else 1
-            return np.array([total // (2 * q * q * g) - np.count_nonzero(mask[up])])
-
-        return int(ctx.memo(("count", r, shift), build)[0])
-
-    mask = ctx.memo("im_delta", im_delta)
-    # r = f(s) / s^d, and f(0) for s = 0
-    r = np.where((d != 0) & (fd != 0), ctx.exp[(log[fd] - e * log[d]) % q1], fd)
-    c = sum(count(rs, int(s != 0)) for s, rs in zip(d.tolist(), r.tolist()))
-    half = (q >> 1) * q1
-    omega = np.zeros(max(5, (1 << k) + 1), dtype=np.int64)
-    omega[0:5:2] = half + c, half - 2 * c, c
-
-    gmap, cmap = f.subfield_maps
-    omega[: len(gmap) + 1] += omega_counts(gmap) - ctx.memo("subfield_omega", lambda: omega_counts(cmap))
-    return omega[: np.flatnonzero(omega)[-1] + 1]
+                    dot = a_sum * x0 if r else 0
+                totals[shift][y] += (w0**3 - q * w0) * x0 + (dot << 6 * k)
+    counts = np.array([[t // (2 * q * q * g) for t in row] for row in totals])
+    # r P(w) for r = sub[y] down and w = sub[i] across: the w of GF(2^k), counted on the mask
+    up = np.where((p[sub] != 0) & (sub[:, None] != 0), ctx.exp[(ctx.log[p[sub]] + logs[:, None]) % q1], 0)
+    for shift in (0, 1):
+        counts[shift] -= np.count_nonzero(mask[up ^ (p[sub ^ 1] if shift else 1)], axis=1)
+    ratio = np.where(sub[:, None] != 0, ctx.exp[(logs[:, None] - e * logs) % q1], 0)  # sub[y] / sub[i]^d
+    table = counts[1, np.searchsorted(sub, ratio)]
+    table[:, 0] = counts[0]
+    table[cmap, np.arange(len(sub))] = 0
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +335,7 @@ def _walsh_rows(ctx: gf2n.FieldCtx) -> np.ndarray:
     return ctx.memo("walsh_rows", build)
 
 
-def _walsh_cover(ctx: gf2n.FieldCtx, orbits: np.ndarray, wp: np.ndarray) -> tuple:
+def _walsh_cover(ctx: gf2n.FieldCtx) -> tuple:
     """(top, bottom) per class U + 2^k V by the cover rule (module docstring);
     -+2^(n + 1) for a class that no kept orbit holds.
 
@@ -334,6 +344,11 @@ def _walsh_cover(ctx: gf2n.FieldCtx, orbits: np.ndarray, wp: np.ndarray) -> tupl
     one gather of it.
     """
     k, q1, cells, e = ctx.k, ctx.order - 1, 1 << 2 * ctx.k, dobbertin_exponent(ctx.k)
+    # kept: the orbits any f over the field could keep, none below max |wp| - 4 * 2^k (_walsh)
+    wp = _walsh_rows(ctx)
+    bound = max(wp.max(), -wp.min()) - (4 << k)
+    j, i = np.nonzero(np.abs(wp) >= bound)  # |wp| is freed before the arrays below
+    orbits, wp = j * ctx.order + ctx.exp[i % q1] * (i < q1), wp[j, i]
     tr = ctx.trace_bits[ctx.exp]  # Tr(gamma^i), bit 0 of U(gamma^i) since sub[1] = 1
     useq = tr.astype(np.min_scalar_type(cells - 1))  # U(gamma^i); the dtype holds U + 2^k V < 4^k
     for t in range(1, k):
@@ -380,29 +395,17 @@ def _walsh(f: LutFunction) -> int:
     With g = gcd(d, 2^n - 1), 1 or 3, and gamma the generator, every
     nonzero v is gamma^j c^d with j < g, and W_P(u, gamma^j c^d) =
     W_P(u / c, gamma^j).  So the g rows wp[j, w] = W_P(w, gamma^j) of
-    _walsh_rows cover every (u, v), and on the orbit {(w c, gamma^j c^d)} W_f = wp[j, w] + E, where E =
-    sum_s ((-1)^Tr(v f(s)) - (-1)^Tr(v s^d)) (-1)^Tr(u s) over s in D and
-    |E| <= 2 |D|.  Only the orbits with |wp| >= max |wp| - 4 |D| can hold
-    max |W_f|; the memo keeps the orbits any f over the field could keep
-    (|D| <= 2^k).
-
-    E = Delta[V(v), U(u)] with Delta = W_G - W_C (see the module docstring
-    and _walsh_cover), and max |W_f| is the largest of top + Delta and
-    -(bottom + Delta) over the classes.
+    _walsh_rows cover every (u, v), and on the orbit {(w c, gamma^j c^d)}
+    W_f = wp[j, w] + E, E = sum_s ((-1)^Tr(v f(s)) - (-1)^Tr(v s^d))
+    (-1)^Tr(u s) over s in D, |E| <= 2 |D|.  Only the orbits with |wp| >=
+    max |wp| - 4 |D| can hold max |W_f|; the memo keeps top and bottom over
+    the orbits any f over the field could keep (|D| <= 2^k).
+    E = Delta[V(v), U(u)] with Delta = W_G - W_C (module docstring), and
+    max |W_f| is the largest of top + Delta and -(bottom + Delta).
     """
-    ctx, q1 = f.ctx, f.ctx.order - 1
-
-    def candidates() -> tuple:
-        # no f over this field keeps an orbit below max |wp| - 4 * 2^k
-        wp = _walsh_rows(ctx)
-        mag = np.abs(wp)
-        j, i = np.nonzero(mag >= mag.max() - (4 << ctx.k))
-        return j * ctx.order + ctx.exp[i % q1] * (i < q1), wp[j, i]
-
     gmap, cmap = f.subfield_maps
-    orbits, wp = ctx.memo("walsh_orbits", candidates)
-    top, bottom = ctx.memo("walsh_cover", lambda: _walsh_cover(ctx, orbits, wp))
-    h = _hadamard(1 << ctx.k)  # W_G[beta, alpha] = sum_i H[beta, G[i]] H[i, alpha]
+    top, bottom = f.ctx.memo("walsh_cover", lambda: _walsh_cover(f.ctx))
+    h = _hadamard(1 << f.ctx.k)  # W_G[beta, alpha] = sum_i H[beta, G[i]] H[i, alpha]
     delta = ((h[:, gmap] - h[:, cmap]) @ h).ravel()
     return max(int((top + delta).max()), -int((bottom + delta).min()))
 
@@ -458,9 +461,9 @@ def _degree(f: LutFunction) -> int:
     takes the Moebius transform of the whole table.
     """
     ctx, weight = f.ctx, dobbertin_exponent(f.ctx.k).bit_count()
-    if not len(f.patch):
-        return weight
     g, c = f.subfield_maps
+    if np.array_equal(g, c):
+        return weight
     deg_delta = ctx.n - ctx.k + int(anf_degree(g ^ c))
     return max(weight, deg_delta) if deg_delta != weight else int(anf_degree(f.table))
 
@@ -550,8 +553,8 @@ def analyze(
 ) -> CriteriaReport:
     """Compute every criterion on f, timing each one.
 
-    f keeps its patch and orbit key, taken by the first criterion that
-    reads them; each criterion then runs for the first f of its orbit met
+    f keeps its orbit key, taken by the first criterion that reads it;
+    each criterion then runs for the first f of its orbit met
     on the context and is a memo lookup for the rest.  The report's k is
     f.ctx.k.  k, walsh and workers are accepted only because
     perfbench/workloads.py still passes k=ctx.k, walsh=True and

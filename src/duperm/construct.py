@@ -20,9 +20,8 @@ criteria read the values.  Tables serialise to a binary format (magic
 
 For c in GF(2^k)* and i < n the linear maps B(x) = c x^(2^i) and A(y) =
 (c^(-d) y)^(2^(n - i)) fix x^d, so A f B is again x^d off GF(2^k), with
-f's spectrum, nonlinearity and degree.  A LutFunction finds on first use
-and keeps the positions where it differs from x^d (patch) and the key
-of its orbit under those maps (orbit_key).
+f's spectrum, nonlinearity and degree.  A LutFunction finds the key of
+its orbit under those maps (orbit_key) on first use, from G, and keeps it.
 """
 
 from __future__ import annotations
@@ -100,15 +99,6 @@ class LutFunction:
         return table
 
     @functools.cached_property
-    def patch(self) -> np.ndarray:
-        """The positions i, ascending, where f differs from x^d: G[i] != C[i]
-        in subfield_maps, that is f(sub[i]) != sub[i]^d."""
-        g, c = self.subfield_maps
-        i = (g != c).nonzero()[0]
-        i.flags.writeable = False  # every criterion reads this one array
-        return i
-
-    @functools.cached_property
     def orbit_key(self) -> bytes:
         """The least image of the values under f -> A f B, as bytes.
 
@@ -116,29 +106,25 @@ class LutFunction:
         for every c in GF(2^k)* and i < k: f takes its values on GF(2^k)
         in GF(2^k), where sigma^k is the identity, so i < k gives every
         image.  Two functions share a key exactly when they lie in one orbit.
+        Each image is A[G[B]], G of subfield_maps and B, A per-field tables
+        in subfield coordinates, least in coordinates as in values.
         """
         ctx, q1, e = self.ctx, self.ctx.order - 1, dobbertin_exponent(self.ctx.k)
 
         def maps() -> tuple:
-            # column c k + i: the position of B(s) for each s of the sorted
-            # subfield (B(0) = 0), and log A(y) = log y * mult + shift
+            # column c k + i: B(sub[s]) in row s, A(sub[y]) in row y (B(0) = A(0) = 0)
             logc = ctx.log[ctx.subfield_index[1:]]
             frob = 1 << np.arange(ctx.k)  # log sigma^i(y) = 2^i log y
-            at = np.zeros((len(logc) + 1, len(logc) * ctx.k), dtype=np.int64)
-            at[1:] = ctx.exp[(logc[:, None, None] + frob[:, None] * logc) % q1].reshape(-1, len(logc)).T
-            mult = np.tile((1 << ctx.n) // frob % q1, len(logc))  # 2^(n - i) mod 2^n - 1
-            shift = -e * np.repeat(logc, ctx.k) % q1 * mult % q1
-            # full-shape copies: elementwise without broadcasting is faster here
-            return _subfield_coords(ctx, at), *(np.repeat(a[None], len(at), axis=0) for a in (mult, shift))
+            b, a = np.zeros((2, len(logc) + 1, len(logc) * ctx.k), dtype=np.int64)
+            b[1:] = ctx.exp[(logc[:, None, None] + frob[:, None] * logc) % q1].reshape(-1, len(logc)).T
+            t = (logc[:, None] - e * np.repeat(logc, ctx.k)) % q1  # log A(y) = (log y - d log c) 2^(n - i)
+            t *= np.tile((1 << ctx.n) // frob % q1, len(logc))  # 2^(n - i) mod 2^n - 1
+            a[1:] = ctx.exp[t % q1]
+            return _subfield_coords(ctx, b), _subfield_coords(ctx, a)
 
-        at, mult, shift = ctx.memo("orbit_maps", maps)
-        v = self.values[at]
-        t = ctx.log[v] * mult
-        t += shift
-        t %= q1
-        image = ctx.exp[t]
-        image[v == 0] = 0
-        return image[:, np.lexsort(image[::-1])[0]].tobytes()
+        b, a = ctx.memo("orbit_maps", maps)
+        image = a[self.subfield_maps[0][b], np.arange(a.shape[1])]
+        return ctx.subfield_index[image[:, np.lexsort(image[::-1])[0]]].tobytes()
 
     @functools.cached_property
     def subfield_maps(self) -> tuple:

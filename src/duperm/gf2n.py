@@ -222,10 +222,9 @@ class FieldCtx:
         maps that fix x^d (construct.LutFunction.orbit_key), whose
         members share every criterion; so the memo changes when a result
         is computed, never the result.  A tuple key also names a
-        parameter of build: an exponent, a field element and a shift
-        (the spectrum's counts) or an orbit key.  Nothing is evicted; the memo
-        is freed with the context.  build returns an array or a tuple of
-        arrays.
+        parameter of build: an exponent or an orbit key.  Nothing is
+        evicted; the memo is freed with the context.  build returns an
+        array or a tuple of arrays.
         """
         memo = self._memo
         if key not in memo:

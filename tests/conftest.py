@@ -57,6 +57,13 @@ def dobbertin_power(ctx):
     return LutFunction.from_table(ctx, power_function(ctx, dobbertin_exponent(ctx.k)))
 
 
+def patch(f):
+    """The positions i, ascending, where f differs from x^d on GF(2^k):
+    G[i] != C[i] in f.subfield_maps, that is f(sub[i]) != sub[i]^d."""
+    g, c = f.subfield_maps
+    return np.flatnonzero(g != c)
+
+
 def closed_form_eval(ctx, g, x):
     """f(x) = g(x) + (g(x) + x^d)(x + x^(2^k))^(2^n - 1) by scalar field
     operations, g given by its values on the sorted subfield and taken as 0

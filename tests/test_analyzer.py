@@ -18,6 +18,7 @@ from conftest import (
     every_affine_perm,
     fresh_field,
     is_bijective,
+    patch,
     power_function,
     random_affine_perm,
     walsh_max,
@@ -234,7 +235,7 @@ def power_off_subfield(ctx, seed, size):
 )
 def test_structured_spectrum_arbitrary_subfield_values(k, seed, size):
     f, at = power_off_subfield(fresh_field(k), seed, size)
-    assert f.patch.tolist() == at.tolist()
+    assert patch(f).tolist() == at.tolist()
     assert differential_spectrum(f) == ddt_row_spectrum(f.table)
 
 
@@ -276,7 +277,7 @@ def closed_form_spectrum(f, counts):
     ctx = f.ctx
     q, e = ctx.order, dobbertin_exponent(ctx.k)
     c = 0
-    for i in f.patch.tolist():
+    for i in patch(f).tolist():
         s, fs = int(ctx.subfield_index[i]), int(f.values[i])
         r = gf2n.mul(ctx, fs, gf2n.pow(ctx, s, q - 1 - e)) if s else fs
         c += counts[r, int(s != 0)]
@@ -290,10 +291,11 @@ def closed_form_spectrum(f, counts):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_walsh_counts_give_every_spectrum(k):
-    # the kernel's counts come from the Walsh rows; the gathered counts,
-    # which share no code with it, rebuild the spectrum of every map of
-    # GF(2) and GF(4) and of seeded maps of GF(8), and equal the counts the
-    # kernel memoised
+    # the kernel's count table comes from the Walsh rows; the gathered
+    # counts, which share no code with it, rebuild the spectrum of every map
+    # of GF(2) and GF(4) and of seeded maps of GF(8), and equal the table at
+    # every (y, i): c(sub[y] / sub[i]^d, 1) for i != 0, c(sub[y], 0) at
+    # i = 0, and 0 where sub[y] = sub[i]^d
     ctx = fresh_field(k)
     counts = gathered_counts(ctx)
     sub = ctx.subfield_elems
@@ -305,15 +307,22 @@ def test_walsh_counts_give_every_spectrum(k):
     for values in maps:
         f = LutFunction(ctx, np.array(values))
         assert differential_spectrum(f) == closed_form_spectrum(f, counts), values
-    memo = {key[1:]: int(v[0]) for key, v in ctx._memo.items() if isinstance(key, tuple) and key[0] == "count"}
-    assert memo and memo == {key: counts[key] for key in memo}
+    q, e = ctx.order, dobbertin_exponent(k)
+    want = np.zeros((len(sub), len(sub)), dtype=np.int64)
+    for (y, fs), (i, s) in itertools.product(enumerate(sub), enumerate(sub)):
+        if fs != gf2n.pow(ctx, s, e):
+            want[y, i] = counts[gf2n.mul(ctx, fs, gf2n.pow(ctx, s, q - 1 - e)), 1] if s else counts[fs, 0]
+    cmap = dobbertin_power(ctx).subfield_maps[1]
+    assert not want[cmap, np.arange(len(sub))].any()
+    assert ctx._memo["counts"].tolist() == want.tolist()
 
 
 def test_spectrum_memo_holds_x_d_the_im_delta_mask_and_counts():
     # after every spectrum of GF(4): x^d is the one int64 table of the
-    # field, Im Delta a bool mask, the g = 3 Walsh rows and their cubic
-    # terms the only other arrays of 2^n entries or more, and no count was
-    # taken for (0, 0) or (1, 1), which APN fixes at 2^n - 2^k
+    # field, Im Delta a bool mask and the g = 3 Walsh rows the only other
+    # arrays of 2^n entries or more, and the counts one 4 x 4 int64 table,
+    # 0 where f(s) = s^d, among them (0, 0) and (1, 1), which APN fixes at
+    # 2^n - 2^k
     ctx = fresh_field(2)
     for values in itertools.product(ctx.subfield_elems, repeat=4):
         differential_spectrum(LutFunction(ctx, np.array(values)))
@@ -321,13 +330,14 @@ def test_spectrum_memo_holds_x_d_the_im_delta_mask_and_counts():
     assert len(full) == 1 and full[0] is gf2n.vec_pow_all(ctx, dobbertin_exponent(2))
     im_delta = ctx._memo["im_delta"]
     assert im_delta.dtype == bool and im_delta.shape == (ctx.order,)
-    rows, cubic = ctx._memo["walsh_rows"], ctx._memo["cubic"]
+    rows = ctx._memo["walsh_rows"]
     assert (rows.dtype, rows.shape) == (np.int64, (3, ctx.order))
-    assert (cubic.dtype, cubic.shape) == (np.int64, (3, ctx.order - 1))
     large = [a for a in _memo_arrays(ctx) if a.size >= ctx.order]
-    assert len(large) == 4 and {id(a) for a in large} == {id(full[0]), id(im_delta), id(rows), id(cubic)}
-    counts = {key[1:] for key in ctx._memo if isinstance(key, tuple) and key[0] == "count"}
-    assert counts and not counts & {(0, 0), (1, 1)}
+    assert len(large) == 3 and {id(a) for a in large} == {id(full[0]), id(im_delta), id(rows)}
+    counts = ctx._memo["counts"]
+    assert (counts.dtype, counts.shape) == (np.int64, (4, 4))
+    cmap = dobbertin_power(ctx).subfield_maps[1]
+    assert not counts[cmap, np.arange(4)].any() and counts[0, 0] == counts[1, 1] == 0
 
 
 def test_a_walsh_value_off_the_multiples_of_4_to_the_k_is_refused(monkeypatch):
@@ -343,7 +353,7 @@ def test_a_walsh_value_off_the_multiples_of_4_to_the_k_is_refused(monkeypatch):
 
 def test_one_transform_per_field_and_none_for_x_d(monkeypatch):
     # the g Walsh rows are transformed once per field and read by both
-    # criteria, through several orbits; the spectrum of x^d (empty patch)
+    # criteria, through several orbits; the spectrum of x^d (G = C)
     # needs no count, so it starts no transform
     calls = []
     fwht = analyzer._fwht_lastaxis
@@ -402,7 +412,7 @@ def test_constructed_functions_have_no_collision_rows(f5, f10, f15):
         f = build_f(f15, 3, build_g(f15, 3, 1 + seed % 3, L1, L2))
         assert listing_collisions(f) == [], (seed, L1, L2)
         built += 1
-        patched += len(f.patch) >= 2
+        patched += len(patch(f)) >= 2
     assert built == 3 * 2 * 2 + 3 * 24 * 24 + 24
     assert patched >= 20  # rows can collide only where |D| >= 2
 
@@ -483,7 +493,7 @@ def test_structured_criteria_pinned_n20(f20):
     ctx = f20
     for (m, l1), (size, spectrum, delta, wmax, degree) in N20_CRITERIA.items():
         f = instance(ctx, m, l1)
-        assert len(f.patch) == size
+        assert len(patch(f)) == size
         ds = differential_spectrum(f)
         assert (ds, max(ds)) == (spectrum, delta), (m, l1)
         assert_spectrum_identities(ds, ctx.order)
@@ -734,16 +744,18 @@ def test_walsh_cover_matches_every_candidate_orbit(k):
     # top and bottom come from the first orbits of a signed walk; the
     # oracle takes the extremes of W_P over every candidate orbit holding a
     # class, with each orbit's classes from exp/log products; a class that
-    # no candidate holds is left out (its entry is -+2^(n + 1))
+    # no candidate holds is left out (its entry is -+2^(n + 1)); the
+    # candidates are the orbits (w, gamma^j) with |W_P| >= max |W_P| - 4 * 2^k
     ctx = fresh_field(k)
     walsh_max_abs(instance(ctx, 1, "x+1"))
-    orbits, wp = ctx._memo["walsh_orbits"]
     top, bottom = ctx._memo["walsh_cover"]
     q1, e, cells = ctx.order - 1, dobbertin_exponent(k), 1 << 2 * k
+    rows = analyzer._walsh_rows(ctx)  # W_P(gamma^i, gamma^j), and W_P(0, gamma^j) last
+    kept = np.abs(rows) >= np.abs(rows).max() - (4 << k)
+    orbits = [(j, int(ctx.exp[i]) if i < q1 else 0, int(rows[j, i])) for j, i in zip(*np.nonzero(kept))]
     want_top, want_bottom = np.full(cells, -(2 << ctx.n)), np.full(cells, 2 << ctx.n)
     i = np.arange(q1)
-    for orbit, w_p in zip(orbits.tolist(), wp.tolist()):
-        j, w = divmod(orbit, ctx.order)
+    for j, w, w_p in orbits:
         us = ctx.exp[(ctx.log[w] + i) % q1] if w else np.zeros(q1, dtype=np.int64)
         held = np.unique(class_of(ctx, us) + (class_of(ctx, ctx.exp[(j + e * i) % q1]) << k))
         want_top[held] = np.maximum(want_top[held], w_p)
@@ -770,7 +782,7 @@ def test_structured_walsh_arbitrary_subfield_values(k, seed):
     # the maximum alone cannot check it, because on x^d the top orbits of
     # |W_P| held max |W_f| in every table tried (all 1024 at n = 5, 400
     # random at n = 10, 300 random at n = 15)
-    size = len(f.patch)
+    size = len(patch(f))
     assert np.abs(full - power_walsh_table(ctx, e)).max() <= 2 * size
 
 
@@ -829,7 +841,7 @@ def lut_file(path, table):
 
 
 @pytest.mark.parametrize("k, kind, arg", REFUSED, ids=[f"k{k}-{kind}-{a}" for k, kind, a in REFUSED])
-def test_criteria_refuse_tables_off_the_construction(f5, f10, tmp_path, k, kind, arg):
+def test_admission_refuses_tables_off_the_construction(f5, f10, tmp_path, k, kind, arg):
     # a table enters by from_table alone, read_lut included, and no
     # LutFunction off the construction exists for a criterion to read
     ctx = f5 if k == 1 else f10
@@ -1040,13 +1052,12 @@ def test_memo_never_changes_a_report():
             gf2n.vec_pow_all(ctx, 7)
         assert warm == cold
     # one context through all of them keeps one power map, the Im Delta
-    # mask, the three Walsh rows and their cubic terms, each count the
-    # spectrum met and three small entries per orbit met: under ten int64
-    # tables of the field in all
+    # mask, the three Walsh rows, the 4 x 4 count table and three small
+    # entries per orbit met: under five int64 tables of the field in all
     ctx = fresh_field(2)
     assert {inst: _report(ctx, inst) for inst in SWEEP_INSTANCES} == cold
     # a view keeps its whole base alive, so count the base
-    assert sum((a if a.base is None else a.base).nbytes for a in _memo_arrays(ctx)) <= 10 * 8 * ctx.order
+    assert sum((a if a.base is None else a.base).nbytes for a in _memo_arrays(ctx)) <= 5 * 8 * ctx.order
 
 
 def _memo_arrays(ctx):
@@ -1057,12 +1068,12 @@ def test_memo_arrays_are_read_only():
     ctx = fresh_field(2)
     f = instance(ctx, 2, "x+b")
     analyze(f, k=2)
-    # x^d, the Im Delta mask, the Walsh rows and their cubic terms, the
-    # counts, x^d on GF(4) with its omega, orbits with their class extremes,
-    # the orbit maps and the three criteria of f's orbit
+    # x^d, the Im Delta mask, the Walsh rows, the count table, x^d on GF(4)
+    # with its omega, the class extremes, the orbit maps and the three
+    # criteria of f's orbit
     arrays = _memo_arrays(ctx)
     assert len(arrays) >= 14
-    assert {"im_delta", "walsh_rows", "cubic", "walsh_orbits", "walsh_cover"} <= set(ctx._memo)
+    assert {"im_delta", "walsh_rows", "counts", "walsh_cover"} <= set(ctx._memo)
     assert any(a is gf2n.vec_pow_all(ctx, dobbertin_exponent(2)) for a in arrays)
     per_orbit = [key[0] for key in ctx._memo
                  if isinstance(key, tuple) and key[0] in ("spectrum", "walsh", "degree")]
@@ -1150,46 +1161,38 @@ def test_orbit_images_share_key_and_report(k, seed):
     assert len({analyze(image).to_json() for image in images}) == 1
 
 
-def spy_on_patch_and_key(monkeypatch):
-    """Record each comparison of a table with x^d (on entry to patch) and each
-    orbit key taken (on return from orbit_key)."""
+def spy_on_key(monkeypatch):
+    """Record each orbit key taken (on return from orbit_key)."""
     calls = []
+    func = vars(LutFunction)["orbit_key"].func
 
-    def counted(name, func):
-        def spy(f):
-            if name == "patch":
-                calls.append(name)
-            value = func(f)
-            if name == "orbit_key":
-                calls.append(name)
-            return value
+    def spy(f):
+        value = func(f)
+        calls.append("orbit_key")
+        return value
 
-        prop = functools.cached_property(spy)
-        prop.__set_name__(LutFunction, name)
-        return prop
-
-    for name in ("patch", "orbit_key"):
-        monkeypatch.setattr(LutFunction, name, counted(name, vars(LutFunction)[name].func))
+    prop = functools.cached_property(spy)
+    prop.__set_name__(LutFunction, "orbit_key")
+    monkeypatch.setattr(LutFunction, "orbit_key", prop)
     return calls
 
 
 def test_one_instance_is_compared_and_keyed_once(monkeypatch):
     # theorem 1 reads the spectrum, proposition 2 the nonlinearity and
-    # analyze all three criteria: f is keyed once, by the first criterion,
-    # and compared with x^d on GF(2^k) once, by the spectrum kernel
-    calls = spy_on_patch_and_key(monkeypatch)
+    # analyze all three criteria: f is keyed once, by the first criterion
+    calls = spy_on_key(monkeypatch)
     f = instance(fresh_field(2), 2, "x+b")
     prover.theorem1_check(f, "k2 m2 x+b")
     prover.prop2_bound_check(f, "k2 m2 x+b")
     analyze(f)
     analyze(f)
-    assert calls == ["orbit_key", "patch"]
+    assert calls == ["orbit_key"]
 
 
 def test_refused_table_raises_on_every_call_and_is_never_keyed(f10, tmp_path, monkeypatch):
     # admission keeps nothing between calls: each one compares again and
-    # refuses, and no function is made, so none is compared or keyed
-    calls = spy_on_patch_and_key(monkeypatch)
+    # refuses, and no function is made, so none is keyed
+    calls = spy_on_key(monkeypatch)
     table = refused_table(f10, "one-point-changed", "generator")
     path = lut_file(tmp_path / "refused.lut", table)
     for admit in (lambda: LutFunction.from_table(f10, table), lambda: read_lut(path, f10)) * 2:
